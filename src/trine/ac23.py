@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, Optional
 
 from .config import Config
-from .dynamics import run_to_mirror
+from .dynamics import RunRecord, run_to_mirror
 from .errors import MaxStepsExceeded
 from .graph import MixedGraph, complement, weak_computable
-from .ipf import check_ipf
+from .ipf import IpfReport, check_ipf
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
@@ -150,56 +152,82 @@ def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
     return int.from_bytes(digest, "big") & ((1 << L) - 1)
 
 
-def _scan_block(args: tuple) -> dict:
-    """Run one block of starts for one circle size.  Self-contained and
-    picklable so blocks can run in worker processes; the outcome depends
-    only on the arguments, never on scheduling."""
-    (n, m, L, mode, lo, hi, seed, level, cond1, origin, max_steps) = args
-    mask = Mask(n, m)
+def iter_pairs(
+    mask: Mask, L: int, config: Config, lo: int = 0, hi: Optional[int] = None
+) -> Iterator[tuple[str, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]]:
+    """Run the starts with index lo..hi-1 at circle size L, each with its
+    complement, and check each clean pair at the configured level.
+
+    Yields (start, runs, report) per index: ``runs`` is None when a run
+    hit ``max_steps`` (unresolved); ``report`` is None when unresolved
+    or when either run is degenerate.  Up to the exhaustive cutoff the
+    index is the start's bit pattern; beyond it the index selects a
+    seeded sample.  ``hi`` defaults to every start (2**L) or the
+    configured sample count.
+    """
+    exhaustive = L <= config.exhaustive_cutoff
+    if hi is None:
+        hi = 2**L if exhaustive else config.samples_per_L
+    max_steps = config.max_steps
     g = build_graph(mask, L)
-    tested = 0
-    degenerate_skips = 0
-    unresolved = 0
-    first_unresolved = None
-    witness = None
     for index in range(lo, hi):
-        bits = index if mode == "exhaustive" else _sample_bits(seed, n, m, L, index)
+        bits = index if exhaustive else _sample_bits(config.seed, mask.n, mask.m, L, index)
         start = bits_to_coloring(bits, L)
         try:
             run = run_to_mirror(g, start, max_steps)
             comp_run = run_to_mirror(g, complement(start), max_steps)
         except MaxStepsExceeded:
+            yield start, None, None
+            continue
+        report = None
+        if not (run.degenerate or comp_run.degenerate):
+            report = check_ipf(
+                run,
+                comp_run,
+                level=config.check_level,
+                cond1_interpretation=config.cond1_interpretation,
+                time_origin=config.time_origin,
+            )
+        yield start, (run, comp_run), report
+
+
+def _scan_block(mask: Mask, L: int, config: Config, lo: int, hi: int) -> dict:
+    """Count one block of starts for one circle size, stopping at the
+    first failing pair.  Picklable so blocks can run in worker
+    processes; the outcome depends only on the arguments."""
+    tested = degenerate_skips = unresolved = 0
+    first_unresolved = None
+    witness = None
+    for start, runs, report in iter_pairs(mask, L, config, lo, hi):
+        if runs is None:
             unresolved += 1
             if first_unresolved is None:
                 first_unresolved = start
-            continue
-        if run.degenerate or comp_run.degenerate:
+        elif report is None:
             degenerate_skips += 1
-            continue
-        report = check_ipf(
-            run,
-            comp_run,
-            level=level,
-            cond1_interpretation=cond1,
-            time_origin=origin,
-        )
-        tested += 1
-        ok = report.light_ok if level == "light" else report.full_ok
-        if not ok:
-            witness = {
-                "index": index,
-                "start": start,
-                "condition": report.first_failed_condition,
-            }
-            break
+        else:
+            tested += 1
+            if not report.passed:
+                witness = {"start": start, "condition": report.first_failed_condition}
+                break
     return {
-        "lo": lo,
         "tested": tested,
         "degenerate_skips": degenerate_skips,
         "unresolved": unresolved,
         "first_unresolved": first_unresolved,
         "witness": witness,
     }
+
+
+@contextmanager
+def _mapper(threads: int):
+    """A ``map`` that returns results in input order: the builtin one for
+    a single thread, else that of a process pool shut down on exit."""
+    if threads <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
 
 
 @dataclass
@@ -239,19 +267,10 @@ class MaskVerdict:
         ]
 
 
-def _blocks_for(total: int) -> Iterator[tuple[int, int]]:
-    lo = 0
-    while lo < total:
-        hi = min(lo + _BLOCK_SIZE, total)
-        yield lo, hi
-        lo = hi
-
-
 def classify_mask(
     mask: Mask,
     config: Config,
     budget: Optional[int] = None,
-    executor: Optional[ProcessPoolExecutor] = None,
 ) -> MaskVerdict:
     """Search circle sizes lmin..lmax for an invariant violation.
 
@@ -263,18 +282,15 @@ def classify_mask(
     headline status.
 
     ``budget`` caps the number of start pairs examined; exhausting it
-    returns the partial verdict with ``budget_exhausted`` set.  Passing
-    an ``executor`` parallelizes block scans.
+    returns the partial verdict with ``budget_exhausted`` set.  With
+    ``config.threads`` above one, the blocks of ``_BLOCK_SIZE`` starts
+    at each size are scanned in a process pool.
     """
     envelope: list = []
     witness = None
     budget_left = budget
-    own_pool = False
-    pool = executor
-    if pool is None and config.threads > 1:
-        pool = ProcessPoolExecutor(max_workers=config.threads)
-        own_pool = True
-    try:
+    budget_exhausted = False
+    with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
             if not mask_weak_computable(mask, L):
                 envelope.append({"L": L, "skipped": "not weak computable"})
@@ -286,35 +302,17 @@ def classify_mask(
                 mode, total = "sampled", config.samples_per_L
             if total == 0:
                 continue
-            exhausted_here = False
             if budget_left is not None:
                 if budget_left <= 0:
                     break
                 if total > budget_left:
                     total = budget_left
-                    exhausted_here = True
+                    budget_exhausted = True
                 budget_left -= total
 
-            argv = [
-                (
-                    mask.n,
-                    mask.m,
-                    L,
-                    mode,
-                    lo,
-                    hi,
-                    config.seed,
-                    config.check_level,
-                    config.cond1_interpretation,
-                    config.time_origin,
-                    config.max_steps,
-                )
-                for lo, hi in _blocks_for(total)
-            ]
-            if pool is not None:
-                results = list(pool.map(_scan_block, argv))
-            else:
-                results = [_scan_block(a) for a in argv]
+            los = range(0, total, _BLOCK_SIZE)
+            his = [min(lo + _BLOCK_SIZE, total) for lo in los]
+            results = list(run_map(partial(_scan_block, mask, L, config), los, his))
 
             block = {
                 "L": L,
@@ -332,29 +330,14 @@ def classify_mask(
                 block["first_unresolved"] = unresolved_examples[0]
             found = next((r["witness"] for r in results if r["witness"]), None)
             if found is not None:
-                found = {
-                    "L": L,
-                    "start": found["start"],
-                    "condition": found["condition"],
-                }
+                found = {"L": L, **found}
                 if degenerate_L:
                     block["degenerate_witness"] = found
                 else:
                     witness = found
             envelope.append(block)
-            if exhausted_here:
-                return MaskVerdict(
-                    mask,
-                    INCORRECT if witness else CORRECT_SO_FAR,
-                    witness,
-                    envelope,
-                    budget_exhausted=True,
-                )
-            if witness is not None:
+            if budget_exhausted or witness is not None:
                 break
-    finally:
-        if own_pool:
-            pool.shutdown()
 
     if envelope and all("skipped" in block for block in envelope):
         raise ValueError(
@@ -362,7 +345,7 @@ def classify_mask(
             f"{config.lmin}..{config.lmax}"
         )
     status = INCORRECT if witness else CORRECT_SO_FAR
-    return MaskVerdict(mask, status, witness, envelope, budget_exhausted=False)
+    return MaskVerdict(mask, status, witness, envelope, budget_exhausted)
 
 
 # -- verdict grid ------------------------------------------------------
@@ -420,32 +403,32 @@ def verdict_grid(
     """Classify every odd mask with n <= n_max, m <= m_max.
 
     Each cell is computed independently (no mirroring shortcut), so the
-    grid's reflection symmetry stays a checkable fact.  ``resume_rows``
-    maps (n, m) to a previously computed MaskVerdict and lets an
-    interrupted grid continue; ``on_cell`` is called after each newly
-    computed cell, which is the hook incremental writers use.
+    grid's reflection symmetry stays a checkable fact.  With
+    ``config.threads`` above one, whole cells run in a process pool.
+    ``resume_rows`` maps (n, m) to a previously computed MaskVerdict and
+    lets an interrupted grid continue; ``on_cell`` is called after each
+    newly computed cell, in grid order, which is the hook incremental
+    writers use.
     ``cr_annotations`` maps (n, m) to externally supplied table row
     counts that decorate the JSON view of the grid.
     """
     if n_max % 2 == 0 or m_max % 2 == 0:
         raise ValueError("grid bounds must be odd")
     grid = VerdictGrid(n_max, m_max, cr_annotations=dict(cr_annotations or {}))
-    pool = None
-    if config.threads > 1:
-        pool = ProcessPoolExecutor(max_workers=config.threads)
-    try:
-        for n in range(1, n_max + 1, 2):
-            for m in range(1, m_max + 1, 2):
-                if resume_rows and (n, m) in resume_rows:
-                    grid.cells[(n, m)] = resume_rows[(n, m)]
-                    continue
-                verdict = classify_mask(
-                    Mask(n, m), config, budget=budget_per_cell, executor=pool
-                )
-                grid.cells[(n, m)] = verdict
-                if on_cell is not None:
-                    on_cell(verdict)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    resume_rows = resume_rows or {}
+    todo = []
+    for n in range(1, n_max + 1, 2):
+        for m in range(1, m_max + 1, 2):
+            if (n, m) in resume_rows:
+                grid.cells[(n, m)] = resume_rows[(n, m)]
+            else:
+                todo.append(Mask(n, m))
+    classify_cell = partial(
+        classify_mask, config=replace(config, threads=1), budget=budget_per_cell
+    )
+    with _mapper(config.threads) as run_map:
+        for verdict in run_map(classify_cell, todo):
+            grid.cells[(verdict.mask.n, verdict.mask.m)] = verdict
+            if on_cell is not None:
+                on_cell(verdict)
     return grid

@@ -182,21 +182,31 @@ def cmd_check_mask(args) -> int:
 
 
 def _load_resume_rows(path: Path) -> dict:
+    """Finished cells of an interrupted grid CSV.  A last line without
+    its newline was cut off mid-write: it is dropped, and the file is
+    truncated to the last complete row so appending continues cleanly."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data[: data.rfind(b"\n") + 1]
     rows = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != GRID_CSV_COLUMNS:
-            raise TrineError(f"{path}: not a grid CSV (columns {reader.fieldnames})")
-        for record in reader:
-            mask = Mask(int(record["n"]), int(record["m"]))
-            witness = None
-            if record["status"] == ac23.INCORRECT:
-                witness = {
-                    "L": int(record["witnessL"]),
-                    "start": record["witnessStart"],
-                    "condition": record["conditionFailed"],
-                }
-            rows[(mask.n, mask.m)] = MaskVerdict(mask, record["status"], witness)
+    reader = csv.DictReader(complete.decode("utf-8").splitlines())
+    if reader.fieldnames != GRID_CSV_COLUMNS:
+        raise TrineError(f"{path}: not a grid CSV (columns {reader.fieldnames})")
+    for record in reader:
+        if record["status"] not in (ac23.CORRECT_SO_FAR, ac23.INCORRECT):
+            raise TrineError(f"{path}: bad status in row {record}")
+        mask = Mask(int(record["n"]), int(record["m"]))
+        witness = None
+        if record["status"] == ac23.INCORRECT:
+            witness = {
+                "L": int(record["witnessL"]),
+                "start": record["witnessStart"],
+                "condition": record["conditionFailed"],
+            }
+        rows[(mask.n, mask.m)] = MaskVerdict(mask, record["status"], witness)
+    if len(complete) < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(len(complete))
     return rows
 
 

@@ -28,7 +28,6 @@ need a second pass over the trajectory.
 from __future__ import annotations
 
 import csv
-import json
 from typing import Optional
 
 from .errors import MaxStepsExceeded
@@ -230,10 +229,6 @@ class RunRecord:
         writer.writerow(["t", "coloring"])
         for t, state in enumerate(self.states, 1):
             writer.writerow([t, state])
-
-    def write_json(self, fh) -> None:
-        json.dump(self.to_json_dict(), fh, sort_keys=True)
-        fh.write("\n")
 
 
 def run_to_mirror(

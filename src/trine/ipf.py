@@ -196,6 +196,11 @@ class IpfReport:
     failure_counts: dict = field(default_factory=dict)
 
     @property
+    def passed(self) -> bool:
+        """Whether the pair holds the invariant at the checked level."""
+        return bool(self.light_ok if self.level == "light" else self.full_ok)
+
+    @property
     def first_failed_condition(self) -> Optional[str]:
         for name in ("div3", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"):
             if getattr(self, name) is False:

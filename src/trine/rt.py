@@ -29,18 +29,16 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import Mask, bits_to_coloring, build_graph, degenerate_at, mask_weak_computable, _sample_bits
+from .ac23 import Mask, degenerate_at, iter_pairs, mask_weak_computable
 from .config import Config
-from .dynamics import RunRecord, run_to_mirror
+from .dynamics import RunRecord
 from .errors import (
     DimensionMismatch,
     IncompatibleTables,
-    MaxStepsExceeded,
     RtParseError,
     UnconfiguredStepTable,
     UnverifiedRuns,
 )
-from .graph import complement
 from .ipf import build_slots, check_ipf
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
@@ -76,21 +74,13 @@ def _parse_target(target: str) -> tuple[int, bool]:
     raise ValueError(f"unknown sub-table target {target!r}")
 
 
-def subtable_substitution(value: int, target: str) -> int:
-    """Map one value from the "=0" sub-table into another sub-table.
+def substitute_row(row: Sequence[int], target: str) -> tuple[int, ...]:
+    """Map a row from the "=0" sub-table into another sub-table.
 
     Unbarred digits shift by +c, barred digits by -c; a barred target
     additionally toggles the bar.  The six maps form a group of order
     six under composition.
     """
-    c, toggle = _parse_target(target)
-    digit, barred = value % 3, value >= 3
-    new_digit = (digit - c) % 3 if barred else (digit + c) % 3
-    new_barred = barred ^ toggle
-    return new_digit + (3 if new_barred else 0)
-
-
-def substitute_row(row: Sequence[int], target: str) -> tuple[int, ...]:
     c, toggle = _parse_target(target)
     out = []
     for value in row:
@@ -290,11 +280,6 @@ def includes(a: ResolutionTable, b: ResolutionTable) -> bool:
     return b.row_set() <= a.row_set()
 
 
-def equals(a: ResolutionTable, b: ResolutionTable) -> bool:
-    _check_dims(a, b)
-    return a.rows == b.rows
-
-
 # -- compatibility and the integral table --------------------------------
 
 
@@ -389,7 +374,7 @@ def coincidence_matrix(tables: Sequence[ResolutionTable]) -> CoincidenceMatrix:
             inter = intersect(a, b)
             if i == j:
                 relation = "self"
-            elif equals(a, b):
+            elif a == b:
                 relation = "equal"
             elif includes(a, b):
                 relation = "includes_ij"
@@ -550,8 +535,7 @@ def extract_rows(
             cond1_interpretation=cond1_interpretation,
             time_origin=time_origin,
         )
-        ok = report.light_ok if level == "light" else report.full_ok
-        if not ok:
+        if not report.passed:
             raise UnverifiedRuns(
                 f"pair starting {run.start_ab!r} fails {level} check "
                 f"({report.first_failed_condition})"
@@ -597,36 +581,9 @@ def extraction_run_pairs(
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
             continue
-        g = build_graph(mask, L)
-        if L <= config.exhaustive_cutoff:
-            starts = (bits_to_coloring(bits, L) for bits in range(2**L))
-        else:
-            starts = (
-                bits_to_coloring(_sample_bits(config.seed, mask.n, mask.m, L, i), L)
-                for i in range(config.samples_per_L)
-            )
-        for start in starts:
-            try:
-                run = run_to_mirror(g, start, config.max_steps)
-                comp_run = run_to_mirror(g, complement(start), config.max_steps)
-            except MaxStepsExceeded:
-                continue
-            if run.degenerate or comp_run.degenerate:
-                continue
-            report = check_ipf(
-                run,
-                comp_run,
-                level=config.check_level,
-                cond1_interpretation=config.cond1_interpretation,
-                time_origin=config.time_origin,
-            )
-            ok = (
-                report.light_ok
-                if config.check_level == "light"
-                else report.full_ok
-            )
-            if ok:
-                yield run, comp_run
+        for _, runs, report in iter_pairs(mask, L, config):
+            if report is not None and report.passed:
+                yield runs
 
 
 # -- serialization ----------------------------------------------------------

@@ -213,6 +213,16 @@ class TestVerdictGrid:
         assert cells[(1, 3)]["C_R"] == 27
         assert "C_R" not in cells[(1, 1)]
 
+    def test_parallel_cells_match_serial(self):
+        runs = []
+        for threads in (1, 2):
+            seen = []
+            grid = verdict_grid(7, 7, quick_config(lmax=6, threads=threads),
+                                on_cell=lambda v: seen.append((v.mask.n, v.mask.m)))
+            runs.append((grid.to_json_dict(), seen))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [(n, m) for n in (1, 3, 5, 7) for m in (1, 3, 5, 7)]
+
     def test_resume_rows_short_circuit(self):
         cfg = quick_config(lmax=6)
         full = verdict_grid(3, 3, cfg)

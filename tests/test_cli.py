@@ -94,11 +94,21 @@ class TestGrid:
         fresh = tmp_path / "fresh.csv"
         assert run_cli("grid", *flags, "--out", str(fresh)) == 0
 
-        partial = tmp_path / "partial.csv"
         lines = fresh.read_text().splitlines(keepends=True)
-        partial.write_text("".join(lines[:5]))  # header + 4 cells
-        assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
-        assert partial.read_bytes() == fresh.read_bytes()
+        # header + 4 cells, then the same cut off in the middle of a status
+        torn = "".join(lines[:5]) + lines[5][: lines[5].index("CorrectSoFar") + 9]
+        for i, text in enumerate(["".join(lines[:5]), torn]):
+            partial = tmp_path / f"partial{i}.csv"
+            partial.write_text(text)
+            assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
+            assert partial.read_bytes() == fresh.read_bytes()
+
+    def test_resume_rejects_unknown_status(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        out.write_text("n,m,N,status,witnessL,witnessStart,conditionFailed\n"
+                       "1,1,3,Maybe,,,\n")
+        assert run_cli("grid", "--max", "3", "--lmax", "6", "--out", str(out),
+                       "--resume") == 1
 
     def test_cr_annotations_from_directory(self, tmp_path, capsys):
         rtdir = tmp_path / "rt"
