@@ -30,6 +30,8 @@ from .ipf import IpfReport, check_ipf
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
+INCONCLUSIVE = "Inconclusive"
+STATUSES = (CORRECT_SO_FAR, INCORRECT, INCONCLUSIVE)
 
 _BLOCK_SIZE = 2048
 
@@ -235,8 +237,10 @@ class MaskVerdict:
     """Search outcome for one mask.
 
     ``status`` is "Incorrect" exactly when a witness was found;
-    "CorrectSoFar" is always relative to the tested envelope recorded
-    in ``tested`` (correctness is a for-all-L claim no search settles).
+    otherwise "Inconclusive" when runs at a clean (non-degenerate) size
+    hit ``max_steps`` unresolved, else "CorrectSoFar".  "CorrectSoFar"
+    is always relative to the tested envelope recorded in ``tested``
+    (correctness is a for-all-L claim no search settles).
     """
 
     mask: Mask
@@ -344,7 +348,12 @@ def classify_mask(
             f"mask {mask} is not weak computable at any L in "
             f"{config.lmin}..{config.lmax}"
         )
-    status = INCORRECT if witness else CORRECT_SO_FAR
+    if witness:
+        status = INCORRECT
+    elif any(b.get("unresolved") and not b["degenerate_L"] for b in envelope):
+        status = INCONCLUSIVE
+    else:
+        status = CORRECT_SO_FAR
     return MaskVerdict(mask, status, witness, envelope, budget_exhausted)
 
 

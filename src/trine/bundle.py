@@ -1,0 +1,95 @@
+"""The deterministic report bundle: grid CSV, extracted tables, summary
+CSVs, fixture traces and a manifest with the semantic config hash and a
+digest per file.  Same config, same bytes."""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+from . import __version__, ac23, rt
+from .ac23 import GRID_CSV_COLUMNS, Mask
+from .config import Config
+from .dynamics import run_to_mirror
+from .graph import complement
+from .ipf import check_ipf
+
+
+def write_json(path: Path, data) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path: Path, header: list, rows: list) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
+                 trace_specs: list[tuple[Mask, int, str]]) -> dict:
+    """Write the bundle into ``outdir`` and return its manifest."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "rt").mkdir(exist_ok=True)
+    (outdir / "traces").mkdir(exist_ok=True)
+
+    grid = ac23.verdict_grid(grid_max, grid_max, cfg)
+    write_csv(outdir / "grid.csv", GRID_CSV_COLUMNS, grid.csv_rows())
+
+    extract_cfg = cfg.with_overrides(check_level="full")
+    tables = []
+    for mask in rt_masks:
+        table = rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
+        tables.append(table)
+        rt.save_table(table, outdir / "rt" / f"{mask.n}_{mask.m}.rt")
+    write_csv(outdir / "scounts.csv", rt.SCOUNTS_CSV_COLUMNS,
+              [rt.scounts_csv_row(t) for t in tables])
+
+    coincide_rows = []
+    by_width: dict[int, list] = {}
+    for table in tables:
+        by_width.setdefault(table.N, []).append(table)
+    for width in sorted(by_width):
+        group = by_width[width]
+        if len(group) >= 2:
+            coincide_rows.extend(rt.coincidence_matrix(group).csv_rows())
+    write_csv(outdir / "coincidence.csv",
+              ["a", "b", "relation", "intersectionCR", "group"], coincide_rows)
+
+    for mask, L, start in trace_specs:
+        g = ac23.build_graph(mask, L)
+        run = run_to_mirror(g, start, cfg.max_steps)
+        name = f"trace_{mask.n}_{mask.m}_L{L}_{start}"
+        with open(outdir / "traces" / f"{name}.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            run.write_trace_csv(fh)
+        if not run.degenerate:
+            comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
+            report = check_ipf(run, comp_run, level="full",
+                               cond1_interpretation=cfg.cond1_interpretation,
+                               time_origin=cfg.time_origin)
+            write_json(outdir / "traces" / f"{name}_ipf.json",
+                       report.to_json_dict())
+
+    files = {}
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            files[path.relative_to(outdir).as_posix()] = digest
+    manifest = {
+        "tool": {"name": "trine", "version": __version__},
+        "config": cfg.semantic_dict(),
+        "configHash": cfg.semantic_hash(),
+        "bundleParams": {
+            "gridMax": grid_max,
+            "rtMasks": [[m.n, m.m] for m in rt_masks],
+            "traces": [[m.n, m.m, L, start] for m, L, start in trace_specs],
+        },
+        "files": files,
+    }
+    write_json(outdir / "manifest.json", manifest)
+    return manifest

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 a mask verdict came back Incorrect (so shell
-scripts can branch on it), 1 any error including bad usage.
+scripts can branch on it), 3 a mask verdict came back Inconclusive
+(runs left unresolved at a clean size), 1 any error including bad usage.
 
     trine trace --mask 1,1 --L 3 --start ABA
     trine check-mask --n 1 --m 5 --lmin 3 --lmax 12
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask, MaskVerdict, build_graph, classify_mask, parse_mask, verdict_grid
+from .bundle import build_bundle, write_csv, write_json
 from .config import Config, resolve_threads
 from .dynamics import run_to_mirror
 from .errors import IncompatibleTables, TrineError
@@ -34,6 +35,7 @@ from .ipf import check_ipf
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCORRECT = 2
+EXIT_INCONCLUSIVE = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,19 +80,6 @@ def _config_from_args(args) -> Config:
     if "threads" not in overrides:
         cfg = cfg.with_overrides(threads=resolve_threads(cfg.threads))
     return cfg
-
-
-def _write_json(path: Path, data) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # -- trace ---------------------------------------------------------------
@@ -152,13 +141,13 @@ def cmd_trace(args) -> int:
             run.write_trace_csv(fh)
         with open(outdir / "complement_trace.csv", "w", encoding="utf-8", newline="") as fh:
             comp_run.write_trace_csv(fh)
-        _write_json(outdir / "run.json", {
+        write_json(outdir / "run.json", {
             "graph": g.to_json_dict(),
             "label": label,
             "run": run.to_json_dict(),
             "complementRun": comp_run.to_json_dict(),
         })
-        _write_json(outdir / "ipf.json", report.to_json_dict())
+        write_json(outdir / "ipf.json", report.to_json_dict())
     return EXIT_OK
 
 
@@ -177,8 +166,25 @@ def cmd_check_mask(args) -> int:
     print(f"tested {tested} start pairs over L={cfg.lmin}..{cfg.lmax}"
           + (" (budget exhausted)" if verdict.budget_exhausted else ""))
     if args.json:
-        _write_json(Path(args.json), verdict.to_json_dict())
-    return EXIT_INCORRECT if verdict.status == ac23.INCORRECT else EXIT_OK
+        write_json(Path(args.json), verdict.to_json_dict())
+    return {
+        ac23.INCORRECT: EXIT_INCORRECT,
+        ac23.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+    }.get(verdict.status, EXIT_OK)
+
+
+def _check_resume_config(sidecar: Path, cfg: Config) -> None:
+    """Refuse to resume a grid whose config sidecar is missing or was
+    written under another semantic config."""
+    if not sidecar.exists():
+        raise TrineError(f"{sidecar} is missing: cannot tell which config "
+                         "the grid was written under")
+    with open(sidecar, encoding="utf-8") as fh:
+        stored = json.load(fh).get("configHash")
+    if stored != cfg.semantic_hash():
+        raise TrineError(f"{sidecar}: grid was written under config "
+                         f"{str(stored)[:12]}, this run is "
+                         f"{cfg.semantic_hash()[:12]}; not resuming")
 
 
 def _load_resume_rows(path: Path) -> dict:
@@ -193,7 +199,7 @@ def _load_resume_rows(path: Path) -> dict:
     if reader.fieldnames != GRID_CSV_COLUMNS:
         raise TrineError(f"{path}: not a grid CSV (columns {reader.fieldnames})")
     for record in reader:
-        if record["status"] not in (ac23.CORRECT_SO_FAR, ac23.INCORRECT):
+        if record["status"] not in ac23.STATUSES:
             raise TrineError(f"{path}: bad status in row {record}")
         mask = Mask(int(record["n"]), int(record["m"]))
         witness = None
@@ -226,13 +232,16 @@ def cmd_grid(args) -> int:
         print("--max must be odd", file=sys.stderr)
         return EXIT_ERROR
     out = Path(args.out)
+    sidecar = out.with_name(out.name + ".config.json")
     resume_rows = None
     if args.resume and out.exists():
+        _check_resume_config(sidecar, cfg)
         resume_rows = _load_resume_rows(out)
         print(f"resuming: {len(resume_rows)} cells already done")
     annotations = _cr_annotations_from(args.cr_from) if args.cr_from else None
 
     out.parent.mkdir(parents=True, exist_ok=True)
+    write_json(sidecar, {"config": cfg.semantic_dict(), "configHash": cfg.semantic_hash()})
     mode = "a" if resume_rows else "w"
     with open(out, mode, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -251,7 +260,7 @@ def cmd_grid(args) -> int:
     print(f"grid {args.max}x{args.max}: {len(grid.cells)} cells, "
           f"{incorrect} incorrect, written to {out}")
     if args.json:
-        _write_json(Path(args.json), grid.to_json_dict())
+        write_json(Path(args.json), grid.to_json_dict())
     return EXIT_OK
 
 
@@ -268,13 +277,7 @@ def cmd_rt_extract(args) -> int:
         # extraction reads slot data, so the full check is the useful default
         cfg = cfg.with_overrides(check_level="full")
     mask = Mask(args.n, args.m)
-    table = rt.extract_rows(
-        mask,
-        rt.extraction_run_pairs(mask, cfg),
-        level=cfg.check_level,
-        cond1_interpretation=cfg.cond1_interpretation,
-        time_origin=cfg.time_origin,
-    )
+    table = rt.extract_rows(mask, rt.extraction_run_pairs(mask, cfg))
     rt.save_table(table, args.out)
     print(f"extracted {table.tag()}: C_R={table.row_count} "
           f"class={rt.classify(table)} kind={rt.kind(table)} "
@@ -305,7 +308,7 @@ def cmd_rt_scounts(args) -> int:
     tables = _load_tables(args.tables)
     rows = [rt.scounts_csv_row(t) for t in tables]
     if args.csv:
-        _write_csv(Path(args.csv), rt.SCOUNTS_CSV_COLUMNS, rows)
+        write_csv(Path(args.csv), rt.SCOUNTS_CSV_COLUMNS, rows)
         print(f"wrote {args.csv}")
     else:
         print(",".join(rt.SCOUNTS_CSV_COLUMNS))
@@ -349,7 +352,7 @@ def cmd_rt_coincide(args) -> int:
     header = ["a", "b", "relation", "intersectionCR", "group"]
     rows = matrix.csv_rows()
     if args.csv:
-        _write_csv(Path(args.csv), header, rows)
+        write_csv(Path(args.csv), header, rows)
         print(f"wrote {args.csv}")
     else:
         print(",".join(header))
@@ -381,79 +384,6 @@ def cmd_rt_reflect(args) -> int:
 
 
 # -- report bundle -----------------------------------------------------------
-
-
-def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
-                 trace_specs: list[tuple[Mask, int, str]]) -> dict:
-    """Produce the full report bundle: grid CSV, extracted tables,
-    summary CSVs, fixture traces, and a manifest with the semantic
-    config hash and a digest per file.  Same config, same bytes."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "rt").mkdir(exist_ok=True)
-    (outdir / "traces").mkdir(exist_ok=True)
-
-    grid = verdict_grid(grid_max, grid_max, cfg)
-    _write_csv(outdir / "grid.csv", GRID_CSV_COLUMNS, grid.csv_rows())
-
-    extract_cfg = cfg.with_overrides(check_level="full")
-    tables = []
-    for mask in rt_masks:
-        table = rt.extract_rows(
-            mask,
-            rt.extraction_run_pairs(mask, extract_cfg),
-            level="full",
-            cond1_interpretation=cfg.cond1_interpretation,
-            time_origin=cfg.time_origin,
-        )
-        tables.append(table)
-        rt.save_table(table, outdir / "rt" / f"{mask.n}_{mask.m}.rt")
-    _write_csv(outdir / "scounts.csv", rt.SCOUNTS_CSV_COLUMNS,
-               [rt.scounts_csv_row(t) for t in tables])
-
-    coincide_rows = []
-    by_width: dict[int, list] = {}
-    for table in tables:
-        by_width.setdefault(table.N, []).append(table)
-    for width in sorted(by_width):
-        group = by_width[width]
-        if len(group) >= 2:
-            coincide_rows.extend(rt.coincidence_matrix(group).csv_rows())
-    _write_csv(outdir / "coincidence.csv",
-               ["a", "b", "relation", "intersectionCR", "group"], coincide_rows)
-
-    for mask, L, start in trace_specs:
-        g = build_graph(mask, L)
-        run = run_to_mirror(g, start, cfg.max_steps)
-        name = f"trace_{mask.n}_{mask.m}_L{L}_{start}"
-        with open(outdir / "traces" / f"{name}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            run.write_trace_csv(fh)
-        if not run.degenerate:
-            comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
-            report = check_ipf(run, comp_run, level="full",
-                               cond1_interpretation=cfg.cond1_interpretation,
-                               time_origin=cfg.time_origin)
-            _write_json(outdir / "traces" / f"{name}_ipf.json",
-                        report.to_json_dict())
-
-    files = {}
-    for path in sorted(outdir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            files[path.relative_to(outdir).as_posix()] = digest
-    manifest = {
-        "tool": {"name": "trine", "version": __version__},
-        "config": cfg.semantic_dict(),
-        "configHash": cfg.semantic_hash(),
-        "bundleParams": {
-            "gridMax": grid_max,
-            "rtMasks": [[m.n, m.m] for m in rt_masks],
-            "traces": [[m.n, m.m, L, start] for m, L, start in trace_specs],
-        },
-        "files": files,
-    }
-    _write_json(outdir / "manifest.json", manifest)
-    return manifest
 
 
 def cmd_bundle(args) -> int:

@@ -30,7 +30,7 @@ Condition failures are reported as data with witnesses, never raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .dynamics import RunRecord
@@ -77,7 +77,6 @@ class SlotTable:
     c: tuple[tuple[int, ...], ...]
     f: tuple[tuple[int, ...], ...]
     event_counts: tuple[int, ...]
-    lambda_value: Optional[int]
 
     @property
     def b(self) -> tuple[tuple[int, ...], ...]:
@@ -122,7 +121,6 @@ def build_slots(
             tuple(c_rows),
             tuple(f_rows),
             tuple(counts),
-            record.lambda_value,
         )
 
     return table_for(run), table_for(complement_run)
@@ -141,20 +139,34 @@ class PhaseTable:
     time_origin: int
 
 
+def slot_event(
+    slots: SlotTable, complement_slots: SlotTable, v: int, k: int
+) -> Optional[tuple[int, bool]]:
+    """The C event that fills slot k of node v, as (time,
+    from_complement), or None when the slot is not filled by exactly
+    one of the two runs."""
+    f, fbar = slots.f[v][k], complement_slots.f[v][k]
+    if f != -1 and fbar == -1:
+        return f, False
+    if f == -1 and fbar != -1:
+        return fbar, True
+    return None
+
+
 def integral_phase(
     slots: SlotTable, complement_slots: SlotTable, time_origin: int = 1
 ) -> PhaseTable:
     """Fold the two f arrays into the four-valued phase table."""
     rows = []
-    for f_row, fbar_row in zip(slots.f, complement_slots.f):
+    for v in range(len(slots.f)):
         row = []
-        for f, fbar in zip(f_row, fbar_row):
-            if f != -1 and fbar == -1:
-                row.append((f - time_origin) % 2)
-            elif f == -1 and fbar != -1:
-                row.append(2 + (fbar - time_origin) % 2)
-            else:
+        for k in range(slots.slot_count):
+            event = slot_event(slots, complement_slots, v, k)
+            if event is None:
                 row.append(-1)
+            else:
+                t, from_complement = event
+                row.append((2 if from_complement else 0) + (t - time_origin) % 2)
         rows.append(tuple(row))
     return PhaseTable(tuple(rows), time_origin)
 
@@ -166,7 +178,9 @@ class IpfReport:
     Scalar facts, the individual condition verdicts, and witnesses for
     every failed condition.  ``light_ok`` covers div3 + [1]..[3];
     ``full_ok`` adds [4]..[8].  Conditions that were not evaluated (at
-    light level, or when K is undefined) are None.
+    light level, or when K is undefined) are None.  ``slots`` keeps the
+    (run, complement run) slot tables a full-level check built, so
+    consumers of a checked pair need not rebuild them.
     """
 
     T: int
@@ -194,6 +208,9 @@ class IpfReport:
     level: str
     witnesses: list = field(default_factory=list)
     failure_counts: dict = field(default_factory=dict)
+    slots: Optional[tuple[SlotTable, SlotTable]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def passed(self) -> bool:
@@ -209,32 +226,23 @@ class IpfReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "T": self.T,
-            "Tbar": self.Tbar,
-            "lambda": self.lambda_value,
-            "lambdaBar": self.lambda_bar,
-            "K": self.K,
-            "div3": self.div3,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c5": self.c5,
-            "c6": self.c6,
-            "c7": self.c7,
-            "c8": self.c8,
-            "light": self.light_ok,
-            "full": self.full_ok,
-            "c1Raw": self.c1_raw,
-            "c1Complemented": self.c1_complemented,
-            "c8Origin0": self.c8_origin0,
-            "c8Origin1": self.c8_origin1,
-            "cond1Interpretation": self.cond1_interpretation,
-            "timeOrigin": self.time_origin,
-            "level": self.level,
-            "witnesses": self.witnesses,
-            "failureCounts": self.failure_counts,
+            _JSON_NAMES.get(f.name, _camel_case(f.name)): getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "slots"
         }
+
+
+_JSON_NAMES = {
+    "lambda_value": "lambda",
+    "lambda_bar": "lambdaBar",
+    "light_ok": "light",
+    "full_ok": "full",
+}
+
+
+def _camel_case(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
 
 
 def _check_phase_pattern(phases: PhaseTable, slot_count: int) -> tuple[bool, list]:
@@ -352,6 +360,7 @@ def check_ipf(
     c4 = c5 = c6 = c7 = c8 = None
     c8_origin0 = c8_origin1 = None
     full_ok: Optional[bool] = None
+    slot_tables = None
 
     if level == "full":
         if K is None:
@@ -363,7 +372,7 @@ def check_ipf(
                 }
             )
         else:
-            slots, comp_slots = build_slots(run, complement_run, K)
+            slots, comp_slots = slot_tables = build_slots(run, complement_run, K)
             for table, tag in ((slots, "run"), (comp_slots, "complement run")):
                 for v in table.overflow_nodes:
                     witnesses.append(
@@ -439,4 +448,5 @@ def check_ipf(
         level=level,
         witnesses=witnesses,
         failure_counts=failure_counts,
+        slots=slot_tables,
     )

@@ -25,7 +25,6 @@ mark every output EXPERIMENTAL:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -39,7 +38,7 @@ from .errors import (
     UnconfiguredStepTable,
     UnverifiedRuns,
 )
-from .ipf import build_slots, check_ipf
+from .ipf import IpfReport, build_slots, slot_event
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -510,55 +509,37 @@ def reflect(table: ResolutionTable) -> ResolutionTable:
 
 def extract_rows(
     mask: Mask,
-    run_pairs: Iterable[tuple[RunRecord, RunRecord]],
-    level: str = "full",
-    cond1_interpretation: str = "complemented",
-    time_origin: int = 1,
+    checked_pairs: Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport]],
     hypothesis: str = EXTRACTION_HYPOTHESIS,
 ) -> ResolutionTable:
-    """EXPERIMENTAL: derive a table from verified run pairs.
+    """EXPERIMENTAL: derive a table from checked run pairs.
 
-    For every node v and slot k, the row holds, per mask column at
-    offset o, the difference of the integral phases of node v+o and
-    node v at slot k, mod 3, barred when the neighbor's slot was filled
-    by the complement run.  Pairs failing the configured invariant
-    level raise UnverifiedRuns.  Slots not filled by exactly one run at
-    every needed node are skipped.
+    ``checked_pairs`` holds ((run, complement run), report) items, as
+    ``extraction_run_pairs`` yields them.  For every node v and slot k,
+    the row holds, per mask column at offset o, the difference of the
+    integral phases of node v+o and node v at slot k, mod 3, barred when
+    the neighbor's slot was filled by the complement run.  A pair whose
+    report did not pass raises UnverifiedRuns.  Slots not filled by
+    exactly one run at every needed node are skipped.
     """
     rows: set[tuple[int, ...]] = set()
     offsets = mask.column_offsets
-    for run, comp_run in run_pairs:
-        report = check_ipf(
-            run,
-            comp_run,
-            level=level,
-            cond1_interpretation=cond1_interpretation,
-            time_origin=time_origin,
-        )
+    for runs, report in checked_pairs:
         if not report.passed:
             raise UnverifiedRuns(
-                f"pair starting {run.start_ab!r} fails {level} check "
+                f"pair starting {runs[0].start_ab!r} fails {report.level} check "
                 f"({report.first_failed_condition})"
             )
-        slots, comp_slots = build_slots(run, comp_run)
-        L = run.graph.node_count
-
-        def phase(u: int, k: int) -> Optional[tuple[int, bool]]:
-            f, fbar = slots.f[u][k], comp_slots.f[u][k]
-            if f != -1 and fbar == -1:
-                return f, False
-            if f == -1 and fbar != -1:
-                return fbar, True
-            return None
-
+        slots, comp_slots = report.slots or build_slots(*runs)
+        L = runs[0].graph.node_count
         for v in range(L):
             for k in range(slots.slot_count):
-                center = phase(v, k)
+                center = slot_event(slots, comp_slots, v, k)
                 if center is None:
                     continue
                 row = []
                 for offset in offsets:
-                    got = phase((v + offset) % L, k)
+                    got = slot_event(slots, comp_slots, (v + offset) % L, k)
                     if got is None:
                         row = None
                         break
@@ -573,17 +554,18 @@ def extract_rows(
 
 def extraction_run_pairs(
     mask: Mask, config: Config
-) -> Iterable[tuple[RunRecord, RunRecord]]:
-    """Verified run pairs for extraction, walking the configured
-    envelope.  Degenerate circle sizes, degenerate runs, unresolved
-    runs and pairs failing the configured level are skipped (extraction
-    wants evidence from clean runs only)."""
+) -> Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport]]:
+    """Checked run pairs for extraction, walking the configured
+    envelope: ((run, complement run), report) for every pair that passes
+    the configured level.  Degenerate circle sizes, degenerate runs,
+    unresolved runs and failing pairs are skipped (extraction wants
+    evidence from clean runs only)."""
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
             continue
         for _, runs, report in iter_pairs(mask, L, config):
             if report is not None and report.passed:
-                yield runs
+                yield runs, report
 
 
 # -- serialization ----------------------------------------------------------
@@ -665,10 +647,6 @@ def save_table(table: ResolutionTable, path) -> None:
 def load_table(path) -> ResolutionTable:
     with open(path, encoding="utf-8") as fh:
         return parse_table(fh.read())
-
-
-def table_digest(table: ResolutionTable) -> str:
-    return hashlib.sha256(format_table(table).encode()).hexdigest()
 
 
 SCOUNTS_CSV_COLUMNS = [

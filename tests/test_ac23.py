@@ -4,6 +4,7 @@ import pytest
 
 from trine.ac23 import (
     CORRECT_SO_FAR,
+    INCONCLUSIVE,
     INCORRECT,
     Mask,
     bits_to_coloring,
@@ -169,6 +170,15 @@ class TestClassifyMask:
         assert verdict.budget_exhausted
         assert sum(b["planned"] for b in verdict.tested) == 10
         assert verdict.status == CORRECT_SO_FAR
+
+    def test_unresolved_runs_at_a_clean_size_are_inconclusive(self):
+        # (1,5) collides at L=3,4: unresolved runs there do not count
+        cfg = quick_config(lmax=4, max_steps=1)
+        assert classify_mask(Mask(1, 5), cfg).status == CORRECT_SO_FAR
+        verdict = classify_mask(Mask(1, 5), quick_config(lmax=5, max_steps=1))
+        assert verdict.status == INCONCLUSIVE
+        assert verdict.witness is None
+        assert verdict.tested[-1]["unresolved"] > 0
 
     def test_full_level(self):
         cfg = quick_config(lmax=6, check_level="full")

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -67,6 +68,16 @@ class TestCheckMask:
                        "--lmax", "7", "--samples", "0") == 0
         assert "CorrectSoFar" in capsys.readouterr().out
 
+    def test_unresolved_runs_exit_3(self, capsys, tmp_path):
+        out = tmp_path / "v.json"
+        code = run_cli("check-mask", "--n", "1", "--m", "5", "--lmax", "9",
+                       "--max-steps", "1", "--json", str(out))
+        assert code == 3
+        printed = capsys.readouterr().out
+        assert "Inconclusive" in printed and "CorrectSoFar" not in printed
+        verdict = json.loads(out.read_text())
+        assert verdict["status"] == "Inconclusive" and verdict["witness"] is None
+
     def test_bad_usage_exits_1(self):
         assert run_cli("check-mask", "--n", "1") == 1
         assert run_cli("nonsense") == 1
@@ -97,18 +108,52 @@ class TestGrid:
         lines = fresh.read_text().splitlines(keepends=True)
         # header + 4 cells, then the same cut off in the middle of a status
         torn = "".join(lines[:5]) + lines[5][: lines[5].index("CorrectSoFar") + 9]
+        sidecar = tmp_path / "fresh.csv.config.json"
         for i, text in enumerate(["".join(lines[:5]), torn]):
             partial = tmp_path / f"partial{i}.csv"
             partial.write_text(text)
+            shutil.copy(sidecar, tmp_path / f"partial{i}.csv.config.json")
             assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
             assert partial.read_bytes() == fresh.read_bytes()
 
     def test_resume_rejects_unknown_status(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
+        assert run_cli("grid", "--max", "1", "--lmax", "6", "--out", str(out)) == 0
         out.write_text("n,m,N,status,witnessL,witnessStart,conditionFailed\n"
                        "1,1,3,Maybe,,,\n")
         assert run_cli("grid", "--max", "3", "--lmax", "6", "--out", str(out),
                        "--resume") == 1
+        assert "bad status" in capsys.readouterr().err
+
+    def test_resume_accepts_inconclusive_rows(self, tmp_path, capsys):
+        flags = ["--max", "3", "--lmax", "5", "--max-steps", "1"]
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli("grid", *flags, "--out", str(fresh)) == 0
+        lines = fresh.read_text().splitlines(keepends=True)
+        assert "Inconclusive" in lines[1]
+        partial = tmp_path / "partial.csv"
+        partial.write_text("".join(lines[:3]))
+        shutil.copy(tmp_path / "fresh.csv.config.json",
+                    tmp_path / "partial.csv.config.json")
+        assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
+        assert partial.read_bytes() == fresh.read_bytes()
+
+    def test_resume_refuses_another_config(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--max", "5", "--lmax", "5", "--out", str(out)) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(lines[:4]))
+        sidecar = tmp_path / "grid.csv.config.json"
+        written = sidecar.read_bytes()
+        assert run_cli("grid", "--max", "5", "--lmax", "7", "--seed", "9",
+                       "--out", str(out), "--resume") == 1
+        assert "not resuming" in capsys.readouterr().err
+        assert out.read_text() == "".join(lines[:4])
+        assert sidecar.read_bytes() == written
+        sidecar.unlink()
+        assert run_cli("grid", "--max", "5", "--lmax", "5", "--out", str(out),
+                       "--resume") == 1
+        assert "missing" in capsys.readouterr().err
 
     def test_cr_annotations_from_directory(self, tmp_path, capsys):
         rtdir = tmp_path / "rt"

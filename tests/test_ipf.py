@@ -60,7 +60,7 @@ class TestBuildSlots:
         assert comp.a[0] == (0, 1)
         assert slots.event_counts == (2, 2, 2)
         assert slots.overflow_nodes == ()
-        assert slots.lambda_value == 0
+        assert fixture_pair[0].lambda_value == 0
 
     def test_degenerate_raises(self, ring3):
         a = run_to_mirror(ring3, "AAA")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from trine.errors import (
     UnverifiedRuns,
 )
 from trine.graph import complement
+from trine.ipf import check_ipf
 from trine import rt
 from trine.rt import (
     ALL_COMBOS_STEP_TABLE,
@@ -415,17 +417,25 @@ class TestExtraction:
 
     def test_deterministic(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        a = extract_rows(Mask(1, 1), [pair])
-        b = extract_rows(Mask(1, 1), [pair])
+        a = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
+        b = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
         assert a == b
 
     def test_fixture_rows(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        t = extract_rows(Mask(1, 1), [pair])
+        t = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
         assert t.N == 3
         assert t.row_count > 0
         # the center column records only its own fill origin
         assert {row[0] for row in t.rows} <= {0, 3}
+
+    def test_light_report_rows_match_full_report_rows(self, ring3):
+        pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
+        light = check_ipf(*pair, level="light")
+        assert light.slots is None
+        assert extract_rows(Mask(1, 1), [(pair, light)]) == extract_rows(
+            Mask(1, 1), [(pair, check_ipf(*pair))]
+        )
 
     def test_unverified_runs_rejected(self):
         from trine.ac23 import build_graph
@@ -433,7 +443,36 @@ class TestExtraction:
         g = build_graph(Mask(1, 5), 7)
         pair = (run_to_mirror(g, "BABAAAA"), run_to_mirror(g, complement("BABAAAA")))
         with pytest.raises(UnverifiedRuns):
-            extract_rows(Mask(1, 5), [pair], level="light")
+            extract_rows(Mask(1, 5), [(pair, check_ipf(*pair, level="light"))])
+
+    @pytest.mark.parametrize("level", ["full", "light"])
+    def test_each_extracted_pair_is_checked_once(self, monkeypatch, level):
+        from trine import ac23, ipf
+
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(ac23, "check_ipf")
+        count(ipf, "build_slots")
+        count(rt, "build_slots")
+        cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
+        extracted = []
+
+        def recorded():
+            for item in extraction_run_pairs(Mask(1, 3), cfg):
+                extracted.append(item)
+                yield item
+
+        assert extract_rows(Mask(1, 3), recorded()).row_count > 0
+        assert calls["check_ipf"] == calls["build_slots"] == len(extracted) > 0
 
     def test_search_driver_skips_bad_pairs(self):
         cfg = Config(lmin=5, lmax=7, exhaustive_cutoff=7, samples_per_L=0,
