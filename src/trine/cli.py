@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 a mask verdict came back Incorrect (so shell
 scripts can branch on it), 3 a mask verdict came back Inconclusive
-(runs left unresolved at a clean size), 1 any error including bad usage.
+(runs left unresolved at a clean size; for ``grid``, any cell did), 1
+any error including bad usage.  ``grid`` exits 0 when it has Incorrect
+cells: finding them is what a grid is for.
 
     trine trace --mask 1,1 --L 3 --start ABA
     trine check-mask --n 1 --m 5 --lmin 3 --lmax 12
@@ -173,18 +175,22 @@ def cmd_check_mask(args) -> int:
     }.get(verdict.status, EXIT_OK)
 
 
-def _check_resume_config(sidecar: Path, cfg: Config) -> None:
+def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
     """Refuse to resume a grid whose config sidecar is missing or was
-    written under another semantic config."""
+    written under another semantic config or grid bound."""
     if not sidecar.exists():
         raise TrineError(f"{sidecar} is missing: cannot tell which config "
                          "the grid was written under")
     with open(sidecar, encoding="utf-8") as fh:
-        stored = json.load(fh).get("configHash")
-    if stored != cfg.semantic_hash():
+        stored = json.load(fh)
+    if stored.get("configHash") != cfg.semantic_hash():
         raise TrineError(f"{sidecar}: grid was written under config "
-                         f"{str(stored)[:12]}, this run is "
+                         f"{str(stored.get('configHash'))[:12]}, this run is "
                          f"{cfg.semantic_hash()[:12]}; not resuming")
+    if stored.get("max") != grid_max:
+        raise TrineError(f"{sidecar}: grid was written with --max "
+                         f"{stored.get('max')}, this run has --max {grid_max}; "
+                         "not resuming")
 
 
 def _load_resume_rows(path: Path) -> dict:
@@ -235,13 +241,14 @@ def cmd_grid(args) -> int:
     sidecar = out.with_name(out.name + ".config.json")
     resume_rows = None
     if args.resume and out.exists():
-        _check_resume_config(sidecar, cfg)
+        _check_resume_config(sidecar, cfg, args.max)
         resume_rows = _load_resume_rows(out)
         print(f"resuming: {len(resume_rows)} cells already done")
     annotations = _cr_annotations_from(args.cr_from) if args.cr_from else None
 
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(sidecar, {"config": cfg.semantic_dict(), "configHash": cfg.semantic_hash()})
+    write_json(sidecar, {"config": cfg.semantic_dict(), "configHash": cfg.semantic_hash(),
+                         "max": args.max})
     mode = "a" if resume_rows else "w"
     with open(out, mode, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -256,12 +263,14 @@ def cmd_grid(args) -> int:
             args.max, args.max, cfg, resume_rows=resume_rows, on_cell=on_cell,
             cr_annotations=annotations,
         )
-    incorrect = sum(1 for v in grid.cells.values() if v.status == ac23.INCORRECT)
+    statuses = [v.status for v in grid.cells.values()]
+    inconclusive = statuses.count(ac23.INCONCLUSIVE)
     print(f"grid {args.max}x{args.max}: {len(grid.cells)} cells, "
-          f"{incorrect} incorrect, written to {out}")
+          f"{statuses.count(ac23.INCORRECT)} incorrect, "
+          f"{inconclusive} inconclusive, written to {out}")
     if args.json:
         write_json(Path(args.json), grid.to_json_dict())
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 # -- resolution tables -------------------------------------------------------

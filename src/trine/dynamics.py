@@ -20,9 +20,10 @@ B bits" on packed states.
 
 States are packed as a pair of ints ``(c_bits, b_bits)``: bit v of
 ``c_bits`` is set iff node v is colored C, likewise for B; A is the
-remainder.  Per-node A/C occurrence counts are accumulated during the
-run with ripple-carry counter planes so that per-node statistics do not
-need a second pass over the trajectory.
+remainder.  Per-node C occurrence counts are accumulated during the
+run with ripple-carry counter planes; B and A counts follow from them
+(every step copies C to B, and t = 1 has no B), so per-node statistics
+do not need a second pass over the trajectory.
 """
 
 from __future__ import annotations
@@ -139,7 +140,6 @@ class RunRecord:
         graph: MixedGraph,
         start_ab: str,
         packed_states: list[tuple[int, int]],
-        a_planes: list[int],
         c_planes: list[int],
     ):
         self.graph = graph
@@ -147,11 +147,9 @@ class RunRecord:
         self.packed_states = packed_states
         self.period = len(packed_states)
         self.degenerate = self.period <= 2
-        self._a_planes = a_planes
         self._c_planes = c_planes
         self._states: Optional[list[str]] = None
         self._histories: Optional[tuple[str, ...]] = None
-        self._counts: Optional[tuple[tuple[int, int, int], ...]] = None
 
     # -- materialized views -------------------------------------------
 
@@ -185,15 +183,15 @@ class RunRecord:
 
     @property
     def color_counts(self) -> tuple[tuple[int, int, int], ...]:
-        """Per node, (N_A, N_B, N_C) over t = 1..T."""
-        if self._counts is None:
-            counts = []
-            for v in range(self.graph.node_count):
-                n_a = _plane_count(self._a_planes, v)
-                n_c = _plane_count(self._c_planes, v)
-                counts.append((n_a, self.period - n_a - n_c, n_c))
-            self._counts = tuple(counts)
-        return self._counts
+        """Per node, (N_A, N_B, N_C) over t = 1..T.  Only C is counted:
+        B at t is C at t - 1, so N_B = N_C - [C at T]."""
+        final_c = self.packed_states[-1][0]
+        counts = []
+        for v in range(self.graph.node_count):
+            n_c = _plane_count(self._c_planes, v)
+            n_b = n_c - ((final_c >> v) & 1)
+            counts.append((self.period - n_b - n_c, n_b, n_c))
+        return tuple(counts)
 
     @property
     def lambda_per_node(self) -> tuple[int, ...]:
@@ -203,11 +201,16 @@ class RunRecord:
 
     @property
     def lambda_value(self) -> Optional[int]:
-        """The common per-node A-surplus, or None if nodes disagree."""
-        values = set(self.lambda_per_node)
-        if len(values) == 1:
-            return next(iter(values))
-        return None
+        """The common per-node A-surplus, or None if nodes disagree.
+        Per node it is T - 3 N_C + [C at T], so it is uniform exactly when
+        every counter plane and the final C bits are each empty or full
+        (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w))."""
+        full = (1 << self.graph.node_count) - 1
+        final_c = self.packed_states[-1][0]
+        if any(bits not in (0, full) for bits in (final_c, *self._c_planes)):
+            return None
+        n_c = sum(1 << i for i, plane in enumerate(self._c_planes) if plane)
+        return self.period - 3 * n_c + (final_c & 1)
 
     # -- export --------------------------------------------------------
 
@@ -231,6 +234,15 @@ class RunRecord:
             writer.writerow([t, state])
 
 
+def _first_state(g: MixedGraph, start_ab: str) -> tuple[int, int]:
+    """Check a two-color {A,B} start and take the first step (no C
+    present, so rule I everywhere: the transliteration)."""
+    validate_coloring(start_ab, g.node_count)
+    if "C" in start_ab:
+        raise ValueError(f"start state {start_ab!r} must use colors A and B only")
+    return _step_packed(g.out_masks, (1 << g.node_count) - 1, *pack(start_ab))
+
+
 def run_to_mirror(
     g: MixedGraph, start_ab: str, max_steps: int = DEFAULT_MAX_STEPS
 ) -> RunRecord:
@@ -239,35 +251,21 @@ def run_to_mirror(
     Raises MaxStepsExceeded when the bound is hit (the mirror always
     exists on a finite graph, so the bound was too small).
     """
-    validate_coloring(start_ab, g.node_count)
-    if "C" in start_ab:
-        raise ValueError(f"start state {start_ab!r} must use colors A and B only")
-
     out_masks = g.out_masks
     full = (1 << g.node_count) - 1
-
-    # First step: no C present, rule I everywhere == transliteration.
-    c_bits, b_bits = _step_packed(out_masks, full, *pack(start_ab))
-    packed = [(c_bits, b_bits)]
-    a_planes: list[int] = []
+    state = _first_state(g, start_ab)
+    packed = [state]
     c_planes: list[int] = []
 
     for _ in range(max_steps):
-        a_bits = full & ~(c_bits | b_bits)
-        _add_to_planes(a_planes, a_bits)
+        c_bits, b_bits = state
         _add_to_planes(c_planes, c_bits)
-
-        p = 0
-        for v, mask in enumerate(out_masks):
-            if mask & c_bits:
-                p |= 1 << v
-        new_c = (b_bits & ~p) | (a_bits & p)
+        state = _step_packed(out_masks, full, c_bits, b_bits)
         # new_b == c_bits always, so the mirror test "next state equals
         # transliteration of the current state" reduces to one compare.
-        if new_c == b_bits:
-            return RunRecord(g, start_ab, packed, a_planes, c_planes)
-        packed.append((new_c, c_bits))
-        c_bits, b_bits = new_c, c_bits
+        if state[0] == b_bits:
+            return RunRecord(g, start_ab, packed, c_planes)
+        packed.append(state)
 
     raise MaxStepsExceeded(max_steps, start_ab)
 
@@ -282,13 +280,9 @@ def full_cycle(
     passes through the start state itself; reversibility means there is
     no lead-in branch the orbit could hang from.
     """
-    validate_coloring(start_ab, g.node_count)
-    if "C" in start_ab:
-        raise ValueError(f"start state {start_ab!r} must use colors A and B only")
-
     out_masks = g.out_masks
     full = (1 << g.node_count) - 1
-    first = _step_packed(out_masks, full, *pack(start_ab))
+    first = _first_state(g, start_ab)
     cycle = [first]
     state = _step_packed(out_masks, full, *first)
     steps = 0

@@ -180,17 +180,10 @@ class MixedGraph:
 # -- computability predicates ----------------------------------------
 
 
-def weak_computable(g: MixedGraph) -> bool:
-    """True iff every node can be walked through using undirected edges
-    only, i.e. the undirected subgraph is connected and spans all nodes."""
-    n = g.node_count
-    if n == 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.undirected:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """True iff a walk from node 0 along the arcs ``adj`` reaches every
+    node."""
+    seen = [False] * len(adj)
     stack = [0]
     seen[0] = True
     count = 1
@@ -201,7 +194,17 @@ def weak_computable(g: MixedGraph) -> bool:
                 seen[w] = True
                 count += 1
                 stack.append(w)
-    return count == n
+    return count == len(adj)
+
+
+def weak_computable(g: MixedGraph) -> bool:
+    """True iff every node can be walked through using undirected edges
+    only, i.e. the undirected subgraph is connected and spans all nodes."""
+    adj: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, v in g.undirected:
+        adj[u].append(v)
+        adj[v].append(u)
+    return _reaches_all(adj)
 
 
 def super_weak_computable(g: MixedGraph) -> bool:
@@ -212,8 +215,6 @@ def super_weak_computable(g: MixedGraph) -> bool:
     obtained by replacing each undirected edge with two opposite arcs.
     """
     n = g.node_count
-    if n == 1:
-        return True
     fwd: list[list[int]] = [[] for _ in range(n)]
     rev: list[list[int]] = [[] for _ in range(n)]
     for u, v in g.directed:
@@ -224,19 +225,4 @@ def super_weak_computable(g: MixedGraph) -> bool:
         fwd[v].append(u)
         rev[u].append(v)
         rev[v].append(u)
-
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == n
-
-    return reaches_all(fwd) and reaches_all(rev)
+    return _reaches_all(fwd) and _reaches_all(rev)

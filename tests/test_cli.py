@@ -121,35 +121,51 @@ class TestGrid:
         assert run_cli("grid", "--max", "1", "--lmax", "6", "--out", str(out)) == 0
         out.write_text("n,m,N,status,witnessL,witnessStart,conditionFailed\n"
                        "1,1,3,Maybe,,,\n")
-        assert run_cli("grid", "--max", "3", "--lmax", "6", "--out", str(out),
+        assert run_cli("grid", "--max", "1", "--lmax", "6", "--out", str(out),
                        "--resume") == 1
         assert "bad status" in capsys.readouterr().err
+
+    def test_inconclusive_cells_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--max", "3", "--lmax", "5", "--max-steps", "1",
+                       "--out", str(out)) == 3
+        assert "4 cells, 0 incorrect, 4 inconclusive" in capsys.readouterr().out
 
     def test_resume_accepts_inconclusive_rows(self, tmp_path, capsys):
         flags = ["--max", "3", "--lmax", "5", "--max-steps", "1"]
         fresh = tmp_path / "fresh.csv"
-        assert run_cli("grid", *flags, "--out", str(fresh)) == 0
+        assert run_cli("grid", *flags, "--out", str(fresh)) == 3
         lines = fresh.read_text().splitlines(keepends=True)
         assert "Inconclusive" in lines[1]
         partial = tmp_path / "partial.csv"
         partial.write_text("".join(lines[:3]))
         shutil.copy(tmp_path / "fresh.csv.config.json",
                     tmp_path / "partial.csv.config.json")
-        assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
+        assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 3
         assert partial.read_bytes() == fresh.read_bytes()
 
     def test_resume_refuses_another_config(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "5", "--lmax", "5", "--out", str(out)) == 0
         lines = out.read_text().splitlines(keepends=True)
-        out.write_text("".join(lines[:4]))
+        out.write_text("".join(lines[:5]))
         sidecar = tmp_path / "grid.csv.config.json"
         written = sidecar.read_bytes()
-        assert run_cli("grid", "--max", "5", "--lmax", "7", "--seed", "9",
-                       "--out", str(out), "--resume") == 1
+        for other in (["--max", "5", "--lmax", "7", "--seed", "9"],
+                      ["--max", "3", "--lmax", "5"]):
+            assert run_cli("grid", *other, "--out", str(out), "--resume") == 1
+            assert "not resuming" in capsys.readouterr().err
+            assert out.read_text() == "".join(lines[:5])
+            assert sidecar.read_bytes() == written
+        # a sidecar without the grid bound cannot vouch for the cells
+        without_max = json.loads(written)
+        del without_max["max"]
+        sidecar.write_text(json.dumps(without_max))
+        assert run_cli("grid", "--max", "5", "--lmax", "5", "--out", str(out),
+                       "--resume") == 1
         assert "not resuming" in capsys.readouterr().err
-        assert out.read_text() == "".join(lines[:4])
-        assert sidecar.read_bytes() == written
+        assert out.read_text() == "".join(lines[:5])
+        assert sidecar.read_text() == json.dumps(without_max)
         sidecar.unlink()
         assert run_cli("grid", "--max", "5", "--lmax", "5", "--out", str(out),
                        "--resume") == 1

@@ -172,6 +172,7 @@ class TestRunToMirror:
             assert run.lambda_value is not None
 
     def test_counts_match_histories(self):
+        # color_counts derives N_A and N_B from the C counter alone
         rng = random.Random(19)
         for _ in range(40):
             g = random_mixed_graph(rng, max_nodes=7)
