@@ -19,7 +19,7 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterator, Optional
 
 from .config import Config
@@ -154,32 +154,63 @@ def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
     return int.from_bytes(digest, "big") & ((1 << L) - 1)
 
 
+@lru_cache(maxsize=None)
+def _min_rotations(L: int) -> tuple[int, ...]:
+    """The smallest rotation of every L-bit start pattern, indexed by
+    the pattern.  Rotating bit v to bit v+1 mod L relabels node x as
+    x+1, an automorphism of every circle graph ``build_graph`` makes.
+    Patterns are visited in increasing order, so the first one seen of
+    each orbit is its smallest.  The 2**L entries stay cached for the
+    life of the process."""
+    full = (1 << L) - 1
+    table = [-1] * (1 << L)
+    for bits in range(1 << L):
+        if table[bits] < 0:
+            rotated = bits
+            for _ in range(L):
+                table[rotated] = bits
+                rotated = (rotated << 1 | rotated >> (L - 1)) & full
+    return tuple(table)
+
+
 def iter_pairs(
     mask: Mask, L: int, config: Config, lo: int = 0, hi: Optional[int] = None
-) -> Iterator[tuple[str, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]]:
+) -> Iterator[
+    tuple[int, str, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
+]:
     """Run the starts with index lo..hi-1 at circle size L, each with its
     complement, and check each clean pair at the configured level.
 
-    Yields (start, runs, report) per index: ``runs`` is None when a run
-    hit ``max_steps`` (unresolved); ``report`` is None when unresolved
-    or when either run is degenerate.  Up to the exhaustive cutoff the
-    index is the start's bit pattern; beyond it the index selects a
-    seeded sample.  ``hi`` defaults to every start (2**L) or the
-    configured sample count.
+    Yields (index, start, runs, report) per pair run: ``runs`` is None
+    when a run hit ``max_steps`` (unresolved); ``report`` is None when
+    unresolved or when either run is degenerate.  Beyond the exhaustive
+    cutoff the index selects a seeded sample.  Up to it the index is the
+    start's bit pattern, and only indices that are their own smallest
+    rotation (``_min_rotations``) run: the circle graph is circulant, so
+    rotating a start (and its complement) relabels the nodes by a graph
+    automorphism, which carries the runs along and leaves whether they
+    are unresolved or degenerate and every checked condition unchanged.
+    ``hi`` defaults to every start (2**L) or the configured sample count.
     """
     exhaustive = L <= config.exhaustive_cutoff
     if hi is None:
         hi = 2**L if exhaustive else config.samples_per_L
     max_steps = config.max_steps
     g = build_graph(mask, L)
+    reps = _min_rotations(L) if exhaustive else None
     for index in range(lo, hi):
-        bits = index if exhaustive else _sample_bits(config.seed, mask.n, mask.m, L, index)
+        if exhaustive:
+            if reps[index] != index:
+                continue
+            bits = index
+        else:
+            bits = _sample_bits(config.seed, mask.n, mask.m, L, index)
         start = bits_to_coloring(bits, L)
         try:
             run = run_to_mirror(g, start, max_steps)
             comp_run = run_to_mirror(g, complement(start), max_steps)
         except MaxStepsExceeded:
-            yield start, None, None
+            yield index, start, None, None
             continue
         report = None
         if not (run.degenerate or comp_run.degenerate):
@@ -190,35 +221,75 @@ def iter_pairs(
                 cond1_interpretation=config.cond1_interpretation,
                 time_origin=config.time_origin,
             )
-        yield start, (run, comp_run), report
+        yield index, start, (run, comp_run), report
+
+
+_UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
 
 
 def _scan_block(mask: Mask, L: int, config: Config, lo: int, hi: int) -> dict:
-    """Count one block of starts for one circle size, stopping at the
-    first failing pair.  Picklable so blocks can run in worker
-    processes; the outcome depends only on the arguments."""
-    tested = degenerate_skips = unresolved = 0
-    first_unresolved = None
-    witness = None
-    for start, runs, report in iter_pairs(mask, L, config, lo, hi):
+    """Run the pairs ``iter_pairs`` runs for indices lo..hi-1, up to the
+    first failing one: index -> (start, outcome), the outcome being
+    "unresolved", "degenerate", "passed" or the first failed condition.
+    Picklable so blocks can run in worker processes; the result depends
+    only on the arguments."""
+    ran = {}
+    for index, start, runs, report in iter_pairs(mask, L, config, lo, hi):
         if runs is None:
-            unresolved += 1
-            if first_unresolved is None:
-                first_unresolved = start
+            ran[index] = (start, _UNRESOLVED)
         elif report is None:
-            degenerate_skips += 1
+            ran[index] = (start, _DEGENERATE)
+        elif report.passed:
+            ran[index] = (start, _PASSED)
         else:
-            tested += 1
-            if not report.passed:
-                witness = {"start": start, "condition": report.first_failed_condition}
-                break
-    return {
-        "tested": tested,
-        "degenerate_skips": degenerate_skips,
-        "unresolved": unresolved,
-        "first_unresolved": first_unresolved,
-        "witness": witness,
-    }
+            ran[index] = (start, report.first_failed_condition)
+            break
+    return ran
+
+
+def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
+    """Count the starts with index 0..total-1 at circle size L, in blocks
+    of ``_BLOCK_SIZE`` that each stop at their first failing start.
+
+    The pairs run in the same blocks through ``run_map``.  Up to the
+    exhaustive cutoff each index counts with the outcome of its smallest
+    rotation, which is its own (see ``iter_pairs``), so every count is
+    that of running every start.  The rotation is never larger than its
+    index, so the first unresolved or failing index is its own smallest
+    rotation and its start is the one that ran.  A rotation whose block
+    stopped at an earlier failure before reaching it runs here on its
+    own.  ``pairs_run`` counts the pairs simulated; ``first_unresolved``
+    and ``witness`` are present when found.
+    """
+    exhaustive = L <= config.exhaustive_cutoff
+    reps = _min_rotations(L) if exhaustive else range(total)
+    scan = dict.fromkeys(("tested", "degenerate_skips", "unresolved", "pairs_run"), 0)
+    outcomes: dict = {}
+    los = range(0, total, _BLOCK_SIZE)
+    his = [min(lo + _BLOCK_SIZE, total) for lo in los]
+    blocks = run_map(partial(_scan_block, mask, L, config), los, his)
+    for lo, hi, ran in zip(los, his, blocks):
+        if not exhaustive:
+            outcomes.clear()  # only rotations look back into earlier blocks
+        outcomes.update(ran)
+        scan["pairs_run"] += len(ran)
+        for index in range(lo, hi):
+            rep = reps[index]
+            if rep not in outcomes:
+                outcomes.update(_scan_block(mask, L, config, rep, rep + 1))
+                scan["pairs_run"] += 1
+            start, outcome = outcomes[rep]
+            if outcome == _UNRESOLVED:
+                scan["unresolved"] += 1
+                scan.setdefault("first_unresolved", start)
+            elif outcome == _DEGENERATE:
+                scan["degenerate_skips"] += 1
+            else:
+                scan["tested"] += 1
+                if outcome != _PASSED:
+                    scan.setdefault("witness", {"start": start, "condition": outcome})
+                    break
+    return scan
 
 
 @contextmanager
@@ -278,17 +349,22 @@ def classify_mask(
 ) -> MaskVerdict:
     """Search circle sizes lmin..lmax for an invariant violation.
 
-    Sizes up to the exhaustive cutoff sweep every two-color start; the
-    rest draw seeded samples.  The first failure at a clean (non
-    degenerate) size settles Incorrect, with the smallest failing size
-    and the smallest failing start inside it as the witness.  Results
-    at degenerate sizes are recorded per block but never decide the
-    headline status.
+    Sizes up to the exhaustive cutoff cover every two-color start but
+    run one start pair per rotation orbit: rotating a start is an
+    automorphism of the circulant circle graph, so it cannot change the
+    outcome, and a failing start's smallest rotation fails too, so the
+    smallest failing start is still found.  The rest draw seeded
+    samples.  The first failure at a clean (non degenerate) size
+    settles Incorrect, with the smallest failing size and the smallest
+    failing start inside it as the witness.  Results at degenerate
+    sizes are recorded per block but never decide the headline status.
+    Each envelope block counts starts (``planned``, ``tested``, ...)
+    and the start pairs actually simulated (``pairs_run``).
 
     ``budget`` caps the number of start pairs examined; exhausting it
     returns the partial verdict with ``budget_exhausted`` set.  With
-    ``config.threads`` above one, the blocks of ``_BLOCK_SIZE`` starts
-    at each size are scanned in a process pool.
+    ``config.threads`` above one, the pairs of the blocks of
+    ``_BLOCK_SIZE`` starts at each size run in a process pool.
     """
     envelope: list = []
     witness = None
@@ -314,25 +390,10 @@ def classify_mask(
                     budget_exhausted = True
                 budget_left -= total
 
-            los = range(0, total, _BLOCK_SIZE)
-            his = [min(lo + _BLOCK_SIZE, total) for lo in los]
-            results = list(run_map(partial(_scan_block, mask, L, config), los, his))
-
-            block = {
-                "L": L,
-                "mode": mode,
-                "planned": total,
-                "tested": sum(r["tested"] for r in results),
-                "degenerate_skips": sum(r["degenerate_skips"] for r in results),
-                "unresolved": sum(r["unresolved"] for r in results),
-                "degenerate_L": degenerate_L,
-            }
-            unresolved_examples = [
-                r["first_unresolved"] for r in results if r["first_unresolved"]
-            ]
-            if unresolved_examples:
-                block["first_unresolved"] = unresolved_examples[0]
-            found = next((r["witness"] for r in results if r["witness"]), None)
+            scan = _scan_size(mask, L, config, total, run_map)
+            found = scan.pop("witness", None)
+            block = {"L": L, "mode": mode, "planned": total, **scan,
+                     "degenerate_L": degenerate_L}
             if found is not None:
                 found = {"L": L, **found}
                 if degenerate_L:

@@ -183,6 +183,8 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
                          "the grid was written under")
     with open(sidecar, encoding="utf-8") as fh:
         stored = json.load(fh)
+    if not isinstance(stored, dict):
+        raise TrineError(f"{sidecar}: not a grid config sidecar")
     if stored.get("configHash") != cfg.semantic_hash():
         raise TrineError(f"{sidecar}: grid was written under config "
                          f"{str(stored.get('configHash'))[:12]}, this run is "

@@ -559,11 +559,13 @@ def extraction_run_pairs(
     envelope: ((run, complement run), report) for every pair that passes
     the configured level.  Degenerate circle sizes, degenerate runs,
     unresolved runs and failing pairs are skipped (extraction wants
-    evidence from clean runs only)."""
+    evidence from clean runs only).  Exhaustive sizes yield one start
+    per rotation orbit (see ``iter_pairs``): ``extract_rows`` reads every
+    node, so a rotated start would only repeat the same rows."""
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
             continue
-        for _, runs, report in iter_pairs(mask, L, config):
+        for _, _, runs, report in iter_pairs(mask, L, config):
             if report is not None and report.passed:
                 yield runs, report
 

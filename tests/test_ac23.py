@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from trine import ac23
 from trine.ac23 import (
     CORRECT_SO_FAR,
     INCONCLUSIVE,
@@ -16,7 +19,9 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.graph import weak_computable
+from trine.dynamics import run_to_mirror
+from trine.graph import complement, weak_computable
+from trine.ipf import check_ipf
 
 
 class TestMask:
@@ -190,6 +195,94 @@ class TestClassifyMask:
         assert data["status"] == INCORRECT
         assert data["witness"]["L"] == 7
         assert isinstance(data["tested"], list)
+
+
+def naive_envelope(mask, config, block=2048):
+    """Reference sweep: run and check every start at every L, summing
+    per block of indices, each block stopping at its first failure.
+    Returns (L, tested, degenerate skips, first failure there) per L and
+    the witness."""
+    sizes = []
+    for L in range(config.lmin, config.lmax + 1):
+        g = build_graph(mask, L)
+        tested = degenerate = 0
+        found = None
+        for lo in range(0, 2**L, block):
+            for bits in range(lo, min(lo + block, 2**L)):
+                start = bits_to_coloring(bits, L)
+                run = run_to_mirror(g, start, config.max_steps)
+                comp_run = run_to_mirror(g, complement(start), config.max_steps)
+                if run.degenerate or comp_run.degenerate:
+                    degenerate += 1
+                    continue
+                report = check_ipf(run, comp_run, level=config.check_level,
+                                   cond1_interpretation=config.cond1_interpretation,
+                                   time_origin=config.time_origin)
+                tested += 1
+                if not report.passed:
+                    if found is None:
+                        found = {"L": L, "start": start,
+                                 "condition": report.first_failed_condition}
+                    break
+        sizes.append((L, tested, degenerate, found))
+        if found is not None and not degenerate_at(mask, L):
+            return sizes, found
+    return sizes, None
+
+
+def reduced_envelope(mask, config):
+    """The same figures from ``classify_mask``."""
+    verdict = classify_mask(mask, config)
+    sizes = []
+    for block in verdict.tested:
+        assert block["unresolved"] == 0
+        found = block.get("degenerate_witness")
+        if block is verdict.tested[-1] and verdict.witness:
+            found = verdict.witness
+        sizes.append((block["L"], block["tested"], block["degenerate_skips"], found))
+    return sizes, verdict.witness
+
+
+class TestRotationReduction:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_matches_naive_sweep(self, n, m):
+        cfg = quick_config(lmax=9, exhaustive_cutoff=9)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (1, 5)])
+    def test_matches_naive_sweep_over_two_blocks(self, n, m):
+        cfg = quick_config(lmin=12, lmax=12, exhaustive_cutoff=12)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
+
+    @pytest.mark.parametrize("n,m", [(1, 5), (9, 5)])
+    def test_matches_naive_sweep_over_small_blocks(self, n, m, monkeypatch):
+        # with 16-index blocks, some block needs a rotation that the
+        # block holding it never ran, having stopped at an earlier failure
+        monkeypatch.setattr(ac23, "_BLOCK_SIZE", 16)
+        cfg = quick_config(lmax=9, exhaustive_cutoff=9)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg, 16)
+
+    @given(st.integers(3, 12).flatmap(
+        lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1))))
+    def test_min_rotation_is_smallest_string_rotation(self, size_and_bits):
+        L, bits = size_and_bits
+        start = bits_to_coloring(bits, L)
+        rotations = [start[k:] + start[:k] for k in range(L)]
+        smallest = min(sum(1 << v for v, ch in enumerate(r) if ch == "B")
+                       for r in rotations)
+        assert ac23._min_rotations(L)[bits] == smallest
+
+    def test_pairs_run_counts_one_pair_per_orbit(self):
+        verdict = classify_mask(Mask(1, 1), quick_config(lmin=10, lmax=10,
+                                                         exhaustive_cutoff=10))
+        [block] = verdict.tested
+        assert block["planned"] == block["tested"] + block["degenerate_skips"] == 1024
+        assert block["pairs_run"] == 108
+        sampled = classify_mask(Mask(1, 1), quick_config(lmin=9, lmax=9,
+                                                         exhaustive_cutoff=8,
+                                                         samples_per_L=30))
+        assert sampled.tested[0]["pairs_run"] == 30
 
 
 class TestVerdictGrid:

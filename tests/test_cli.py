@@ -171,6 +171,16 @@ class TestGrid:
                        "--resume") == 1
         assert "missing" in capsys.readouterr().err
 
+    def test_resume_refuses_a_sidecar_that_is_not_an_object(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        flags = ["grid", "--max", "1", "--lmax", "4", "--out", str(out)]
+        assert run_cli(*flags) == 0
+        written = out.read_bytes()
+        (tmp_path / "c.csv.config.json").write_text("[]")
+        assert run_cli(*flags, "--resume") == 1
+        assert "not a grid config sidecar" in capsys.readouterr().err
+        assert out.read_bytes() == written
+
     def test_cr_annotations_from_directory(self, tmp_path, capsys):
         rtdir = tmp_path / "rt"
         rtdir.mkdir()

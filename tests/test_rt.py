@@ -474,6 +474,30 @@ class TestExtraction:
         assert extract_rows(Mask(1, 3), recorded()).row_count > 0
         assert calls["check_ipf"] == calls["build_slots"] == len(extracted) > 0
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 3)])
+    def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
+        from trine.ac23 import bits_to_coloring, build_graph, degenerate_at
+
+        mask = Mask(n, m)
+        cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level="full")
+        every_start = []
+        for L in range(cfg.lmin, cfg.lmax + 1):
+            if degenerate_at(mask, L):
+                continue
+            g = build_graph(mask, L)
+            for bits in range(2**L):
+                start = bits_to_coloring(bits, L)
+                pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
+                if pair[0].degenerate or pair[1].degenerate:
+                    continue
+                report = check_ipf(*pair, level="full")
+                if report.passed:
+                    every_start.append((pair, report))
+        reduced = list(extraction_run_pairs(mask, cfg))
+        assert len(reduced) < len(every_start)
+        assert (format_table(extract_rows(mask, reduced))
+                == format_table(extract_rows(mask, every_start)))
+
     def test_search_driver_skips_bad_pairs(self):
         cfg = Config(lmin=5, lmax=7, exhaustive_cutoff=7, samples_per_L=0,
                      check_level="full")
