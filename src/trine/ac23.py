@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .config import Config
 from .dynamics import RunRecord, run_to_mirror
@@ -32,9 +32,6 @@ CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
 INCONCLUSIVE = "Inconclusive"
 STATUSES = (CORRECT_SO_FAR, INCORRECT, INCONCLUSIVE)
-
-_BLOCK_SIZE = 2048
-
 
 def _offsets(bits: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
@@ -155,53 +152,53 @@ def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _min_rotations(L: int) -> tuple[int, ...]:
-    """The smallest rotation of every L-bit start pattern, indexed by
-    the pattern.  Rotating bit v to bit v+1 mod L relabels node x as
-    x+1, an automorphism of every circle graph ``build_graph`` makes.
-    Patterns are visited in increasing order, so the first one seen of
-    each orbit is its smallest.  The 2**L entries stay cached for the
-    life of the process."""
+def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
+    """(bits, orbit size) of every L-bit start that is its own smallest
+    rotation, increasing.  FKM algorithm (Fredricksen & Maiorana 1978;
+    Ruskey, Savage & Wang 1992), bit L-1 being the first letter: the
+    next prenecklace repeats the prefix up to its last 0, that 0 set to
+    1, and is a necklace of orbit size p when the prefix length p
+    divides L.  Cached per L."""
     full = (1 << L) - 1
-    table = [-1] * (1 << L)
-    for bits in range(1 << L):
-        if table[bits] < 0:
-            rotated = bits
-            for _ in range(L):
-                table[rotated] = bits
-                rotated = (rotated << 1 | rotated >> (L - 1)) & full
-    return tuple(table)
+    found = [(0, 1)]
+    bits = 0
+    while bits != full:
+        ones = (bits ^ (bits + 1)).bit_length() - 1  # trailing 1 bits
+        p = L - ones
+        copies = -(-L // p)
+        repeated = (bits >> ones | 1) * ((1 << p * copies) - 1) // ((1 << p) - 1)
+        bits = repeated >> (p * copies - L)
+        if L % p == 0:
+            found.append((bits, p))
+    return tuple(found)
 
 
 def iter_pairs(
-    mask: Mask, L: int, config: Config, lo: int = 0, hi: Optional[int] = None
+    mask: Mask, L: int, config: Config, indices: Optional[Iterable[int]] = None
 ) -> Iterator[
     tuple[int, str, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
 ]:
-    """Run the starts with index lo..hi-1 at circle size L, each with its
-    complement, and check each clean pair at the configured level.
+    """Run the starts with the given indices at circle size L, each with
+    its complement, and check each clean pair at the configured level.
 
-    Yields (index, start, runs, report) per pair run: ``runs`` is None
+    Yields (index, start, runs, report) per index: ``runs`` is None
     when a run hit ``max_steps`` (unresolved); ``report`` is None when
     unresolved or when either run is degenerate.  Beyond the exhaustive
-    cutoff the index selects a seeded sample.  Up to it the index is the
-    start's bit pattern, and only indices that are their own smallest
-    rotation (``_min_rotations``) run: the circle graph is circulant, so
-    rotating a start (and its complement) relabels the nodes by a graph
-    automorphism, which carries the runs along and leaves whether they
-    are unresolved or degenerate and every checked condition unchanged.
-    ``hi`` defaults to every start (2**L) or the configured sample count.
+    cutoff the index selects a seeded sample; ``indices`` defaults to
+    every configured sample.  Up to it the index is the start's bit
+    pattern; ``indices`` defaults to the necklaces, one per rotation
+    orbit.  Rotating bit v to bit v+1 mod L relabels node x as x+1, an
+    automorphism of the circulant circle graph, which carries the runs
+    along and leaves every outcome and checked condition unchanged.
     """
     exhaustive = L <= config.exhaustive_cutoff
-    if hi is None:
-        hi = 2**L if exhaustive else config.samples_per_L
+    if indices is None:
+        indices = ([bits for bits, _ in _necklaces(L)] if exhaustive
+                   else range(config.samples_per_L))
     max_steps = config.max_steps
     g = build_graph(mask, L)
-    reps = _min_rotations(L) if exhaustive else None
-    for index in range(lo, hi):
+    for index in indices:
         if exhaustive:
-            if reps[index] != index:
-                continue
             bits = index
         else:
             bits = _sample_bits(config.seed, mask.n, mask.m, L, index)
@@ -224,17 +221,16 @@ def iter_pairs(
         yield index, start, (run, comp_run), report
 
 
-_UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
+_NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
 
 
-def _scan_block(mask: Mask, L: int, config: Config, lo: int, hi: int) -> dict:
-    """Run the pairs ``iter_pairs`` runs for indices lo..hi-1, up to the
-    first failing one: index -> (start, outcome), the outcome being
+def _scan_block(mask: Mask, L: int, config: Config, indices: list) -> dict:
+    """Run the pairs of the increasing ``indices`` up to the first
+    failing one: index -> (start, outcome), the outcome being
     "unresolved", "degenerate", "passed" or the first failed condition.
-    Picklable so blocks can run in worker processes; the result depends
-    only on the arguments."""
+    Picklable, so batches can run in worker processes."""
     ran = {}
-    for index, start, runs, report in iter_pairs(mask, L, config, lo, hi):
+    for index, start, runs, report in iter_pairs(mask, L, config, indices):
         if runs is None:
             ran[index] = (start, _UNRESOLVED)
         elif report is None:
@@ -248,47 +244,50 @@ def _scan_block(mask: Mask, L: int, config: Config, lo: int, hi: int) -> dict:
 
 
 def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
-    """Count the starts with index 0..total-1 at circle size L, in blocks
-    of ``_BLOCK_SIZE`` that each stop at their first failing start.
+    """Count the starts with index 0..total-1 at circle size L, up to and
+    including the first failing one.
 
-    The pairs run in the same blocks through ``run_map``.  Up to the
-    exhaustive cutoff each index counts with the outcome of its smallest
-    rotation, which is its own (see ``iter_pairs``), so every count is
-    that of running every start.  The rotation is never larger than its
-    index, so the first unresolved or failing index is its own smallest
-    rotation and its start is the one that ran.  A rotation whose block
-    stopped at an earlier failure before reaching it runs here on its
-    own.  ``pairs_run`` counts the pairs simulated; ``first_unresolved``
-    and ``witness`` are present when found.
+    The indices that run (necklaces up to the exhaustive cutoff, whose
+    smallest failing one is the smallest failing start) are dealt
+    round-robin into ``config.threads`` batches for ``run_map``, each
+    stopping at its own first failure.  So every index up to the
+    smallest failure of all batches (the limit, else total-1) ran, and
+    counts once per rotation up to the limit.  ``pairs_run`` counts the
+    pairs up to the limit; no count depends on the batches.
     """
     exhaustive = L <= config.exhaustive_cutoff
-    reps = _min_rotations(L) if exhaustive else range(total)
+    if exhaustive:
+        orbits = {bits: size for bits, size in _necklaces(L) if bits < total}
+    else:
+        orbits = dict.fromkeys(range(total), 1)
+    indices = list(orbits)
+    workers = max(config.threads, 1)
+    batches = [indices[k::workers] for k in range(workers)]
+    ran: dict = {}
+    for outcomes in run_map(partial(_scan_block, mask, L, config), batches):
+        ran.update(outcomes)
+    limit = min((i for i, (_, outcome) in ran.items() if outcome not in _NOT_FAILED),
+                default=total - 1)
+    full = (1 << L) - 1
     scan = dict.fromkeys(("tested", "degenerate_skips", "unresolved", "pairs_run"), 0)
-    outcomes: dict = {}
-    los = range(0, total, _BLOCK_SIZE)
-    his = [min(lo + _BLOCK_SIZE, total) for lo in los]
-    blocks = run_map(partial(_scan_block, mask, L, config), los, his)
-    for lo, hi, ran in zip(los, his, blocks):
-        if not exhaustive:
-            outcomes.clear()  # only rotations look back into earlier blocks
-        outcomes.update(ran)
-        scan["pairs_run"] += len(ran)
-        for index in range(lo, hi):
-            rep = reps[index]
-            if rep not in outcomes:
-                outcomes.update(_scan_block(mask, L, config, rep, rep + 1))
-                scan["pairs_run"] += 1
-            start, outcome = outcomes[rep]
-            if outcome == _UNRESOLVED:
-                scan["unresolved"] += 1
-                scan.setdefault("first_unresolved", start)
-            elif outcome == _DEGENERATE:
-                scan["degenerate_skips"] += 1
-            else:
-                scan["tested"] += 1
-                if outcome != _PASSED:
-                    scan.setdefault("witness", {"start": start, "condition": outcome})
-                    break
+    for index in indices:
+        if index > limit:
+            break
+        start, outcome = ran[index]
+        starts = orbits[index]
+        if exhaustive and limit < full:
+            starts = sum((index << k | index >> (L - k)) & full <= limit
+                         for k in range(starts))
+        scan["pairs_run"] += 1
+        if outcome == _UNRESOLVED:
+            scan["unresolved"] += starts
+            scan.setdefault("first_unresolved", start)
+        elif outcome == _DEGENERATE:
+            scan["degenerate_skips"] += starts
+        else:
+            scan["tested"] += starts
+            if outcome != _PASSED:
+                scan["witness"] = {"start": start, "condition": outcome}
     return scan
 
 
@@ -358,14 +357,16 @@ def classify_mask(
     settles Incorrect, with the smallest failing size and the smallest
     failing start inside it as the witness.  Results at degenerate
     sizes are recorded per block but never decide the headline status.
-    Each envelope block counts starts (``planned``, ``tested``, ...)
-    and the start pairs actually simulated (``pairs_run``).
+    Each envelope block counts starts (``planned``, ``tested``, ...) up
+    to the size's first failing one and the pairs run (``pairs_run``).
 
-    ``budget`` caps the number of start pairs examined; exhausting it
-    returns the partial verdict with ``budget_exhausted`` set.  With
-    ``config.threads`` above one, the pairs of the blocks of
-    ``_BLOCK_SIZE`` starts at each size run in a process pool.
+    ``budget`` (at least 1) caps the number of start pairs examined;
+    exhausting it returns the partial verdict with ``budget_exhausted``
+    set.  With ``config.threads`` above one, each size's pairs run in as
+    many even batches in a process pool.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     envelope: list = []
     witness = None
     budget_left = budget

@@ -45,6 +45,8 @@ class Config:
             raise ValueError("time_origin must be 0 or 1")
         if self.samples_per_L < 0:
             raise ValueError("samples_per_L must be >= 0")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
     def semantic_dict(self) -> dict:
         """Everything that influences results (threads does not)."""

@@ -100,12 +100,6 @@ def _plane_count(planes: list[int], v: int) -> int:
 # -- public single-step operations ------------------------------------
 
 
-def p_condition(g: MixedGraph, coloring: str, v: int) -> bool:
-    """True iff some out-neighbor of v is colored C."""
-    validate_coloring(coloring, g.node_count)
-    return any(coloring[u] == "C" for u in g.out_neighbors(v))
-
-
 def step(g: MixedGraph, coloring: str) -> str:
     """Apply one synchronous recoloring step."""
     validate_coloring(coloring, g.node_count)

@@ -163,6 +163,8 @@ class MixedGraph:
         return cls(nodes, directed, undirected)
 
     def save(self, path) -> None:
+        """Write the graph JSON that ``load`` and ``trine trace --graph``
+        read."""
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True)
             fh.write("\n")

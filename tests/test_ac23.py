@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from trine import ac23
 from trine.ac23 import (
@@ -167,8 +165,9 @@ class TestClassifyMask:
 
     def test_parallel_matches_serial(self):
         serial = classify_mask(Mask(1, 5), quick_config())
-        parallel = classify_mask(Mask(1, 5), quick_config(threads=2))
-        assert serial.to_json_dict() == parallel.to_json_dict()
+        for threads in (0, 2):  # threads below 1 run serially
+            other = classify_mask(Mask(1, 5), quick_config(threads=threads))
+            assert serial.to_json_dict() == other.to_json_dict()
 
     def test_budget_cuts_search_short(self):
         verdict = classify_mask(Mask(1, 1), quick_config(), budget=10)
@@ -197,42 +196,40 @@ class TestClassifyMask:
         assert isinstance(data["tested"], list)
 
 
-def naive_envelope(mask, config, block=2048):
-    """Reference sweep: run and check every start at every L, summing
-    per block of indices, each block stopping at its first failure.
-    Returns (L, tested, degenerate skips, first failure there) per L and
-    the witness."""
+def naive_envelope(mask, config, total=None):
+    """Reference sweep: run and check every start index in turn at every
+    L (only the first ``total`` at each, when given), stopping at a
+    size's first failure.  Returns (L, tested, degenerate skips, first
+    failure there) per L and the witness."""
     sizes = []
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         tested = degenerate = 0
         found = None
-        for lo in range(0, 2**L, block):
-            for bits in range(lo, min(lo + block, 2**L)):
-                start = bits_to_coloring(bits, L)
-                run = run_to_mirror(g, start, config.max_steps)
-                comp_run = run_to_mirror(g, complement(start), config.max_steps)
-                if run.degenerate or comp_run.degenerate:
-                    degenerate += 1
-                    continue
-                report = check_ipf(run, comp_run, level=config.check_level,
-                                   cond1_interpretation=config.cond1_interpretation,
-                                   time_origin=config.time_origin)
-                tested += 1
-                if not report.passed:
-                    if found is None:
-                        found = {"L": L, "start": start,
-                                 "condition": report.first_failed_condition}
-                    break
+        for bits in range(2**L if total is None else total):
+            start = bits_to_coloring(bits, L)
+            run = run_to_mirror(g, start, config.max_steps)
+            comp_run = run_to_mirror(g, complement(start), config.max_steps)
+            if run.degenerate or comp_run.degenerate:
+                degenerate += 1
+                continue
+            report = check_ipf(run, comp_run, level=config.check_level,
+                               cond1_interpretation=config.cond1_interpretation,
+                               time_origin=config.time_origin)
+            tested += 1
+            if not report.passed:
+                found = {"L": L, "start": start,
+                         "condition": report.first_failed_condition}
+                break
         sizes.append((L, tested, degenerate, found))
         if found is not None and not degenerate_at(mask, L):
             return sizes, found
     return sizes, None
 
 
-def reduced_envelope(mask, config):
+def reduced_envelope(mask, config, budget=None):
     """The same figures from ``classify_mask``."""
-    verdict = classify_mask(mask, config)
+    verdict = classify_mask(mask, config, budget)
     sizes = []
     for block in verdict.tested:
         assert block["unresolved"] == 0
@@ -255,23 +252,34 @@ class TestRotationReduction:
         cfg = quick_config(lmin=12, lmax=12, exhaustive_cutoff=12)
         assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
 
-    @pytest.mark.parametrize("n,m", [(1, 5), (9, 5)])
-    def test_matches_naive_sweep_over_small_blocks(self, n, m, monkeypatch):
-        # with 16-index blocks, some block needs a rotation that the
-        # block holding it never ran, having stopped at an earlier failure
-        monkeypatch.setattr(ac23, "_BLOCK_SIZE", 16)
-        cfg = quick_config(lmax=9, exhaustive_cutoff=9)
-        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg, 16)
+    @pytest.mark.parametrize("n,m,lmin,lmax", [(1, 5, 3, 9), (9, 5, 3, 9),
+                                               (1, 3, 12, 12), (1, 5, 12, 12)])
+    def test_two_batches_match_naive_sweep(self, n, m, lmin, lmax):
+        cfg = quick_config(lmin=lmin, lmax=lmax, exhaustive_cutoff=lmax, threads=2)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
 
-    @given(st.integers(3, 12).flatmap(
-        lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1))))
-    def test_min_rotation_is_smallest_string_rotation(self, size_and_bits):
-        L, bits = size_and_bits
-        start = bits_to_coloring(bits, L)
-        rotations = [start[k:] + start[:k] for k in range(L)]
-        smallest = min(sum(1 << v for v, ch in enumerate(r) if ch == "B")
-                       for r in rotations)
-        assert ac23._min_rotations(L)[bits] == smallest
+    @pytest.mark.parametrize("n,m,L,total", [(1, 1, 9, 300), (1, 3, 8, 100),
+                                             (3, 3, 10, 700)])
+    def test_budget_cut_matches_naive_sweep(self, n, m, L, total):
+        # the budget cuts the size after ``total`` starts, past some
+        # rotations of the necklaces below the cut
+        cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L)
+        got = reduced_envelope(Mask(n, m), cfg, budget=total)
+        assert got == naive_envelope(Mask(n, m), cfg, total)
+
+    def test_necklaces_are_the_smallest_string_rotations(self):
+        for L in range(3, 13):
+            smallest, orbit_sizes = [], []
+            for bits in range(2**L):
+                start = bits_to_coloring(bits, L)
+                rotations = {start[k:] + start[:k] for k in range(L)}
+                if min(sum(1 << v for v, ch in enumerate(r) if ch == "B")
+                       for r in rotations) == bits:
+                    smallest.append(bits)
+                    orbit_sizes.append(len(rotations))
+            necklaces = ac23._necklaces(L)
+            assert necklaces == tuple(zip(smallest, orbit_sizes))
+            assert sum(orbit_sizes) == 2**L
 
     def test_pairs_run_counts_one_pair_per_orbit(self):
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=10, lmax=10,

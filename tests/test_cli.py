@@ -82,6 +82,28 @@ class TestCheckMask:
         assert run_cli("check-mask", "--n", "1") == 1
         assert run_cli("nonsense") == 1
 
+    @pytest.mark.parametrize("flag,value", [("--budget", "0"), ("--budget", "-4"),
+                                            ("--max-steps", "0"), ("--max-steps", "-2")])
+    def test_evidence_free_bounds_exit_1(self, capsys, flag, value):
+        # (1,5) is Incorrect at L=7; no bound may turn that into a verdict
+        # without runs behind it
+        assert run_cli("check-mask", "--n", "1", "--m", "5", "--lmax", "9",
+                       flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "at least 1" in captured.err
+
+    def test_json_does_not_depend_on_threads(self, tmp_path, capsys):
+        # L=12 has 4096 starts and fails, so the size is cut at the witness
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"v{threads}.json"
+            assert run_cli("check-mask", "--n", "1", "--m", "5", "--lmin", "12",
+                           "--lmax", "12", "--cutoff", "12", "--threads", threads,
+                           "--json", str(out)) == 2
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestGrid:
     def test_grid_csv(self, tmp_path, capsys):

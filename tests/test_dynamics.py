@@ -13,7 +13,6 @@ from graphgen import (
 )
 from trine.dynamics import (
     full_cycle,
-    p_condition,
     pack,
     predecessor,
     run_to_mirror,
@@ -36,18 +35,6 @@ class TestPacking:
             n = rng.randint(1, 20)
             c = random_coloring(rng, n)
             assert unpack(n, *pack(c)) == c
-
-
-class TestPCondition:
-    def test_neighbor_is_c(self, ring3):
-        assert p_condition(ring3, "ACA", 0)
-
-    def test_no_c_neighbor(self, ring3):
-        assert not p_condition(ring3, "ACA", 1)
-
-    def test_isolated_node(self):
-        g = MixedGraph(2)
-        assert not p_condition(g, "AC", 0)
 
 
 class TestStep:
