@@ -385,6 +385,7 @@ def classify_mask(
                 continue
             if budget_left is not None:
                 if budget_left <= 0:
+                    budget_exhausted = True
                     break
                 if total > budget_left:
                     total = budget_left
@@ -466,7 +467,6 @@ def verdict_grid(
     n_max: int,
     m_max: int,
     config: Config,
-    budget_per_cell: Optional[int] = None,
     resume_rows: Optional[dict] = None,
     on_cell=None,
     cr_annotations: Optional[dict] = None,
@@ -494,9 +494,7 @@ def verdict_grid(
                 grid.cells[(n, m)] = resume_rows[(n, m)]
             else:
                 todo.append(Mask(n, m))
-    classify_cell = partial(
-        classify_mask, config=replace(config, threads=1), budget=budget_per_cell
-    )
+    classify_cell = partial(classify_mask, config=replace(config, threads=1))
     with _mapper(config.threads) as run_map:
         for verdict in run_map(classify_cell, todo):
             grid.cells[(verdict.mask.n, verdict.mask.m)] = verdict

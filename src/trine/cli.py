@@ -28,11 +28,11 @@ from pathlib import Path
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask, MaskVerdict, build_graph, classify_mask, parse_mask, verdict_grid
 from .bundle import build_bundle, write_csv, write_json
-from .config import Config, resolve_threads
+from .config import Config
 from .dynamics import run_to_mirror
 from .errors import IncompatibleTables, TrineError
 from .graph import MixedGraph, complement
-from .ipf import check_ipf
+from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, check_ipf
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -58,10 +58,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, dest="samples_per_L",
                         help="start samples per L beyond the cutoff")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--level", choices=("light", "full"), dest="check_level")
+    parser.add_argument("--level", choices=CHECK_LEVELS, dest="check_level")
     parser.add_argument("--max-steps", type=int, dest="max_steps")
     parser.add_argument("--threads", type=int)
-    parser.add_argument("--cond1", choices=("raw", "complemented"),
+    parser.add_argument("--cond1", choices=COND1_INTERPRETATIONS,
                         dest="cond1_interpretation")
     parser.add_argument("--time-origin", type=int, choices=(0, 1),
                         dest="time_origin")
@@ -78,10 +78,7 @@ def _config_from_args(args) -> Config:
         )
         if getattr(args, name, None) is not None
     }
-    cfg = base.with_overrides(**overrides)
-    if "threads" not in overrides:
-        cfg = cfg.with_overrides(threads=resolve_threads(cfg.threads))
-    return cfg
+    return base.with_overrides(**overrides)
 
 
 # -- trace ---------------------------------------------------------------

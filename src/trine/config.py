@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass, replace
-from typing import Optional
 
-THREADS_ENV_VAR = "TRINE_THREADS"
+from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,9 @@ class Config:
             raise ValueError("lmin must be at least 3")
         if self.lmax < self.lmin:
             raise ValueError("lmax must be >= lmin")
-        if self.check_level not in ("light", "full"):
+        if self.check_level not in CHECK_LEVELS:
             raise ValueError(f"unknown check level {self.check_level!r}")
-        if self.cond1_interpretation not in ("raw", "complemented"):
+        if self.cond1_interpretation not in COND1_INTERPRETATIONS:
             raise ValueError(
                 f"unknown interpretation {self.cond1_interpretation!r}"
             )
@@ -75,18 +73,3 @@ class Config:
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
-
-def resolve_threads(requested: Optional[int] = None) -> int:
-    """Thread-count resolution: explicit argument, then the environment
-    override, then one."""
-    if requested is not None and requested > 0:
-        return requested
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not an integer")
-        if value > 0:
-            return value
-    return 1

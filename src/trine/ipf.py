@@ -1,15 +1,16 @@
-"""Precise-filling invariant: slot arrays, integral phases, and the
+"""Precise-filling invariant: slot rows, integral phases, and the
 nine-statement check over a run and its complement run.
 
 Every node's history over t = 1..T is condensed onto "slots": scanning
 the history in time order, each occurrence of A or C takes the next
-slot index k = 0, 1, 2, ...  An A marks its slot in the A array; a C
-marks the C array and records its time in the integral phase array f.
-A B never opens a slot; it always follows a C of the same node and
-inherits that slot, which is why the B array coincides with the C
-array.  With T and T-bar the periods of the two runs, the nominal slot
-count is K = (T + T-bar) / 3; nodes whose event count differs from K
-are flagged (slot overflow) rather than rejected, because searches need
+slot index k = 0, 1, 2, ...  A B never opens a slot; it always follows
+a C of the same node and inherits that slot.  One row per node holds
+the slots: entry k is the 1-based time t of the event when it is a C
+(its integral phase), 0 when it is an A, and -1 past the node's last
+event.  So C_v(k) is ``row[k] > 0`` and A_v(k) is ``row[k] == 0``.
+With T and T-bar the periods of the two runs, the nominal slot count
+is K = (T + T-bar) / 3; nodes whose event count differs from K are
+flagged (slot overflow) rather than rejected, because searches need
 failures as evidence.
 
 The statements checked, over the pair of runs:
@@ -44,45 +45,36 @@ COND1_INTERPRETATIONS = ("raw", "complemented")
 _WITNESS_CAP = 8
 
 
-def slots_from_history(history: str, slot_count: int) -> tuple[list[int], list[int], list[int], int]:
-    """Slot arrays for one node history, sized to ``slot_count``.
+def slots_from_history(history: str, slot_count: int) -> tuple[list[int], int]:
+    """Slot row for one node history, sized to ``slot_count``.
 
-    Returns (A, C, f, event_count) where f holds the 1-based time of
-    the C event at each slot (-1 when the slot holds no C).  Events
-    past ``slot_count`` are dropped; the caller sees the true count.
+    Returns (row, event_count): row[k] is the 1-based time of the
+    event at slot k when it is a C, 0 when it is an A, and -1 when the
+    history has fewer events.  Events past ``slot_count`` are dropped;
+    the caller sees the true count.
     """
-    a = [0] * slot_count
-    c = [0] * slot_count
-    f = [-1] * slot_count
+    row = [-1] * slot_count
     k = 0
     for t, color in enumerate(history, 1):
         if color == "B":
             continue
         if k < slot_count:
-            if color == "A":
-                a[k] = 1
-            else:
-                c[k] = 1
-                f[k] = t
+            row[k] = 0 if color == "A" else t
         k += 1
-    return a, c, f, k
+    return row, k
 
 
 @dataclass
 class SlotTable:
-    """Per-node slot arrays for one run of a run/complement pair."""
+    """Per-node slot rows for one run of a run/complement pair.
+
+    ``events[v][k]`` is the time t >= 1 of node v's C event at slot k,
+    0 for an A event, and -1 past the node's last event.
+    """
 
     slot_count: int
-    a: tuple[tuple[int, ...], ...]
-    c: tuple[tuple[int, ...], ...]
-    f: tuple[tuple[int, ...], ...]
+    events: tuple[tuple[int, ...], ...]
     event_counts: tuple[int, ...]
-
-    @property
-    def b(self) -> tuple[tuple[int, ...], ...]:
-        """B slots coincide with C slots (each B inherits the slot of
-        the C it follows)."""
-        return self.c
 
     @property
     def overflow_nodes(self) -> tuple[int, ...]:
@@ -108,35 +100,14 @@ def build_slots(
         slot_count = (run.period + complement_run.period) // 3
 
     def table_for(record: RunRecord) -> SlotTable:
-        a_rows, c_rows, f_rows, counts = [], [], [], []
+        rows, counts = [], []
         for history in record.histories:
-            a, c, f, k = slots_from_history(history, slot_count)
-            a_rows.append(tuple(a))
-            c_rows.append(tuple(c))
-            f_rows.append(tuple(f))
+            row, k = slots_from_history(history, slot_count)
+            rows.append(tuple(row))
             counts.append(k)
-        return SlotTable(
-            slot_count,
-            tuple(a_rows),
-            tuple(c_rows),
-            tuple(f_rows),
-            tuple(counts),
-        )
+        return SlotTable(slot_count, tuple(rows), tuple(counts))
 
     return table_for(run), table_for(complement_run)
-
-
-@dataclass
-class PhaseTable:
-    """Combined integral phase mod 2 per node and slot.
-
-    Values: 0/1 when the slot's C event came from the primary run
-    (time parity), 2/3 when it came from the complement run, -1 when
-    the slot is not filled by exactly one of the two runs.
-    """
-
-    values: tuple[tuple[int, ...], ...]
-    time_origin: int
 
 
 def slot_event(
@@ -145,20 +116,25 @@ def slot_event(
     """The C event that fills slot k of node v, as (time,
     from_complement), or None when the slot is not filled by exactly
     one of the two runs."""
-    f, fbar = slots.f[v][k], complement_slots.f[v][k]
-    if f != -1 and fbar == -1:
-        return f, False
-    if f == -1 and fbar != -1:
-        return fbar, True
+    e, ebar = slots.events[v][k], complement_slots.events[v][k]
+    if e > 0 and ebar <= 0:
+        return e, False
+    if e <= 0 and ebar > 0:
+        return ebar, True
     return None
 
 
 def integral_phase(
     slots: SlotTable, complement_slots: SlotTable, time_origin: int = 1
-) -> PhaseTable:
-    """Fold the two f arrays into the four-valued phase table."""
+) -> tuple[tuple[int, ...], ...]:
+    """Combined integral phase mod 2 per node and slot.
+
+    Values: 0/1 when the slot's C event came from the primary run
+    (time parity), 2/3 when it came from the complement run, -1 when
+    the slot is not filled by exactly one of the two runs.
+    """
     rows = []
-    for v in range(len(slots.f)):
+    for v in range(len(slots.events)):
         row = []
         for k in range(slots.slot_count):
             event = slot_event(slots, complement_slots, v, k)
@@ -168,7 +144,7 @@ def integral_phase(
                 t, from_complement = event
                 row.append((2 if from_complement else 0) + (t - time_origin) % 2)
         rows.append(tuple(row))
-    return PhaseTable(tuple(rows), time_origin)
+    return tuple(rows)
 
 
 @dataclass
@@ -245,7 +221,9 @@ def _camel_case(name: str) -> str:
     return head + "".join(part.capitalize() for part in rest)
 
 
-def _check_phase_pattern(phases: PhaseTable, slot_count: int) -> tuple[bool, list]:
+def _check_phase_pattern(
+    phases: tuple[tuple[int, ...], ...], slot_count: int
+) -> tuple[bool, list]:
     """The parity pattern: F(0) even; F(2k-1) and F(2k) share parity;
     for even K the last slot's parity agrees across nodes."""
     ok = True
@@ -259,7 +237,7 @@ def _check_phase_pattern(phases: PhaseTable, slot_count: int) -> tuple[bool, lis
                 {"condition": "c8", "node": node, "slot": slot, "detail": detail}
             )
 
-    for v, row in enumerate(phases.values):
+    for v, row in enumerate(phases):
         if row[0] == -1:
             note(v, 0, "phase undefined")
         elif row[0] % 2 != 0:
@@ -271,7 +249,7 @@ def _check_phase_pattern(phases: PhaseTable, slot_count: int) -> tuple[bool, lis
             elif lo % 2 != hi % 2:
                 note(v, 2 * k - 1, f"F({2*k-1})={lo} vs F({2*k})={hi}")
     if slot_count % 2 == 0 and slot_count > 0:
-        last = [row[slot_count - 1] for row in phases.values]
+        last = [row[slot_count - 1] for row in phases]
         if any(x == -1 for x in last):
             note(last.index(-1), slot_count - 1, "phase undefined")
         elif len({x % 2 for x in last}) > 1:
@@ -385,26 +363,26 @@ def check_ipf(
                     )
                     failure_counts["slots"] = failure_counts.get("slots", 0) + 1
 
-            def slot_condition(name, predicate):
-                ok = True
-                count = 0
-                for v in range(len(slots.a)):
-                    for k in range(K):
-                        if not predicate(v, k):
-                            ok = False
-                            count += 1
-                            if count <= _WITNESS_CAP:
-                                witnesses.append(
-                                    {"condition": name, "node": v, "slot": k}
-                                )
-                if count:
-                    failure_counts[name] = count
-                return ok
-
-            c4 = slot_condition("c4", lambda v, k: slots.c[v][k] + comp_slots.c[v][k] == 1)
-            c5 = slot_condition("c5", lambda v, k: slots.a[v][k] + comp_slots.a[v][k] == 1)
-            c6 = slot_condition("c6", lambda v, k: comp_slots.a[v][k] == slots.c[v][k])
-            c7 = slot_condition("c7", lambda v, k: comp_slots.c[v][k] == slots.a[v][k])
+            cells = [
+                (v, k, e, ebar)
+                for v, (row, comp_row) in enumerate(zip(slots.events, comp_slots.events))
+                for k, (e, ebar) in enumerate(zip(row, comp_row))
+            ]
+            # Failing (node, slot) cells per condition; C is e > 0, A is e == 0.
+            failures = {
+                "c4": [(v, k) for v, k, e, ebar in cells if (e > 0) == (ebar > 0)],
+                "c5": [(v, k) for v, k, e, ebar in cells if (e == 0) == (ebar == 0)],
+                "c6": [(v, k) for v, k, e, ebar in cells if (ebar == 0) != (e > 0)],
+                "c7": [(v, k) for v, k, e, ebar in cells if (ebar > 0) != (e == 0)],
+            }
+            for name, failed in failures.items():
+                if failed:
+                    failure_counts[name] = len(failed)
+                    witnesses.extend(
+                        {"condition": name, "node": v, "slot": k}
+                        for v, k in failed[:_WITNESS_CAP]
+                    )
+            c4, c5, c6, c7 = (not failed for failed in failures.values())
 
             c8_results = {}
             c8_witnesses = {}

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import Mask, degenerate_at, iter_pairs, mask_weak_computable
+from .ac23 import Mask, degenerate_at, iter_pairs, mask_weak_computable, parse_mask
 from .config import Config
 from .dynamics import RunRecord
 from .errors import (
@@ -141,9 +141,6 @@ class ResolutionTable:
     @property
     def row_count(self) -> int:
         return len(self.rows)
-
-    # C_R is the traditional name for the row count.
-    C_R = row_count
 
     def row_set(self) -> frozenset:
         return frozenset(self.rows)
@@ -607,7 +604,10 @@ def parse_table(text: str) -> ResolutionTable:
         if token.startswith("N="):
             n = int(token[2:])
         elif token.startswith("mask="):
-            mask = parse_mask_tag(token[5:])
+            try:
+                mask = parse_mask(token[5:])
+            except ValueError as exc:
+                raise RtParseError(f"bad mask tag: {exc}") from exc
         elif token.startswith("columns="):
             pass  # derived from the mask; accepted for readability
         elif token.startswith("subtable="):
@@ -631,14 +631,6 @@ def parse_table(text: str) -> ResolutionTable:
         hypothesis=hypothesis,
         subtable=subtable,
     )
-
-
-def parse_mask_tag(text: str) -> Mask:
-    try:
-        n, m = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise RtParseError(f"bad mask tag {text!r}") from exc
-    return Mask(n, m)
 
 
 def save_table(table: ResolutionTable, path) -> None:

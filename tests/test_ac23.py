@@ -175,6 +175,17 @@ class TestClassifyMask:
         assert sum(b["planned"] for b in verdict.tested) == 10
         assert verdict.status == CORRECT_SO_FAR
 
+    @pytest.mark.parametrize("lmax,budget,exhausted", [
+        (8, 8, True),  # L=3 uses it all up; L=4..8 are never examined
+        (8, 8 + 16, True),
+        (4, 8 + 16, False),  # the budget covers every size up to lmax
+        (8, 2**9 - 8, False),
+    ])
+    def test_budget_ending_at_a_size_boundary(self, lmax, budget, exhausted):
+        verdict = classify_mask(Mask(1, 1), quick_config(lmax=lmax), budget=budget)
+        assert verdict.budget_exhausted is exhausted
+        assert sum(b["planned"] for b in verdict.tested) == budget
+
     def test_unresolved_runs_at_a_clean_size_are_inconclusive(self):
         # (1,5) collides at L=3,4: unresolved runs there do not count
         cfg = quick_config(lmax=4, max_steps=1)

@@ -344,11 +344,6 @@ class TestConfigPlumbing:
                        "--config", str(path)) == 0
         assert "L=3..6" in capsys.readouterr().out
 
-    def test_threads_env_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TRINE_THREADS", "2")
-        assert run_cli("check-mask", "--n", "1", "--m", "5",
-                       "--lmax", "8", "--samples", "0") == 2
-
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))

@@ -22,42 +22,29 @@ def fixture_pair(ring3):
 
 class TestSlotsFromHistory:
     def test_fixture_node0(self):
-        a, c, f, count = slots_from_history("ACB", 2)
-        assert a == [1, 0]
-        assert c == [0, 1]
-        assert f == [-1, 2]
-        assert count == 2
+        # A at t=1 takes slot 0, C at t=2 takes slot 1, the B opens none
+        assert slots_from_history("ACB", 2) == ([0, 2], 2)
 
     def test_all_a_history(self):
-        a, c, f, count = slots_from_history("AAA", 3)
-        assert a == [1, 1, 1]
-        assert c == [0, 0, 0]
-        assert count == 3
+        assert slots_from_history("AAA", 3) == ([0, 0, 0], 3)
 
     def test_b_inherits_no_slot(self):
         # C opens a slot, the following B does not
-        a, c, f, count = slots_from_history("CBCB", 2)
-        assert c == [1, 1]
-        assert f == [1, 3]
-        assert count == 2
+        assert slots_from_history("CBCB", 2) == ([1, 3], 2)
 
     def test_overflow_reported_via_count(self):
-        a, c, f, count = slots_from_history("AAAA", 2)
-        assert count == 4
-        assert a == [1, 1]
+        assert slots_from_history("AAAA", 2) == ([0, 0], 4)
+
+    def test_slots_past_the_last_event_are_empty(self):
+        assert slots_from_history("BCB", 3) == ([2, -1, -1], 1)
 
 
 class TestBuildSlots:
     def test_fixture_tables(self, fixture_pair):
         slots, comp = build_slots(*fixture_pair)
         assert slots.slot_count == 2
-        assert slots.a[0] == (1, 0)
-        assert slots.c[0] == (0, 1)
-        assert slots.f[0] == (-1, 2)
-        assert slots.b == slots.c
-        assert comp.c[0] == (1, 0)
-        assert comp.f[0] == (1, -1)
-        assert comp.a[0] == (0, 1)
+        assert slots.events[0] == (0, 2)
+        assert comp.events[0] == (1, 0)
         assert slots.event_counts == (2, 2, 2)
         assert slots.overflow_nodes == ()
         assert fixture_pair[0].lambda_value == 0
@@ -68,39 +55,24 @@ class TestBuildSlots:
         with pytest.raises(DegenerateRun):
             build_slots(a, b)
 
-    def test_slot_dichotomy_within_run(self, fixture_pair):
-        # a slot never holds both an A and a C event of the same run
-        slots, comp = build_slots(*fixture_pair)
-        for table in (slots, comp):
-            for a_row, c_row in zip(table.a, table.c):
-                for a_bit, c_bit in zip(a_row, c_row):
-                    assert a_bit + c_bit <= 1
-
-    def test_phase_defined_exactly_on_c_slots(self, fixture_pair):
-        slots, comp = build_slots(*fixture_pair)
-        for table in (slots, comp):
-            for c_row, f_row in zip(table.c, table.f):
-                for c_bit, f_val in zip(c_row, f_row):
-                    assert (f_val >= 1) == (c_bit == 1)
-
 
 class TestIntegralPhase:
     def test_fixture_phases_origin0(self, fixture_pair):
         slots, comp = build_slots(*fixture_pair)
         phases = integral_phase(slots, comp, time_origin=0)
         # f undefined, fbar=1 -> 2+1; f=2 -> 0
-        assert phases.values[0] == (3, 0)
-        assert phases.values[1] == (1, 2)
+        assert phases[0] == (3, 0)
+        assert phases[1] == (1, 2)
 
     def test_fixture_phases_origin1(self, fixture_pair):
         slots, comp = build_slots(*fixture_pair)
         phases = integral_phase(slots, comp, time_origin=1)
-        assert phases.values[0] == (2, 1)
+        assert phases[0] == (2, 1)
 
     def test_parity_formula(self):
         # even time -> 0; undefined primary with fbar=2 -> 2
-        a, c, f, _ = slots_from_history("CB", 1)
-        assert f == [1]
+        row, _ = slots_from_history("CB", 1)
+        assert row == [1]
         assert (4 - 0) % 2 == 0  # f=4 parity under origin 0
 
 

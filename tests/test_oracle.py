@@ -1,16 +1,23 @@
-"""Differential test of the packed engine against a naive string-level
-stepper transcribed from the rule table:
+"""Differential tests of the engine against naive references.
+
+The packed stepper is compared with a string-level stepper transcribed
+from the rule table:
 
     | P-condition  | A  | B  | C  |
     | no C visible | A  | C  | B  |
     | C visible    | C  | A  | B  |
+
+``check_ipf`` is compared with a transcription of the nine statements
+of the ``trine.ipf`` module docstring, evaluated on the naive runs.
 """
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from trine.ac23 import Mask, build_graph
 from trine.dynamics import run_to_mirror, step
-from trine.graph import MixedGraph
+from trine.graph import MixedGraph, complement
+from trine.ipf import check_ipf
 
 RULES = {False: {"A": "A", "B": "C", "C": "B"}, True: {"A": "C", "B": "A", "C": "B"}}
 SWAP_BC = str.maketrans("BC", "CB")
@@ -96,3 +103,162 @@ def test_run_matches_oracle(case):
     lambdas = tuple(n_a - n_c for n_a, _, n_c in counts)
     assert run.lambda_per_node == lambdas
     assert run.lambda_value == (lambdas[0] if len(set(lambdas)) == 1 else None)
+
+
+# -- the nine statements ---------------------------------------------------
+
+
+def naive_slots(history: str) -> list[tuple[str, int]]:
+    """(color, time) of each A or C event in time order: each takes the
+    next slot; a B opens none."""
+    return [(color, t) for t, color in enumerate(history, 1) if color != "B"]
+
+
+def naive_lambda(states: list[str]):
+    """The per-node A count minus C count over t = 1..T, when it is the
+    same at every node; else None."""
+    surplus = {
+        sum(s[v] == "A" for s in states) - sum(s[v] == "C" for s in states)
+        for v in range(len(states[0]))
+    }
+    return surplus.pop() if len(surplus) == 1 else None
+
+
+def naive_ipf(states: list[str], bar_states: list[str], cond1: str, origin: int) -> dict:
+    """Every statement for a run (states at t = 1..T) and its complement
+    run, with the set of failed statements under ``failed`` and the
+    number of failing (node, slot) cells of [4]..[7] under
+    ``cell_failures``."""
+    T, Tbar = len(states), len(bar_states)
+    lam, lam_bar = naive_lambda(states), naive_lambda(bar_states)
+    got = {"div3": (T + Tbar) % 3 == 0}
+    got["K"] = K = (T + Tbar) // 3 if got["div3"] else None
+    reading = {"raw": bar_states[-1], "complemented": complement(bar_states[-1])}
+    got["c1"] = states[-1] == reading[cond1]
+    got["c2"] = lam is not None and lam_bar is not None and lam == -lam_bar
+    got["c3"] = lam is not None and lam_bar is not None and Tbar - T == lam
+    failed = {name for name in ("div3", "c1", "c2", "c3") if not got[name]}
+    if lam is None or lam_bar is None:
+        failed.discard("c3")  # an undefined lambda is reported once, under c2
+    got["light"] = not failed
+    for name in ("c4", "c5", "c6", "c7", "c8"):
+        got[name] = None
+    got["full"] = False
+    cell_failures = {}  # failing (node, slot) cells per slot statement
+    if K is not None:
+        nodes = range(len(states[0]))
+        slots = [naive_slots("".join(s[v] for s in states)) for v in nodes]
+        bar_slots = [naive_slots("".join(s[v] for s in bar_states)) for v in nodes]
+        if any(len(row) != K for row in slots + bar_slots):
+            failed.add("slots")
+
+        def has(rows, v, k, color):
+            """1 when slot k of node v holds an event of ``color``."""
+            return int(k < len(rows[v]) and rows[v][k][0] == color)
+
+        def phase(v, k):
+            """F_v(k): the time (from ``origin``) of the one C of the two
+            runs at slot k; None unless exactly one run has a C there."""
+            times = [rows[v][k][1] for rows in (slots, bar_slots) if has(rows, v, k, "C")]
+            return times[0] - origin if len(times) == 1 else None
+
+        def same_parity(*values):
+            return None not in values and len({x % 2 for x in values}) == 1
+
+        cells = [(v, k) for v in nodes for k in range(K)]
+        holds = {
+            "c4": lambda v, k: has(slots, v, k, "C") + has(bar_slots, v, k, "C") == 1,
+            "c5": lambda v, k: has(slots, v, k, "A") + has(bar_slots, v, k, "A") == 1,
+            "c6": lambda v, k: has(bar_slots, v, k, "A") == has(slots, v, k, "C"),
+            "c7": lambda v, k: has(bar_slots, v, k, "C") == has(slots, v, k, "A"),
+        }
+        for name, statement in holds.items():
+            misses = sum(not statement(v, k) for v, k in cells)
+            got[name] = misses == 0
+            if misses:
+                cell_failures[name] = misses
+        # F(0) even; F(2k-1) and F(2k) share parity for every 2k < K; for
+        # even K the last slot's parity is the same at every node.
+        got["c8"] = all(
+            same_parity(phase(v, 0), 0)
+            and all(same_parity(phase(v, j), phase(v, j + 1)) for j in range(1, K - 1, 2))
+            for v in nodes
+        ) and (K % 2 == 1 or same_parity(*(phase(v, K - 1) for v in nodes)))
+        failed |= {name for name in ("c4", "c5", "c6", "c7", "c8") if not got[name]}
+        got["full"] = got["light"] and all(got[name] for name in ("c4", "c5", "c6", "c7", "c8"))
+    got["failed"] = failed
+    got["cell_failures"] = cell_failures
+    return got
+
+
+@st.composite
+def weak_graphs(draw, max_nodes: int = 7) -> MixedGraph:
+    """Weak computable by construction: an undirected spanning tree
+    (each node joins an earlier one), then any extra edges."""
+    n = draw(st.integers(3, max_nodes))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    directed, undirected = [], sorted(tree)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in tree:
+                continue
+            kind = draw(st.sampled_from(("none", "undirected", "forward", "backward")))
+            if kind == "undirected":
+                undirected.append((u, v))
+            elif kind == "forward":
+                directed.append((u, v))
+            elif kind == "backward":
+                directed.append((v, u))
+    return MixedGraph(n, directed, undirected)
+
+
+@st.composite
+def mask_circles(draw):
+    mask = Mask(draw(st.integers(0, 7)) * 2 + 1, draw(st.integers(0, 7)) * 2 + 1)
+    L = draw(st.integers(3, 9))
+    return build_graph(mask, L), draw(st.text("AB", min_size=L, max_size=L))
+
+
+@st.composite
+def weak_graph_starts(draw):
+    g = draw(weak_graphs())
+    return g, draw(st.text("AB", min_size=g.node_count, max_size=g.node_count))
+
+
+def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
+    states = naive_run(g, start)
+    bar_states = naive_run(g, complement(start))
+    assume(len(states) > 2 and len(bar_states) > 2)  # degenerate runs raise
+    runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
+    for cond1 in ("raw", "complemented"):
+        for origin in (0, 1):
+            want = naive_ipf(states, bar_states, cond1, origin)
+            report = check_ipf(*runs, level="full", cond1_interpretation=cond1,
+                               time_origin=origin)
+            got = {name: getattr(report, name) for name in (
+                "div3", "K", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")}
+            got["light"], got["full"] = report.light_ok, report.full_ok
+            got["failed"] = set(report.failure_counts)
+            got["cell_failures"] = {name: count for name, count in report.failure_counts.items()
+                                    if name in ("c4", "c5", "c6", "c7")}
+            assert got == want, (cond1, origin)
+
+
+# (1,5) at L=7: BABAAAA fails div3, c1, c2 and c3; BAABAAA passes div3
+# and c2, fails the rest and overflows its slots; BBBABBA does too, and
+# has an A slot whose complement slot holds no event.  (1,1) at L=3: ABA
+# fails only c8, and only at time origin 0.
+@given(mask_circles())
+@example((build_graph(Mask(1, 5), 7), "BABAAAA"))
+@example((build_graph(Mask(1, 5), 7), "BAABAAA"))
+@example((build_graph(Mask(1, 5), 7), "BBBABBA"))
+@example((build_graph(Mask(1, 1), 3), "ABA"))
+@settings(deadline=None)
+def test_ipf_matches_oracle_on_mask_circles(case):
+    assert_ipf_matches_oracle(*case)
+
+
+@given(weak_graph_starts())
+@settings(deadline=None)
+def test_ipf_matches_oracle_on_weak_graphs(case):
+    assert_ipf_matches_oracle(*case)

@@ -544,6 +544,9 @@ class TestSerialization:
             parse_table("N=3 what=ever\n")
         with pytest.raises(RtParseError):
             parse_table("N=3\n1,2,x\n")
+        for tag in ("1;3", "1,x", "0,3"):
+            with pytest.raises(RtParseError):
+                parse_table(f"N=3 mask={tag}\n")
 
     def test_save_load(self, tmp_path):
         t = build_1_2k1(1, ALL_COMBOS_STEP_TABLE)
