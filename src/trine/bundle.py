@@ -32,7 +32,12 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
                  trace_specs: list[tuple[Mask, int, str]]) -> dict:
-    """Write the bundle into ``outdir`` and return its manifest."""
+    """Write the bundle into ``outdir`` and return its manifest.  Tables
+    are extracted first: a mask without a passing pair writes no file."""
+    extract_cfg = cfg.with_overrides(check_level="full")
+    tables = [rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
+              for mask in rt_masks]
+
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "rt").mkdir(exist_ok=True)
     (outdir / "traces").mkdir(exist_ok=True)
@@ -40,11 +45,7 @@ def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
     grid = ac23.verdict_grid(grid_max, grid_max, cfg)
     write_csv(outdir / "grid.csv", GRID_CSV_COLUMNS, grid.csv_rows())
 
-    extract_cfg = cfg.with_overrides(check_level="full")
-    tables = []
-    for mask in rt_masks:
-        table = rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
-        tables.append(table)
+    for mask, table in zip(rt_masks, tables):
         rt.save_table(table, outdir / "rt" / f"{mask.n}_{mask.m}.rt")
     write_csv(outdir / "scounts.csv", rt.SCOUNTS_CSV_COLUMNS,
               [rt.scounts_csv_row(t) for t in tables])
@@ -57,8 +58,7 @@ def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
         group = by_width[width]
         if len(group) >= 2:
             coincide_rows.extend(rt.coincidence_matrix(group).csv_rows())
-    write_csv(outdir / "coincidence.csv",
-              ["a", "b", "relation", "intersectionCR", "group"], coincide_rows)
+    write_csv(outdir / "coincidence.csv", rt.COINCIDENCE_CSV_COLUMNS, coincide_rows)
 
     for mask, L, start in trace_specs:
         g = ac23.build_graph(mask, L)

@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, ac23, rt
@@ -69,16 +70,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> Config:
     base = Config.load(args.config) if args.config else Config()
-    overrides = {
-        name: getattr(args, name)
-        for name in (
-            "lmin", "lmax", "exhaustive_cutoff", "samples_per_L", "seed",
-            "check_level", "max_steps", "threads", "cond1_interpretation",
-            "time_origin",
-        )
-        if getattr(args, name, None) is not None
-    }
-    return base.with_overrides(**overrides)
+    # every config field has a flag of the same dest; unset flags are None
+    return base.with_overrides(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
 
 # -- trace ---------------------------------------------------------------
@@ -103,50 +96,47 @@ def cmd_trace(args) -> int:
     start = args.start
     run = run_to_mirror(g, start, cfg.max_steps)
     print(f"start {start}: T={run.period}" + (" (degenerate)" if run.degenerate else ""))
+    report = None
     if run.degenerate:
         print("degenerate trajectory (period <= 2); no invariant check")
-        if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            with open(outdir / "trace.csv", "w", encoding="utf-8", newline="") as fh:
-                run.write_trace_csv(fh)
-        return EXIT_OK
-
-    comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
-    report = check_ipf(
-        run,
-        comp_run,
-        level=args.check_level or "full",
-        cond1_interpretation=cfg.cond1_interpretation,
-        time_origin=cfg.time_origin,
-    )
-    for t, state in enumerate(run.states, 1):
-        print(f"  t={t:<4d} {state}")
-    print(f"mirror {run.mirror_state}")
-    print(f"lambda per node: {list(run.lambda_per_node)}")
-    print(
-        f"invariant: T={report.T} Tbar={report.Tbar} K={report.K} "
-        f"light={report.light_ok} full={report.full_ok}"
-    )
-    if report.first_failed_condition:
-        print(f"FAILED condition: {report.first_failed_condition}")
-        for witness in report.witnesses[:4]:
-            print(f"  witness: {witness}")
+    else:
+        comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
+        report = check_ipf(
+            run,
+            comp_run,
+            level=args.check_level or "full",
+            cond1_interpretation=cfg.cond1_interpretation,
+            time_origin=cfg.time_origin,
+        )
+        for t, state in enumerate(run.states, 1):
+            print(f"  t={t:<4d} {state}")
+        print(f"mirror {run.mirror_state}")
+        print(f"lambda per node: {list(run.lambda_per_node)}")
+        print(
+            f"invariant: T={report.T} Tbar={report.Tbar} K={report.K} "
+            f"light={report.light_ok} full={report.full_ok}"
+        )
+        if report.first_failed_condition:
+            print(f"FAILED condition: {report.first_failed_condition}")
+            for witness in report.witnesses[:4]:
+                print(f"  witness: {witness}")
 
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "trace.csv", "w", encoding="utf-8", newline="") as fh:
             run.write_trace_csv(fh)
-        with open(outdir / "complement_trace.csv", "w", encoding="utf-8", newline="") as fh:
-            comp_run.write_trace_csv(fh)
-        write_json(outdir / "run.json", {
-            "graph": g.to_json_dict(),
-            "label": label,
-            "run": run.to_json_dict(),
-            "complementRun": comp_run.to_json_dict(),
-        })
-        write_json(outdir / "ipf.json", report.to_json_dict())
+        if report is not None:
+            with open(outdir / "complement_trace.csv", "w", encoding="utf-8",
+                      newline="") as fh:
+                comp_run.write_trace_csv(fh)
+            write_json(outdir / "run.json", {
+                "graph": g.to_json_dict(),
+                "label": label,
+                "run": run.to_json_dict(),
+                "complementRun": comp_run.to_json_dict(),
+            })
+            write_json(outdir / "ipf.json", report.to_json_dict())
     return EXIT_OK
 
 
@@ -312,16 +302,21 @@ def cmd_rt_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_rt_scounts(args) -> int:
-    tables = _load_tables(args.tables)
-    rows = [rt.scounts_csv_row(t) for t in tables]
-    if args.csv:
-        write_csv(Path(args.csv), rt.SCOUNTS_CSV_COLUMNS, rows)
-        print(f"wrote {args.csv}")
+def _write_or_print_csv(path, header: list, rows: list) -> None:
+    """Write the CSV to ``path`` when given, else print it."""
+    if path:
+        write_csv(Path(path), header, rows)
+        print(f"wrote {path}")
     else:
-        print(",".join(rt.SCOUNTS_CSV_COLUMNS))
+        print(",".join(header))
         for row in rows:
             print(",".join(str(x) for x in row))
+
+
+def cmd_rt_scounts(args) -> int:
+    tables = _load_tables(args.tables)
+    _write_or_print_csv(args.csv, rt.SCOUNTS_CSV_COLUMNS,
+                        [rt.scounts_csv_row(t) for t in tables])
     return EXIT_OK
 
 
@@ -356,16 +351,8 @@ def cmd_rt_integral(args) -> int:
 
 def cmd_rt_coincide(args) -> int:
     tables = _load_tables(args.tables)
-    matrix = rt.coincidence_matrix(tables)
-    header = ["a", "b", "relation", "intersectionCR", "group"]
-    rows = matrix.csv_rows()
-    if args.csv:
-        write_csv(Path(args.csv), header, rows)
-        print(f"wrote {args.csv}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+    _write_or_print_csv(args.csv, rt.COINCIDENCE_CSV_COLUMNS,
+                        rt.coincidence_matrix(tables).csv_rows())
     return EXIT_OK
 
 

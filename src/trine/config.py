@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS
 
@@ -29,6 +29,10 @@ class Config:
     time_origin: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.lmin < 3:
             raise ValueError("lmin must be at least 3")
         if self.lmax < self.lmin:
@@ -62,6 +66,8 @@ class Config:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

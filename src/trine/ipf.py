@@ -1,4 +1,4 @@
-"""Precise-filling invariant: slot rows, integral phases, and the
+"""Precise-filling invariant: slot rows, filled slots, and the
 nine-statement check over a run and its complement run.
 
 Every node's history over t = 1..T is condensed onto "slots": scanning
@@ -12,6 +12,11 @@ With T and T-bar the periods of the two runs, the nominal slot count
 is K = (T + T-bar) / 3; nodes whose event count differs from K are
 flagged (slot overflow) rather than rejected, because searches need
 failures as evidence.
+
+The two runs' rows give one filled-slot row per node: entry k is (t,
+from_complement) of the C event at slot k when exactly one run has a C
+there, else None.  Statement [8] and rt extraction read their integral
+phases from these rows; the rows never reach the report JSON.
 
 The statements checked, over the pair of runs:
 
@@ -43,6 +48,9 @@ COND1_INTERPRETATIONS = ("raw", "complemented")
 
 # Slot-condition witnesses kept per condition; totals are reported too.
 _WITNESS_CAP = 8
+
+# Per node and slot: (time, from_complement) of the filling C event, or None.
+FilledRows = tuple[tuple[Optional[tuple[int, bool]], ...], ...]
 
 
 def slots_from_history(history: str, slot_count: int) -> tuple[list[int], int]:
@@ -110,41 +118,18 @@ def build_slots(
     return table_for(run), table_for(complement_run)
 
 
-def slot_event(
-    slots: SlotTable, complement_slots: SlotTable, v: int, k: int
-) -> Optional[tuple[int, bool]]:
-    """The C event that fills slot k of node v, as (time,
-    from_complement), or None when the slot is not filled by exactly
-    one of the two runs."""
-    e, ebar = slots.events[v][k], complement_slots.events[v][k]
-    if e > 0 and ebar <= 0:
-        return e, False
-    if e <= 0 and ebar > 0:
-        return ebar, True
-    return None
-
-
-def integral_phase(
-    slots: SlotTable, complement_slots: SlotTable, time_origin: int = 1
-) -> tuple[tuple[int, ...], ...]:
-    """Combined integral phase mod 2 per node and slot.
-
-    Values: 0/1 when the slot's C event came from the primary run
-    (time parity), 2/3 when it came from the complement run, -1 when
-    the slot is not filled by exactly one of the two runs.
-    """
-    rows = []
-    for v in range(len(slots.events)):
-        row = []
-        for k in range(slots.slot_count):
-            event = slot_event(slots, complement_slots, v, k)
-            if event is None:
-                row.append(-1)
-            else:
-                t, from_complement = event
-                row.append((2 if from_complement else 0) + (t - time_origin) % 2)
-        rows.append(tuple(row))
-    return tuple(rows)
+def filled_slots(slots: SlotTable, complement_slots: SlotTable) -> FilledRows:
+    """The C event that fills each slot, per node: (time,
+    from_complement) when exactly one of the two runs has a C at the
+    slot, None otherwise."""
+    return tuple(
+        tuple(
+            ((e, False) if ebar <= 0 else None) if e > 0
+            else ((ebar, True) if ebar > 0 else None)
+            for e, ebar in zip(row, comp_row)
+        )
+        for row, comp_row in zip(slots.events, complement_slots.events)
+    )
 
 
 @dataclass
@@ -154,9 +139,9 @@ class IpfReport:
     Scalar facts, the individual condition verdicts, and witnesses for
     every failed condition.  ``light_ok`` covers div3 + [1]..[3];
     ``full_ok`` adds [4]..[8].  Conditions that were not evaluated (at
-    light level, or when K is undefined) are None.  ``slots`` keeps the
-    (run, complement run) slot tables a full-level check built, so
-    consumers of a checked pair need not rebuild them.
+    light level, or when K is undefined) are None.  ``filled`` keeps the
+    filled-slot rows a full-level check read c8 from, so consumers of a
+    checked pair need not rebuild them.
     """
 
     T: int
@@ -184,9 +169,7 @@ class IpfReport:
     level: str
     witnesses: list = field(default_factory=list)
     failure_counts: dict = field(default_factory=dict)
-    slots: Optional[tuple[SlotTable, SlotTable]] = field(
-        default=None, repr=False, compare=False
-    )
+    filled: Optional[FilledRows] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -204,7 +187,7 @@ class IpfReport:
         return {
             _JSON_NAMES.get(f.name, _camel_case(f.name)): getattr(self, f.name)
             for f in fields(self)
-            if f.name != "slots"
+            if f.name != "filled"
         }
 
 
@@ -222,25 +205,37 @@ def _camel_case(name: str) -> str:
 
 
 def _check_phase_pattern(
-    phases: tuple[tuple[int, ...], ...], slot_count: int
-) -> tuple[bool, list]:
+    filled: FilledRows, slot_count: int, time_origin: int
+) -> tuple[bool, list, bool]:
     """The parity pattern: F(0) even; F(2k-1) and F(2k) share parity;
-    for even K the last slot's parity agrees across nodes."""
-    ok = True
+    for even K the last slot's parity agrees across nodes.
+
+    F_v(k) is the time parity counted from ``time_origin``, plus 2 when
+    the complement run fills the slot; -1 when no run does.  Returns
+    (ok, witnesses, ok at the other origin).  Moving the origin flips
+    every parity, which turns only the F(0) test over: the other origin
+    holds exactly when the only failures here are odd F(0)s, one per node.
+    """
+    failures = odd_starts = 0
     witnesses = []
 
     def note(node, slot, detail):
-        nonlocal ok
-        ok = False
+        nonlocal failures
+        failures += 1
         if len(witnesses) < _WITNESS_CAP:
             witnesses.append(
                 {"condition": "c8", "node": node, "slot": slot, "detail": detail}
             )
 
+    phases = [
+        [-1 if e is None else (2 if e[1] else 0) + (e[0] - time_origin) % 2 for e in row]
+        for row in filled
+    ]
     for v, row in enumerate(phases):
         if row[0] == -1:
             note(v, 0, "phase undefined")
         elif row[0] % 2 != 0:
+            odd_starts += 1
             note(v, 0, f"F(0)={row[0]} is odd")
         for k in range(1, (slot_count + 1) // 2):
             lo, hi = row[2 * k - 1], row[2 * k]
@@ -254,7 +249,7 @@ def _check_phase_pattern(
             note(last.index(-1), slot_count - 1, "phase undefined")
         elif len({x % 2 for x in last}) > 1:
             note(0, slot_count - 1, f"last-slot parities differ: {last}")
-    return ok, witnesses
+    return failures == 0, witnesses, failures == odd_starts == len(phases)
 
 
 def check_ipf(
@@ -338,7 +333,7 @@ def check_ipf(
     c4 = c5 = c6 = c7 = c8 = None
     c8_origin0 = c8_origin1 = None
     full_ok: Optional[bool] = None
-    slot_tables = None
+    filled = None
 
     if level == "full":
         if K is None:
@@ -350,7 +345,7 @@ def check_ipf(
                 }
             )
         else:
-            slots, comp_slots = slot_tables = build_slots(run, complement_run, K)
+            slots, comp_slots = build_slots(run, complement_run, K)
             for table, tag in ((slots, "run"), (comp_slots, "complement run")):
                 for v in table.overflow_nodes:
                     witnesses.append(
@@ -384,19 +379,12 @@ def check_ipf(
                     )
             c4, c5, c6, c7 = (not failed for failed in failures.values())
 
-            c8_results = {}
-            c8_witnesses = {}
-            for origin in (0, 1):
-                phases = integral_phase(slots, comp_slots, origin)
-                ok, wit = _check_phase_pattern(phases, K)
-                c8_results[origin] = ok
-                c8_witnesses[origin] = wit
-            c8_origin0 = c8_results[0]
-            c8_origin1 = c8_results[1]
-            c8 = c8_results[time_origin]
+            filled = filled_slots(slots, comp_slots)
+            c8, c8_witnesses, c8_other = _check_phase_pattern(filled, K, time_origin)
+            c8_origin0, c8_origin1 = (c8_other, c8) if time_origin else (c8, c8_other)
             if not c8:
-                witnesses.extend(c8_witnesses[time_origin])
-                failure_counts["c8"] = len(c8_witnesses[time_origin])
+                witnesses.extend(c8_witnesses)
+                failure_counts["c8"] = len(c8_witnesses)
 
             full_ok = light_ok and all((c4, c5, c6, c7, c8))
 
@@ -426,5 +414,5 @@ def check_ipf(
         level=level,
         witnesses=witnesses,
         failure_counts=failure_counts,
-        slots=slot_tables,
+        filled=filled,
     )

@@ -38,7 +38,7 @@ from .errors import (
     UnconfiguredStepTable,
     UnverifiedRuns,
 )
-from .ipf import IpfReport, build_slots, slot_event
+from .ipf import IpfReport, build_slots, filled_slots
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -329,6 +329,9 @@ def compatibility(tables: Sequence[ResolutionTable]) -> IntegralTable:
 # -- coincidence ----------------------------------------------------------
 
 
+COINCIDENCE_CSV_COLUMNS = ["a", "b", "relation", "intersectionCR", "group"]
+
+
 @dataclass
 class CoincidenceMatrix:
     """Pairwise relations between tables of one width.
@@ -515,9 +518,10 @@ def extract_rows(
     ``extraction_run_pairs`` yields them.  For every node v and slot k,
     the row holds, per mask column at offset o, the difference of the
     integral phases of node v+o and node v at slot k, mod 3, barred when
-    the neighbor's slot was filled by the complement run.  A pair whose
-    report did not pass raises UnverifiedRuns.  Slots not filled by
-    exactly one run at every needed node are skipped.
+    the neighbor's slot was filled by the complement run, as the
+    report's filled-slot rows give them (rebuilt for a light-level
+    report).  A pair whose report did not pass raises UnverifiedRuns.
+    Slots not filled by exactly one run at every needed node are skipped.
     """
     rows: set[tuple[int, ...]] = set()
     offsets = mask.column_offsets
@@ -527,16 +531,15 @@ def extract_rows(
                 f"pair starting {runs[0].start_ab!r} fails {report.level} check "
                 f"({report.first_failed_condition})"
             )
-        slots, comp_slots = report.slots or build_slots(*runs)
-        L = runs[0].graph.node_count
-        for v in range(L):
-            for k in range(slots.slot_count):
-                center = slot_event(slots, comp_slots, v, k)
+        filled = report.filled or filled_slots(*build_slots(*runs))
+        L = len(filled)
+        for v, center_row in enumerate(filled):
+            for k, center in enumerate(center_row):
                 if center is None:
                     continue
                 row = []
                 for offset in offsets:
-                    got = slot_event(slots, comp_slots, (v + offset) % L, k)
+                    got = filled[(v + offset) % L][k]
                     if got is None:
                         row = None
                         break
@@ -558,13 +561,21 @@ def extraction_run_pairs(
     unresolved runs and failing pairs are skipped (extraction wants
     evidence from clean runs only).  Exhaustive sizes yield one start
     per rotation orbit (see ``iter_pairs``): ``extract_rows`` reads every
-    node, so a rotated start would only repeat the same rows."""
+    node, so a rotated start would only repeat the same rows.  A walk
+    that yields no pair raises UnverifiedRuns: a table needs evidence."""
+    passed = 0
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
             continue
         for _, _, runs, report in iter_pairs(mask, L, config):
             if report is not None and report.passed:
+                passed += 1
                 yield runs, report
+    if not passed:
+        raise UnverifiedRuns(
+            f"mask {mask}: no pair passes the {config.check_level} check at "
+            f"L={config.lmin}..{config.lmax} (time origin {config.time_origin})"
+        )
 
 
 # -- serialization ----------------------------------------------------------

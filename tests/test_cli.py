@@ -277,6 +277,16 @@ class TestRtCommands:
         assert table.hypothesis == rt.EXTRACTION_HYPOTHESIS
         assert "[EXPERIMENTAL" in capsys.readouterr().out
 
+    def test_extract_refuses_a_walk_without_a_passing_pair(self, tmp_path, capsys):
+        # every pair of (1,1) fails c8 when times are counted from 0
+        out = tmp_path / "e.rt"
+        assert run_cli("rt", "extract", "--n", "1", "--m", "1", "--lmax", "8",
+                       "--time-origin", "0", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no pair passes" in captured.err
+        assert not out.exists()
+
     def test_integral_compatible(self, tmp_path, capsys):
         a = tmp_path / "a.rt"
         b = tmp_path / "b.rt"
@@ -320,6 +330,13 @@ class TestBundle:
         for rel in files_one:
             assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
 
+    def test_bundle_without_a_passing_pair_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli("bundle", "--out", str(out), "--grid-max", "3",
+                       "--lmax", "5", "--cutoff", "5", "--time-origin", "0") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "b"
         assert run_cli("bundle", "--out", str(out), "--grid-max", "3",
@@ -349,3 +366,13 @@ class TestConfigPlumbing:
         path.write_text(json.dumps({"bogus": 1}))
         assert run_cli("check-mask", "--n", "1", "--m", "1",
                        "--config", str(path)) == 1
+
+    @pytest.mark.parametrize("text", ['{"lmin": "x"}', "5", '{"threads": 1.5}',
+                                      '{"seed": true}'])
+    def test_malformed_config_is_an_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run_cli("check-mask", "--n", "1", "--m", "1", "--lmax", "5",
+                       "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

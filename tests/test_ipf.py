@@ -8,9 +8,10 @@ from trine.dynamics import run_to_mirror
 from trine.errors import DegenerateRun
 from trine.graph import complement
 from trine.ipf import (
+    SlotTable,
     build_slots,
     check_ipf,
-    integral_phase,
+    filled_slots,
     slots_from_history,
 )
 
@@ -56,24 +57,38 @@ class TestBuildSlots:
             build_slots(a, b)
 
 
-class TestIntegralPhase:
-    def test_fixture_phases_origin0(self, fixture_pair):
-        slots, comp = build_slots(*fixture_pair)
-        phases = integral_phase(slots, comp, time_origin=0)
-        # f undefined, fbar=1 -> 2+1; f=2 -> 0
-        assert phases[0] == (3, 0)
-        assert phases[1] == (1, 2)
+class TestFilledSlots:
+    def test_fixture_rows(self, fixture_pair):
+        # node 0: the complement's C at t=1 fills slot 0, the run's C at
+        # t=2 fills slot 1
+        assert filled_slots(*build_slots(*fixture_pair)) == (
+            ((1, True), (2, False)),
+            ((1, False), (2, True)),
+            ((1, True), (2, False)),
+        )
 
-    def test_fixture_phases_origin1(self, fixture_pair):
-        slots, comp = build_slots(*fixture_pair)
-        phases = integral_phase(slots, comp, time_origin=1)
-        assert phases[0] == (2, 1)
+    def test_a_slot_needs_exactly_one_c(self):
+        # node 0: C in both runs, A in both, C against no event; node 1:
+        # A against C, no event against C, no event in either
+        slots = SlotTable(3, ((3, 0, 5), (0, -1, -1)), (3, 1))
+        comp = SlotTable(3, ((4, 0, -1), (2, 6, -1)), (2, 2))
+        assert filled_slots(slots, comp) == (
+            (None, None, (5, False)),
+            ((2, True), (6, True), None),
+        )
 
-    def test_parity_formula(self):
-        # even time -> 0; undefined primary with fbar=2 -> 2
-        row, _ = slots_from_history("CB", 1)
-        assert row == [1]
-        assert (4 - 0) % 2 == 0  # f=4 parity under origin 0
+    def test_full_report_keeps_the_rows(self, fixture_pair):
+        report = check_ipf(*fixture_pair, level="full")
+        assert report.filled == filled_slots(*build_slots(*fixture_pair))
+        assert "filled" not in report.to_json_dict()
+
+    def test_c8_at_origin0_fails_on_every_first_phase(self, fixture_pair):
+        # counted from 0 every F(0) is odd, and nothing else fails, so
+        # the pattern holds at origin 1
+        report = check_ipf(*fixture_pair, level="full", time_origin=0)
+        assert [w["detail"] for w in report.witnesses] == [
+            "F(0)=3 is odd", "F(0)=1 is odd", "F(0)=3 is odd"]
+        assert (report.c8_origin0, report.c8_origin1) == (False, True)
 
 
 class TestCheckIpf:

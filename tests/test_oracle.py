@@ -231,13 +231,16 @@ def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
     assume(len(states) > 2 and len(bar_states) > 2)  # degenerate runs raise
     runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
     for cond1 in ("raw", "complemented"):
-        for origin in (0, 1):
-            want = naive_ipf(states, bar_states, cond1, origin)
+        wants = [naive_ipf(states, bar_states, cond1, origin) for origin in (0, 1)]
+        for origin, want in enumerate(wants):
             report = check_ipf(*runs, level="full", cond1_interpretation=cond1,
                                time_origin=origin)
             got = {name: getattr(report, name) for name in (
                 "div3", "K", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")}
             got["light"], got["full"] = report.light_ok, report.full_ok
+            # the origin not checked is derived, not evaluated; both must match
+            got["c8 by origin"] = report.c8_origin0, report.c8_origin1
+            want = {**want, "c8 by origin": (wants[0]["c8"], wants[1]["c8"])}
             got["failed"] = set(report.failure_counts)
             got["cell_failures"] = {name: count for name, count in report.failure_counts.items()
                                     if name in ("c4", "c5", "c6", "c7")}

@@ -432,7 +432,7 @@ class TestExtraction:
     def test_light_report_rows_match_full_report_rows(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
         light = check_ipf(*pair, level="light")
-        assert light.slots is None
+        assert light.filled is None
         assert extract_rows(Mask(1, 1), [(pair, light)]) == extract_rows(
             Mask(1, 1), [(pair, check_ipf(*pair))]
         )
