@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, run_to_mirror
+from .dynamics import RunRecord, run_lanes, run_to_mirror
 from .errors import MaxStepsExceeded
 from .graph import MixedGraph, complement, weak_computable
 from .ipf import IpfReport, check_ipf
@@ -173,16 +173,23 @@ def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
     return tuple(found)
 
 
+# Start pairs run together in one lane integer at light level.  Slicing a
+# finished lane out costs time in proportion to the integer's size, so a
+# few hundred lanes balance that against the per-step interpreter cost.
+_PAIRS_PER_LANE_RUN = 256
+
+
 def iter_pairs(
     mask: Mask, L: int, config: Config, indices: Optional[Iterable[int]] = None
 ) -> Iterator[
-    tuple[int, str, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
+    tuple[int, int, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
 ]:
     """Run the starts with the given indices at circle size L, each with
     its complement, and check each clean pair at the configured level.
 
-    Yields (index, start, runs, report) per index: ``runs`` is None
-    when a run hit ``max_steps`` (unresolved); ``report`` is None when
+    Yields (index, bits, runs, report) per index, ``bits`` being the
+    start's B bits (see ``bits_to_coloring``): ``runs`` is None when a
+    run hit ``max_steps`` (unresolved); ``report`` is None when
     unresolved or when either run is degenerate.  Beyond the exhaustive
     cutoff the index selects a seeded sample; ``indices`` defaults to
     every configured sample.  Up to it the index is the start's bit
@@ -190,35 +197,56 @@ def iter_pairs(
     orbit.  Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
     along and leaves every outcome and checked condition unchanged.
+
+    The light check reads only periods, final states and counts, so at
+    light level the pairs run as summary runs, a few hundred at a time
+    in one lane integer (``run_lanes``); the full check reads every
+    state, so there each run is recorded (``run_to_mirror``).
     """
     exhaustive = L <= config.exhaustive_cutoff
     if indices is None:
         indices = ([bits for bits, _ in _necklaces(L)] if exhaustive
                    else range(config.samples_per_L))
+    indices = list(indices)
     max_steps = config.max_steps
+    light = config.check_level == "light"
     g = build_graph(mask, L)
-    for index in indices:
-        if exhaustive:
-            bits = index
+    full = (1 << L) - 1
+    for lo in range(0, len(indices), _PAIRS_PER_LANE_RUN):
+        chunk = indices[lo:lo + _PAIRS_PER_LANE_RUN]
+        if not exhaustive:
+            chunk = [_sample_bits(config.seed, mask.n, mask.m, L, i) for i in chunk]
+        if light:
+            runs = run_lanes(g, [x for bits in chunk for x in (bits, bits ^ full)],
+                             max_steps)
+            pairs = zip(runs[::2], runs[1::2])
         else:
-            bits = _sample_bits(config.seed, mask.n, mask.m, L, index)
-        start = bits_to_coloring(bits, L)
-        try:
-            run = run_to_mirror(g, start, max_steps)
-            comp_run = run_to_mirror(g, complement(start), max_steps)
-        except MaxStepsExceeded:
-            yield index, start, None, None
-            continue
-        report = None
-        if not (run.degenerate or comp_run.degenerate):
-            report = check_ipf(
-                run,
-                comp_run,
-                level=config.check_level,
-                cond1_interpretation=config.cond1_interpretation,
-                time_origin=config.time_origin,
-            )
-        yield index, start, (run, comp_run), report
+            pairs = (_recorded_pair(g, bits_to_coloring(bits, L), max_steps)
+                     for bits in chunk)
+        for index, bits, (run, comp_run) in zip(indices[lo:], chunk, pairs):
+            if run is None or comp_run is None:
+                yield index, bits, None, None
+                continue
+            report = None
+            if not (run.degenerate or comp_run.degenerate):
+                report = check_ipf(
+                    run,
+                    comp_run,
+                    level=config.check_level,
+                    cond1_interpretation=config.cond1_interpretation,
+                    time_origin=config.time_origin,
+                )
+            yield index, bits, (run, comp_run), report
+
+
+def _recorded_pair(g: MixedGraph, start: str, max_steps: int):
+    """The recorded runs of a start and its complement, or (None, None)
+    when one is unresolved."""
+    try:
+        return (run_to_mirror(g, start, max_steps),
+                run_to_mirror(g, complement(start), max_steps))
+    except MaxStepsExceeded:
+        return None, None
 
 
 _NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
@@ -226,19 +254,19 @@ _NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "p
 
 def _scan_block(mask: Mask, L: int, config: Config, indices: list) -> dict:
     """Run the pairs of the increasing ``indices`` up to the first
-    failing one: index -> (start, outcome), the outcome being
+    failing one: index -> (start bits, outcome), the outcome being
     "unresolved", "degenerate", "passed" or the first failed condition.
     Picklable, so batches can run in worker processes."""
     ran = {}
-    for index, start, runs, report in iter_pairs(mask, L, config, indices):
+    for index, bits, runs, report in iter_pairs(mask, L, config, indices):
         if runs is None:
-            ran[index] = (start, _UNRESOLVED)
+            ran[index] = (bits, _UNRESOLVED)
         elif report is None:
-            ran[index] = (start, _DEGENERATE)
+            ran[index] = (bits, _DEGENERATE)
         elif report.passed:
-            ran[index] = (start, _PASSED)
+            ran[index] = (bits, _PASSED)
         else:
-            ran[index] = (start, report.first_failed_condition)
+            ran[index] = (bits, report.first_failed_condition)
             break
     return ran
 
@@ -273,7 +301,7 @@ def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
     for index in indices:
         if index > limit:
             break
-        start, outcome = ran[index]
+        bits, outcome = ran[index]
         starts = orbits[index]
         if exhaustive and limit < full:
             starts = sum((index << k | index >> (L - k)) & full <= limit
@@ -281,13 +309,15 @@ def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
         scan["pairs_run"] += 1
         if outcome == _UNRESOLVED:
             scan["unresolved"] += starts
-            scan.setdefault("first_unresolved", start)
+            if "first_unresolved" not in scan:
+                scan["first_unresolved"] = bits_to_coloring(bits, L)
         elif outcome == _DEGENERATE:
             scan["degenerate_skips"] += starts
         else:
             scan["tested"] += starts
             if outcome != _PASSED:
-                scan["witness"] = {"start": start, "condition": outcome}
+                scan["witness"] = {"start": bits_to_coloring(bits, L),
+                                   "condition": outcome}
     return scan
 
 

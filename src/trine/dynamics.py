@@ -24,6 +24,29 @@ remainder.  Per-node C occurrence counts are accumulated during the
 run with ripple-carry counter planes; B and A counts follow from them
 (every step copies C to B, and t = 1 has no B), so per-node statistics
 do not need a second pass over the trajectory.
+
+A run comes in two forms.  ``run_to_mirror`` records it: every packed
+state, so the colorings, node histories and slot rows can be read.
+``run_lanes`` summarizes it: the period, the final packed state and the
+C counter planes, enough for the period, the final coloring, the color
+counts and lambda, but not for ``states`` or anything built on them.
+
+``run_lanes`` walks many starts on a circulant graph at once (multi-spin
+coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start j owns lane j,
+bits j*L .. j*L+L-1 of one Python int, with node v at bit j*L+v.  On a
+circulant graph every node sees C at the same offsets d, so P is the OR
+over d of C rotated down by d within each lane: two shifts, each masked
+to the bits that stay inside their lane.  The rule and the counter
+planes act bit by bit and need no lane logic.  A lane reached its mirror
+when its lane of d = new_c ^ b is zero.  With H the top bit of every lane
+and LOW the other bits, ``(((d & LOW) + LOW) | d) & H`` sets the top bit
+of exactly the nonzero lanes (the SWAR zero-lane test; Warren, Hacker's
+Delight, 2nd ed., section 6-1): adding LOW carries into the top bit
+from any set low bit and never past it.  A finished lane leaves the
+``active`` mask, and its period, final state and counter planes are
+sliced out at that step; its bits keep stepping unread.  Periods are
+long-tailed, so once three quarters of the lanes have finished the
+survivors are repacked into a narrower int.
 """
 
 from __future__ import annotations
@@ -123,42 +146,57 @@ def predecessor(g: MixedGraph, coloring: str) -> str:
 class RunRecord:
     """A forward trajectory from a two-color start to its mirror state.
 
-    ``states`` holds the trajectory at times t = 1..T; the {A,B} start
-    state itself sits before t = 1 and is kept in ``start_ab``.  A run
-    with T <= 2 is degenerate (no proper mirror state; the uniform all-A
-    and all-B starts are the standard cases) and is flagged as such.
+    ``packed_states`` holds the trajectory at times t = 1..T for a
+    recorded run (``run_to_mirror``) and is None for a summary run
+    (``run_lanes``), which keeps only the period, the final packed state
+    and the C counter planes.  The {A,B} start state itself sits before
+    t = 1; ``start_b`` holds its B bits.  A run with T <= 2 is
+    degenerate (no proper mirror state; the uniform all-A and all-B
+    starts are the standard cases) and is flagged as such.
     """
 
     def __init__(
         self,
         graph: MixedGraph,
-        start_ab: str,
-        packed_states: list[tuple[int, int]],
+        start_b: int,
+        period: int,
+        final: tuple[int, int],
         c_planes: list[int],
+        packed_states: Optional[list[tuple[int, int]]] = None,
     ):
         self.graph = graph
-        self.start_ab = start_ab
+        self.start_b = start_b
+        self.period = period
+        self.final = final
         self.packed_states = packed_states
-        self.period = len(packed_states)
-        self.degenerate = self.period <= 2
+        self.degenerate = period <= 2
         self._c_planes = c_planes
         self._states: Optional[list[str]] = None
         self._histories: Optional[tuple[str, ...]] = None
+
+    @property
+    def start_ab(self) -> str:
+        return unpack(self.graph.node_count, 0, self.start_b)
 
     # -- materialized views -------------------------------------------
 
     @property
     def states(self) -> list[str]:
-        """Colorings at t = 1..T."""
+        """Colorings at t = 1..T (a recorded run only)."""
         if self._states is None:
+            if self.packed_states is None:
+                raise ValueError(
+                    f"run from {self.start_ab!r} is a summary (period, final "
+                    "state and counts only): no states to show; rerun it "
+                    "with run_to_mirror"
+                )
             n = self.graph.node_count
             self._states = [unpack(n, c, b) for c, b in self.packed_states]
         return self._states
 
     @property
     def final_state(self) -> str:
-        c, b = self.packed_states[-1]
-        return unpack(self.graph.node_count, c, b)
+        return unpack(self.graph.node_count, *self.final)
 
     @property
     def mirror_state(self) -> str:
@@ -179,7 +217,7 @@ class RunRecord:
     def color_counts(self) -> tuple[tuple[int, int, int], ...]:
         """Per node, (N_A, N_B, N_C) over t = 1..T.  Only C is counted:
         B at t is C at t - 1, so N_B = N_C - [C at T]."""
-        final_c = self.packed_states[-1][0]
+        final_c = self.final[0]
         counts = []
         for v in range(self.graph.node_count):
             n_c = _plane_count(self._c_planes, v)
@@ -200,10 +238,15 @@ class RunRecord:
         every counter plane and the final C bits are each empty or full
         (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w))."""
         full = (1 << self.graph.node_count) - 1
-        final_c = self.packed_states[-1][0]
-        if any(bits not in (0, full) for bits in (final_c, *self._c_planes)):
+        final_c = self.final[0]
+        if final_c not in (0, full):
             return None
-        n_c = sum(1 << i for i, plane in enumerate(self._c_planes) if plane)
+        n_c = 0
+        for i, plane in enumerate(self._c_planes):
+            if plane == full:
+                n_c |= 1 << i
+            elif plane:
+                return None
         return self.period - 3 * n_c + (final_c & 1)
 
     # -- export --------------------------------------------------------
@@ -222,9 +265,10 @@ class RunRecord:
     def write_trace_csv(self, fh) -> None:
         """One row per time step t = 1..T: t, coloring.  The start and
         mirror states live in the JSON record."""
+        states = self.states  # a summary raises here, before any row is written
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "coloring"])
-        for t, state in enumerate(self.states, 1):
+        for t, state in enumerate(states, 1):
             writer.writerow([t, state])
 
 
@@ -240,7 +284,8 @@ def _first_state(g: MixedGraph, start_ab: str) -> tuple[int, int]:
 def run_to_mirror(
     g: MixedGraph, start_ab: str, max_steps: int = DEFAULT_MAX_STEPS
 ) -> RunRecord:
-    """Walk from a two-color {A,B} start until the mirror state.
+    """Walk from a two-color {A,B} start until the mirror state, and
+    record every state on the way.
 
     Raises MaxStepsExceeded when the bound is hit (the mirror always
     exists on a finite graph, so the bound was too small).
@@ -258,10 +303,95 @@ def run_to_mirror(
         # new_b == c_bits always, so the mirror test "next state equals
         # transliteration of the current state" reduces to one compare.
         if state[0] == b_bits:
-            return RunRecord(g, start_ab, packed, c_planes)
+            # the first state's C bits are the start's B bits
+            return RunRecord(g, packed[0][0], len(packed), packed[-1], c_planes, packed)
         packed.append(state)
 
     raise MaxStepsExceeded(max_steps, start_ab)
+
+
+def _lane_masks(node_count: int, offsets: tuple[int, ...], lanes: int):
+    """Masks over ``lanes`` lanes of ``node_count`` bits: (all bits, the
+    top bit of every lane, the other bits, rotations), where rotations
+    holds per offset d (d, node_count - d, the bits that stay in their
+    lane shifted down by d, the bits that stay in it shifted up by
+    node_count - d)."""
+    lane = (1 << node_count) - 1
+    rep = ((1 << lanes * node_count) - 1) // lane  # bit 0 of every lane
+    full = rep * lane
+    top = rep << (node_count - 1)
+    rotations = []
+    for d in offsets:
+        down = rep * ((1 << (node_count - d)) - 1)
+        rotations.append((d, node_count - d, down, full ^ down))
+    return full, top, full ^ top, rotations
+
+
+def run_lanes(
+    g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
+) -> list[Optional[RunRecord]]:
+    """Walk every {A,B} start (given by its B bits) on a circulant graph
+    to its mirror state at once, one lane per start.
+
+    Returns one summary RunRecord per start, in order, or None for a
+    start whose run is unresolved after ``max_steps`` steps (where
+    ``run_to_mirror`` raises).  Raises ValueError when ``g`` is not
+    circulant.
+    """
+    offsets = g.circulant_offsets
+    if offsets is None:
+        raise ValueError("run_lanes needs a circulant graph")
+    width = g.node_count
+    lane = (1 << width) - 1
+    records: list[Optional[RunRecord]] = [None] * len(starts)
+    ids = list(range(len(starts)))  # lane position -> start index
+    c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
+    b = 0
+    planes: list[int] = []
+    t = 1
+    while ids and t <= max_steps:
+        full, top, low, rotations = _lane_masks(width, offsets, len(ids))
+        active = top
+        live = len(ids)
+        while t <= max_steps:
+            _add_to_planes(planes, c)
+            p = 0
+            for down, up, down_mask, up_mask in rotations:
+                p |= (c >> down) & down_mask | (c << up) & up_mask
+            new_c = b & ~p | (full ^ (c | b)) & p
+            d = new_c ^ b
+            # top bit of a lane set iff the lane of d is nonzero
+            done = active & ~(((d & low) + low | d) & top)
+            if done:
+                active ^= done
+                while done:  # slice out the highest finished lane
+                    shift = done.bit_length() - width
+                    done ^= 1 << (shift + width - 1)
+                    i = ids[shift // width]
+                    records[i] = RunRecord(
+                        g, starts[i], t, ((c >> shift) & lane, (b >> shift) & lane),
+                        [(plane >> shift) & lane for plane in planes],
+                    )
+                live = active.bit_count()
+            c, b = new_c, c
+            t += 1
+            if 4 * live <= len(ids):
+                break
+        # repack the survivors into a narrower integer
+        kept = [j for j in range(len(ids)) if active >> (j * width + width - 1) & 1]
+        ids = [ids[j] for j in kept]
+        c, b = (_pack_lanes([x >> j * width & lane for j in kept], width) for x in (c, b))
+        planes = [_pack_lanes([x >> j * width & lane for j in kept], width)
+                  for x in planes]
+    return records
+
+
+def _pack_lanes(values: list[int], width: int) -> int:
+    """Lane j of the result holds values[j] (each below 2**width)."""
+    packed = 0
+    for value in reversed(values):
+        packed = packed << width | value
+    return packed
 
 
 def full_cycle(

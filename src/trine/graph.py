@@ -13,7 +13,7 @@ Both are involutions.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import GraphFormatError
 
@@ -57,7 +57,10 @@ class MixedGraph:
     between threads.
     """
 
-    __slots__ = ("node_count", "directed", "undirected", "_out", "_out_masks")
+    __slots__ = (
+        "node_count", "directed", "undirected", "_out", "_out_masks",
+        "_circulant_offsets",
+    )
 
     def __init__(
         self,
@@ -103,6 +106,15 @@ class MixedGraph:
         self._out_masks = tuple(
             sum(1 << v for v in neigh) for neigh in self._out
         )
+        full = (1 << node_count) - 1
+        first = self._out_masks[0]
+        rotations = (
+            (first << v | first >> (node_count - v)) & full for v in range(node_count)
+        )
+        self._circulant_offsets = (
+            self._out[0] if all(m == r for m, r in zip(self._out_masks, rotations))
+            else None
+        )
 
     def _check_pair(self, u: int, v: int) -> None:
         n = self.node_count
@@ -123,6 +135,14 @@ class MixedGraph:
         """Per-node out-neighborhoods as bitmasks (bit u set iff u is an
         out-neighbor).  This is the step engine's working form."""
         return self._out_masks
+
+    @property
+    def circulant_offsets(self) -> Optional[tuple[int, ...]]:
+        """The offsets d (ascending) with an edge from every node v to
+        v + d mod node_count, when every node's out-neighborhood is node
+        0's rotated by v; None for a graph that is not circulant in its
+        node order."""
+        return self._circulant_offsets
 
     # -- comparison --------------------------------------------------
 

@@ -41,7 +41,6 @@ from typing import Optional
 
 from .dynamics import RunRecord
 from .errors import DegenerateRun
-from .graph import complement
 
 CHECK_LEVELS = ("light", "full")
 COND1_INTERPRETATIONS = ("raw", "complemented")
@@ -212,9 +211,10 @@ def _check_phase_pattern(
 
     F_v(k) is the time parity counted from ``time_origin``, plus 2 when
     the complement run fills the slot; -1 when no run does.  Returns
-    (ok, witnesses, ok at the other origin).  Moving the origin flips
-    every parity, which turns only the F(0) test over: the other origin
-    holds exactly when the only failures here are odd F(0)s, one per node.
+    (failure count, the first witnesses, ok at the other origin).
+    Moving the origin flips every parity, which turns only the F(0) test
+    over: the other origin holds exactly when the only failures here are
+    odd F(0)s, one per node.
     """
     failures = odd_starts = 0
     witnesses = []
@@ -249,7 +249,7 @@ def _check_phase_pattern(
             note(last.index(-1), slot_count - 1, "phase undefined")
         elif len({x % 2 for x in last}) > 1:
             note(0, slot_count - 1, f"last-slot parities differ: {last}")
-    return failures == 0, witnesses, failures == odd_starts == len(phases)
+    return failures, witnesses, failures == odd_starts == len(phases)
 
 
 def check_ipf(
@@ -290,16 +290,17 @@ def check_ipf(
         )
         failure_counts["div3"] = 1
 
-    g_final = run.final_state
-    h_final = complement_run.final_state
-    c1_raw = g_final == h_final
-    c1_complemented = g_final == complement(h_final)
+    (g_c, g_b), (h_c, h_b) = run.final, complement_run.final
+    full = (1 << run.graph.node_count) - 1
+    c1_raw = g_c == h_c and g_b == h_b
+    # the complement swaps A and B: its B bits are the A bits of H
+    c1_complemented = g_c == h_c and g_b == full & ~(h_c | h_b)
     c1 = c1_complemented if cond1_interpretation == "complemented" else c1_raw
     if not c1:
         witnesses.append(
             {
                 "condition": "c1",
-                "detail": f"G_T={g_final} H_Tbar={h_final} "
+                "detail": f"G_T={run.final_state} H_Tbar={complement_run.final_state} "
                 f"({cond1_interpretation} reading)",
             }
         )
@@ -380,11 +381,14 @@ def check_ipf(
             c4, c5, c6, c7 = (not failed for failed in failures.values())
 
             filled = filled_slots(slots, comp_slots)
-            c8, c8_witnesses, c8_other = _check_phase_pattern(filled, K, time_origin)
+            c8_failures, c8_witnesses, c8_other = _check_phase_pattern(
+                filled, K, time_origin
+            )
+            c8 = c8_failures == 0
             c8_origin0, c8_origin1 = (c8_other, c8) if time_origin else (c8, c8_other)
             if not c8:
                 witnesses.extend(c8_witnesses)
-                failure_counts["c8"] = len(c8_witnesses)
+                failure_counts["c8"] = c8_failures
 
             full_ok = light_ok and all((c4, c5, c6, c7, c8))
 

@@ -18,6 +18,7 @@ from trine.ac23 import (
 )
 from trine.config import Config
 from trine.dynamics import run_to_mirror
+from trine.errors import MaxStepsExceeded
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
 
@@ -210,17 +211,29 @@ class TestClassifyMask:
 def naive_envelope(mask, config, total=None):
     """Reference sweep: run and check every start index in turn at every
     L (only the first ``total`` at each, when given), stopping at a
-    size's first failure.  Returns (L, tested, degenerate skips, first
-    failure there) per L and the witness."""
+    size's first failure.  Up to the exhaustive cutoff the index is the
+    start's bit pattern, past it the index of a seeded sample.  Returns
+    (L, tested, degenerate skips, unresolved, first unresolved start,
+    first failure there) per L and the witness."""
     sizes = []
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
-        tested = degenerate = 0
-        found = None
-        for bits in range(2**L if total is None else total):
+        tested = degenerate = unresolved = 0
+        first_unresolved = found = None
+        if L <= config.exhaustive_cutoff:
+            starts = range(2**L if total is None else total)
+        else:
+            starts = [ac23._sample_bits(config.seed, mask.n, mask.m, L, index)
+                      for index in range(config.samples_per_L)]
+        for bits in starts:
             start = bits_to_coloring(bits, L)
-            run = run_to_mirror(g, start, config.max_steps)
-            comp_run = run_to_mirror(g, complement(start), config.max_steps)
+            try:
+                run = run_to_mirror(g, start, config.max_steps)
+                comp_run = run_to_mirror(g, complement(start), config.max_steps)
+            except MaxStepsExceeded:
+                unresolved += 1
+                first_unresolved = first_unresolved or start
+                continue
             if run.degenerate or comp_run.degenerate:
                 degenerate += 1
                 continue
@@ -232,7 +245,7 @@ def naive_envelope(mask, config, total=None):
                 found = {"L": L, "start": start,
                          "condition": report.first_failed_condition}
                 break
-        sizes.append((L, tested, degenerate, found))
+        sizes.append((L, tested, degenerate, unresolved, first_unresolved, found))
         if found is not None and not degenerate_at(mask, L):
             return sizes, found
     return sizes, None
@@ -243,11 +256,11 @@ def reduced_envelope(mask, config, budget=None):
     verdict = classify_mask(mask, config, budget)
     sizes = []
     for block in verdict.tested:
-        assert block["unresolved"] == 0
         found = block.get("degenerate_witness")
         if block is verdict.tested[-1] and verdict.witness:
             found = verdict.witness
-        sizes.append((block["L"], block["tested"], block["degenerate_skips"], found))
+        sizes.append((block["L"], block["tested"], block["degenerate_skips"],
+                      block["unresolved"], block.get("first_unresolved"), found))
     return sizes, verdict.witness
 
 
@@ -268,6 +281,23 @@ class TestRotationReduction:
     def test_two_batches_match_naive_sweep(self, n, m, lmin, lmax):
         cfg = quick_config(lmin=lmin, lmax=lmax, exhaustive_cutoff=lmax, threads=2)
         assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
+
+    @pytest.mark.parametrize("cond1", ["raw", "complemented"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 5), (5, 1)])
+    def test_sampled_size_and_cond1_reading_match_naive_sweep(self, n, m, cond1, threads):
+        # L = 10 is past the cutoff, so its starts are seeded samples
+        cfg = quick_config(lmax=10, exhaustive_cutoff=9, samples_per_L=60,
+                           cond1_interpretation=cond1, threads=threads)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
+
+    @pytest.mark.parametrize("n,m,max_steps", [(1, 3, 6), (3, 3, 5), (1, 5, 4)])
+    def test_unresolved_runs_match_naive_sweep(self, n, m, max_steps):
+        cfg = quick_config(lmax=9, exhaustive_cutoff=8, samples_per_L=30,
+                           max_steps=max_steps)
+        got = reduced_envelope(Mask(n, m), cfg)
+        assert got == naive_envelope(Mask(n, m), cfg)
+        assert any(unresolved for _, _, _, unresolved, _, _ in got[0])
 
     @pytest.mark.parametrize("n,m,L,total", [(1, 1, 9, 300), (1, 3, 8, 100),
                                              (3, 3, 10, 700)])

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,29 @@ from trine.ac23 import GRID_CSV_COLUMNS
 from trine.cli import main
 
 
+DATA = Path(__file__).parent / "data"
+# Exhaustive sizes up to 12 and seeded samples at 13 and 14.
+GOLDEN_CONFIG = ("--lmax", "14", "--cutoff", "12", "--samples", "40")
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+class TestGoldenOutputs:
+    """Outputs pinned byte for byte: any engine change must reproduce them."""
+
+    @pytest.mark.parametrize("n,m,code", [(1, 3, 0), (1, 5, 2)])
+    def test_check_mask_json(self, tmp_path, capsys, n, m, code):
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", "--n", str(n), "--m", str(m), *GOLDEN_CONFIG,
+                       "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_{n}_{m}.json").read_bytes()
+
+    def test_grid_csv(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
 
 
 class TestTrace:

@@ -15,10 +15,12 @@ from trine.dynamics import (
     full_cycle,
     pack,
     predecessor,
+    run_lanes,
     run_to_mirror,
     step,
     unpack,
 )
+from trine.ac23 import Mask, bits_to_coloring, build_graph
 from trine.errors import MaxStepsExceeded
 from trine.graph import MixedGraph, transliterate
 
@@ -223,3 +225,50 @@ class TestExport:
         assert data["lambda_per_node"] == [0, 0, 0]
         assert data["lambda"] == 0
         assert data["mirror"] == "CAC"
+
+
+class TestLanes:
+    def test_max_steps_bound_per_lane(self):
+        # two starts in one batch whose periods are T and T + 1: at
+        # max_steps == T the first resolves and the second does not
+        g = build_graph(Mask(1, 3), 8)
+        first_by_period = {}
+        for bits in range(2**8):
+            period = run_to_mirror(g, bits_to_coloring(bits, 8)).period
+            first_by_period.setdefault(period, bits)
+        T = min(p for p in first_by_period if p > 2 and p + 1 in first_by_period)
+        starts = [first_by_period[T + 1], first_by_period[T]]
+        long_run, short_run = run_lanes(g, starts, max_steps=T)
+        assert long_run is None
+        assert short_run.period == T
+        with pytest.raises(MaxStepsExceeded):
+            run_to_mirror(g, bits_to_coloring(starts[0], 8), max_steps=T)
+        assert run_lanes(g, starts, max_steps=T + 1)[0].period == T + 1
+
+    def test_summary_matches_recorded_run(self, ring3):
+        [summary] = run_lanes(ring3, [0b010])
+        recorded = run_to_mirror(ring3, "ABA")
+        assert summary.start_ab == "ABA"
+        assert summary.packed_states is None
+        assert (summary.period, summary.final, summary.final_state, summary.mirror_state,
+                summary.color_counts, summary.lambda_value) == (
+            recorded.period, recorded.final, recorded.final_state, recorded.mirror_state,
+            recorded.color_counts, recorded.lambda_value)
+
+    def test_summary_has_no_states(self, ring3):
+        [summary] = run_lanes(ring3, [0b010])
+        for read in (lambda: summary.states, lambda: summary.histories,
+                     summary.to_json_dict):
+            with pytest.raises(ValueError, match="summary"):
+                read()
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="summary"):
+            summary.write_trace_csv(buf)
+        assert buf.getvalue() == ""
+
+    def test_needs_a_circulant_graph(self):
+        with pytest.raises(ValueError, match="circulant"):
+            run_lanes(MixedGraph(3, directed=[(0, 1)]), [0b001])
+
+    def test_empty_batch(self, ring3):
+        assert run_lanes(ring3, []) == []

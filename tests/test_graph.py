@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphgen import random_mixed_graph
+from trine.ac23 import Mask, build_graph
 from trine.errors import GraphFormatError
 from trine.graph import (
     MixedGraph,
@@ -160,3 +161,31 @@ class TestSerialization:
         path.write_text(json.dumps({"directed": []}))
         with pytest.raises(GraphFormatError):
             MixedGraph.load(path)
+
+
+class TestCirculant:
+    def test_circle_graphs_report_their_offsets(self):
+        for n in range(1, 16, 2):
+            for m in range(1, 16, 2):
+                mask = Mask(n, m)
+                for L in range(3, 13):
+                    want = {(-d) % L for d in mask.left_offsets}
+                    want |= {d % L for d in mask.right_offsets}
+                    want.discard(0)
+                    assert build_graph(mask, L).circulant_offsets == tuple(sorted(want))
+
+    def test_saved_circle_is_detected_on_load(self, tmp_path):
+        path = tmp_path / "circle.json"
+        build_graph(Mask(3, 5), 11).save(path)
+        assert MixedGraph.load(path).circulant_offsets == (1, 3, 9, 10)
+
+    def test_other_graphs_report_none(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            assert random_mixed_graph(rng, max_nodes=9, min_nodes=6).circulant_offsets is None
+        for mask in (Mask(1, 1), Mask(1, 3), Mask(3, 5)):
+            g = build_graph(mask, 9)
+            swap = {0: 1, 1: 0}
+            relabel = [[swap.get(x, x) for x in edge] for edge in (*g.directed, *g.undirected)]
+            swapped = MixedGraph(9, relabel[:len(g.directed)], relabel[len(g.directed):])
+            assert swapped.circulant_offsets is None

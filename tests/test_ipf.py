@@ -203,3 +203,15 @@ class TestOnMaskRuns:
                         continue
                     report = check_ipf(run, comp, level="full", time_origin=1)
                     assert report.full_ok, (mask, L, start, report.first_failed_condition)
+
+    def test_c8_failure_count_is_the_total_past_the_witness_cap(self):
+        # every one of the 9 nodes has an odd F(0) at time origin 0; only
+        # 8 witnesses are kept, but the count is the total
+        run, comp = pair_for(Mask(1, 1), 9, "BAAAAAAAA")
+        report = check_ipf(run, comp, level="full", time_origin=0)
+        assert report.failure_counts == {"c8": 9}
+        assert report.to_json_dict()["failureCounts"]["c8"] == 9
+        c8_witnesses = [w for w in report.witnesses if w["condition"] == "c8"]
+        assert len(c8_witnesses) == 8
+        assert all(w["detail"].startswith("F(0)=") for w in c8_witnesses)
+        assert (report.c8_origin0, report.c8_origin1) == (False, True)

@@ -7,15 +7,17 @@ from the rule table:
     | no C visible | A  | C  | B  |
     | C visible    | C  | A  | B  |
 
-``check_ipf`` is compared with a transcription of the nine statements
-of the ``trine.ipf`` module docstring, evaluated on the naive runs.
+The lane engine's summary runs are compared with the same naive runs,
+lane by lane.  ``check_ipf`` is compared with a transcription of the
+nine statements of the ``trine.ipf`` module docstring, evaluated on the
+naive runs.
 """
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trine.ac23 import Mask, build_graph
-from trine.dynamics import run_to_mirror, step
+from trine.ac23 import Mask, bits_to_coloring, build_graph
+from trine.dynamics import run_lanes, run_to_mirror, step
 from trine.graph import MixedGraph, complement
 from trine.ipf import check_ipf
 
@@ -92,17 +94,53 @@ def test_step_matches_oracle(case):
 @settings(deadline=None)
 def test_run_matches_oracle(case):
     g, start = case
-    states = naive_run(g, start)
     run = run_to_mirror(g, start)
-    assert run.states == states
-    assert run.period == len(states)
+    assert run.states == naive_run(g, start)
+    assert_run_matches_oracle(run, g, start)
 
+
+def assert_run_matches_oracle(run, g: MixedGraph, start: str) -> None:
+    """A run's start, period, final state, counts and lambda, which a
+    summary run keeps too, against the naive run."""
+    states = naive_run(g, start)
+    assert run.start_ab == start
+    assert run.period == len(states)
+    assert run.final_state == states[-1]
     histories = ["".join(state[v] for state in states) for v in range(g.node_count)]
     counts = tuple((h.count("A"), h.count("B"), h.count("C")) for h in histories)
     assert run.color_counts == counts
     lambdas = tuple(n_a - n_c for n_a, _, n_c in counts)
     assert run.lambda_per_node == lambdas
     assert run.lambda_value == (lambdas[0] if len(set(lambdas)) == 1 else None)
+
+
+@st.composite
+def mask_circle_batches(draw):
+    """A circle graph and a batch of starts, as B bits, on it."""
+    mask = Mask(draw(st.integers(0, 7)) * 2 + 1, draw(st.integers(0, 7)) * 2 + 1)
+    L = draw(st.integers(3, 9))
+    starts = draw(st.lists(st.integers(0, 2**L - 1), min_size=1, max_size=40))
+    return build_graph(mask, L), starts
+
+
+@given(mask_circle_batches())
+@settings(deadline=None)
+def test_lanes_match_oracle(case):
+    g, starts = case
+    for bits, run in zip(starts, run_lanes(g, starts), strict=True):
+        assert_run_matches_oracle(run, g, bits_to_coloring(bits, g.node_count))
+
+
+def test_lanes_match_oracle_through_repacks():
+    # every start of (1,3) at L=9: when three quarters of the lanes have
+    # finished some are still running, so the survivors are repacked
+    g = build_graph(Mask(1, 3), 9)
+    starts = list(range(2**9))
+    runs = run_lanes(g, starts)
+    periods = sorted(run.period for run in runs)
+    assert periods[len(periods) * 3 // 4] < periods[-1]
+    for bits, run in zip(starts, runs):
+        assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
 
 
 # -- the nine statements ---------------------------------------------------
@@ -127,8 +165,8 @@ def naive_lambda(states: list[str]):
 def naive_ipf(states: list[str], bar_states: list[str], cond1: str, origin: int) -> dict:
     """Every statement for a run (states at t = 1..T) and its complement
     run, with the set of failed statements under ``failed`` and the
-    number of failing (node, slot) cells of [4]..[7] under
-    ``cell_failures``."""
+    number of failures of [4]..[8] (failing (node, slot) cells, for [8]
+    its failing tests) under ``cell_failures``."""
     T, Tbar = len(states), len(bar_states)
     lam, lam_bar = naive_lambda(states), naive_lambda(bar_states)
     got = {"div3": (T + Tbar) % 3 == 0}
@@ -178,12 +216,16 @@ def naive_ipf(states: list[str], bar_states: list[str], cond1: str, origin: int)
             if misses:
                 cell_failures[name] = misses
         # F(0) even; F(2k-1) and F(2k) share parity for every 2k < K; for
-        # even K the last slot's parity is the same at every node.
-        got["c8"] = all(
-            same_parity(phase(v, 0), 0)
-            and all(same_parity(phase(v, j), phase(v, j + 1)) for j in range(1, K - 1, 2))
-            for v in nodes
-        ) and (K % 2 == 1 or same_parity(*(phase(v, K - 1) for v in nodes)))
+        # even K the last slot's parity is the same at every node.  A miss
+        # counts once per node for F(0), per node and slot pair, and once
+        # for the last slot.
+        misses = sum(not same_parity(phase(v, 0), 0) for v in nodes) + sum(
+            not same_parity(phase(v, j), phase(v, j + 1))
+            for v in nodes for j in range(1, K - 1, 2)
+        ) + (K % 2 == 0 and not same_parity(*(phase(v, K - 1) for v in nodes)))
+        got["c8"] = misses == 0
+        if misses:
+            cell_failures["c8"] = misses
         failed |= {name for name in ("c4", "c5", "c6", "c7", "c8") if not got[name]}
         got["full"] = got["light"] and all(got[name] for name in ("c4", "c5", "c6", "c7", "c8"))
     got["failed"] = failed
@@ -243,11 +285,12 @@ def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
             want = {**want, "c8 by origin": (wants[0]["c8"], wants[1]["c8"])}
             got["failed"] = set(report.failure_counts)
             got["cell_failures"] = {name: count for name, count in report.failure_counts.items()
-                                    if name in ("c4", "c5", "c6", "c7")}
+                                    if name in ("c4", "c5", "c6", "c7", "c8")}
             assert got == want, (cond1, origin)
 
 
-# (1,5) at L=7: BABAAAA fails div3, c1, c2 and c3; BAABAAA passes div3
+# (1,1) at L=9: BAAAAAAAA fails c8 at time origin 0 at all 9 nodes, past
+# the 8 witnesses kept.  (1,5) at L=7: BABAAAA fails div3, c1, c2 and c3; BAABAAA passes div3
 # and c2, fails the rest and overflows its slots; BBBABBA does too, and
 # has an A slot whose complement slot holds no event.  (1,1) at L=3: ABA
 # fails only c8, and only at time origin 0.
@@ -256,6 +299,7 @@ def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
 @example((build_graph(Mask(1, 5), 7), "BAABAAA"))
 @example((build_graph(Mask(1, 5), 7), "BBBABBA"))
 @example((build_graph(Mask(1, 1), 3), "ABA"))
+@example((build_graph(Mask(1, 1), 9), "BAAAAAAAA"))
 @settings(deadline=None)
 def test_ipf_matches_oracle_on_mask_circles(case):
     assert_ipf_matches_oracle(*case)
