@@ -23,9 +23,8 @@ from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, run_lanes, run_to_mirror
-from .errors import MaxStepsExceeded
-from .graph import MixedGraph, complement, weak_computable
+from .dynamics import RunRecord, run_lanes
+from .graph import MixedGraph, weak_computable
 from .ipf import IpfReport, check_ipf
 
 CORRECT_SO_FAR = "CorrectSoFar"
@@ -173,19 +172,20 @@ def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
     return tuple(found)
 
 
-# Start pairs run together in one lane integer at light level.  Slicing a
-# finished lane out costs time in proportion to the integer's size, so a
-# few hundred lanes balance that against the per-step interpreter cost.
+# Start pairs run together in one lane integer.  Slicing a finished lane
+# out costs time in proportion to the integer's size, so a few hundred
+# lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
 
 
 def iter_pairs(
-    mask: Mask, L: int, config: Config, indices: Optional[Iterable[int]] = None
+    mask: Mask, g: MixedGraph, config: Config, indices: Optional[Iterable[int]] = None
 ) -> Iterator[
     tuple[int, int, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
 ]:
-    """Run the starts with the given indices at circle size L, each with
-    its complement, and check each clean pair at the configured level.
+    """Run the starts with the given indices on the mask's circle graph
+    ``g`` (of size L), each with its complement, and check each clean
+    pair at the configured level.
 
     Yields (index, bits, runs, report) per index, ``bits`` being the
     start's B bits (see ``bits_to_coloring``): ``runs`` is None when a
@@ -198,32 +198,25 @@ def iter_pairs(
     automorphism of the circulant circle graph, which carries the runs
     along and leaves every outcome and checked condition unchanged.
 
-    The light check reads only periods, final states and counts, so at
-    light level the pairs run as summary runs, a few hundred at a time
-    in one lane integer (``run_lanes``); the full check reads every
-    state, so there each run is recorded (``run_to_mirror``).
+    The pairs run as summary runs, a few hundred at a time in one lane
+    integer (``run_lanes``).  The light check reads only their periods,
+    final states and counts; the full check reads their states, which a
+    summary re-walks on first read.
     """
+    L = g.node_count
     exhaustive = L <= config.exhaustive_cutoff
     if indices is None:
         indices = ([bits for bits, _ in _necklaces(L)] if exhaustive
                    else range(config.samples_per_L))
     indices = list(indices)
-    max_steps = config.max_steps
-    light = config.check_level == "light"
-    g = build_graph(mask, L)
     full = (1 << L) - 1
     for lo in range(0, len(indices), _PAIRS_PER_LANE_RUN):
         chunk = indices[lo:lo + _PAIRS_PER_LANE_RUN]
         if not exhaustive:
             chunk = [_sample_bits(config.seed, mask.n, mask.m, L, i) for i in chunk]
-        if light:
-            runs = run_lanes(g, [x for bits in chunk for x in (bits, bits ^ full)],
-                             max_steps)
-            pairs = zip(runs[::2], runs[1::2])
-        else:
-            pairs = (_recorded_pair(g, bits_to_coloring(bits, L), max_steps)
-                     for bits in chunk)
-        for index, bits, (run, comp_run) in zip(indices[lo:], chunk, pairs):
+        runs = run_lanes(g, [x for bits in chunk for x in (bits, bits ^ full)],
+                         config.max_steps)
+        for index, bits, run, comp_run in zip(indices[lo:], chunk, runs[::2], runs[1::2]):
             if run is None or comp_run is None:
                 yield index, bits, None, None
                 continue
@@ -239,26 +232,16 @@ def iter_pairs(
             yield index, bits, (run, comp_run), report
 
 
-def _recorded_pair(g: MixedGraph, start: str, max_steps: int):
-    """The recorded runs of a start and its complement, or (None, None)
-    when one is unresolved."""
-    try:
-        return (run_to_mirror(g, start, max_steps),
-                run_to_mirror(g, complement(start), max_steps))
-    except MaxStepsExceeded:
-        return None, None
-
-
 _NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
 
 
-def _scan_block(mask: Mask, L: int, config: Config, indices: list) -> dict:
+def _scan_block(mask: Mask, g: MixedGraph, config: Config, indices: list) -> dict:
     """Run the pairs of the increasing ``indices`` up to the first
     failing one: index -> (start bits, outcome), the outcome being
     "unresolved", "degenerate", "passed" or the first failed condition.
     Picklable, so batches can run in worker processes."""
     ran = {}
-    for index, bits, runs, report in iter_pairs(mask, L, config, indices):
+    for index, bits, runs, report in iter_pairs(mask, g, config, indices):
         if runs is None:
             ran[index] = (bits, _UNRESOLVED)
         elif report is None:
@@ -271,9 +254,9 @@ def _scan_block(mask: Mask, L: int, config: Config, indices: list) -> dict:
     return ran
 
 
-def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
-    """Count the starts with index 0..total-1 at circle size L, up to and
-    including the first failing one.
+def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -> dict:
+    """Count the starts with index 0..total-1 on the mask's circle graph
+    ``g`` of size L, up to and including the first failing one.
 
     The indices that run (necklaces up to the exhaustive cutoff, whose
     smallest failing one is the smallest failing start) are dealt
@@ -283,6 +266,7 @@ def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
     counts once per rotation up to the limit.  ``pairs_run`` counts the
     pairs up to the limit; no count depends on the batches.
     """
+    L = g.node_count
     exhaustive = L <= config.exhaustive_cutoff
     if exhaustive:
         orbits = {bits: size for bits, size in _necklaces(L) if bits < total}
@@ -292,7 +276,7 @@ def _scan_size(mask: Mask, L: int, config: Config, total: int, run_map) -> dict:
     workers = max(config.threads, 1)
     batches = [indices[k::workers] for k in range(workers)]
     ran: dict = {}
-    for outcomes in run_map(partial(_scan_block, mask, L, config), batches):
+    for outcomes in run_map(partial(_scan_block, mask, g, config), batches):
         ran.update(outcomes)
     limit = min((i for i, (_, outcome) in ran.items() if outcome not in _NOT_FAILED),
                 default=total - 1)
@@ -403,7 +387,8 @@ def classify_mask(
     budget_exhausted = False
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
-            if not mask_weak_computable(mask, L):
+            g = build_graph(mask, L)
+            if not weak_computable(g):
                 envelope.append({"L": L, "skipped": "not weak computable"})
                 continue
             degenerate_L = degenerate_at(mask, L)
@@ -422,7 +407,7 @@ def classify_mask(
                     budget_exhausted = True
                 budget_left -= total
 
-            scan = _scan_size(mask, L, config, total, run_map)
+            scan = _scan_size(mask, g, config, total, run_map)
             found = scan.pop("witness", None)
             block = {"L": L, "mode": mode, "planned": total, **scan,
                      "degenerate_L": degenerate_L}
@@ -493,6 +478,14 @@ class VerdictGrid:
         return True
 
 
+def check_grid_bounds(n_max: int, m_max: int) -> None:
+    """Raise ValueError unless both grid bounds are odd and at least 1."""
+    if n_max < 1 or m_max < 1:
+        raise ValueError(f"grid bounds must be at least 1, got {n_max} and {m_max}")
+    if n_max % 2 == 0 or m_max % 2 == 0:
+        raise ValueError(f"grid bounds must be odd, got {n_max} and {m_max}")
+
+
 def verdict_grid(
     n_max: int,
     m_max: int,
@@ -513,8 +506,7 @@ def verdict_grid(
     ``cr_annotations`` maps (n, m) to externally supplied table row
     counts that decorate the JSON view of the grid.
     """
-    if n_max % 2 == 0 or m_max % 2 == 0:
-        raise ValueError("grid bounds must be odd")
+    check_grid_bounds(n_max, m_max)
     grid = VerdictGrid(n_max, m_max, cr_annotations=dict(cr_annotations or {}))
     resume_rows = resume_rows or {}
     todo = []

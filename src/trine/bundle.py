@@ -30,10 +30,25 @@ def write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
+def parse_trace_spec(text: str) -> tuple[Mask, int, str]:
+    """Parse 'n,m:L:start' into (mask, circle size, {A,B} start)."""
+    try:
+        mask_text, size_text, start = text.split(":")
+        mask, L = ac23.parse_mask(mask_text), int(size_text)
+    except ValueError as exc:
+        raise ValueError(f"trace must look like 'n,m:L:start', got {text!r}") from exc
+    if L < 3 or len(start) != L or set(start) - set("AB"):
+        raise ValueError(f"trace {text!r} needs L >= 3 and a start of L letters "
+                         "A and B ('n,m:L:start')")
+    return mask, L, start
+
+
 def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
                  trace_specs: list[tuple[Mask, int, str]]) -> dict:
-    """Write the bundle into ``outdir`` and return its manifest.  Tables
-    are extracted first: a mask without a passing pair writes no file."""
+    """Write the bundle into ``outdir`` and return its manifest.  The grid
+    bound is checked and the tables are extracted first: a bad bound or a
+    mask without a passing pair writes no file."""
+    ac23.check_grid_bounds(grid_max, grid_max)
     extract_cfg = cfg.with_overrides(check_level="full")
     tables = [rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
               for mask in rt_masks]

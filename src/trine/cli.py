@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask, MaskVerdict, build_graph, classify_mask, parse_mask, verdict_grid
-from .bundle import build_bundle, write_csv, write_json
+from .bundle import build_bundle, parse_trace_spec, write_csv, write_json
 from .config import Config
 from .dynamics import run_to_mirror
 from .errors import IncompatibleTables, TrineError
@@ -223,9 +223,7 @@ def _cr_annotations_from(directory: str) -> dict:
 
 def cmd_grid(args) -> int:
     cfg = _config_from_args(args)
-    if args.max % 2 == 0:
-        print("--max must be odd", file=sys.stderr)
-        return EXIT_ERROR
+    ac23.check_grid_bounds(args.max, args.max)
     out = Path(args.out)
     sidecar = out.with_name(out.name + ".config.json")
     resume_rows = None
@@ -384,10 +382,7 @@ def cmd_rt_reflect(args) -> int:
 def cmd_bundle(args) -> int:
     cfg = _config_from_args(args)
     rt_masks = [parse_mask(text) for text in args.rt_masks]
-    trace_specs = []
-    for spec in args.trace:
-        mask_text, L_text, start = spec.split(":")
-        trace_specs.append((parse_mask(mask_text), int(L_text), start))
+    trace_specs = [parse_trace_spec(spec) for spec in args.trace]
     manifest = build_bundle(Path(args.out), cfg, args.grid_max, rt_masks, trace_specs)
     print(f"bundle written to {args.out} ({len(manifest['files'])} files, "
           f"config {manifest['configHash'][:12]})")

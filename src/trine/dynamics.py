@@ -25,11 +25,11 @@ run with ripple-carry counter planes; B and A counts follow from them
 (every step copies C to B, and t = 1 has no B), so per-node statistics
 do not need a second pass over the trajectory.
 
-A run comes in two forms.  ``run_to_mirror`` records it: every packed
-state, so the colorings, node histories and slot rows can be read.
-``run_lanes`` summarizes it: the period, the final packed state and the
-C counter planes, enough for the period, the final coloring, the color
-counts and lambda, but not for ``states`` or anything built on them.
+``run_to_mirror`` records a run with every packed state.  ``run_lanes``
+summarizes it: the period, the final packed state and the C counter
+planes, enough for the period, the final coloring, the color counts and
+lambda.  A summary knows its start and its exact period, so the first
+read of its states re-walks that many steps and keeps them.
 
 ``run_lanes`` walks many starts on a circulant graph at once (multi-spin
 coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start j owns lane j,
@@ -146,13 +146,14 @@ def predecessor(g: MixedGraph, coloring: str) -> str:
 class RunRecord:
     """A forward trajectory from a two-color start to its mirror state.
 
-    ``packed_states`` holds the trajectory at times t = 1..T for a
-    recorded run (``run_to_mirror``) and is None for a summary run
-    (``run_lanes``), which keeps only the period, the final packed state
-    and the C counter planes.  The {A,B} start state itself sits before
-    t = 1; ``start_b`` holds its B bits.  A run with T <= 2 is
-    degenerate (no proper mirror state; the uniform all-A and all-B
-    starts are the standard cases) and is flagged as such.
+    ``packed_states`` holds the trajectory at times t = 1..T.  A recorded
+    run (``run_to_mirror``) has them from the start; a summary run
+    (``run_lanes``) keeps only the period, the final packed state and the
+    C counter planes, and re-walks its known period on the first read of
+    its states.  The {A,B} start state itself sits before t = 1;
+    ``start_b`` holds its B bits.  A run with T <= 2 is degenerate (no
+    proper mirror state; the uniform all-A and all-B starts are the
+    standard cases) and is flagged as such.
     """
 
     def __init__(
@@ -168,11 +169,10 @@ class RunRecord:
         self.start_b = start_b
         self.period = period
         self.final = final
-        self.packed_states = packed_states
         self.degenerate = period <= 2
         self._c_planes = c_planes
+        self._packed_states = packed_states
         self._states: Optional[list[str]] = None
-        self._histories: Optional[tuple[str, ...]] = None
 
     @property
     def start_ab(self) -> str:
@@ -181,15 +181,17 @@ class RunRecord:
     # -- materialized views -------------------------------------------
 
     @property
+    def packed_states(self) -> list[tuple[int, int]]:
+        """Packed states at t = 1..T; a summary re-walks its period."""
+        if self._packed_states is None:
+            rerun = run_to_mirror(self.graph, self.start_ab, self.period)
+            self._packed_states = rerun.packed_states
+        return self._packed_states
+
+    @property
     def states(self) -> list[str]:
-        """Colorings at t = 1..T (a recorded run only)."""
+        """Colorings at t = 1..T."""
         if self._states is None:
-            if self.packed_states is None:
-                raise ValueError(
-                    f"run from {self.start_ab!r} is a summary (period, final "
-                    "state and counts only): no states to show; rerun it "
-                    "with run_to_mirror"
-                )
             n = self.graph.node_count
             self._states = [unpack(n, c, b) for c, b in self.packed_states]
         return self._states
@@ -202,16 +204,6 @@ class RunRecord:
     def mirror_state(self) -> str:
         """The state after t = T, equal to the transliteration of G_T."""
         return transliterate(self.final_state)
-
-    @property
-    def histories(self) -> tuple[str, ...]:
-        """Per node, its color sequence over t = 1..T."""
-        if self._histories is None:
-            self._histories = tuple(
-                "".join(state[v] for state in self.states)
-                for v in range(self.graph.node_count)
-            )
-        return self._histories
 
     @property
     def color_counts(self) -> tuple[tuple[int, int, int], ...]:
@@ -265,10 +257,9 @@ class RunRecord:
     def write_trace_csv(self, fh) -> None:
         """One row per time step t = 1..T: t, coloring.  The start and
         mirror states live in the JSON record."""
-        states = self.states  # a summary raises here, before any row is written
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "coloring"])
-        for t, state in enumerate(states, 1):
+        for t, state in enumerate(self.states, 1):
             writer.writerow([t, state])
 
 
@@ -334,8 +325,8 @@ def run_lanes(
     to its mirror state at once, one lane per start.
 
     Returns one summary RunRecord per start, in order, or None for a
-    start whose run is unresolved after ``max_steps`` steps (where
-    ``run_to_mirror`` raises).  Raises ValueError when ``g`` is not
+    start whose run is unresolved after ``max_steps`` steps (exactly
+    where ``run_to_mirror`` raises).  Raises ValueError when ``g`` is not
     circulant.
     """
     offsets = g.circulant_offsets

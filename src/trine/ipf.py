@@ -1,13 +1,14 @@
 """Precise-filling invariant: slot rows, filled slots, and the
 nine-statement check over a run and its complement run.
 
-Every node's history over t = 1..T is condensed onto "slots": scanning
-the history in time order, each occurrence of A or C takes the next
-slot index k = 0, 1, 2, ...  A B never opens a slot; it always follows
-a C of the same node and inherits that slot.  One row per node holds
-the slots: entry k is the 1-based time t of the event when it is a C
-(its integral phase), 0 when it is an A, and -1 past the node's last
-event.  So C_v(k) is ``row[k] > 0`` and A_v(k) is ``row[k] == 0``.
+Every node's history over t = 1..T is condensed onto "slots": reading
+the packed states in time order, node v has an event at t unless bit v
+of the B bits is set, and each event takes the next slot index k = 0,
+1, 2, ...  A B never opens a slot; it always follows a C of the same
+node and inherits that slot.  One row per node holds the slots: entry k
+is the 1-based time t of the event when bit v of the C bits is set (a
+C, and t its integral phase), 0 when it is an A, and -1 past the node's
+last event.  So C_v(k) is ``row[k] > 0`` and A_v(k) is ``row[k] == 0``.
 With T and T-bar the periods of the two runs, the nominal slot count
 is K = (T + T-bar) / 3; nodes whose event count differs from K are
 flagged (slot overflow) rather than rejected, because searches need
@@ -52,25 +53,6 @@ _WITNESS_CAP = 8
 FilledRows = tuple[tuple[Optional[tuple[int, bool]], ...], ...]
 
 
-def slots_from_history(history: str, slot_count: int) -> tuple[list[int], int]:
-    """Slot row for one node history, sized to ``slot_count``.
-
-    Returns (row, event_count): row[k] is the 1-based time of the
-    event at slot k when it is a C, 0 when it is an A, and -1 when the
-    history has fewer events.  Events past ``slot_count`` are dropped;
-    the caller sees the true count.
-    """
-    row = [-1] * slot_count
-    k = 0
-    for t, color in enumerate(history, 1):
-        if color == "B":
-            continue
-        if k < slot_count:
-            row[k] = 0 if color == "A" else t
-        k += 1
-    return row, k
-
-
 @dataclass
 class SlotTable:
     """Per-node slot rows for one run of a run/complement pair.
@@ -107,11 +89,13 @@ def build_slots(
         slot_count = (run.period + complement_run.period) // 3
 
     def table_for(record: RunRecord) -> SlotTable:
+        states = record.packed_states
         rows, counts = [], []
-        for history in record.histories:
-            row, k = slots_from_history(history, slot_count)
-            rows.append(tuple(row))
-            counts.append(k)
+        for v in range(record.graph.node_count):
+            bit = 1 << v  # node v has an event at t unless it is B, a C if C
+            row = [t if c & bit else 0 for t, (c, b) in enumerate(states, 1) if not b & bit]
+            counts.append(len(row))
+            rows.append(tuple(row[:slot_count]) + (-1,) * (slot_count - len(row)))
         return SlotTable(slot_count, tuple(rows), tuple(counts))
 
     return table_for(run), table_for(complement_run)

@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import Mask, degenerate_at, iter_pairs, mask_weak_computable, parse_mask
+from .ac23 import Mask, build_graph, degenerate_at, iter_pairs, parse_mask
 from .config import Config
-from .dynamics import RunRecord, run_to_mirror
+from .dynamics import RunRecord
 from .errors import (
     DimensionMismatch,
     IncompatibleTables,
@@ -38,6 +38,7 @@ from .errors import (
     UnconfiguredStepTable,
     UnverifiedRuns,
 )
+from .graph import weak_computable
 from .ipf import IpfReport, build_slots, filled_slots
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
@@ -561,21 +562,18 @@ def extraction_run_pairs(
     unresolved runs and failing pairs are skipped (extraction wants
     evidence from clean runs only).  Exhaustive sizes yield one start
     per rotation orbit (see ``iter_pairs``): ``extract_rows`` reads every
-    node, so a rotated start would only repeat the same rows.  The runs
-    are recorded ones: at light level, where the search runs summaries,
-    each passing pair is run again with its states.  A walk that yields
-    no pair raises UnverifiedRuns: a table needs evidence."""
+    node, so a rotated start would only repeat the same rows.  A walk
+    that yields no pair raises UnverifiedRuns: a table needs evidence."""
     passed = 0
     for L in range(config.lmin, config.lmax + 1):
-        if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
+        if degenerate_at(mask, L):
             continue
-        for _, _, runs, report in iter_pairs(mask, L, config):
+        g = build_graph(mask, L)
+        if not weak_computable(g):
+            continue
+        for _, _, runs, report in iter_pairs(mask, g, config):
             if report is not None and report.passed:
                 passed += 1
-                if runs[0].packed_states is None:
-                    # a light-level summary pair: record the trajectories,
-                    # each exactly as long as its known period
-                    runs = tuple(run_to_mirror(r.graph, r.start_ab, r.period) for r in runs)
                 yield runs, report
     if not passed:
         raise UnverifiedRuns(

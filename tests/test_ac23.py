@@ -127,6 +127,19 @@ def quick_config(**kwargs):
 
 
 class TestClassifyMask:
+    @pytest.mark.parametrize("n,m,level", [(1, 1, "light"), (1, 5, "light"), (1, 3, "full")])
+    def test_one_graph_build_per_size(self, monkeypatch, n, m, level):
+        built = []
+
+        def counting_build(mask, L):
+            built.append(L)
+            return build_graph(mask, L)
+
+        monkeypatch.setattr(ac23, "build_graph", counting_build)
+        cfg = quick_config(lmax=9, exhaustive_cutoff=7, samples_per_L=6, check_level=level)
+        verdict = classify_mask(Mask(n, m), cfg)
+        assert built == list(range(3, verdict.tested[-1]["L"] + 1))
+
     def test_incorrect_mask_witness(self):
         verdict = classify_mask(Mask(1, 5), quick_config())
         assert verdict.status == INCORRECT
@@ -351,6 +364,11 @@ class TestVerdictGrid:
     def test_requires_odd_bounds(self):
         with pytest.raises(ValueError):
             verdict_grid(4, 4, quick_config())
+
+    @pytest.mark.parametrize("bounds", [(-3, -3), (1, -1), (-1, 1)])
+    def test_requires_bounds_of_at_least_one(self, bounds):
+        with pytest.raises(ValueError, match="at least 1"):
+            verdict_grid(*bounds, quick_config())
 
     def test_smallest_grid(self):
         grid = verdict_grid(1, 1, quick_config(lmax=6))

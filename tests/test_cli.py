@@ -13,6 +13,8 @@ from trine.cli import main
 DATA = Path(__file__).parent / "data"
 # Exhaustive sizes up to 12 and seeded samples at 13 and 14.
 GOLDEN_CONFIG = ("--lmax", "14", "--cutoff", "12", "--samples", "40")
+# The full level: exhaustive sizes up to 10, seeded samples at 11 and 12.
+GOLDEN_FULL_CONFIG = ("--lmax", "12", "--cutoff", "10", "--samples", "20")
 
 
 def run_cli(*argv) -> int:
@@ -28,6 +30,13 @@ class TestGoldenOutputs:
         assert run_cli("check-mask", "--n", str(n), "--m", str(m), *GOLDEN_CONFIG,
                        "--json", str(out)) == code
         assert out.read_bytes() == (DATA / f"golden_check_mask_{n}_{m}.json").read_bytes()
+
+    @pytest.mark.parametrize("n,m,code", [(1, 3, 0), (1, 5, 2)])
+    def test_full_level_check_mask_json(self, tmp_path, capsys, n, m, code):
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", "--n", str(n), "--m", str(m), "--level", "full",
+                       *GOLDEN_FULL_CONFIG, "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_full_{n}_{m}.json").read_bytes()
 
     def test_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -128,6 +137,13 @@ class TestCheckMask:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("n,m,code", [(1, 3, 0), (1, 5, 2)])
+    def test_full_level_check_mask_json(self, tmp_path, capsys, n, m, code):
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", "--n", str(n), "--m", str(m), "--level", "full",
+                       *GOLDEN_FULL_CONFIG, "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_full_{n}_{m}.json").read_bytes()
+
     def test_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code = run_cli("grid", "--max", "5", "--out", str(out),
@@ -143,6 +159,13 @@ class TestGrid:
 
     def test_even_max_rejected(self, capsys):
         assert run_cli("grid", "--max", "4", "--out", "x.csv") == 1
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_below_one_rejected(self, tmp_path, capsys, bound):
+        out = tmp_path / "g.csv"
+        assert run_cli("grid", "--max", bound, "--out", str(out)) == 1
+        assert "at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_matches_fresh(self, tmp_path, capsys):
         flags = ["--max", "5", "--lmax", "6", "--cutoff", "6", "--samples", "0"]
@@ -357,6 +380,18 @@ class TestBundle:
         assert run_cli("bundle", "--out", str(out), "--grid-max", "3",
                        "--lmax", "5", "--cutoff", "5", "--time-origin", "0") == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--grid-max", "2"], "odd"),
+        (["--trace", "1,1:3"], "n,m:L:start"),
+        (["--trace", "1,1:3:ABA", "1,1:4:ABA"], "n,m:L:start"),
+    ])
+    def test_bad_input_is_refused_before_any_work(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "b"
+        assert run_cli("bundle", "--out", str(out), "--lmax", "5", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_manifest_contents(self, tmp_path):

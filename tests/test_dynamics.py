@@ -109,7 +109,7 @@ class TestRunToMirror:
         assert run.mirror_state == "CAC"
         assert run.mirror_state == transliterate(run.final_state)
         assert not run.degenerate
-        assert run.histories == ("ACB", "CBA", "ACB")
+        assert ["".join(column) for column in zip(*run.states)] == ["ACB", "CBA", "ACB"]
         assert run.lambda_per_node == (0, 0, 0)
         assert run.lambda_value == 0
         assert run.start_ab == "ABA"
@@ -167,7 +167,7 @@ class TestRunToMirror:
             g = random_mixed_graph(rng, max_nodes=7)
             start = random_two_color(rng, g.node_count)
             run = run_to_mirror(g, start)
-            for v, history in enumerate(run.histories):
+            for v, history in enumerate(zip(*run.states)):
                 assert run.color_counts[v] == (
                     history.count("A"),
                     history.count("B"),
@@ -249,22 +249,26 @@ class TestLanes:
         [summary] = run_lanes(ring3, [0b010])
         recorded = run_to_mirror(ring3, "ABA")
         assert summary.start_ab == "ABA"
-        assert summary.packed_states is None
         assert (summary.period, summary.final, summary.final_state, summary.mirror_state,
                 summary.color_counts, summary.lambda_value) == (
             recorded.period, recorded.final, recorded.final_state, recorded.mirror_state,
             recorded.color_counts, recorded.lambda_value)
 
-    def test_summary_has_no_states(self, ring3):
-        [summary] = run_lanes(ring3, [0b010])
-        for read in (lambda: summary.states, lambda: summary.histories,
-                     summary.to_json_dict):
-            with pytest.raises(ValueError, match="summary"):
-                read()
-        buf = io.StringIO()
-        with pytest.raises(ValueError, match="summary"):
-            summary.write_trace_csv(buf)
-        assert buf.getvalue() == ""
+    def test_summary_rewalks_its_states(self):
+        g = build_graph(Mask(1, 3), 9)
+        starts = [0b000010110, 0b011001011, 0b111111111]
+        for bits, summary in zip(starts, run_lanes(g, starts), strict=True):
+            recorded = run_to_mirror(g, bits_to_coloring(bits, 9))
+            assert summary.packed_states == recorded.packed_states
+            assert summary.packed_states is summary.packed_states  # walked once
+            assert summary.states == recorded.states
+            assert summary.to_json_dict() == recorded.to_json_dict()
+            csvs = []
+            for run in (summary, recorded):
+                buf = io.StringIO()
+                run.write_trace_csv(buf)
+                csvs.append(buf.getvalue())
+            assert csvs[0] == csvs[1]
 
     def test_needs_a_circulant_graph(self):
         with pytest.raises(ValueError, match="circulant"):

@@ -4,16 +4,10 @@ import pytest
 
 from graphgen import random_two_color
 from trine.ac23 import Mask, build_graph
-from trine.dynamics import run_to_mirror
+from trine.dynamics import RunRecord, pack, run_to_mirror
 from trine.errors import DegenerateRun
-from trine.graph import complement
-from trine.ipf import (
-    SlotTable,
-    build_slots,
-    check_ipf,
-    filled_slots,
-    slots_from_history,
-)
+from trine.graph import MixedGraph, complement
+from trine.ipf import SlotTable, build_slots, check_ipf, filled_slots
 
 
 @pytest.fixture
@@ -21,23 +15,32 @@ def fixture_pair(ring3):
     return run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB")
 
 
+def node_slots(history: str, slot_count: int) -> tuple[tuple[int, ...], int]:
+    """build_slots' row and event count for a one-node run whose packed
+    states spell ``history``."""
+    packed = [pack(color) for color in history]
+    run = RunRecord(MixedGraph(1), 0, len(history), packed[-1], [], packed)
+    table, _ = build_slots(run, run, slot_count)
+    return table.events[0], table.event_counts[0]
+
+
 class TestSlotsFromHistory:
     def test_fixture_node0(self):
         # A at t=1 takes slot 0, C at t=2 takes slot 1, the B opens none
-        assert slots_from_history("ACB", 2) == ([0, 2], 2)
+        assert node_slots("ACB", 2) == ((0, 2), 2)
 
     def test_all_a_history(self):
-        assert slots_from_history("AAA", 3) == ([0, 0, 0], 3)
+        assert node_slots("AAA", 3) == ((0, 0, 0), 3)
 
     def test_b_inherits_no_slot(self):
         # C opens a slot, the following B does not
-        assert slots_from_history("CBCB", 2) == ([1, 3], 2)
+        assert node_slots("CBCB", 2) == ((1, 3), 2)
 
     def test_overflow_reported_via_count(self):
-        assert slots_from_history("AAAA", 2) == ([0, 0], 4)
+        assert node_slots("AAAA", 2) == ((0, 0), 4)
 
     def test_slots_past_the_last_event_are_empty(self):
-        assert slots_from_history("BCB", 3) == ([2, -1, -1], 1)
+        assert node_slots("BCB", 3) == ((2, -1, -1), 1)
 
 
 class TestBuildSlots:

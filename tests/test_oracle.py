@@ -10,7 +10,7 @@ from the rule table:
 The lane engine's summary runs are compared with the same naive runs,
 lane by lane.  ``check_ipf`` is compared with a transcription of the
 nine statements of the ``trine.ipf`` module docstring, evaluated on the
-naive runs.
+naive runs, both on recorded runs and on lane summaries.
 """
 
 from hypothesis import assume, example, given, settings
@@ -267,11 +267,17 @@ def weak_graph_starts(draw):
     return g, draw(st.text("AB", min_size=g.node_count, max_size=g.node_count))
 
 
-def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
+def assert_ipf_matches_oracle(g: MixedGraph, start: str, lanes: bool = False) -> None:
+    """check_ipf at full level on the recorded runs of a start and its
+    complement, or on their lane summaries, against naive_ipf."""
     states = naive_run(g, start)
     bar_states = naive_run(g, complement(start))
     assume(len(states) > 2 and len(bar_states) > 2)  # degenerate runs raise
-    runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
+    if lanes:
+        bits = sum(1 << v for v, color in enumerate(start) if color == "B")
+        runs = tuple(run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)]))
+    else:
+        runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
     for cond1 in ("raw", "complemented"):
         wants = [naive_ipf(states, bar_states, cond1, origin) for origin in (0, 1)]
         for origin, want in enumerate(wants):
@@ -294,15 +300,34 @@ def assert_ipf_matches_oracle(g: MixedGraph, start: str) -> None:
 # and c2, fails the rest and overflows its slots; BBBABBA does too, and
 # has an A slot whose complement slot holds no event.  (1,1) at L=3: ABA
 # fails only c8, and only at time origin 0.
+PINNED_PAIRS = [
+    (build_graph(Mask(1, 5), 7), "BABAAAA"),
+    (build_graph(Mask(1, 5), 7), "BAABAAA"),
+    (build_graph(Mask(1, 5), 7), "BBBABBA"),
+    (build_graph(Mask(1, 1), 3), "ABA"),
+    (build_graph(Mask(1, 1), 9), "BAAAAAAAA"),
+]
+
+
+def with_pinned_pairs(test):
+    for case in PINNED_PAIRS:
+        test = example(case)(test)
+    return test
+
+
 @given(mask_circles())
-@example((build_graph(Mask(1, 5), 7), "BABAAAA"))
-@example((build_graph(Mask(1, 5), 7), "BAABAAA"))
-@example((build_graph(Mask(1, 5), 7), "BBBABBA"))
-@example((build_graph(Mask(1, 1), 3), "ABA"))
-@example((build_graph(Mask(1, 1), 9), "BAAAAAAAA"))
+@with_pinned_pairs
 @settings(deadline=None)
 def test_ipf_matches_oracle_on_mask_circles(case):
     assert_ipf_matches_oracle(*case)
+
+
+@given(mask_circles())
+@with_pinned_pairs
+@settings(deadline=None)
+def test_ipf_matches_oracle_on_lane_summaries(case):
+    # the search's pairs: summaries whose states are re-walked for the slots
+    assert_ipf_matches_oracle(*case, lanes=True)
 
 
 @given(weak_graph_starts())
