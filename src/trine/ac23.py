@@ -20,10 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, run_lanes
+from .dynamics import RunRecord, rotate, run_lanes
 from .graph import MixedGraph, weak_computable
 from .ipf import IpfReport, check_ipf
 
@@ -97,16 +98,8 @@ def build_graph(mask: Mask, L: int) -> MixedGraph:
     """
     if L < 3:
         raise ValueError(f"circle size must be at least 3, got {L}")
-    arcs: set[tuple[int, int]] = set()
-    for x in range(L):
-        for d in mask.left_offsets:
-            y = (x - d) % L
-            if y != x:
-                arcs.add((x, y))
-        for d in mask.right_offsets:
-            y = (x + d) % L
-            if y != x:
-                arcs.add((x, y))
+    steps = [-d for d in mask.left_offsets] + list(mask.right_offsets)
+    arcs = {(x, (x + d) % L) for x in range(L) for d in steps if d % L}
     directed = []
     undirected = []
     for u, v in arcs:
@@ -122,11 +115,10 @@ def degenerate_at(mask: Mask, L: int) -> bool:
     """True when the mask's points collide on a circle of size L:
     an offset reaches around (>= L), lands on the center, or two mask
     points land on the same node."""
-    if any(d >= L for d in mask.left_offsets + mask.right_offsets):
+    left, right = mask.left_offsets, mask.right_offsets
+    if any(d >= L for d in left + right):
         return True
-    targets = [(-d) % L for d in mask.left_offsets] + [
-        d % L for d in mask.right_offsets
-    ]
+    targets = [(-d) % L for d in left] + [d % L for d in right]
     return 0 in targets or len(set(targets)) != len(targets)
 
 
@@ -172,54 +164,101 @@ def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
     return tuple(found)
 
 
-# Start pairs run together in one lane integer.  Slicing a finished lane
-# out costs time in proportion to the integer's size, so a few hundred
-# lanes balance that against the per-step interpreter cost.
+def _complement_partner(bits: int, L: int) -> tuple[int, int]:
+    """(p, k) for an L-bit start: p is the necklace of the start's
+    complement, and rotating p up by k (see ``dynamics.rotate``) gives
+    that complement."""
+    full = (1 << L) - 1
+    comp = bits ^ full
+    twice = comp << L | comp
+    p, k = comp, 0
+    for j in range(1, L):
+        down = twice >> j & full  # comp rotated down by j
+        if down < p:
+            p, k = down, j
+    return p, k
+
+
+def _pair_starts(
+    mask: Mask, L: int, config: Config, indices: Iterable[int]
+) -> Iterator[tuple[int, int, Optional[int], int, int]]:
+    """(index, bits, partner, complement start, k) for each pair to
+    check: the start ``bits`` pairs with the run of the complement start
+    rotated up by k.  Up to the exhaustive cutoff an index is a necklace
+    r, and only the smaller of r and its partner p (see
+    ``_complement_partner``) yields, paired with p's run rotated; past
+    it an index selects a seeded sample, paired with its complement as
+    it stands (no partner, k = 0)."""
+    if L <= config.exhaustive_cutoff:
+        for r in indices:
+            p, k = _complement_partner(r, L)
+            if p >= r:
+                yield r, r, p, p, k
+        return
+    for index in indices:
+        bits = _sample_bits(config.seed, mask.n, mask.m, L, index)
+        yield index, bits, None, bits ^ ((1 << L) - 1), 0
+
+
+# Pairs run together in one lane integer, up to two starts each.  Slicing
+# a finished lane out costs time in proportion to the integer's size, so
+# a few hundred lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
 
 
 def iter_pairs(
     mask: Mask, g: MixedGraph, config: Config, indices: Optional[Iterable[int]] = None
-) -> Iterator[
-    tuple[int, int, Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]]
-]:
+) -> Iterator[tuple[
+    int, int, Optional[int], Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]
+]]:
     """Run the starts with the given indices on the mask's circle graph
     ``g`` (of size L), each with its complement, and check each clean
     pair at the configured level.
 
-    Yields (index, bits, runs, report) per index, ``bits`` being the
-    start's B bits (see ``bits_to_coloring``): ``runs`` is None when a
-    run hit ``max_steps`` (unresolved); ``report`` is None when
-    unresolved or when either run is degenerate.  Beyond the exhaustive
-    cutoff the index selects a seeded sample; ``indices`` defaults to
-    every configured sample.  Up to it the index is the start's bit
-    pattern; ``indices`` defaults to the necklaces, one per rotation
-    orbit.  Rotating bit v to bit v+1 mod L relabels node x as x+1, an
+    Yields (index, bits, partner, runs, report) per checked pair,
+    ``bits`` being the start's B bits (see ``bits_to_coloring``):
+    ``runs`` is None when a run hit ``max_steps`` (unresolved);
+    ``report`` is None when unresolved or when either run is
+    degenerate.  Beyond the exhaustive cutoff the index selects a seeded
+    sample, ``partner`` is None, and every index yields; ``indices``
+    defaults to every configured sample.
+
+    Up to the cutoff the index is the start's bit pattern, and
+    ``indices`` defaults to the necklaces, one per rotation orbit.
+    Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
     along and leaves every outcome and checked condition unchanged.
+    The complement of necklace r is a rotation of necklace ``partner``
+    (p), so r's complement run is p's run rotated, and the pair of p is
+    the pair of r swapped, up to rotation.  Swapping run and complement
+    changes neither ``passed`` nor ``first_failed_condition``: div3, c1
+    (both readings) and c2 are symmetric; given c2, so is c3 (swapped,
+    it reads T - T-bar = lambda-bar = -lambda); c4 and c5 are
+    symmetric, and c4 and c5 together imply c6 and c7; c8 reads phases
+    mod 2, so the +2 offset of slots the other run fills drops out.  So
+    the class {r, p} yields once, at its smaller member r, with the
+    outcome of both, and runs r and p once each (p == r for a
+    self-complementary necklace).
 
-    The pairs run as summary runs, a few hundred at a time in one lane
-    integer (``run_lanes``).  The light check reads only their periods,
-    final states and counts; the full check reads their states, which a
-    summary re-walks on first read.
+    The starts run as summary runs, a few hundred pairs at a time in one
+    lane integer (``run_lanes``).  The light check reads only their
+    periods, final states and counts; the full check reads their
+    states, which a summary re-walks on first read.
     """
     L = g.node_count
-    exhaustive = L <= config.exhaustive_cutoff
     if indices is None:
-        indices = ([bits for bits, _ in _necklaces(L)] if exhaustive
+        indices = ([bits for bits, _ in _necklaces(L)] if L <= config.exhaustive_cutoff
                    else range(config.samples_per_L))
-    indices = list(indices)
-    full = (1 << L) - 1
-    for lo in range(0, len(indices), _PAIRS_PER_LANE_RUN):
-        chunk = indices[lo:lo + _PAIRS_PER_LANE_RUN]
-        if not exhaustive:
-            chunk = [_sample_bits(config.seed, mask.n, mask.m, L, i) for i in chunk]
-        runs = run_lanes(g, [x for bits in chunk for x in (bits, bits ^ full)],
-                         config.max_steps)
-        for index, bits, run, comp_run in zip(indices[lo:], chunk, runs[::2], runs[1::2]):
+    pairs = _pair_starts(mask, L, config, indices)
+    while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
+        starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
+        runs = dict(zip(starts, run_lanes(g, starts, config.max_steps)))
+        for index, bits, partner, comp, k in chunk:
+            run, comp_run = runs[bits], runs[comp]
             if run is None or comp_run is None:
-                yield index, bits, None, None
+                yield index, bits, partner, None, None
                 continue
+            comp_run = comp_run.rotated(k)
             report = None
             if not (run.degenerate or comp_run.degenerate):
                 report = check_ipf(
@@ -229,7 +268,7 @@ def iter_pairs(
                     cond1_interpretation=config.cond1_interpretation,
                     time_origin=config.time_origin,
                 )
-            yield index, bits, (run, comp_run), report
+            yield index, bits, partner, (run, comp_run), report
 
 
 _NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
@@ -239,17 +278,22 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, indices: list) -> dic
     """Run the pairs of the increasing ``indices`` up to the first
     failing one: index -> (start bits, outcome), the outcome being
     "unresolved", "degenerate", "passed" or the first failed condition.
+    A checked pair's partner (see ``iter_pairs``) gets the same outcome.
     Picklable, so batches can run in worker processes."""
     ran = {}
-    for index, bits, runs, report in iter_pairs(mask, g, config, indices):
+    for index, bits, partner, runs, report in iter_pairs(mask, g, config, indices):
         if runs is None:
-            ran[index] = (bits, _UNRESOLVED)
+            outcome = _UNRESOLVED
         elif report is None:
-            ran[index] = (bits, _DEGENERATE)
+            outcome = _DEGENERATE
         elif report.passed:
-            ran[index] = (bits, _PASSED)
+            outcome = _PASSED
         else:
-            ran[index] = (bits, report.first_failed_condition)
+            outcome = report.first_failed_condition
+        ran[index] = (bits, outcome)
+        if partner is not None:
+            ran[partner] = (partner, outcome)
+        if outcome not in _NOT_FAILED:
             break
     return ran
 
@@ -261,10 +305,15 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     The indices that run (necklaces up to the exhaustive cutoff, whose
     smallest failing one is the smallest failing start) are dealt
     round-robin into ``config.threads`` batches for ``run_map``, each
-    stopping at its own first failure.  So every index up to the
-    smallest failure of all batches (the limit, else total-1) ran, and
-    counts once per rotation up to the limit.  ``pairs_run`` counts the
-    pairs up to the limit; no count depends on the batches.
+    stopping at its own first failure.  Within a batch a necklace runs
+    and is checked with its complement class (see ``iter_pairs``) when
+    it is the class's smaller member, and is skipped otherwise; the
+    class's outcome goes to both members.  A failing class fails at its
+    smaller member, so every index up to the smallest failure of all
+    batches (the limit, else total-1) has an outcome, and counts once
+    per rotation up to the limit.  ``pairs_run`` counts these indices,
+    one per rotation orbit, though a class of two orbits runs each
+    necklace once and is checked once; no count depends on the batches.
     """
     L = g.node_count
     exhaustive = L <= config.exhaustive_cutoff
@@ -273,7 +322,7 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     else:
         orbits = dict.fromkeys(range(total), 1)
     indices = list(orbits)
-    workers = max(config.threads, 1)
+    workers = config.threads
     batches = [indices[k::workers] for k in range(workers)]
     ran: dict = {}
     for outcomes in run_map(partial(_scan_block, mask, g, config), batches):
@@ -288,8 +337,7 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
         bits, outcome = ran[index]
         starts = orbits[index]
         if exhaustive and limit < full:
-            starts = sum((index << k | index >> (L - k)) & full <= limit
-                         for k in range(starts))
+            starts = sum(rotate(index, k, L) <= limit for k in range(starts))
         scan["pairs_run"] += 1
         if outcome == _UNRESOLVED:
             scan["unresolved"] += starts
@@ -363,16 +411,21 @@ def classify_mask(
     """Search circle sizes lmin..lmax for an invariant violation.
 
     Sizes up to the exhaustive cutoff cover every two-color start but
-    run one start pair per rotation orbit: rotating a start is an
-    automorphism of the circulant circle graph, so it cannot change the
-    outcome, and a failing start's smallest rotation fails too, so the
-    smallest failing start is still found.  The rest draw seeded
-    samples.  The first failure at a clean (non degenerate) size
-    settles Incorrect, with the smallest failing size and the smallest
-    failing start inside it as the witness.  Results at degenerate
-    sizes are recorded per block but never decide the headline status.
-    Each envelope block counts starts (``planned``, ``tested``, ...) up
-    to the size's first failing one and the pairs run (``pairs_run``).
+    run one start per rotation orbit (its necklace): rotating a start is
+    an automorphism of the circulant circle graph, so it cannot change
+    the outcome, and a failing start's smallest rotation fails too, so
+    the smallest failing start is still found.  A necklace and the
+    necklace of its complement form a class whose pairs are each
+    other's swapped up to rotation, so the class is checked once, at
+    its smaller necklace, and both count its outcome (see
+    ``iter_pairs``).  The rest draw seeded samples.  The first failure
+    at a clean (non degenerate) size settles Incorrect, with the
+    smallest failing size and the smallest failing start inside it as
+    the witness.  Results at degenerate sizes are recorded per block but
+    never decide the headline status.  Each envelope block counts starts
+    (``planned``, ``tested``, ...) up to the size's first failing one,
+    and under ``pairs_run`` the rotation orbits (or samples) they stand
+    for.
 
     ``budget`` (at least 1) caps the number of start pairs examined;
     exhausting it returns the partial verdict with ``budget_exhausted``

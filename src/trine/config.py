@@ -49,6 +49,8 @@ class Config:
             raise ValueError("samples_per_L must be >= 0")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
     def semantic_dict(self) -> dict:
         """Everything that influences results (threads does not)."""

@@ -29,7 +29,9 @@ do not need a second pass over the trajectory.
 summarizes it: the period, the final packed state and the C counter
 planes, enough for the period, the final coloring, the color counts and
 lambda.  A summary knows its start and its exact period, so the first
-read of its states re-walks that many steps and keeps them.
+read of its states re-walks that many steps and keeps them.  On a
+circulant graph, rotating a start rotates its run (``RunRecord.rotated``),
+so one summary serves every rotation of its start.
 
 ``run_lanes`` walks many starts on a circulant graph at once (multi-spin
 coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start j owns lane j,
@@ -113,6 +115,12 @@ def _add_to_planes(planes: list[int], x: int) -> None:
     planes.append(x)
 
 
+def rotate(bits: int, k: int, width: int) -> int:
+    """Rotate a ``width``-bit pattern up by k: bit v moves to bit v + k
+    mod width."""
+    return (bits << k | bits >> (width - k)) & ((1 << width) - 1)
+
+
 def _plane_count(planes: list[int], v: int) -> int:
     total = 0
     for i, plane in enumerate(planes):
@@ -177,6 +185,24 @@ class RunRecord:
     @property
     def start_ab(self) -> str:
         return unpack(self.graph.node_count, 0, self.start_b)
+
+    def rotated(self, k: int) -> "RunRecord":
+        """The run of this start rotated up by k (see ``rotate``) on a
+        circulant graph, where that rotation is an automorphism: the
+        same period and lambda, with the start, the final state and the
+        C counter planes rotated.  Its states re-walk on first read.
+        Raises ValueError when the graph is not circulant."""
+        if self.graph.circulant_offsets is None:
+            raise ValueError("only a circulant graph carries runs along rotations")
+        L = self.graph.node_count
+        k %= L
+        if not k:
+            return self
+        return RunRecord(
+            self.graph, rotate(self.start_b, k, L), self.period,
+            (rotate(self.final[0], k, L), rotate(self.final[1], k, L)),
+            [rotate(plane, k, L) for plane in self._c_planes],
+        )
 
     # -- materialized views -------------------------------------------
 

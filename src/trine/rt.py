@@ -510,23 +510,26 @@ def reflect(table: ResolutionTable) -> ResolutionTable:
 
 def extract_rows(
     mask: Mask,
-    checked_pairs: Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport]],
+    checked_pairs: Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport, bool]],
     hypothesis: str = EXTRACTION_HYPOTHESIS,
 ) -> ResolutionTable:
     """EXPERIMENTAL: derive a table from checked run pairs.
 
-    ``checked_pairs`` holds ((run, complement run), report) items, as
-    ``extraction_run_pairs`` yields them.  For every node v and slot k,
-    the row holds, per mask column at offset o, the difference of the
-    integral phases of node v+o and node v at slot k, mod 3, barred when
-    the neighbor's slot was filled by the complement run, as the
-    report's filled-slot rows give them (rebuilt for a light-level
-    report).  A pair whose report did not pass raises UnverifiedRuns.
-    Slots not filled by exactly one run at every needed node are skipped.
+    ``checked_pairs`` holds ((run, complement run), report, swapped)
+    items, as ``extraction_run_pairs`` yields them.  For every node v and
+    slot k, the row holds, per mask column at offset o, the difference
+    of the integral phases of node v+o and node v at slot k, mod 3,
+    barred when the neighbor's slot was filled by the complement run, as
+    the report's filled-slot rows give them (rebuilt for a light-level
+    report).  ``swapped`` marks a pair that also stands for its swapped
+    pair (complement run first), whose rows are these with every bar
+    flipped, as the other run fills each slot; those rows are added too.
+    A pair whose report did not pass raises UnverifiedRuns.  Slots not
+    filled by exactly one run at every needed node are skipped.
     """
     rows: set[tuple[int, ...]] = set()
     offsets = mask.column_offsets
-    for runs, report in checked_pairs:
+    for runs, report, swapped in checked_pairs:
         if not report.passed:
             raise UnverifiedRuns(
                 f"pair starting {runs[0].start_ab!r} fails {report.level} check "
@@ -548,6 +551,8 @@ def extract_rows(
                     row.append((phi - center[0]) % 3 + (3 if barred else 0))
                 if row is not None:
                     rows.add(tuple(row))
+                    if swapped:
+                        rows.add(tuple((value + 3) % 6 for value in row))
     return ResolutionTable(
         mask.point_count, rows, mask=mask, experimental=True, hypothesis=hypothesis
     )
@@ -555,15 +560,20 @@ def extract_rows(
 
 def extraction_run_pairs(
     mask: Mask, config: Config
-) -> Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport]]:
+) -> Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport, bool]]:
     """Checked run pairs for extraction, walking the configured
-    envelope: ((run, complement run), report) for every pair that passes
-    the configured level.  Degenerate circle sizes, degenerate runs,
-    unresolved runs and failing pairs are skipped (extraction wants
-    evidence from clean runs only).  Exhaustive sizes yield one start
-    per rotation orbit (see ``iter_pairs``): ``extract_rows`` reads every
-    node, so a rotated start would only repeat the same rows.  A walk
-    that yields no pair raises UnverifiedRuns: a table needs evidence."""
+    envelope: ((run, complement run), report, swapped) for every pair
+    that passes the configured level.  Degenerate circle sizes,
+    degenerate runs, unresolved runs and failing pairs are skipped
+    (extraction wants evidence from clean runs only).  Exhaustive sizes
+    yield one start per rotation orbit, and one pair per complement
+    class (see ``iter_pairs``): ``extract_rows`` reads every node, so a
+    rotated start would only repeat the same rows, and the class's other
+    necklace gives the pair swapped up to rotation, whose rows
+    ``extract_rows`` adds when ``swapped`` is set (the two necklaces
+    differ).  Sampled sizes yield every passing sample with ``swapped``
+    unset.  A walk that yields no pair raises UnverifiedRuns: a table
+    needs evidence."""
     passed = 0
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L):
@@ -571,10 +581,10 @@ def extraction_run_pairs(
         g = build_graph(mask, L)
         if not weak_computable(g):
             continue
-        for _, _, runs, report in iter_pairs(mask, g, config):
+        for index, _, partner, runs, report in iter_pairs(mask, g, config):
             if report is not None and report.passed:
                 passed += 1
-                yield runs, report
+                yield runs, report, partner not in (None, index)
     if not passed:
         raise UnverifiedRuns(
             f"mask {mask}: no pair passes the {config.check_level} check at "

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -179,9 +180,10 @@ class TestClassifyMask:
 
     def test_parallel_matches_serial(self):
         serial = classify_mask(Mask(1, 5), quick_config())
-        for threads in (0, 2):  # threads below 1 run serially
-            other = classify_mask(Mask(1, 5), quick_config(threads=threads))
-            assert serial.to_json_dict() == other.to_json_dict()
+        other = classify_mask(Mask(1, 5), quick_config(threads=2))
+        assert serial.to_json_dict() == other.to_json_dict()
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            quick_config(threads=0)
 
     def test_budget_cuts_search_short(self):
         verdict = classify_mask(Mask(1, 1), quick_config(), budget=10)
@@ -320,6 +322,62 @@ class TestRotationReduction:
         cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L)
         got = reduced_envelope(Mask(n, m), cfg, budget=total)
         assert got == naive_envelope(Mask(n, m), cfg, total)
+
+    @pytest.mark.parametrize("origin", [0, 1])
+    @pytest.mark.parametrize("n,m,threads", [(1, 1, 1), (1, 3, 1), (1, 5, 1), (1, 5, 2),
+                                             (1, 11, 1), (3, 9, 2)])
+    def test_full_level_matches_naive_sweep(self, n, m, threads, origin):
+        # Even sizes hold self-complementary necklaces (ABAB... is a
+        # rotation of its complement).  At origin 1, (1,1) and (1,3) pass
+        # every size, (1,5) fails div3 at L = 7, and (1,11) and (3,9)
+        # fail c4; at origin 0 every mask fails c8.
+        cfg = quick_config(lmax=10, exhaustive_cutoff=10, check_level="full",
+                           time_origin=origin, threads=threads)
+        assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
+
+    @pytest.mark.parametrize("origin", [0, 1])
+    def test_full_level_budget_cut_between_class_members(self, origin):
+        # 100 starts cut L = 8 inside the classes {1, 127}, {9, 111} and
+        # {17, 119}: each is checked at its first necklace, and its second
+        # one lies past the cut
+        L, total = 8, 100
+        cut = [(r, ac23._complement_partner(r, L)[0]) for r, _ in ac23._necklaces(L)]
+        assert {(1, 127), (9, 111), (17, 119)} <= {(r, p) for r, p in cut if r < total <= p}
+        cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L, check_level="full",
+                           time_origin=origin)
+        got = reduced_envelope(Mask(1, 1), cfg, budget=total)
+        assert got == naive_envelope(Mask(1, 1), cfg, total)
+
+    def test_complement_partner(self):
+        full = 2**9 - 1
+        necklaces = {bits for bits, _ in ac23._necklaces(9)}
+        for r in necklaces:
+            p, k = ac23._complement_partner(r, 9)
+            assert p in necklaces
+            assert (p << k | p >> (9 - k)) & full == r ^ full
+
+    @pytest.mark.parametrize("L,necklaces,checks", [(10, 108, 55), (12, 352, 179)])
+    def test_one_run_per_necklace_and_one_check_per_class(self, monkeypatch, L,
+                                                          necklaces, checks):
+        # 56 and 180 complement classes (Gilbert & Riordan); the uniform
+        # class {all A, all B} is degenerate and never checked
+        counts = Counter()
+        run_lanes, check_ipf = ac23.run_lanes, ac23.check_ipf
+
+        def counted_run_lanes(g, starts, *args):
+            counts["starts"] += len(starts)
+            return run_lanes(g, starts, *args)
+
+        def counted_check_ipf(*args, **kwargs):
+            counts["checks"] += 1
+            return check_ipf(*args, **kwargs)
+
+        monkeypatch.setattr(ac23, "run_lanes", counted_run_lanes)
+        monkeypatch.setattr(ac23, "check_ipf", counted_check_ipf)
+        verdict = classify_mask(Mask(1, 1), quick_config(lmin=L, lmax=L,
+                                                         exhaustive_cutoff=L))
+        assert verdict.tested[0]["pairs_run"] == necklaces
+        assert counts == {"starts": necklaces, "checks": checks}
 
     def test_necklaces_are_the_smallest_string_rotations(self):
         for L in range(3, 13):

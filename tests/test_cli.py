@@ -124,6 +124,14 @@ class TestCheckMask:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "at least 1" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_threads_below_one_exit_1(self, capsys, value):
+        assert run_cli("check-mask", "--n", "1", "--m", "1", "--threads", value,
+                       "--lmax", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: threads must be at least 1")
+
     def test_json_does_not_depend_on_threads(self, tmp_path, capsys):
         # L=12 has 4096 starts and fails, so the size is cut at the witness
         outs = []

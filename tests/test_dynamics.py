@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgen import (
     random_coloring,
@@ -15,6 +17,7 @@ from trine.dynamics import (
     full_cycle,
     pack,
     predecessor,
+    rotate,
     run_lanes,
     run_to_mirror,
     step,
@@ -273,6 +276,22 @@ class TestLanes:
     def test_needs_a_circulant_graph(self):
         with pytest.raises(ValueError, match="circulant"):
             run_lanes(MixedGraph(3, directed=[(0, 1)]), [0b001])
+        run = run_to_mirror(MixedGraph(3, directed=[(0, 1)]), "BAA")
+        with pytest.raises(ValueError, match="circulant"):
+            run.rotated(1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 3), (3, 5), (7, 1)]), st.integers(3, 12), st.data())
+    def test_rotated_run_is_the_run_of_the_rotated_start(self, nm, L, data):
+        g = build_graph(Mask(*nm), L)
+        bits = data.draw(st.integers(0, 2**L - 1), label="bits")
+        k = data.draw(st.integers(0, L - 1), label="k")
+        [moved] = run_lanes(g, [rotate(bits, k, L)])
+        turned = run_lanes(g, [bits])[0].rotated(k)
+        assert turned.start_b == moved.start_b
+        assert (turned.period, turned.final, turned.color_counts, turned.lambda_value) == (
+            moved.period, moved.final, moved.color_counts, moved.lambda_value)
+        assert turned.packed_states == moved.packed_states
 
     def test_empty_batch(self, ring3):
         assert run_lanes(ring3, []) == []

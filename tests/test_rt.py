@@ -1,11 +1,12 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trine.ac23 import Mask
+from trine.ac23 import Mask, _sample_bits, bits_to_coloring, build_graph, degenerate_at
 from trine.config import Config
 from trine.dynamics import run_to_mirror
 from trine.errors import (
@@ -408,6 +409,29 @@ class TestReflect:
         assert reflect(reflect(t)) == t
 
 
+def own_pairs(mask, cfg):
+    """Every passing pair of the walk, each start recorded with its own
+    complement and checked at the full level: every start up to the
+    cutoff, the seeded samples past it."""
+    pairs = []
+    for L in range(cfg.lmin, cfg.lmax + 1):
+        if degenerate_at(mask, L):
+            continue
+        g = build_graph(mask, L)
+        starts = (range(2**L) if L <= cfg.exhaustive_cutoff else
+                  [_sample_bits(cfg.seed, mask.n, mask.m, L, i)
+                   for i in range(cfg.samples_per_L)])
+        for bits in starts:
+            start = bits_to_coloring(bits, L)
+            pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
+            if pair[0].degenerate or pair[1].degenerate:
+                continue
+            report = check_ipf(*pair, level="full")
+            if report.passed:
+                pairs.append((pair, report, False))
+    return pairs
+
+
 class TestExtraction:
     def test_empty_input(self):
         t = extract_rows(Mask(1, 3), [])
@@ -417,13 +441,13 @@ class TestExtraction:
 
     def test_deterministic(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        a = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
-        b = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
+        a = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
+        b = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
         assert a == b
 
     def test_fixture_rows(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        t = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair))])
+        t = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
         assert t.N == 3
         assert t.row_count > 0
         # the center column records only its own fill origin
@@ -433,8 +457,8 @@ class TestExtraction:
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
         light = check_ipf(*pair, level="light")
         assert light.filled is None
-        assert extract_rows(Mask(1, 1), [(pair, light)]) == extract_rows(
-            Mask(1, 1), [(pair, check_ipf(*pair))]
+        assert extract_rows(Mask(1, 1), [(pair, light, False)]) == extract_rows(
+            Mask(1, 1), [(pair, check_ipf(*pair), False)]
         )
 
     def test_unverified_runs_rejected(self):
@@ -443,7 +467,7 @@ class TestExtraction:
         g = build_graph(Mask(1, 5), 7)
         pair = (run_to_mirror(g, "BABAAAA"), run_to_mirror(g, complement("BABAAAA")))
         with pytest.raises(UnverifiedRuns):
-            extract_rows(Mask(1, 5), [(pair, check_ipf(*pair, level="light"))])
+            extract_rows(Mask(1, 5), [(pair, check_ipf(*pair, level="light"), False)])
 
     @pytest.mark.parametrize("level", ["full", "light"])
     def test_each_extracted_pair_is_checked_once(self, monkeypatch, level):
@@ -474,29 +498,28 @@ class TestExtraction:
         assert extract_rows(Mask(1, 3), recorded()).row_count > 0
         assert calls["check_ipf"] == calls["build_slots"] == len(extracted) > 0
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 3)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
-        from trine.ac23 import bits_to_coloring, build_graph, degenerate_at
-
         mask = Mask(n, m)
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level="full")
-        every_start = []
-        for L in range(cfg.lmin, cfg.lmax + 1):
-            if degenerate_at(mask, L):
-                continue
-            g = build_graph(mask, L)
-            for bits in range(2**L):
-                start = bits_to_coloring(bits, L)
-                pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
-                if pair[0].degenerate or pair[1].degenerate:
-                    continue
-                report = check_ipf(*pair, level="full")
-                if report.passed:
-                    every_start.append((pair, report))
+        every_start = own_pairs(mask, cfg)
         reduced = list(extraction_run_pairs(mask, cfg))
+        # one pair per complement class, standing for the class's other
+        # necklace too where the two differ
         assert len(reduced) < len(every_start)
+        assert any(swapped for _, _, swapped in reduced)
         assert (format_table(extract_rows(mask, reduced))
                 == format_table(extract_rows(mask, every_start)))
+
+    def test_sampled_sizes_add_no_flipped_rows(self):
+        mask = Mask(1, 3)
+        cfg = Config(lmax=10, exhaustive_cutoff=7, samples_per_L=40, check_level="full")
+        reduced = list(extraction_run_pairs(mask, cfg))
+        sampled = [item for item in reduced if item[0][0].graph.node_count > 7]
+        assert len(sampled) == len(own_pairs(mask, replace(cfg, lmin=8))) > 0
+        assert not any(swapped for _, _, swapped in sampled)
+        assert (format_table(extract_rows(mask, reduced))
+                == format_table(extract_rows(mask, own_pairs(mask, cfg))))
 
     def test_search_driver_skips_bad_pairs(self):
         cfg = Config(lmin=5, lmax=7, exhaustive_cutoff=7, samples_per_L=0,
