@@ -8,13 +8,14 @@ import csv
 import hashlib
 import json
 from pathlib import Path
+from typing import Optional
 
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask
 from .config import Config
-from .dynamics import run_to_mirror
-from .graph import complement
-from .ipf import check_ipf
+from .dynamics import RunRecord, run_to_mirror
+from .graph import MixedGraph, complement
+from .ipf import IpfReport, check_ipf
 
 
 def write_json(path: Path, data) -> None:
@@ -41,6 +42,21 @@ def parse_trace_spec(text: str) -> tuple[Mask, int, str]:
         raise ValueError(f"trace {text!r} needs L >= 3 and a start of L letters "
                          "A and B ('n,m:L:start')")
     return mask, L, start
+
+
+def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
+               ) -> tuple[RunRecord, Optional[RunRecord], Optional[IpfReport]]:
+    """Run a two-color start and, unless its run is degenerate, its
+    complement, and check the pair at ``level``: (run, complement run or
+    None, report or None)."""
+    run = run_to_mirror(g, start, cfg.max_steps)
+    if run.degenerate:
+        return run, None, None
+    comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
+    report = check_ipf(run, comp_run, level=level,
+                       cond1_interpretation=cfg.cond1_interpretation,
+                       time_origin=cfg.time_origin)
+    return run, comp_run, report
 
 
 def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
@@ -76,17 +92,12 @@ def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
     write_csv(outdir / "coincidence.csv", rt.COINCIDENCE_CSV_COLUMNS, coincide_rows)
 
     for mask, L, start in trace_specs:
-        g = ac23.build_graph(mask, L)
-        run = run_to_mirror(g, start, cfg.max_steps)
+        run, _, report = trace_pair(ac23.build_graph(mask, L), start, cfg, "full")
         name = f"trace_{mask.n}_{mask.m}_L{L}_{start}"
         with open(outdir / "traces" / f"{name}.csv", "w", encoding="utf-8",
                   newline="") as fh:
             run.write_trace_csv(fh)
-        if not run.degenerate:
-            comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
-            report = check_ipf(run, comp_run, level="full",
-                               cond1_interpretation=cfg.cond1_interpretation,
-                               time_origin=cfg.time_origin)
+        if report is not None:
             write_json(outdir / "traces" / f"{name}_ipf.json",
                        report.to_json_dict())
 

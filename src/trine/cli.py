@@ -28,12 +28,11 @@ from pathlib import Path
 
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask, MaskVerdict, build_graph, classify_mask, parse_mask, verdict_grid
-from .bundle import build_bundle, parse_trace_spec, write_csv, write_json
+from .bundle import build_bundle, parse_trace_spec, trace_pair, write_csv, write_json
 from .config import Config
-from .dynamics import run_to_mirror
 from .errors import IncompatibleTables, TrineError
-from .graph import MixedGraph, complement
-from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, check_ipf
+from .graph import MixedGraph
+from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,20 +93,11 @@ def cmd_trace(args) -> int:
         return EXIT_ERROR
 
     start = args.start
-    run = run_to_mirror(g, start, cfg.max_steps)
+    run, comp_run, report = trace_pair(g, start, cfg, args.check_level or "full")
     print(f"start {start}: T={run.period}" + (" (degenerate)" if run.degenerate else ""))
-    report = None
     if run.degenerate:
         print("degenerate trajectory (period <= 2); no invariant check")
     else:
-        comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
-        report = check_ipf(
-            run,
-            comp_run,
-            level=args.check_level or "full",
-            cond1_interpretation=cfg.cond1_interpretation,
-            time_origin=cfg.time_origin,
-        )
         for t, state in enumerate(run.states, 1):
             print(f"  t={t:<4d} {state}")
         print(f"mirror {run.mirror_state}")

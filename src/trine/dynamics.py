@@ -25,36 +25,43 @@ run with ripple-carry counter planes; B and A counts follow from them
 (every step copies C to B, and t = 1 has no B), so per-node statistics
 do not need a second pass over the trajectory.
 
-``run_to_mirror`` records a run with every packed state.  ``run_lanes``
-summarizes it: the period, the final packed state and the C counter
-planes, enough for the period, the final coloring, the color counts and
-lambda.  A summary knows its start and its exact period, so the first
-read of its states re-walks that many steps and keeps them.  On a
-circulant graph, rotating a start rotates its run (``RunRecord.rotated``),
-so one summary serves every rotation of its start.
+P has one formula on every graph.  With M_d the offset mask of d
+(``MixedGraph.offset_masks``: bit v set iff v + d mod n is an
+out-neighbor of v), P is the OR over the offsets d in use of C rotated
+down by d, masked to M_d.  A circulant graph has every M_d full.
 
-``run_lanes`` walks many starts on a circulant graph at once (multi-spin
-coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start j owns lane j,
-bits j*L .. j*L+L-1 of one Python int, with node v at bit j*L+v.  On a
-circulant graph every node sees C at the same offsets d, so P is the OR
-over d of C rotated down by d within each lane: two shifts, each masked
-to the bits that stay inside their lane.  The rule and the counter
-planes act bit by bit and need no lane logic.  A lane reached its mirror
-when its lane of d = new_c ^ b is zero.  With H the top bit of every lane
-and LOW the other bits, ``(((d & LOW) + LOW) | d) & H`` sets the top bit
-of exactly the nonzero lanes (the SWAR zero-lane test; Warren, Hacker's
-Delight, 2nd ed., section 6-1): adding LOW carries into the top bit
-from any set low bit and never past it.  A finished lane leaves the
-``active`` mask, and its period, final state and counter planes are
-sliced out at that step; its bits keep stepping unread.  Periods are
-long-tailed, so once three quarters of the lanes have finished the
-survivors are repacked into a narrower int.
+``run_lanes`` is the one runner.  It walks many starts at once
+(multi-spin coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start
+j owns lane j, bits j*L .. j*L+L-1 of one Python int, with node v at bit
+j*L+v.  The rotation within each lane is two shifts: C at v + d reaches
+node v by a shift down by d when v + d < L, and by a shift up by L - d
+when it wraps, each masked to the copies of M_d on those nodes.  The
+rule and the counter planes act bit by bit and need no lane logic.  A
+lane reached its mirror when its lane of d = new_c ^ b is zero.  With H
+the top bit of every lane and LOW the other bits,
+``(((d & LOW) + LOW) | d) & H`` sets the top bit of exactly the nonzero
+lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
+section 6-1): adding LOW carries into the top bit from any set low bit
+and never past it.  A finished lane leaves the ``active`` mask, and its
+period, final state and counter planes are sliced out at that step; its
+bits keep stepping unread.  Periods are long-tailed, so once three
+quarters of the lanes have finished the survivors are repacked into a
+narrower int.
+
+A run is summarized by its period, its final packed state and its C
+counter planes: enough for the final coloring, the color counts and
+lambda.  ``run_to_mirror`` runs one start as one lane.  A summary knows
+its start and its exact period, so the first read of its states
+re-walks that many steps in one lane and keeps them.  On a circulant
+graph, rotating a start rotates its run (``RunRecord.rotated``), so one
+summary serves every rotation of its start.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .errors import MaxStepsExceeded
 from .graph import MixedGraph, transliterate, validate_coloring
@@ -90,31 +97,6 @@ def unpack(node_count: int, c_bits: int, b_bits: int) -> str:
     return "".join(out)
 
 
-def _step_packed(
-    out_masks: tuple[int, ...], full: int, c_bits: int, b_bits: int
-) -> tuple[int, int]:
-    """One synchronous step on a packed state."""
-    p = 0
-    for v, mask in enumerate(out_masks):
-        if mask & c_bits:
-            p |= 1 << v
-    a_bits = full & ~(c_bits | b_bits)
-    new_c = (b_bits & ~p) | (a_bits & p)
-    new_b = c_bits
-    return new_c, new_b
-
-
-def _add_to_planes(planes: list[int], x: int) -> None:
-    """Add the bitmask x into per-bit-position binary counters."""
-    for i in range(len(planes)):
-        carry = planes[i] & x
-        planes[i] ^= x
-        if not carry:
-            return
-        x = carry
-    planes.append(x)
-
-
 def rotate(bits: int, k: int, width: int) -> int:
     """Rotate a ``width``-bit pattern up by k: bit v moves to bit v + k
     mod width."""
@@ -134,10 +116,7 @@ def _plane_count(planes: list[int], v: int) -> int:
 def step(g: MixedGraph, coloring: str) -> str:
     """Apply one synchronous recoloring step."""
     validate_coloring(coloring, g.node_count)
-    c_bits, b_bits = pack(coloring)
-    full = (1 << g.node_count) - 1
-    nc, nb = _step_packed(g.out_masks, full, c_bits, b_bits)
-    return unpack(g.node_count, nc, nb)
+    return unpack(g.node_count, *next(_walk(g, *pack(coloring))))
 
 
 def predecessor(g: MixedGraph, coloring: str) -> str:
@@ -154,14 +133,14 @@ def predecessor(g: MixedGraph, coloring: str) -> str:
 class RunRecord:
     """A forward trajectory from a two-color start to its mirror state.
 
-    ``packed_states`` holds the trajectory at times t = 1..T.  A recorded
-    run (``run_to_mirror``) has them from the start; a summary run
-    (``run_lanes``) keeps only the period, the final packed state and the
-    C counter planes, and re-walks its known period on the first read of
-    its states.  The {A,B} start state itself sits before t = 1;
-    ``start_b`` holds its B bits.  A run with T <= 2 is degenerate (no
-    proper mirror state; the uniform all-A and all-B starts are the
-    standard cases) and is flagged as such.
+    ``packed_states`` holds the trajectory at times t = 1..T.  A run
+    from ``run_lanes`` or ``run_to_mirror`` keeps only the period, the
+    final packed state and the C counter planes, and re-walks its known
+    period on the first read of its states; a record built with
+    ``packed_states`` has them from the start.  The {A,B} start state
+    itself sits before t = 1; ``start_b`` holds its B bits.  A run with
+    T <= 2 is degenerate (no proper mirror state; the uniform all-A and
+    all-B starts are the standard cases) and is flagged as such.
     """
 
     def __init__(
@@ -210,8 +189,8 @@ class RunRecord:
     def packed_states(self) -> list[tuple[int, int]]:
         """Packed states at t = 1..T; a summary re-walks its period."""
         if self._packed_states is None:
-            rerun = run_to_mirror(self.graph, self.start_ab, self.period)
-            self._packed_states = rerun.packed_states
+            walk = _walk(self.graph, 0, self.start_b)
+            self._packed_states = list(islice(walk, self.period))
         return self._packed_states
 
     @property
@@ -289,75 +268,75 @@ class RunRecord:
             writer.writerow([t, state])
 
 
-def _first_state(g: MixedGraph, start_ab: str) -> tuple[int, int]:
-    """Check a two-color {A,B} start and take the first step (no C
-    present, so rule I everywhere: the transliteration)."""
+def _start_b(g: MixedGraph, start_ab: str) -> int:
+    """The B bits of a two-color {A,B} start, checked."""
     validate_coloring(start_ab, g.node_count)
     if "C" in start_ab:
         raise ValueError(f"start state {start_ab!r} must use colors A and B only")
-    return _step_packed(g.out_masks, (1 << g.node_count) - 1, *pack(start_ab))
+    return pack(start_ab)[1]
 
 
 def run_to_mirror(
     g: MixedGraph, start_ab: str, max_steps: int = DEFAULT_MAX_STEPS
 ) -> RunRecord:
-    """Walk from a two-color {A,B} start until the mirror state, and
-    record every state on the way.
+    """Walk from a two-color {A,B} start until the mirror state: one lane
+    of ``run_lanes``, whose states re-walk on first read.
 
     Raises MaxStepsExceeded when the bound is hit (the mirror always
     exists on a finite graph, so the bound was too small).
     """
-    out_masks = g.out_masks
-    full = (1 << g.node_count) - 1
-    state = _first_state(g, start_ab)
-    packed = [state]
-    c_planes: list[int] = []
-
-    for _ in range(max_steps):
-        c_bits, b_bits = state
-        _add_to_planes(c_planes, c_bits)
-        state = _step_packed(out_masks, full, c_bits, b_bits)
-        # new_b == c_bits always, so the mirror test "next state equals
-        # transliteration of the current state" reduces to one compare.
-        if state[0] == b_bits:
-            # the first state's C bits are the start's B bits
-            return RunRecord(g, packed[0][0], len(packed), packed[-1], c_planes, packed)
-        packed.append(state)
-
-    raise MaxStepsExceeded(max_steps, start_ab)
+    [run] = run_lanes(g, [_start_b(g, start_ab)], max_steps)
+    if run is None:
+        raise MaxStepsExceeded(max_steps, start_ab)
+    return run
 
 
-def _lane_masks(node_count: int, offsets: tuple[int, ...], lanes: int):
-    """Masks over ``lanes`` lanes of ``node_count`` bits: (all bits, the
-    top bit of every lane, the other bits, rotations), where rotations
-    holds per offset d (d, node_count - d, the bits that stay in their
-    lane shifted down by d, the bits that stay in it shifted up by
+def _lane_masks(g: MixedGraph, lanes: int):
+    """Masks over ``lanes`` lanes of ``g.node_count`` bits: (all bits,
+    the top bit of every lane, the other bits, rotations), where
+    rotations holds per pair (d, M_d) of ``g.offset_masks`` (d,
+    node_count - d, the lane bits of M_d at nodes v < node_count - d,
+    which read C at v + d by a shift down by d, the other lane bits of
+    M_d, which read it at v + d - node_count by a shift up by
     node_count - d)."""
-    lane = (1 << node_count) - 1
-    rep = ((1 << lanes * node_count) - 1) // lane  # bit 0 of every lane
+    width = g.node_count
+    lane = (1 << width) - 1
+    rep = ((1 << lanes * width) - 1) // lane  # bit 0 of every lane
     full = rep * lane
-    top = rep << (node_count - 1)
+    top = rep << (width - 1)
     rotations = []
-    for d in offsets:
-        down = rep * ((1 << (node_count - d)) - 1)
-        rotations.append((d, node_count - d, down, full ^ down))
+    for d, mask in g.offset_masks:
+        down = mask & ((1 << (width - d)) - 1)
+        rotations.append((d, width - d, rep * down, rep * (mask ^ down)))
     return full, top, full ^ top, rotations
+
+
+def _rule(c: int, b: int, full: int, rotations) -> int:
+    """The C bits after the packed state (c, b), P formed from
+    ``_lane_masks``' rotations; the B bits after it are c."""
+    p = 0
+    for down, up, down_mask, up_mask in rotations:
+        p |= (c >> down) & down_mask | (c << up) & up_mask
+    return b & ~p | (full ^ (c | b)) & p
+
+
+def _walk(g: MixedGraph, c: int, b: int) -> Iterator[tuple[int, int]]:
+    """The packed states after (c, b), one after another, in one lane."""
+    full, _, _, rotations = _lane_masks(g, 1)
+    while True:
+        c, b = _rule(c, b, full, rotations), c
+        yield c, b
 
 
 def run_lanes(
     g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
 ) -> list[Optional[RunRecord]]:
-    """Walk every {A,B} start (given by its B bits) on a circulant graph
-    to its mirror state at once, one lane per start.
+    """Walk every {A,B} start (given by its B bits) to its mirror state
+    at once, one lane per start.
 
     Returns one summary RunRecord per start, in order, or None for a
-    start whose run is unresolved after ``max_steps`` steps (exactly
-    where ``run_to_mirror`` raises).  Raises ValueError when ``g`` is not
-    circulant.
+    start whose run is unresolved after ``max_steps`` steps.
     """
-    offsets = g.circulant_offsets
-    if offsets is None:
-        raise ValueError("run_lanes needs a circulant graph")
     width = g.node_count
     lane = (1 << width) - 1
     records: list[Optional[RunRecord]] = [None] * len(starts)
@@ -367,15 +346,19 @@ def run_lanes(
     planes: list[int] = []
     t = 1
     while ids and t <= max_steps:
-        full, top, low, rotations = _lane_masks(width, offsets, len(ids))
+        full, top, low, rotations = _lane_masks(g, len(ids))
         active = top
         live = len(ids)
         while t <= max_steps:
-            _add_to_planes(planes, c)
-            p = 0
-            for down, up, down_mask, up_mask in rotations:
-                p |= (c >> down) & down_mask | (c << up) & up_mask
-            new_c = b & ~p | (full ^ (c | b)) & p
+            carry = c  # add c into the counter planes, ripple-carry
+            for k, plane in enumerate(planes):
+                planes[k] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+            new_c = _rule(c, b, full, rotations)
             d = new_c ^ b
             # top bit of a lane set iff the lane of d is nonzero
             done = active & ~(((d & low) + low | d) & top)
@@ -421,17 +404,13 @@ def full_cycle(
     passes through the start state itself; reversibility means there is
     no lead-in branch the orbit could hang from.
     """
-    out_masks = g.out_masks
-    full = (1 << g.node_count) - 1
-    first = _first_state(g, start_ab)
+    first = (_start_b(g, start_ab), 0)  # rule I everywhere: B turns to C
     cycle = [first]
-    state = _step_packed(out_masks, full, *first)
-    steps = 0
-    while state != first:
+    for state in _walk(g, *first):
+        if state == first:
+            break
         cycle.append(state)
-        state = _step_packed(out_masks, full, *state)
-        steps += 1
-        if steps > 2 * max_steps:
-            raise MaxStepsExceeded(steps, start_ab)
+        if len(cycle) > 2 * max_steps + 1:
+            raise MaxStepsExceeded(len(cycle) - 1, start_ab)
     n = g.node_count
     return [unpack(n, c, b) for c, b in cycle]

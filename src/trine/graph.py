@@ -58,7 +58,7 @@ class MixedGraph:
     """
 
     __slots__ = (
-        "node_count", "directed", "undirected", "_out", "_out_masks",
+        "node_count", "directed", "undirected", "_out_masks", "_offset_masks",
         "_circulant_offsets",
     )
 
@@ -68,20 +68,20 @@ class MixedGraph:
         directed: Iterable[Sequence[int]] = (),
         undirected: Iterable[Sequence[int]] = (),
     ):
+        if type(node_count) is not int:
+            raise GraphFormatError(f"node count must be an int, got {node_count!r}")
         if node_count < 1:
             raise GraphFormatError("graph needs at least one node")
         self.node_count = node_count
 
         dir_set: set[tuple[int, int]] = set()
-        for u, v in directed:
-            self._check_pair(u, v)
+        for u, v in self._pairs(directed, "directed"):
             if (u, v) in dir_set:
                 raise GraphFormatError(f"duplicate directed edge ({u},{v})")
             dir_set.add((u, v))
 
         und_set: set[tuple[int, int]] = set()
-        for u, v in undirected:
-            self._check_pair(u, v)
+        for u, v in self._pairs(undirected, "undirected"):
             key = (u, v) if u < v else (v, u)
             if key in und_set:
                 raise GraphFormatError(f"duplicate undirected edge {{{u},{v}}}")
@@ -96,52 +96,66 @@ class MixedGraph:
         self.directed = frozenset(dir_set)
         self.undirected = frozenset(und_set)
 
-        out: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in dir_set:
-            out[u].add(v)
-        for u, v in und_set:
-            out[u].add(v)
-            out[v].add(u)
-        self._out = tuple(tuple(sorted(s)) for s in out)
-        self._out_masks = tuple(
-            sum(1 << v for v in neigh) for neigh in self._out
-        )
-        full = (1 << node_count) - 1
-        first = self._out_masks[0]
-        rotations = (
-            (first << v | first >> (node_count - v)) & full for v in range(node_count)
-        )
-        self._circulant_offsets = (
-            self._out[0] if all(m == r for m, r in zip(self._out_masks, rotations))
-            else None
-        )
+        out_masks = [0] * node_count
+        offset_masks: dict[int, int] = {}
+        for u, v in (*dir_set, *und_set, *((v, u) for u, v in und_set)):
+            out_masks[u] |= 1 << v
+            d = (v - u) % node_count
+            offset_masks[d] = offset_masks.get(d, 0) | 1 << u
+        self._out_masks = tuple(out_masks)
+        self._offset_masks = tuple(sorted(offset_masks.items()))
+        circulant = set(offset_masks.values()) <= {(1 << node_count) - 1}
+        self._circulant_offsets = tuple(sorted(offset_masks)) if circulant else None
 
-    def _check_pair(self, u: int, v: int) -> None:
+    def _pairs(self, edges, kind: str):
+        """The (u, v) pairs of an edge list, each checked."""
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise GraphFormatError(
+                f"{kind} edges must be a list of node pairs, got {edges!r}"
+            ) from None
         n = self.node_count
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) references a missing node")
-        if u == v:
-            raise GraphFormatError(f"loop at node {u} is not allowed")
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError(f"{kind} edge {edge!r} is not a pair of nodes") from None
+            if type(u) is not int or type(v) is not int:
+                raise GraphFormatError(f"{kind} edge {edge!r} names a node that is not an int")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edge ({u},{v}) references a missing node")
+            if u == v:
+                raise GraphFormatError(f"loop at node {u} is not allowed")
+            yield u, v
 
     # -- adjacency ---------------------------------------------------
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Targets of directed edges from v plus undirected partners of v,
         in ascending node order."""
-        return self._out[v]
+        mask = self._out_masks[v]
+        return tuple(u for u in range(self.node_count) if mask >> u & 1)
 
     @property
     def out_masks(self) -> tuple[int, ...]:
         """Per-node out-neighborhoods as bitmasks (bit u set iff u is an
-        out-neighbor).  This is the step engine's working form."""
+        out-neighbor)."""
         return self._out_masks
+
+    @property
+    def offset_masks(self) -> tuple[tuple[int, int], ...]:
+        """The pairs (d, M_d), d ascending, of every offset d in use: bit v
+        of M_d is set iff v + d mod node_count is an out-neighbor of v.
+        The step engine forms P from these."""
+        return self._offset_masks
 
     @property
     def circulant_offsets(self) -> Optional[tuple[int, ...]]:
         """The offsets d (ascending) with an edge from every node v to
-        v + d mod node_count, when every node's out-neighborhood is node
-        0's rotated by v; None for a graph that is not circulant in its
-        node order."""
+        v + d mod node_count, when every offset in use is used at every
+        node (its M_d is full); None for a graph that is not circulant in
+        its node order."""
         return self._circulant_offsets
 
     # -- comparison --------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from trine import rt
 from trine.ac23 import GRID_CSV_COLUMNS
 from trine.cli import main
+from trine.graph import MixedGraph
 
 
 DATA = Path(__file__).parent / "data"
@@ -42,6 +43,20 @@ class TestGoldenOutputs:
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
+
+    def test_trace_on_a_graph_that_is_not_circulant(self, tmp_path, capsys):
+        # tests/graphgen.py: rng = random.Random(120);
+        # random_mixed_graph(rng, max_nodes=11, min_nodes=9), then
+        # random_two_color(rng, 11) is the start
+        golden = DATA / "golden_trace_mixed"
+        graph = golden / "mixed120.json"
+        assert MixedGraph.load(graph).circulant_offsets is None
+        out = tmp_path / "t"
+        assert run_cli("trace", "--graph", str(graph), "--start", "ABBBAAABAAA",
+                       "--out", str(out)) == 0
+        assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+        for name in ("trace.csv", "complement_trace.csv", "run.json", "ipf.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
 
 
 class TestTrace:
@@ -79,6 +94,19 @@ class TestTrace:
         path.write_text(json.dumps(graph))
         assert run_cli("trace", "--graph", str(path), "--start", "ABA") == 0
         assert "T=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph", [
+        {"nodes": 2.5}, {"nodes": "3"}, {"nodes": True},
+        {"nodes": 3, "directed": [[0, "1"]]}, {"nodes": 3, "directed": 5},
+        {"nodes": 3, "directed": [[0, 1.0]]}, {"nodes": 3, "undirected": [[0, 1, 2]]},
+    ])
+    def test_malformed_graph_file_exits_1(self, tmp_path, capsys, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert run_cli("trace", "--graph", str(path), "--start", "ABA") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     def test_missing_arguments(self, capsys):
         assert run_cli("trace", "--start", "ABA") == 1

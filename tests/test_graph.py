@@ -79,6 +79,38 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             MixedGraph(0)
 
+    @pytest.mark.parametrize("nodes", [2.5, "3", True, None, [3]])
+    def test_rejects_a_node_count_that_is_not_an_int(self, nodes):
+        with pytest.raises(GraphFormatError, match="node count must be an int"):
+            MixedGraph(nodes)
+
+    @pytest.mark.parametrize("edge", [(0, "1"), (0, 1.0), (True, 1), (None, 2)])
+    def test_rejects_node_ids_that_are_not_ints(self, edge):
+        for kind in ("directed", "undirected"):
+            with pytest.raises(GraphFormatError, match=f"{kind} edge .* not an int"):
+                MixedGraph(3, **{kind: [edge]})
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5, "01x"])
+    def test_rejects_edges_that_are_not_pairs(self, edge):
+        for kind in ("directed", "undirected"):
+            with pytest.raises(GraphFormatError, match=f"{kind} edge .* not a pair"):
+                MixedGraph(3, **{kind: [edge]})
+
+    def test_rejects_an_edge_list_that_is_not_a_list(self):
+        with pytest.raises(GraphFormatError, match="directed edges must be a list"):
+            MixedGraph(3, directed=5)
+
+    @pytest.mark.parametrize("data", [
+        {"nodes": 2.5}, {"nodes": "3"}, {"nodes": True},
+        {"nodes": 3, "directed": [[0, "1"]]}, {"nodes": 3, "directed": 5},
+        {"nodes": 3, "directed": [[0, 1.0]]}, {"nodes": 3, "undirected": [[0, 1, 2]]},
+    ])
+    def test_malformed_json_is_a_format_error(self, tmp_path, data):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(GraphFormatError):
+            MixedGraph.load(path)
+
     def test_opposite_directed_arcs_allowed(self):
         g = MixedGraph(2, directed=[(0, 1), (1, 0)])
         assert g.out_neighbors(0) == (1,)
@@ -178,6 +210,23 @@ class TestCirculant:
         path = tmp_path / "circle.json"
         build_graph(Mask(3, 5), 11).save(path)
         assert MixedGraph.load(path).circulant_offsets == (1, 3, 9, 10)
+
+    def test_offset_masks_follow_the_out_neighbors(self):
+        rng = random.Random(12)
+        graphs = [random_mixed_graph(rng, max_nodes=10) for _ in range(100)]
+        graphs += [build_graph(Mask(n, m), L) for n, m in ((1, 1), (3, 5), (7, 1))
+                   for L in range(3, 12)]
+        for g in graphs:
+            n = g.node_count
+            want = {}
+            for v in range(n):
+                for u in g.out_neighbors(v):
+                    want[(u - v) % n] = want.get((u - v) % n, 0) | 1 << v
+            assert g.offset_masks == tuple(sorted(want.items()))
+            for d, mask in g.offset_masks:
+                assert 0 < d < n and mask
+                assert all((mask >> v & 1) == ((v + d) % n in g.out_neighbors(v))
+                           for v in range(n))
 
     def test_other_graphs_report_none(self):
         rng = random.Random(11)

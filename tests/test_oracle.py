@@ -8,14 +8,16 @@ from the rule table:
     | C visible    | C  | A  | B  |
 
 The lane engine's summary runs are compared with the same naive runs,
-lane by lane.  ``check_ipf`` is compared with a transcription of the
-nine statements of the ``trine.ipf`` module docstring, evaluated on the
-naive runs, both on recorded runs and on lane summaries.
+lane by lane, on circle graphs and on random mixed graphs.
+``check_ipf`` is compared with a transcription of the nine statements
+of the ``trine.ipf`` module docstring, evaluated on the naive runs,
+both on recorded runs and on lane summaries.
 """
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from graphgen import random_mixed_graph
 from trine.ac23 import Mask, bits_to_coloring, build_graph
 from trine.dynamics import run_lanes, run_to_mirror, step
 from trine.graph import MixedGraph, complement
@@ -129,6 +131,37 @@ def test_lanes_match_oracle(case):
     g, starts = case
     for bits, run in zip(starts, run_lanes(g, starts), strict=True):
         assert_run_matches_oracle(run, g, bits_to_coloring(bits, g.node_count))
+
+
+@st.composite
+def mixed_graph_batches(draw):
+    """A random mixed graph of 1 to 10 nodes and a batch of starts, as B
+    bits, on it."""
+    n = draw(st.integers(1, 10))
+    g = random_mixed_graph(draw(st.randoms(use_true_random=False)), max_nodes=n, min_nodes=n)
+    starts = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=40))
+    return g, starts
+
+
+def assert_lanes_match_oracle(g: MixedGraph, starts: list[int]) -> None:
+    for bits, run in zip(starts, run_lanes(g, starts), strict=True):
+        start = bits_to_coloring(bits, g.node_count)
+        assert run.states == naive_run(g, start)
+        assert_run_matches_oracle(run, g, start)
+
+
+@given(mixed_graph_batches())
+@settings(deadline=None)
+def test_lanes_match_oracle_on_mixed_graphs(case):
+    assert_lanes_match_oracle(*case)
+
+
+def test_lanes_match_oracle_on_every_small_graph():
+    # every graph on 1 and 2 nodes, every start, in one batch each
+    for g in (MixedGraph(1), MixedGraph(2), MixedGraph(2, undirected=[(0, 1)]),
+              MixedGraph(2, directed=[(0, 1)]), MixedGraph(2, directed=[(1, 0)]),
+              MixedGraph(2, directed=[(0, 1), (1, 0)])):
+        assert_lanes_match_oracle(g, list(range(2**g.node_count)))
 
 
 def test_lanes_match_oracle_through_repacks():
