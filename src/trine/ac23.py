@@ -242,17 +242,18 @@ def iter_pairs(
 
     The starts run as summary runs, a few hundred pairs at a time in one
     lane integer (``run_lanes``).  The light check reads only their
-    periods, final states and counts; the full check reads their
-    states, which a summary re-walks on first read.
+    periods, final states and counts; for the full check the lanes also
+    record each run's skeletons, so no run re-walks its states.
     """
     L = g.node_count
     if indices is None:
         indices = ([bits for bits, _ in _necklaces(L)] if L <= config.exhaustive_cutoff
                    else range(config.samples_per_L))
     pairs = _pair_starts(mask, L, config, indices)
+    record = config.check_level == "full"
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
-        runs = dict(zip(starts, run_lanes(g, starts, config.max_steps)))
+        runs = dict(zip(starts, run_lanes(g, starts, config.max_steps, record)))
         for index, bits, partner, comp, k in chunk:
             run, comp_run = runs[bits], runs[comp]
             if run is None or comp_run is None:

@@ -13,7 +13,8 @@ from typing import Optional
 from . import __version__, ac23, rt
 from .ac23 import GRID_CSV_COLUMNS, Mask
 from .config import Config
-from .dynamics import RunRecord, run_to_mirror
+from .dynamics import RunRecord, run_lanes, start_bits
+from .errors import MaxStepsExceeded
 from .graph import MixedGraph, complement
 from .ipf import IpfReport, check_ipf
 
@@ -46,13 +47,19 @@ def parse_trace_spec(text: str) -> tuple[Mask, int, str]:
 
 def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
                ) -> tuple[RunRecord, Optional[RunRecord], Optional[IpfReport]]:
-    """Run a two-color start and, unless its run is degenerate, its
-    complement, and check the pair at ``level``: (run, complement run or
-    None, report or None)."""
-    run = run_to_mirror(g, start, cfg.max_steps)
+    """Run a two-color start and its complement as two lanes of one
+    batch, and check the pair at ``level`` unless the start's run is
+    degenerate: (run, complement run or None, report or None).  Raises
+    MaxStepsExceeded when a run the check needs is unresolved."""
+    bits = start_bits(g, start)
+    run, comp_run = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)],
+                              cfg.max_steps, record=level == "full")
+    if run is None:
+        raise MaxStepsExceeded(cfg.max_steps, start)
     if run.degenerate:
         return run, None, None
-    comp_run = run_to_mirror(g, complement(start), cfg.max_steps)
+    if comp_run is None:
+        raise MaxStepsExceeded(cfg.max_steps, complement(start))
     report = check_ipf(run, comp_run, level=level,
                        cond1_interpretation=cfg.cond1_interpretation,
                        time_origin=cfg.time_origin)

@@ -55,6 +55,14 @@ its start and its exact period, so the first read of its states
 re-walks that many steps in one lane and keeps them.  On a circulant
 graph, rotating a start rotates its run (``RunRecord.rotated``), so one
 summary serves every rotation of its start.
+
+A recording batch (``run_lanes(..., record=True)``) also gives each
+summary its skeletons, the per-node histories with the B's dropped that
+the full invariant check reads.  It keeps each step's C bits, and at
+each repack, or once they hold ``_RECORD_BITS`` bits, formats them as
+binary strings and cuts every lane's node columns out with strided
+slices; a column with the B after each C dropped is a skeleton.  So the
+full check never re-walks a run.
 """
 
 from __future__ import annotations
@@ -137,10 +145,11 @@ class RunRecord:
     from ``run_lanes`` or ``run_to_mirror`` keeps only the period, the
     final packed state and the C counter planes, and re-walks its known
     period on the first read of its states; a record built with
-    ``packed_states`` has them from the start.  The {A,B} start state
-    itself sits before t = 1; ``start_b`` holds its B bits.  A run with
-    T <= 2 is degenerate (no proper mirror state; the uniform all-A and
-    all-B starts are the standard cases) and is flagged as such.
+    ``packed_states`` has them from the start.  A trajectory has no B at
+    t = 1, and B at t exactly where C was at t - 1.  The {A,B} start
+    state itself sits before t = 1; ``start_b`` holds its B bits.  A run
+    with T <= 2 is degenerate (no proper mirror state; the uniform all-A
+    and all-B starts are the standard cases) and is flagged as such.
     """
 
     def __init__(
@@ -158,8 +167,10 @@ class RunRecord:
         self.final = final
         self.degenerate = period <= 2
         self._c_planes = c_planes
+        self._plane_turn = 0  # the planes are those of this run rotated down by it
         self._packed_states = packed_states
         self._states: Optional[list[str]] = None
+        self._skeleton_text: Optional[str] = None
 
     @property
     def start_ab(self) -> str:
@@ -168,20 +179,25 @@ class RunRecord:
     def rotated(self, k: int) -> "RunRecord":
         """The run of this start rotated up by k (see ``rotate``) on a
         circulant graph, where that rotation is an automorphism: the
-        same period and lambda, with the start, the final state and the
-        C counter planes rotated.  Its states re-walk on first read.
-        Raises ValueError when the graph is not circulant."""
+        same period and lambda, with the start, the final state, the
+        skeletons and the C counter planes rotated, the planes only when
+        the counts are read.  Its states re-walk on first read.  Raises
+        ValueError when the graph is not circulant."""
         if self.graph.circulant_offsets is None:
             raise ValueError("only a circulant graph carries runs along rotations")
         L = self.graph.node_count
         k %= L
         if not k:
             return self
-        return RunRecord(
+        turned = RunRecord(
             self.graph, rotate(self.start_b, k, L), self.period,
-            (rotate(self.final[0], k, L), rotate(self.final[1], k, L)),
-            [rotate(plane, k, L) for plane in self._c_planes],
+            (rotate(self.final[0], k, L), rotate(self.final[1], k, L)), self._c_planes,
         )
+        turned._plane_turn = (self._plane_turn + k) % L
+        if self._skeleton_text is not None:  # node v takes node v - k's skeleton
+            skeletons = self._skeleton_text.split("2")
+            turned._skeleton_text = "2".join(skeletons[L - k:] + skeletons[:L - k])
+        return turned
 
     # -- materialized views -------------------------------------------
 
@@ -192,6 +208,25 @@ class RunRecord:
             walk = _walk(self.graph, 0, self.start_b)
             self._packed_states = list(islice(walk, self.period))
         return self._packed_states
+
+    @property
+    def skeleton_text(self) -> str:
+        """Per node, its history over t = 1..T with the B's dropped: '1'
+        for C, '0' for A; the nodes' skeletons in node order, joined by
+        '2'.  Every C but one at T is followed by a B, so the k-th
+        character of a skeleton (slot k) is at time 1 + k + (the number
+        of '1's before it).  A run from a recording ``run_lanes`` batch
+        has them already; any other reads them once from its states."""
+        if self._skeleton_text is None:
+            states = self.packed_states
+            _flush([c for c, _ in states], self.graph.node_count, [0], 0,
+                   [(0, len(states))], {}, [self])
+        return self._skeleton_text
+
+    @property
+    def skeletons(self) -> tuple[str, ...]:
+        """The skeleton of each node (see ``skeleton_text``)."""
+        return tuple(self.skeleton_text.split("2"))
 
     @property
     def states(self) -> list[str]:
@@ -214,10 +249,12 @@ class RunRecord:
     def color_counts(self) -> tuple[tuple[int, int, int], ...]:
         """Per node, (N_A, N_B, N_C) over t = 1..T.  Only C is counted:
         B at t is C at t - 1, so N_B = N_C - [C at T]."""
+        L = self.graph.node_count
         final_c = self.final[0]
+        planes = [rotate(plane, self._plane_turn, L) for plane in self._c_planes]
         counts = []
-        for v in range(self.graph.node_count):
-            n_c = _plane_count(self._c_planes, v)
+        for v in range(L):
+            n_c = _plane_count(planes, v)
             n_b = n_c - ((final_c >> v) & 1)
             counts.append((self.period - n_b - n_c, n_b, n_c))
         return tuple(counts)
@@ -233,7 +270,8 @@ class RunRecord:
         """The common per-node A-surplus, or None if nodes disagree.
         Per node it is T - 3 N_C + [C at T], so it is uniform exactly when
         every counter plane and the final C bits are each empty or full
-        (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w))."""
+        (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)); that
+        holds however the planes are rotated."""
         full = (1 << self.graph.node_count) - 1
         final_c = self.final[0]
         if final_c not in (0, full):
@@ -268,7 +306,7 @@ class RunRecord:
             writer.writerow([t, state])
 
 
-def _start_b(g: MixedGraph, start_ab: str) -> int:
+def start_bits(g: MixedGraph, start_ab: str) -> int:
     """The B bits of a two-color {A,B} start, checked."""
     validate_coloring(start_ab, g.node_count)
     if "C" in start_ab:
@@ -285,7 +323,7 @@ def run_to_mirror(
     Raises MaxStepsExceeded when the bound is hit (the mirror always
     exists on a finite graph, so the bound was too small).
     """
-    [run] = run_lanes(g, [_start_b(g, start_ab)], max_steps)
+    [run] = run_lanes(g, [start_bits(g, start_ab)], max_steps)
     if run is None:
         raise MaxStepsExceeded(max_steps, start_ab)
     return run
@@ -329,13 +367,18 @@ def _walk(g: MixedGraph, c: int, b: int) -> Iterator[tuple[int, int]]:
 
 
 def run_lanes(
-    g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
+    g: MixedGraph,
+    starts: list[int],
+    max_steps: int = DEFAULT_MAX_STEPS,
+    record: bool = False,
 ) -> list[Optional[RunRecord]]:
     """Walk every {A,B} start (given by its B bits) to its mirror state
     at once, one lane per start.
 
     Returns one summary RunRecord per start, in order, or None for a
-    start whose run is unresolved after ``max_steps`` steps.
+    start whose run is unresolved after ``max_steps`` steps.  With
+    ``record`` set, each summary also carries its skeletons (see
+    ``RunRecord.skeletons``), read from the C bits of every step.
     """
     width = g.node_count
     lane = (1 << width) - 1
@@ -344,12 +387,21 @@ def run_lanes(
     c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
     b = 0
     planes: list[int] = []
+    columns: dict[int, list[str]] = {}  # start index -> its C columns so far
     t = 1
     while ids and t <= max_steps:
         full, top, low, rotations = _lane_masks(g, len(ids))
         active = top
         live = len(ids)
+        steps: list[int] = []  # the C bits of each step since the last flush
+        finished: list[tuple[int, int]] = []  # (lane position, steps) of done lanes
+        room = max(1, _RECORD_BITS // (len(ids) * width))
         while t <= max_steps:
+            if record:
+                if len(steps) >= room:
+                    _flush(steps, width, ids, active, finished, columns, records)
+                    steps, finished = [], []
+                steps.append(c)
             carry = c  # add c into the counter planes, ripple-carry
             for k, plane in enumerate(planes):
                 planes[k] = plane ^ carry
@@ -372,18 +424,63 @@ def run_lanes(
                         g, starts[i], t, ((c >> shift) & lane, (b >> shift) & lane),
                         [(plane >> shift) & lane for plane in planes],
                     )
+                    if record:
+                        finished.append((shift // width, len(steps)))
                 live = active.bit_count()
             c, b = new_c, c
             t += 1
             if 4 * live <= len(ids):
                 break
+        if record:
+            _flush(steps, width, ids, active, finished, columns, records)
         # repack the survivors into a narrower integer
-        kept = [j for j in range(len(ids)) if active >> (j * width + width - 1) & 1]
+        kept = _active_lanes(active, len(ids), width)
         ids = [ids[j] for j in kept]
         c, b = (_pack_lanes([x >> j * width & lane for j in kept], width) for x in (c, b))
         planes = [_pack_lanes([x >> j * width & lane for j in kept], width)
                   for x in planes]
     return records
+
+
+# A recording flushes its steps into per-lane columns once they hold this
+# many bits, which bounds the memory a long segment takes.
+_RECORD_BITS = 1 << 20
+
+
+def _active_lanes(active: int, lanes: int, width: int) -> list[int]:
+    """The positions of the lanes whose top bit is set in ``active``."""
+    return [j for j in range(lanes) if active >> (j * width + width - 1) & 1]
+
+
+def _flush(steps: list[int], width: int, ids: list[int], active: int,
+           finished: list[tuple[int, int]], columns: dict, records: list) -> None:
+    """Move the C bits recorded in ``steps`` into per-lane node columns.
+
+    Each step is formatted as one binary string, most significant bit
+    first, so node v of lane j sits at offset W - 1 - j * width - v of
+    each step's W characters, and one strided slice reads its column.  A
+    lane in ``finished`` (position, steps up to its mirror state) gets
+    its skeleton text (see ``RunRecord.skeleton_text``): in a column
+    every C but the last is followed by a B, a '0', so dropping the '0'
+    after each '1' leaves the events.  An active lane keeps its columns
+    in ``columns``.
+    """
+    total = len(ids) * width
+    fmt = f"0{total}b"
+    text = "".join([format(c, fmt) for c in steps])
+
+    def cut(j: int, end: int) -> list[str]:
+        base = total - 1 - j * width
+        cols = [text[base - v:end:total] for v in range(width)]
+        before = columns.pop(ids[j], None)
+        return list(map(str.__add__, before, cols)) if before else cols
+
+    if finished:
+        lanes = "3".join(["2".join(cut(j, end * total)) for j, end in finished])
+        for (j, _), skeletons in zip(finished, lanes.replace("10", "1").split("3")):
+            records[ids[j]]._skeleton_text = skeletons
+    for j in _active_lanes(active, len(ids), width):
+        columns[ids[j]] = cut(j, len(text))
 
 
 def _pack_lanes(values: list[int], width: int) -> int:
@@ -404,7 +501,7 @@ def full_cycle(
     passes through the start state itself; reversibility means there is
     no lead-in branch the orbit could hang from.
     """
-    first = (_start_b(g, start_ab), 0)  # rule I everywhere: B turns to C
+    first = (start_bits(g, start_ab), 0)  # rule I everywhere: B turns to C
     cycle = [first]
     for state in _walk(g, *first):
         if state == first:

@@ -1,23 +1,20 @@
-"""Precise-filling invariant: slot rows, filled slots, and the
-nine-statement check over a run and its complement run.
+"""Precise-filling invariant: skeletons, slot rows, filled slots, and
+the nine-statement check over a run and its complement run.
 
-Every node's history over t = 1..T is condensed onto "slots": reading
-the packed states in time order, node v has an event at t unless bit v
-of the B bits is set, and each event takes the next slot index k = 0,
-1, 2, ...  A B never opens a slot; it always follows a C of the same
-node and inherits that slot.  One row per node holds the slots: entry k
-is the 1-based time t of the event when bit v of the C bits is set (a
-C, and t its integral phase), 0 when it is an A, and -1 past the node's
-last event.  So C_v(k) is ``row[k] > 0`` and A_v(k) is ``row[k] == 0``.
-With T and T-bar the periods of the two runs, the nominal slot count
-is K = (T + T-bar) / 3; nodes whose event count differs from K are
-flagged (slot overflow) rather than rejected, because searches need
-failures as evidence.
+Every node's history over t = 1..T is condensed onto "slots": each A or
+C event takes the next slot index k = 0, 1, 2, ...; a B never opens a
+slot.  The node's *skeleton* is its history with the B's dropped, '1'
+for C and '0' for A (``RunRecord.skeletons``), so slot k is character k
+and the event count is the skeleton's length.  With T and T-bar the
+periods of the two runs, the nominal slot count is K = (T + T-bar) / 3;
+nodes whose event count differs from K are flagged (slot overflow)
+rather than rejected, because searches need failures as evidence.
 
-The two runs' rows give one filled-slot row per node: entry k is (t,
-from_complement) of the C event at slot k when exactly one run has a C
-there, else None.  Statement [8] and rt extraction read their integral
-phases from these rows; the rows never reach the report JSON.
+Slot times follow from the skeleton.  Every C but one at T is followed
+by a B, so slot k sits at t_k = 1 + k + p_k, p_k counting the C's before
+slot k.  A node's slot row holds t_k (its integral phase) for a C, 0 for
+an A, and -1 past the last event.  Where exactly one run has a C at a
+slot, that C fills it: the filled-slot row holds (t, from_complement).
 
 The statements checked, over the pair of runs:
 
@@ -32,12 +29,34 @@ The statements checked, over the pair of runs:
     [8]   parity pattern of the combined integral phase
 
 The "light" level is div3 + [1] + [2] + [3]; "full" adds [4]..[8].
-Condition failures are reported as data with witnesses, never raised.
+
+The full level accepts from the skeletons and explains only failures.
+[4]..[7] together hold exactly when, at every node, both runs have at
+least K events and the complement's first K are the run's with A and C
+swapped.  Take a pair whose whole skeletons match that way.  A node
+with n events, c of them C's, has T = n + c - f and T-bar = 2n - c -
+f-bar, f (f-bar) being 1 when its history ends on a C.  So 3K = 3n - f
+- f-bar forces n = K and f = f-bar = 0 at every node, and c = T - K is
+the same at every node.  The complement's C at slot k comes after its
+k - p_k C's, at 1 + 2k - p_k, so the phase parity at slot k is
+(1 + k + p_k - origin) mod 2 where the run has the C and (1 + p_k -
+origin) mod 2 where the complement has it.  Hence F(0) is odd at time
+origin 0 and even at 1; F(2k-1) and F(2k) always share parity (p grows
+by the C at the odd slot 2k-1); and for even K the last slot's parity,
+that of 1 + T - K - origin, is the same at every node.  Such a pair
+holds [4]..[8] at time origin 1 and fails only [8] at origin 0, which
+one string comparison settles.  Any other pair, and any pair at origin
+0, builds the slot rows (``build_slots``) and goes through the cell by
+cell witness code, so every witness and count is the one the rows
+give.  Filled rows are built only when read (``IpfReport.filled``) and
+never reach the report JSON.  Condition failures are reported as data
+with witnesses, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 from .dynamics import RunRecord
@@ -73,10 +92,25 @@ class SlotTable:
         )
 
 
+def _slot_row(skeleton: str, slot_count: int) -> tuple[int, ...]:
+    """A node's slot row from its skeleton: slot k holds the time
+    1 + k + p_k of a C, p_k counting the C's before it, else 0."""
+    row = []
+    p = 0
+    for k, event in enumerate(skeleton[:slot_count]):
+        if event == "1":
+            p += 1
+            row.append(k + p)
+        else:
+            row.append(0)
+    return tuple(row) + (-1,) * (slot_count - len(row))
+
+
 def build_slots(
     run: RunRecord, complement_run: RunRecord, slot_count: Optional[int] = None
 ) -> tuple[SlotTable, SlotTable]:
-    """Slot tables for a run and its complement run.
+    """Slot tables for a run and its complement run, from their
+    skeletons.
 
     ``slot_count`` defaults to (T + T-bar) // 3, the value the
     invariant predicts; both tables are sized to it.
@@ -88,17 +122,11 @@ def build_slots(
     if slot_count is None:
         slot_count = (run.period + complement_run.period) // 3
 
-    def table_for(record: RunRecord) -> SlotTable:
-        states = record.packed_states
-        rows, counts = [], []
-        for v in range(record.graph.node_count):
-            bit = 1 << v  # node v has an event at t unless it is B, a C if C
-            row = [t if c & bit else 0 for t, (c, b) in enumerate(states, 1) if not b & bit]
-            counts.append(len(row))
-            rows.append(tuple(row[:slot_count]) + (-1,) * (slot_count - len(row)))
-        return SlotTable(slot_count, tuple(rows), tuple(counts))
+    def table(skeletons: tuple[str, ...]) -> SlotTable:
+        rows = tuple(_slot_row(skeleton, slot_count) for skeleton in skeletons)
+        return SlotTable(slot_count, rows, tuple(map(len, skeletons)))
 
-    return table_for(run), table_for(complement_run)
+    return table(run.skeletons), table(complement_run.skeletons)
 
 
 def filled_slots(slots: SlotTable, complement_slots: SlotTable) -> FilledRows:
@@ -115,6 +143,28 @@ def filled_slots(slots: SlotTable, complement_slots: SlotTable) -> FilledRows:
     )
 
 
+def _accepted_filled(skeletons: tuple[str, ...], slot_count: int) -> FilledRows:
+    """The filled-slot rows of a pair that holds [4]..[7], from the
+    run's skeletons alone: the run's C at slot k is at 1 + k + p_k; else
+    the complement has the C, after its k - p_k C's, at 1 + 2k - p_k."""
+    rows = []
+    for skeleton in skeletons:
+        row = []
+        p = 0
+        for k, event in enumerate(skeleton[:slot_count]):
+            if event == "1":
+                row.append((1 + k + p, False))
+                p += 1
+            else:
+                row.append((1 + 2 * k - p, True))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# Swaps A ('0') and C ('1') in a skeleton.
+_SWAP_AC = str.maketrans("01", "10")
+
+
 @dataclass
 class IpfReport:
     """Outcome of the invariant check on a run/complement pair.
@@ -122,9 +172,9 @@ class IpfReport:
     Scalar facts, the individual condition verdicts, and witnesses for
     every failed condition.  ``light_ok`` covers div3 + [1]..[3];
     ``full_ok`` adds [4]..[8].  Conditions that were not evaluated (at
-    light level, or when K is undefined) are None.  ``filled`` keeps the
-    filled-slot rows a full-level check read c8 from, so consumers of a
-    checked pair need not rebuild them.
+    light level, or when K is undefined) are None.  ``runs`` holds the
+    checked pair, from which ``filled`` builds the filled-slot rows of a
+    full-level check on first read.
     """
 
     T: int
@@ -152,7 +202,18 @@ class IpfReport:
     level: str
     witnesses: list = field(default_factory=list)
     failure_counts: dict = field(default_factory=dict)
-    filled: Optional[FilledRows] = field(default=None, repr=False, compare=False)
+    runs: Optional[tuple[RunRecord, RunRecord]] = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def filled(self) -> Optional[FilledRows]:
+        """The filled-slot rows of a full-level check with K defined,
+        else None."""
+        if self.level != "full" or self.K is None:
+            return None
+        if self.c4 and self.c5 and self.c6 and self.c7:
+            return _accepted_filled(self.runs[0].skeletons, self.K)
+        return filled_slots(*build_slots(*self.runs, self.K))
 
     @property
     def passed(self) -> bool:
@@ -170,7 +231,7 @@ class IpfReport:
         return {
             _JSON_NAMES.get(f.name, _camel_case(f.name)): getattr(self, f.name)
             for f in fields(self)
-            if f.name != "filled"
+            if f.name != "runs"
         }
 
 
@@ -234,6 +295,57 @@ def _check_phase_pattern(
         elif len({x % 2 for x in last}) > 1:
             note(0, slot_count - 1, f"last-slot parities differ: {last}")
     return failures, witnesses, failures == odd_starts == len(phases)
+
+
+def _explain_slot_failures(
+    run: RunRecord, complement_run: RunRecord, K: int, time_origin: int,
+    witnesses: list, failure_counts: dict,
+) -> tuple:
+    """Slot overflow and [4]..[8] cell by cell on the slot rows of a pair
+    that fails one of them, adding each failure's witnesses and count:
+    (c4, c5, c6, c7, c8, c8 at origin 0, c8 at origin 1)."""
+    slots, comp_slots = build_slots(run, complement_run, K)
+    for table, tag in ((slots, "run"), (comp_slots, "complement run")):
+        for v in table.overflow_nodes:
+            witnesses.append(
+                {
+                    "condition": "slots",
+                    "node": v,
+                    "detail": f"{tag}: {table.event_counts[v]} events for "
+                    f"{K} slots",
+                }
+            )
+            failure_counts["slots"] = failure_counts.get("slots", 0) + 1
+
+    cells = [
+        (v, k, e, ebar)
+        for v, (row, comp_row) in enumerate(zip(slots.events, comp_slots.events))
+        for k, (e, ebar) in enumerate(zip(row, comp_row))
+    ]
+    # Failing (node, slot) cells per condition; C is e > 0, A is e == 0.
+    failures = {
+        "c4": [(v, k) for v, k, e, ebar in cells if (e > 0) == (ebar > 0)],
+        "c5": [(v, k) for v, k, e, ebar in cells if (e == 0) == (ebar == 0)],
+        "c6": [(v, k) for v, k, e, ebar in cells if (ebar == 0) != (e > 0)],
+        "c7": [(v, k) for v, k, e, ebar in cells if (ebar > 0) != (e == 0)],
+    }
+    for name, failed in failures.items():
+        if failed:
+            failure_counts[name] = len(failed)
+            witnesses.extend(
+                {"condition": name, "node": v, "slot": k}
+                for v, k in failed[:_WITNESS_CAP]
+            )
+
+    c8_failures, c8_witnesses, c8_other = _check_phase_pattern(
+        filled_slots(slots, comp_slots), K, time_origin
+    )
+    c8 = c8_failures == 0
+    if not c8:
+        witnesses.extend(c8_witnesses)
+        failure_counts["c8"] = c8_failures
+    origins = (c8_other, c8) if time_origin else (c8, c8_other)
+    return (*(not failed for failed in failures.values()), c8, *origins)
 
 
 def check_ipf(
@@ -318,7 +430,6 @@ def check_ipf(
     c4 = c5 = c6 = c7 = c8 = None
     c8_origin0 = c8_origin1 = None
     full_ok: Optional[bool] = None
-    filled = None
 
     if level == "full":
         if K is None:
@@ -330,50 +441,16 @@ def check_ipf(
                 }
             )
         else:
-            slots, comp_slots = build_slots(run, complement_run, K)
-            for table, tag in ((slots, "run"), (comp_slots, "complement run")):
-                for v in table.overflow_nodes:
-                    witnesses.append(
-                        {
-                            "condition": "slots",
-                            "node": v,
-                            "detail": f"{tag}: {table.event_counts[v]} events for "
-                            f"{K} slots",
-                        }
-                    )
-                    failure_counts["slots"] = failure_counts.get("slots", 0) + 1
-
-            cells = [
-                (v, k, e, ebar)
-                for v, (row, comp_row) in enumerate(zip(slots.events, comp_slots.events))
-                for k, (e, ebar) in enumerate(zip(row, comp_row))
-            ]
-            # Failing (node, slot) cells per condition; C is e > 0, A is e == 0.
-            failures = {
-                "c4": [(v, k) for v, k, e, ebar in cells if (e > 0) == (ebar > 0)],
-                "c5": [(v, k) for v, k, e, ebar in cells if (e == 0) == (ebar == 0)],
-                "c6": [(v, k) for v, k, e, ebar in cells if (ebar == 0) != (e > 0)],
-                "c7": [(v, k) for v, k, e, ebar in cells if (ebar > 0) != (e == 0)],
-            }
-            for name, failed in failures.items():
-                if failed:
-                    failure_counts[name] = len(failed)
-                    witnesses.extend(
-                        {"condition": name, "node": v, "slot": k}
-                        for v, k in failed[:_WITNESS_CAP]
-                    )
-            c4, c5, c6, c7 = (not failed for failed in failures.values())
-
-            filled = filled_slots(slots, comp_slots)
-            c8_failures, c8_witnesses, c8_other = _check_phase_pattern(
-                filled, K, time_origin
-            )
-            c8 = c8_failures == 0
-            c8_origin0, c8_origin1 = (c8_other, c8) if time_origin else (c8, c8_other)
+            # The complement's skeletons are the run's with A and C
+            # swapped: then [4]..[7] hold, and [8] holds at time origin 1
+            # only (see the module docstring).
+            if run.skeleton_text == complement_run.skeleton_text.translate(_SWAP_AC):
+                c4 = c5 = c6 = c7 = True
+                c8_origin0, c8_origin1 = False, True
+                c8 = time_origin == 1
             if not c8:
-                witnesses.extend(c8_witnesses)
-                failure_counts["c8"] = c8_failures
-
+                c4, c5, c6, c7, c8, c8_origin0, c8_origin1 = _explain_slot_failures(
+                    run, complement_run, K, time_origin, witnesses, failure_counts)
             full_ok = light_ok and all((c4, c5, c6, c7, c8))
 
     return IpfReport(
@@ -402,5 +479,5 @@ def check_ipf(
         level=level,
         witnesses=witnesses,
         failure_counts=failure_counts,
-        filled=filled,
+        runs=(run, complement_run),
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trine import rt
+from trine import bundle, rt
 from trine.ac23 import GRID_CSV_COLUMNS
 from trine.cli import main
 from trine.graph import MixedGraph
@@ -38,6 +38,24 @@ class TestGoldenOutputs:
         assert run_cli("check-mask", "--n", str(n), "--m", str(m), "--level", "full",
                        *GOLDEN_FULL_CONFIG, "--json", str(out)) == code
         assert out.read_bytes() == (DATA / f"golden_check_mask_full_{n}_{m}.json").read_bytes()
+
+    def test_full_level_check_mask_json_at_time_origin_0(self, tmp_path, capsys):
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", "--n", "1", "--m", "3", "--level", "full",
+                       *GOLDEN_FULL_CONFIG, "--time-origin", "0", "--json", str(out)) == 2
+        golden = DATA / "golden_check_mask_full_1_3_origin0.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+    def test_bundle_digests_and_tables(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert run_cli("bundle", "--out", str(out), "--grid-max", "5", "--lmax", "8",
+                       "--rt-masks", "1,1", "1,3", "3,1", "3,3",
+                       "--trace", "1,3:9:ABAABBBAA") == 0
+        golden = DATA / "golden_bundle"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == json.loads((golden / "digests.json").read_text())
+        for table in sorted((golden / "rt").iterdir()):
+            assert (out / "rt" / table.name).read_bytes() == table.read_bytes(), table.name
 
     def test_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -397,6 +415,32 @@ class TestRtCommands:
 
 
 class TestBundle:
+    @pytest.mark.parametrize("level", ["full", "light"])
+    def test_trace_pair_runs_one_batch_and_checks_without_rewalking(self, monkeypatch, level):
+        from trine import dynamics
+        from trine.ac23 import Mask, build_graph
+        from trine.bundle import trace_pair
+        from trine.config import Config
+
+        calls = []
+
+        def logged(module, name, tag):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(tag)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        logged(bundle, "run_lanes", "batch")
+        logged(dynamics, "_walk", "walk")
+        run, comp, report = trace_pair(build_graph(Mask(1, 3), 9), "ABAABBBAA", Config(), level)
+        assert calls == ["batch"]
+        assert comp.start_ab == "BABBAAABB" and report.level == level and report.passed
+        run.states  # only the states re-walk
+        assert calls == ["batch", "walk"]
+
     def test_bundle_determinism(self, tmp_path, capsys):
         flags = ["--grid-max", "3", "--lmin", "3", "--lmax", "5",
                  "--cutoff", "5", "--samples", "0"]

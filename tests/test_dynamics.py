@@ -279,16 +279,18 @@ class TestLanes:
             run.rotated(1)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(1, 1), (1, 3), (3, 5), (7, 1)]), st.integers(3, 12), st.data())
+    @given(st.sampled_from([(1, 1), (1, 3), (2, 1), (3, 5), (7, 1)]), st.integers(3, 12), st.data())
     def test_rotated_run_is_the_run_of_the_rotated_start(self, nm, L, data):
         g = build_graph(Mask(*nm), L)
         bits = data.draw(st.integers(0, 2**L - 1), label="bits")
         k = data.draw(st.integers(0, L - 1), label="k")
         [moved] = run_lanes(g, [rotate(bits, k, L)])
-        turned = run_lanes(g, [bits])[0].rotated(k)
+        turned = run_lanes(g, [bits], record=True)[0].rotated(k)
         assert turned.start_b == moved.start_b
         assert (turned.period, turned.final, turned.color_counts, turned.lambda_value) == (
             moved.period, moved.final, moved.color_counts, moved.lambda_value)
+        assert turned.skeletons == moved.skeletons  # recorded, rotated; read from states
+        assert turned.rotated(L - k).color_counts == run_lanes(g, [bits])[0].color_counts
         assert turned.packed_states == moved.packed_states
 
     def test_empty_batch(self, ring3):

@@ -17,7 +17,8 @@ def fixture_pair(ring3):
 
 def node_slots(history: str, slot_count: int) -> tuple[tuple[int, ...], int]:
     """build_slots' row and event count for a one-node run whose packed
-    states spell ``history``."""
+    states spell ``history``, a trajectory: no B at t = 1, and a B
+    exactly after each C."""
     packed = [pack(color) for color in history]
     run = RunRecord(MixedGraph(1), 0, len(history), packed[-1], [], packed)
     table, _ = build_slots(run, run, slot_count)
@@ -40,7 +41,7 @@ class TestSlotsFromHistory:
         assert node_slots("AAAA", 2) == ((0, 0), 4)
 
     def test_slots_past_the_last_event_are_empty(self):
-        assert node_slots("BCB", 3) == ((2, -1, -1), 1)
+        assert node_slots("CBA", 4) == ((1, 0, -1, -1), 2)
 
 
 class TestBuildSlots:
@@ -84,6 +85,14 @@ class TestFilledSlots:
         report = check_ipf(*fixture_pair, level="full")
         assert report.filled == filled_slots(*build_slots(*fixture_pair))
         assert "filled" not in report.to_json_dict()
+
+    def test_rows_of_a_pair_that_fails_the_slot_conditions(self):
+        # (1,5) at L=7: BAABAAA fails [4]..[7]; its rows come from the slot tables
+        run, comp = pair_for(Mask(1, 5), 7, "BAABAAA")
+        report = check_ipf(run, comp, level="full")
+        assert report.c4 is False
+        assert report.filled == filled_slots(*build_slots(run, comp, report.K))
+        assert any(row.count(None) for row in report.filled)
 
     def test_c8_at_origin0_fails_on_every_first_phase(self, fixture_pair):
         # counted from 0 every F(0) is odd, and nothing else fails, so

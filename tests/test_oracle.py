@@ -8,20 +8,25 @@ from the rule table:
     | C visible    | C  | A  | B  |
 
 The lane engine's summary runs are compared with the same naive runs,
-lane by lane, on circle graphs and on random mixed graphs.
-``check_ipf`` is compared with a transcription of the nine statements
-of the ``trine.ipf`` module docstring, evaluated on the naive runs,
-both on recorded runs and on lane summaries.
+lane by lane, on circle graphs and on random mixed graphs, and so are
+the skeletons a recording batch cuts out of its lanes and the slot rows
+built from them.  ``check_ipf`` is compared with a transcription of the
+nine statements of the ``trine.ipf`` module docstring, evaluated on the
+naive runs, both on one-lane runs and on recorded lane summaries.
 """
 
+from itertools import product
+
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import random_mixed_graph
+from trine import dynamics
 from trine.ac23 import Mask, bits_to_coloring, build_graph
 from trine.dynamics import run_lanes, run_to_mirror, step
 from trine.graph import MixedGraph, complement
-from trine.ipf import check_ipf
+from trine.ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, build_slots, check_ipf
 
 RULES = {False: {"A": "A", "B": "C", "C": "B"}, True: {"A": "C", "B": "A", "C": "B"}}
 SWAP_BC = str.maketrans("BC", "CB")
@@ -185,6 +190,69 @@ def naive_slots(history: str) -> list[tuple[str, int]]:
     return [(color, t) for t, color in enumerate(history, 1) if color != "B"]
 
 
+def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
+    """Per node of every recorded lane: the skeleton spells the naive
+    slots' colors, and the slot row built from it holds their times (the
+    t_k identity), 0 for an A and -1 past the last event."""
+    n = g.node_count
+    for bits, run in zip(starts, run_lanes(g, starts, record=True), strict=True):
+        states = naive_run(g, bits_to_coloring(bits, n))
+        slots = [naive_slots("".join(state[v] for state in states)) for v in range(n)]
+        assert run.skeletons == tuple(
+            "".join("1" if color == "C" else "0" for color, _ in row) for row in slots)
+        if run.degenerate:
+            continue  # build_slots refuses degenerate runs
+        width = max(map(len, slots)) + 1
+        table, _ = build_slots(run, run, width)
+        assert table.events == tuple(
+            tuple(t if color == "C" else 0 for color, t in row) + (-1,) * (width - len(row))
+            for row in slots)
+        assert table.event_counts == tuple(map(len, slots))
+
+
+@given(mask_circle_batches())
+@settings(deadline=None)
+def test_slot_rows_from_skeletons_match_oracle(case):
+    assert_slots_match_oracle(*case)
+
+
+@given(mixed_graph_batches())
+@settings(deadline=None)
+def test_slot_rows_from_skeletons_match_oracle_on_mixed_graphs(case):
+    assert_slots_match_oracle(*case)
+
+
+@pytest.mark.parametrize("record_bits,first_flush", [
+    (1, 1), (3 * 9 * 512, 3), (dynamics._RECORD_BITS, None)])
+def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
+                                                       first_flush):
+    # every start of (1,3) at L=9 has long-tailed periods, so the batch
+    # repacks; a small record size also flushes inside segments, down to
+    # before every step
+    g = build_graph(Mask(1, 3), 9)
+    starts = list(range(2**9))
+    alone = [run_lanes(g, [bits], record=True)[0].skeletons for bits in starts]
+    monkeypatch.setattr(dynamics, "_RECORD_BITS", record_bits)
+    flushes = []
+    flush = dynamics._flush
+
+    def counted_flush(*args):
+        flushes.append(len(args[0]))
+        return flush(*args)
+
+    monkeypatch.setattr(dynamics, "_flush", counted_flush)
+    runs = run_lanes(g, starts, record=True)
+    periods = sorted(run.period for run in runs)
+    assert periods[len(periods) * 3 // 4] < periods[-1] and len(flushes) >= 2
+    if first_flush is not None:  # steps of 512 lanes that fill the record
+        assert flushes[0] == first_flush
+    if record_bits == 1:
+        assert set(flushes) == {1}
+    assert [run.skeletons for run in runs] == alone
+    # the states' own skeletons, read without recording, agree too
+    assert [run.skeletons for run in run_lanes(g, starts)] == alone
+
+
 def naive_lambda(states: list[str]):
     """The per-node A count minus C count over t = 1..T, when it is the
     same at every node; else None."""
@@ -301,14 +369,15 @@ def weak_graph_starts(draw):
 
 
 def assert_ipf_matches_oracle(g: MixedGraph, start: str, lanes: bool = False) -> None:
-    """check_ipf at full level on the recorded runs of a start and its
-    complement, or on their lane summaries, against naive_ipf."""
+    """check_ipf at full level on the one-lane runs of a start and its
+    complement, whose skeletons are read from their states, or on their
+    summaries from one recording lane batch, against naive_ipf."""
     states = naive_run(g, start)
     bar_states = naive_run(g, complement(start))
     assume(len(states) > 2 and len(bar_states) > 2)  # degenerate runs raise
     if lanes:
         bits = sum(1 << v for v, color in enumerate(start) if color == "B")
-        runs = tuple(run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)]))
+        runs = tuple(run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], record=True))
     else:
         runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
     for cond1 in ("raw", "complemented"):
@@ -359,7 +428,7 @@ def test_ipf_matches_oracle_on_mask_circles(case):
 @with_pinned_pairs
 @settings(deadline=None)
 def test_ipf_matches_oracle_on_lane_summaries(case):
-    # the search's pairs: summaries whose states are re-walked for the slots
+    # the search's pairs: summaries with the skeletons their lanes recorded
     assert_ipf_matches_oracle(*case, lanes=True)
 
 
@@ -367,3 +436,36 @@ def test_ipf_matches_oracle_on_lane_summaries(case):
 @settings(deadline=None)
 def test_ipf_matches_oracle_on_weak_graphs(case):
     assert_ipf_matches_oracle(*case)
+
+
+@given(weak_graph_starts())
+@settings(deadline=None)
+def test_ipf_matches_oracle_on_weak_graph_lane_summaries(case):
+    assert_ipf_matches_oracle(*case, lanes=True)
+
+
+def assert_swap_keeps_the_outcome(g: MixedGraph, start: str) -> None:
+    """check_ipf(run, complement) and check_ipf(complement, run) agree on
+    the verdict and the first failed condition at every setting."""
+    bits = sum(1 << v for v, color in enumerate(start) if color == "B")
+    run, comp = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], record=True)
+    assume(not (run.degenerate or comp.degenerate))  # degenerate runs raise
+    for level, cond1, origin in product(CHECK_LEVELS, COND1_INTERPRETATIONS, (0, 1)):
+        reports = [check_ipf(*pair, level=level, cond1_interpretation=cond1,
+                             time_origin=origin) for pair in ((run, comp), (comp, run))]
+        outcomes = {(report.passed, report.first_failed_condition) for report in reports}
+        assert len(outcomes) == 1, (level, cond1, origin, outcomes)
+
+
+@given(mask_circles())
+@with_pinned_pairs
+@settings(deadline=None)
+def test_swapping_run_and_complement_keeps_the_outcome(case):
+    # iter_pairs checks each complement class once, at its smaller necklace
+    assert_swap_keeps_the_outcome(*case)
+
+
+@given(weak_graph_starts())
+@settings(deadline=None)
+def test_swapping_run_and_complement_keeps_the_outcome_on_weak_graphs(case):
+    assert_swap_keeps_the_outcome(*case)
