@@ -88,18 +88,24 @@ def parse_mask(text: str) -> Mask:
     return Mask(n, m)
 
 
-def build_graph(mask: Mask, L: int) -> MixedGraph:
-    """The circle graph of a mask at circle size L.
+def connection_set(mask: Mask, L: int) -> frozenset:
+    """The nonzero steps mod L of the mask's connections: -d for each
+    left offset d, d for each right one.  They alone fix the circle
+    graph at size L (the circulant graph C_L(S), see ``build_graph``)."""
+    steps = [-d for d in mask.left_offsets] + list(mask.right_offsets)
+    return frozenset(d % L for d in steps if d % L)
 
-    Connections are x -> x-d for left offsets and x -> x+d for right
-    offsets, mod L.  Reciprocal pairs merge into undirected edges,
-    self-connections are dropped, duplicates collapse; those anomalies
-    make the size degenerate (see ``degenerate_at``) but not invalid.
+
+def build_graph(mask: Mask, L: int) -> MixedGraph:
+    """The circle graph of a mask at circle size L: an arc x -> x+s
+    mod L for each step s of ``connection_set``, so masks with the same
+    set share the graph.  Reciprocal arcs merge into undirected edges.
+    Steps that vanish or coincide mod L make the size degenerate (see
+    ``degenerate_at``) but not invalid.
     """
     if L < 3:
         raise ValueError(f"circle size must be at least 3, got {L}")
-    steps = [-d for d in mask.left_offsets] + list(mask.right_offsets)
-    arcs = {(x, (x + d) % L) for x in range(L) for d in steps if d % L}
+    arcs = {(x, (x + s) % L) for x in range(L) for s in connection_set(mask, L)}
     directed = []
     undirected = []
     for u, v in arcs:
@@ -355,13 +361,14 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
 
 
 @contextmanager
-def _mapper(threads: int):
+def _mapper(threads: int, initializer=None):
     """A ``map`` that returns results in input order: the builtin one for
-    a single thread, else that of a process pool shut down on exit."""
+    a single thread, else that of a process pool shut down on exit,
+    whose workers each run ``initializer`` first."""
     if threads <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=threads, initializer=initializer) as pool:
         yield pool.map
 
 
@@ -408,6 +415,8 @@ def classify_mask(
     mask: Mask,
     config: Config,
     budget: Optional[int] = None,
+    *,
+    memo: Optional[dict] = None,
 ) -> MaskVerdict:
     """Search circle sizes lmin..lmax for an invariant violation.
 
@@ -432,6 +441,13 @@ def classify_mask(
     exhausting it returns the partial verdict with ``budget_exhausted``
     set.  With ``config.threads`` above one, each size's pairs run in as
     many even batches in a process pool.
+
+    ``memo`` lets the cells of one ``verdict_grid`` call share work, and
+    never changes a result: it maps (L, S) to the weak computability of
+    the circle graph with connection set S (see ``connection_set``), and
+    (L, S, total) to the size's scan, with the mask appended to the key
+    at sampled sizes, whose samples the mask seeds.  Each size builds
+    its own block from a copy of the scan.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -439,10 +455,15 @@ def classify_mask(
     witness = None
     budget_left = budget
     budget_exhausted = False
+    memo = {} if memo is None else memo
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
-            g = build_graph(mask, L)
-            if not weak_computable(g):
+            S = connection_set(mask, L)
+            g = None
+            if (L, S) not in memo:
+                g = build_graph(mask, L)
+                memo[L, S] = weak_computable(g)
+            if not memo[L, S]:
                 envelope.append({"L": L, "skipped": "not weak computable"})
                 continue
             degenerate_L = degenerate_at(mask, L)
@@ -461,7 +482,12 @@ def classify_mask(
                     budget_exhausted = True
                 budget_left -= total
 
-            scan = _scan_size(mask, g, config, total, run_map)
+            key = (L, S, total) if mode == "exhaustive" else (L, S, total, mask)
+            if key not in memo:
+                if g is None:
+                    g = build_graph(mask, L)
+                memo[key] = _scan_size(mask, g, config, total, run_map)
+            scan = dict(memo[key])
             found = scan.pop("witness", None)
             block = {"L": L, "mode": mode, "planned": total, **scan,
                      "degenerate_L": degenerate_L}
@@ -540,6 +566,22 @@ def check_grid_bounds(n_max: int, m_max: int) -> None:
         raise ValueError(f"grid bounds must be odd, got {n_max} and {m_max}")
 
 
+# The memo of a pool worker of one ``verdict_grid`` call (see
+# ``classify_mask``).  Only the pool's initializer sets it, in each
+# worker process, so it lives exactly as long as the call's pool; the
+# calling process never sets it.
+_worker_memo: Optional[dict] = None
+
+
+def _start_grid_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _classify_in_grid_worker(mask: Mask, config: Config) -> MaskVerdict:
+    return classify_mask(mask, config, memo=_worker_memo)
+
+
 def verdict_grid(
     n_max: int,
     m_max: int,
@@ -550,9 +592,17 @@ def verdict_grid(
 ) -> VerdictGrid:
     """Classify every odd mask with n <= n_max, m <= m_max.
 
-    Each cell is computed independently (no mirroring shortcut), so the
-    grid's reflection symmetry stays a checkable fact.  With
-    ``config.threads`` above one, whole cells run in a process pool.
+    Cells share work only where their circle graphs are the same graph:
+    at each size, cells with the same connection set (see
+    ``connection_set``) share its graph build, weak computability test
+    and scan, and at sampled sizes only the cell of the same mask does,
+    since the mask seeds the samples.  The set is never folded under
+    reflection (-S) or any other isomorphism, which would move witness
+    starts and block counts; so no cell is copied from its mirror, and
+    the grid's reflection symmetry stays a checkable fact for every pair
+    of graphs that differ.  The shared work lives for this call only.
+    With ``config.threads`` above one, whole cells run in a process
+    pool, and each worker shares work among the cells it computes.
     ``resume_rows`` maps (n, m) to a previously computed MaskVerdict and
     lets an interrupted grid continue; ``on_cell`` is called after each
     newly computed cell, in grid order, which is the hook incremental
@@ -570,8 +620,12 @@ def verdict_grid(
                 grid.cells[(n, m)] = resume_rows[(n, m)]
             else:
                 todo.append(Mask(n, m))
-    classify_cell = partial(classify_mask, config=replace(config, threads=1))
-    with _mapper(config.threads) as run_map:
+    cell_config = replace(config, threads=1)
+    with _mapper(config.threads, initializer=_start_grid_worker) as run_map:
+        if run_map is map:
+            classify_cell = partial(classify_mask, config=cell_config, memo={})
+        else:
+            classify_cell = partial(_classify_in_grid_worker, config=cell_config)
         for verdict in run_map(classify_cell, todo):
             grid.cells[(verdict.mask.n, verdict.mask.m)] = verdict
             if on_cell is not None:

@@ -172,10 +172,12 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
                          "not resuming")
 
 
-def _load_resume_rows(path: Path) -> dict:
-    """Finished cells of an interrupted grid CSV.  A last line without
-    its newline was cut off mid-write: it is dropped, and the file is
-    truncated to the last complete row so appending continues cleanly."""
+def _load_resume_rows(path: Path, grid_max: int) -> dict:
+    """Finished cells of an interrupted grid CSV of the odd masks up to
+    ``grid_max``; a row outside that grid, or a second row for a cell,
+    is refused.  A last line without its newline was cut off mid-write:
+    it is dropped, and the file is truncated to the last complete row so
+    appending continues cleanly."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
@@ -187,6 +189,11 @@ def _load_resume_rows(path: Path) -> dict:
         if record["status"] not in ac23.STATUSES:
             raise TrineError(f"{path}: bad status in row {record}")
         mask = Mask(int(record["n"]), int(record["m"]))
+        where = f"{path} line {reader.line_num}: row {mask}"
+        if mask.n % 2 == 0 or mask.m % 2 == 0 or max(mask.n, mask.m) > grid_max:
+            raise TrineError(f"{where} is not a cell of the odd grid up to {grid_max}")
+        if (mask.n, mask.m) in rows:
+            raise TrineError(f"{where} repeats a cell")
         witness = None
         if record["status"] == ac23.INCORRECT:
             witness = {
@@ -219,7 +226,7 @@ def cmd_grid(args) -> int:
     resume_rows = None
     if args.resume and out.exists():
         _check_resume_config(sidecar, cfg, args.max)
-        resume_rows = _load_resume_rows(out)
+        resume_rows = _load_resume_rows(out, args.max)
         print(f"resuming: {len(resume_rows)} cells already done")
     annotations = _cr_annotations_from(args.cr_from) if args.cr_from else None
 

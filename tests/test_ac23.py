@@ -12,6 +12,7 @@ from trine.ac23 import (
     bits_to_coloring,
     build_graph,
     classify_mask,
+    connection_set,
     degenerate_at,
     mask_weak_computable,
     parse_mask,
@@ -68,6 +69,22 @@ class TestBuildGraph:
         assert (0, 7) in g.directed  # x -> x-2
         assert (0, 3) in g.directed  # x -> x+3
         assert (0, 1) in g.undirected or (1, 0) in g.undirected
+
+    def test_connection_set_fixes_the_graph(self):
+        # the key under which verdict_grid cells share a size's work
+        graphs = {}
+        for L in range(3, 11):
+            for n in range(1, 16):
+                for m in range(1, 16):
+                    mask = Mask(n, m)
+                    steps = ({-d % L for d in mask.left_offsets}
+                             | {d % L for d in mask.right_offsets}) - {0}
+                    S = connection_set(mask, L)
+                    assert S == steps
+                    g = build_graph(mask, L)
+                    assert graphs.setdefault((L, S), g) == g
+        # and distinct sets give distinct graphs
+        assert len(set(graphs.values())) == len(graphs)
 
     def test_rejects_tiny_circle(self):
         with pytest.raises(ValueError):
@@ -450,6 +467,81 @@ class TestVerdictGrid:
             runs.append((grid.to_json_dict(), seen))
         assert runs[0] == runs[1]
         assert runs[0][1] == [(n, m) for n in (1, 3, 5, 7) for m in (1, 3, 5, 7)]
+
+    # 9x9 holds (1,5) and (9,1), which fail on one graph at L = 7, where
+    # (9,5) holds the same witness as a degenerate witness.
+    SHARING_CONFIGS = {
+        "light": quick_config(lmax=8),
+        "full": quick_config(lmax=8, check_level="full"),
+        "sampled": quick_config(lmax=10, exhaustive_cutoff=7, samples_per_L=8),
+    }
+
+    @pytest.fixture(scope="class")
+    def cells_alone(self):
+        """Each config's cells, classified one by one."""
+        return {name: {(n, m): classify_mask(Mask(n, m), cfg).to_json_dict()
+                       for n in range(1, 10, 2) for m in range(1, 10, 2)}
+                for name, cfg in self.SHARING_CONFIGS.items()}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", list(SHARING_CONFIGS))
+    def test_shared_work_matches_cells_alone(self, cells_alone, name, threads):
+        cfg = self.SHARING_CONFIGS[name].with_overrides(threads=threads)
+        grid = verdict_grid(9, 9, cfg)
+        assert {k: v.to_json_dict() for k, v in grid.cells.items()} == cells_alone[name]
+        witness = grid.cells[(1, 5)].witness
+        assert witness["L"] == 7 and grid.cells[(9, 1)].witness == witness
+        block = next(b for b in grid.cells[(9, 5)].tested if b["L"] == 7)
+        assert block["degenerate_witness"] == witness
+
+    def test_reflected_graphs_are_scanned_apart(self):
+        # C_11({1, 2, 5, 10}) and C_11({1, 6, 9, 10}) are mirror images, but
+        # their smallest failing starts are not rotations of each other
+        cfg = quick_config(lmin=11, lmax=11, exhaustive_cutoff=11)
+        masks = (Mask(1, 19), Mask(19, 1))
+        alone = [classify_mask(mask, cfg) for mask in masks]
+        memo = {}
+        shared = [classify_mask(mask, cfg, memo=memo) for mask in masks]
+        assert [v.to_json_dict() for v in shared] == [v.to_json_dict() for v in alone]
+        assert [v.witness["start"] for v in shared] == ["BABBAAAAAAA", "BBABAAAAAAA"]
+
+    @staticmethod
+    def count_scans(monkeypatch) -> list:
+        """Record the L of each ``_scan_size`` call."""
+        calls = []
+        scan_size = ac23._scan_size
+
+        def counting(mask, g, *args):
+            calls.append(g.node_count)
+            return scan_size(mask, g, *args)
+
+        monkeypatch.setattr(ac23, "_scan_size", counting)
+        return calls
+
+    def test_one_scan_per_graph_and_call(self, monkeypatch):
+        calls = self.count_scans(monkeypatch)
+        cfg = quick_config(lmax=8)
+        for _ in range(2):
+            calls.clear()
+            grid = verdict_grid(11, 11, cfg)
+            scanned = [(block["L"], connection_set(verdict.mask, block["L"]))
+                       for verdict in grid.cells.values()
+                       for block in verdict.tested if "mode" in block]
+            assert len(calls) == len(set(scanned)) < len(scanned)
+
+    def test_sampled_sizes_scan_once_per_mask(self, monkeypatch):
+        # (1,1) and (2049,1) share S = {1, 12} at L = 13
+        a, b = Mask(1, 1), Mask(2049, 1)
+        assert connection_set(a, 13) == connection_set(b, 13) == {1, 12}
+        calls = self.count_scans(monkeypatch)
+        for cutoff, scans in ((12, 2), (13, 1)):
+            cfg = quick_config(lmin=13, lmax=13, exhaustive_cutoff=cutoff, samples_per_L=6)
+            alone = [classify_mask(mask, cfg).to_json_dict() for mask in (a, b)]
+            calls.clear()
+            memo = {}
+            shared = [classify_mask(mask, cfg, memo=memo).to_json_dict() for mask in (a, b)]
+            assert len(calls) == scans
+            assert shared == alone
 
     def test_resume_rows_short_circuit(self):
         cfg = quick_config(lmax=6)

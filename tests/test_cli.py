@@ -246,6 +246,27 @@ class TestGrid:
                        "--resume") == 1
         assert "bad status" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,m,problem", [
+        (17, 1, "is not a cell of the odd grid up to 3"),
+        (1, 5, "is not a cell of the odd grid up to 3"),
+        (2, 1, "is not a cell of the odd grid up to 3"),
+        (1, 2, "is not a cell of the odd grid up to 3"),
+        (1, 1, "repeats a cell"),
+    ])
+    def test_resume_refuses_rows_outside_the_grid(self, tmp_path, capsys, n, m, problem):
+        out = tmp_path / "grid.csv"
+        flags = ["grid", "--max", "3", "--lmax", "5", "--out", str(out)]
+        assert run_cli(*flags) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        text = "".join(lines[:2]) + f"{n},{m},3,CorrectSoFar,,,\n"
+        out.write_text(text)
+        capsys.readouterr()
+        assert run_cli(*flags, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"line 3: row ({n},{m}) {problem}" in err
+        assert out.read_text() == text
+
     def test_inconclusive_cells_exit_3(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "3", "--lmax", "5", "--max-steps", "1",
