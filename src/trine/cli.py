@@ -174,13 +174,16 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
 
 def _load_resume_rows(path: Path, grid_max: int) -> dict:
     """Finished cells of an interrupted grid CSV of the odd masks up to
-    ``grid_max``; a row outside that grid, or a second row for a cell,
-    is refused.  A last line without its newline was cut off mid-write:
-    it is dropped, and the file is truncated to the last complete row so
+    ``grid_max``, which must be the first cells in grid order; a row
+    outside that grid, a second row for a cell, or a row out of order is
+    refused.  A last line without its newline was cut off mid-write: it
+    is dropped, and the file is truncated to the last complete row so
     appending continues cleanly."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
+    odd = range(1, grid_max + 1, 2)
+    grid_order = [(n, m) for n in odd for m in odd]
     rows = {}
     reader = csv.DictReader(complete.decode("utf-8").splitlines())
     if reader.fieldnames != GRID_CSV_COLUMNS:
@@ -194,6 +197,10 @@ def _load_resume_rows(path: Path, grid_max: int) -> dict:
             raise TrineError(f"{where} is not a cell of the odd grid up to {grid_max}")
         if (mask.n, mask.m) in rows:
             raise TrineError(f"{where} repeats a cell")
+        expected = Mask(*grid_order[len(rows)])
+        if mask != expected:
+            raise TrineError(
+                f"{where} is out of grid order: cell {expected} is expected there")
         witness = None
         if record["status"] == ac23.INCORRECT:
             witness = {

@@ -1,5 +1,5 @@
-"""Precise-filling invariant: skeletons, slot rows, filled slots, and
-the nine-statement check over a run and its complement run.
+"""Precise-filling invariant: skeletons, filled slots, and the
+nine-statement check over a run and its complement run.
 
 Every node's history over t = 1..T is condensed onto "slots": each A or
 C event takes the next slot index k = 0, 1, 2, ...; a B never opens a
@@ -11,10 +11,10 @@ nodes whose event count differs from K are flagged (slot overflow)
 rather than rejected, because searches need failures as evidence.
 
 Slot times follow from the skeleton.  Every C but one at T is followed
-by a B, so slot k sits at t_k = 1 + k + p_k, p_k counting the C's before
-slot k.  A node's slot row holds t_k (its integral phase) for a C, 0 for
-an A, and -1 past the last event.  Where exactly one run has a C at a
-slot, that C fills it: the filled-slot row holds (t, from_complement).
+by a B, so a C at slot k sits at t_k = 1 + k + p_k (its integral
+phase), p_k counting the C's before slot k.  Where exactly one run has
+a C at a slot, that C fills it: ``filled_rows`` gives each node's row of
+(t_k, from_complement) for the filling C, or None.
 
 The statements checked, over the pair of runs:
 
@@ -46,17 +46,18 @@ by the C at the odd slot 2k-1); and for even K the last slot's parity,
 that of 1 + T - K - origin, is the same at every node.  Such a pair
 holds [4]..[8] at time origin 1 and fails only [8] at origin 0, which
 one string comparison settles.  Any other pair, and any pair at origin
-0, builds the slot rows (``build_slots``) and goes through the cell by
-cell witness code, so every witness and count is the one the rows
-give.  Filled rows are built only when read (``IpfReport.filled``) and
-never reach the report JSON.  Condition failures are reported as data
-with witnesses, never raised.
+0, goes through the cell by cell witness code on the skeletons cut or
+padded to K slots, so every witness and count is the one the slots
+give.  Filled rows are built only by ``filled_rows``, for the pair
+check [8] explains and for ``rt`` extraction, and never reach the
+report JSON; a pair whose skeletons match swapped has them from the
+run's skeletons alone.  Condition failures are reported as data with
+witnesses, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import Optional
 
 from .dynamics import RunRecord
@@ -72,81 +73,52 @@ _WITNESS_CAP = 8
 FilledRows = tuple[tuple[Optional[tuple[int, bool]], ...], ...]
 
 
-@dataclass
-class SlotTable:
-    """Per-node slot rows for one run of a run/complement pair.
-
-    ``events[v][k]`` is the time t >= 1 of node v's C event at slot k,
-    0 for an A event, and -1 past the node's last event.
-    """
-
-    slot_count: int
-    events: tuple[tuple[int, ...], ...]
-    event_counts: tuple[int, ...]
-
-    @property
-    def overflow_nodes(self) -> tuple[int, ...]:
-        """Nodes whose A/C event count differs from the slot count."""
-        return tuple(
-            v for v, n in enumerate(self.event_counts) if n != self.slot_count
-        )
+# Swaps A ('0') and C ('1') in a skeleton.
+_SWAP_AC = str.maketrans("01", "10")
 
 
-def _slot_row(skeleton: str, slot_count: int) -> tuple[int, ...]:
-    """A node's slot row from its skeleton: slot k holds the time
-    1 + k + p_k of a C, p_k counting the C's before it, else 0."""
-    row = []
-    p = 0
-    for k, event in enumerate(skeleton[:slot_count]):
-        if event == "1":
-            p += 1
-            row.append(k + p)
-        else:
-            row.append(0)
-    return tuple(row) + (-1,) * (slot_count - len(row))
-
-
-def build_slots(
-    run: RunRecord, complement_run: RunRecord, slot_count: Optional[int] = None
-) -> tuple[SlotTable, SlotTable]:
-    """Slot tables for a run and its complement run, from their
-    skeletons.
-
-    ``slot_count`` defaults to (T + T-bar) // 3, the value the
-    invariant predicts; both tables are sized to it.
-    """
+def _refuse_degenerate(run: RunRecord, complement_run: RunRecord) -> None:
     if run.degenerate or complement_run.degenerate:
         raise DegenerateRun(
             f"periods {run.period}, {complement_run.period}: no mirror trajectory"
         )
-    if slot_count is None:
-        slot_count = (run.period + complement_run.period) // 3
-
-    def table(skeletons: tuple[str, ...]) -> SlotTable:
-        rows = tuple(_slot_row(skeleton, slot_count) for skeleton in skeletons)
-        return SlotTable(slot_count, rows, tuple(map(len, skeletons)))
-
-    return table(run.skeletons), table(complement_run.skeletons)
 
 
-def filled_slots(slots: SlotTable, complement_slots: SlotTable) -> FilledRows:
+def _swapped(run: RunRecord, complement_run: RunRecord) -> bool:
+    """Whether the complement's skeletons are the run's with A and C
+    swapped."""
+    return run.skeleton_text == complement_run.skeleton_text.translate(_SWAP_AC)
+
+
+def _padded(skeleton: str, slot_count: int) -> str:
+    """A skeleton cut or padded to ``slot_count`` slots; '-' marks a
+    slot past the node's last event."""
+    return skeleton[:slot_count].ljust(slot_count, "-")
+
+
+def filled_rows(
+    run: RunRecord, complement_run: RunRecord, slot_count: Optional[int] = None
+) -> FilledRows:
     """The C event that fills each slot, per node: (time,
     from_complement) when exactly one of the two runs has a C at the
-    slot, None otherwise."""
-    return tuple(
-        tuple(
-            ((e, False) if ebar <= 0 else None) if e > 0
-            else ((ebar, True) if ebar > 0 else None)
-            for e, ebar in zip(row, comp_row)
-        )
-        for row, comp_row in zip(slots.events, complement_slots.events)
-    )
+    slot, None otherwise.
+
+    ``slot_count`` defaults to (T + T-bar) // 3, the value the
+    invariant predicts; every row has that many slots.
+    """
+    _refuse_degenerate(run, complement_run)
+    if slot_count is None:
+        slot_count = (run.period + complement_run.period) // 3
+    if _swapped(run, complement_run):
+        return _accepted_filled(run.skeletons, slot_count)
+    return _two_skeleton_rows(run.skeletons, complement_run.skeletons, slot_count)
 
 
 def _accepted_filled(skeletons: tuple[str, ...], slot_count: int) -> FilledRows:
-    """The filled-slot rows of a pair that holds [4]..[7], from the
-    run's skeletons alone: the run's C at slot k is at 1 + k + p_k; else
-    the complement has the C, after its k - p_k C's, at 1 + 2k - p_k."""
+    """The filled-slot rows of a pair whose complement skeletons are
+    the run's with A and C swapped, from the run's skeletons alone: the
+    run's C at slot k is at 1 + k + p_k; else the complement has the C,
+    after its k - p_k C's, at 1 + 2k - p_k."""
     rows = []
     for skeleton in skeletons:
         row = []
@@ -157,12 +129,29 @@ def _accepted_filled(skeletons: tuple[str, ...], slot_count: int) -> FilledRows:
                 p += 1
             else:
                 row.append((1 + 2 * k - p, True))
-        rows.append(tuple(row))
+        rows.append(tuple(row) + (None,) * (slot_count - len(row)))
     return tuple(rows)
 
 
-# Swaps A ('0') and C ('1') in a skeleton.
-_SWAP_AC = str.maketrans("01", "10")
+def _two_skeleton_rows(
+    skeletons: tuple[str, ...], comp_skeletons: tuple[str, ...], slot_count: int
+) -> FilledRows:
+    """The filled-slot rows of any pair, walking both runs' skeletons:
+    a C at slot k is at 1 + k + (the C's before it in its own run)."""
+    rows = []
+    for skeleton, comp in zip(skeletons, comp_skeletons):
+        row = []
+        p = pbar = 0
+        for k, (e, ebar) in enumerate(
+            zip(_padded(skeleton, slot_count), _padded(comp, slot_count))
+        ):
+            c, cbar = e == "1", ebar == "1"
+            row.append(None if c == cbar
+                       else (1 + k + p, False) if c else (1 + k + pbar, True))
+            p += c
+            pbar += cbar
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @dataclass
@@ -172,9 +161,7 @@ class IpfReport:
     Scalar facts, the individual condition verdicts, and witnesses for
     every failed condition.  ``light_ok`` covers div3 + [1]..[3];
     ``full_ok`` adds [4]..[8].  Conditions that were not evaluated (at
-    light level, or when K is undefined) are None.  ``runs`` holds the
-    checked pair, from which ``filled`` builds the filled-slot rows of a
-    full-level check on first read.
+    light level, or when K is undefined) are None.
     """
 
     T: int
@@ -202,18 +189,6 @@ class IpfReport:
     level: str
     witnesses: list = field(default_factory=list)
     failure_counts: dict = field(default_factory=dict)
-    runs: Optional[tuple[RunRecord, RunRecord]] = field(
-        default=None, repr=False, compare=False)
-
-    @cached_property
-    def filled(self) -> Optional[FilledRows]:
-        """The filled-slot rows of a full-level check with K defined,
-        else None."""
-        if self.level != "full" or self.K is None:
-            return None
-        if self.c4 and self.c5 and self.c6 and self.c7:
-            return _accepted_filled(self.runs[0].skeletons, self.K)
-        return filled_slots(*build_slots(*self.runs, self.K))
 
     @property
     def passed(self) -> bool:
@@ -231,7 +206,6 @@ class IpfReport:
         return {
             _JSON_NAMES.get(f.name, _camel_case(f.name)): getattr(self, f.name)
             for f in fields(self)
-            if f.name != "runs"
         }
 
 
@@ -301,33 +275,33 @@ def _explain_slot_failures(
     run: RunRecord, complement_run: RunRecord, K: int, time_origin: int,
     witnesses: list, failure_counts: dict,
 ) -> tuple:
-    """Slot overflow and [4]..[8] cell by cell on the slot rows of a pair
-    that fails one of them, adding each failure's witnesses and count:
-    (c4, c5, c6, c7, c8, c8 at origin 0, c8 at origin 1)."""
-    slots, comp_slots = build_slots(run, complement_run, K)
-    for table, tag in ((slots, "run"), (comp_slots, "complement run")):
-        for v in table.overflow_nodes:
-            witnesses.append(
-                {
-                    "condition": "slots",
-                    "node": v,
-                    "detail": f"{tag}: {table.event_counts[v]} events for "
-                    f"{K} slots",
-                }
-            )
-            failure_counts["slots"] = failure_counts.get("slots", 0) + 1
+    """Slot overflow and [4]..[8] cell by cell on the skeletons of a
+    pair that fails one of them, adding each failure's witnesses and
+    count: (c4, c5, c6, c7, c8, c8 at origin 0, c8 at origin 1)."""
+    skeletons, comp_skeletons = run.skeletons, complement_run.skeletons
+    for run_skeletons, tag in ((skeletons, "run"), (comp_skeletons, "complement run")):
+        for v, skeleton in enumerate(run_skeletons):
+            if len(skeleton) != K:
+                witnesses.append(
+                    {
+                        "condition": "slots",
+                        "node": v,
+                        "detail": f"{tag}: {len(skeleton)} events for {K} slots",
+                    }
+                )
+                failure_counts["slots"] = failure_counts.get("slots", 0) + 1
 
     cells = [
         (v, k, e, ebar)
-        for v, (row, comp_row) in enumerate(zip(slots.events, comp_slots.events))
-        for k, (e, ebar) in enumerate(zip(row, comp_row))
+        for v, (skeleton, comp) in enumerate(zip(skeletons, comp_skeletons))
+        for k, (e, ebar) in enumerate(zip(_padded(skeleton, K), _padded(comp, K)))
     ]
-    # Failing (node, slot) cells per condition; C is e > 0, A is e == 0.
+    # Failing (node, slot) cells per condition; '1' is C, '0' is A.
     failures = {
-        "c4": [(v, k) for v, k, e, ebar in cells if (e > 0) == (ebar > 0)],
-        "c5": [(v, k) for v, k, e, ebar in cells if (e == 0) == (ebar == 0)],
-        "c6": [(v, k) for v, k, e, ebar in cells if (ebar == 0) != (e > 0)],
-        "c7": [(v, k) for v, k, e, ebar in cells if (ebar > 0) != (e == 0)],
+        "c4": [(v, k) for v, k, e, ebar in cells if (e == "1") == (ebar == "1")],
+        "c5": [(v, k) for v, k, e, ebar in cells if (e == "0") == (ebar == "0")],
+        "c6": [(v, k) for v, k, e, ebar in cells if (ebar == "0") != (e == "1")],
+        "c7": [(v, k) for v, k, e, ebar in cells if (ebar == "1") != (e == "0")],
     }
     for name, failed in failures.items():
         if failed:
@@ -338,7 +312,7 @@ def _explain_slot_failures(
             )
 
     c8_failures, c8_witnesses, c8_other = _check_phase_pattern(
-        filled_slots(slots, comp_slots), K, time_origin
+        filled_rows(run, complement_run, K), K, time_origin
     )
     c8 = c8_failures == 0
     if not c8:
@@ -367,10 +341,7 @@ def check_ipf(
         raise ValueError(f"unknown interpretation {cond1_interpretation!r}")
     if time_origin not in (0, 1):
         raise ValueError("time_origin must be 0 or 1")
-    if run.degenerate or complement_run.degenerate:
-        raise DegenerateRun(
-            f"periods {run.period}, {complement_run.period}: no mirror trajectory"
-        )
+    _refuse_degenerate(run, complement_run)
 
     T, Tbar = run.period, complement_run.period
     lam = run.lambda_value
@@ -444,7 +415,7 @@ def check_ipf(
             # The complement's skeletons are the run's with A and C
             # swapped: then [4]..[7] hold, and [8] holds at time origin 1
             # only (see the module docstring).
-            if run.skeleton_text == complement_run.skeleton_text.translate(_SWAP_AC):
+            if _swapped(run, complement_run):
                 c4 = c5 = c6 = c7 = True
                 c8_origin0, c8_origin1 = False, True
                 c8 = time_origin == 1
@@ -479,5 +450,4 @@ def check_ipf(
         level=level,
         witnesses=witnesses,
         failure_counts=failure_counts,
-        runs=(run, complement_run),
     )

@@ -39,7 +39,7 @@ from .errors import (
     UnverifiedRuns,
 )
 from .graph import weak_computable
-from .ipf import IpfReport, build_slots, filled_slots
+from .ipf import IpfReport, filled_rows
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -520,10 +520,10 @@ def extract_rows(
     slot k, the row holds, per mask column at offset o, the difference
     of the integral phases of node v+o and node v at slot k, mod 3,
     barred when the neighbor's slot was filled by the complement run, as
-    the report's filled-slot rows give them (rebuilt for a light-level
-    report).  ``swapped`` marks a pair that also stands for its swapped
-    pair (complement run first), whose rows are these with every bar
-    flipped, as the other run fills each slot; those rows are added too.
+    ``filled_rows`` gives them at either check level.  ``swapped`` marks
+    a pair that also stands for its swapped pair (complement run first),
+    whose rows are these with every bar flipped, as the other run fills
+    each slot; those rows are added too.
     A pair whose report did not pass raises UnverifiedRuns.  Slots not
     filled by exactly one run at every needed node are skipped.
     """
@@ -535,7 +535,7 @@ def extract_rows(
                 f"pair starting {runs[0].start_ab!r} fails {report.level} check "
                 f"({report.first_failed_condition})"
             )
-        filled = report.filled or filled_slots(*build_slots(*runs))
+        filled = filled_rows(*runs)
         L = len(filled)
         for v, center_row in enumerate(filled):
             for k, center in enumerate(center_row):

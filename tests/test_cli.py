@@ -267,6 +267,27 @@ class TestGrid:
         assert f"line 3: row ({n},{m}) {problem}" in err
         assert out.read_text() == text
 
+    def test_resume_refuses_rows_out_of_grid_order(self, tmp_path, capsys):
+        # the cells done must be the first ones in grid order: after a
+        # lone 3,3 row a resume would append 1,1 / 1,3 / 3,1 after it
+        out = tmp_path / "grid.csv"
+        flags = ["grid", "--max", "3", "--lmax", "5", "--out", str(out)]
+        assert run_cli(*flags) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert [line[:4] for line in lines[1:]] == ["1,1,", "1,3,", "3,1,", "3,3,"]
+        for kept in ([lines[4]], [lines[1], lines[3]]):
+            text = lines[0] + "".join(kept)
+            out.write_text(text)
+            capsys.readouterr()
+            assert run_cli(*flags, "--resume") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            row, expected = ("(3,3)", "(1,1)") if len(kept) == 1 else ("(3,1)", "(1,3)")
+            line = len(kept) + 1
+            assert (f"line {line}: row {row} is out of grid order: cell {expected} "
+                    "is expected there") in err
+            assert out.read_text() == text
+
     def test_inconclusive_cells_exit_3(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "3", "--lmax", "5", "--max-steps", "1",

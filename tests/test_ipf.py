@@ -7,7 +7,7 @@ from trine.ac23 import Mask, build_graph
 from trine.dynamics import RunRecord, pack, run_to_mirror
 from trine.errors import DegenerateRun
 from trine.graph import MixedGraph, complement
-from trine.ipf import SlotTable, build_slots, check_ipf, filled_slots
+from trine.ipf import check_ipf, filled_rows
 
 
 @pytest.fixture
@@ -15,84 +15,86 @@ def fixture_pair(ring3):
     return run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB")
 
 
-def node_slots(history: str, slot_count: int) -> tuple[tuple[int, ...], int]:
-    """build_slots' row and event count for a one-node run whose packed
-    states spell ``history``, a trajectory: no B at t = 1, and a B
-    exactly after each C."""
+def one_node_run(history: str) -> RunRecord:
+    """A one-node run whose packed states spell ``history``, a
+    trajectory: no B at t = 1, and a B exactly after each C."""
     packed = [pack(color) for color in history]
-    run = RunRecord(MixedGraph(1), 0, len(history), packed[-1], [], packed)
-    table, _ = build_slots(run, run, slot_count)
-    return table.events[0], table.event_counts[0]
+    return RunRecord(MixedGraph(1), 0, len(history), packed[-1], [], packed)
+
+
+def node_filled(history: str, comp_history: str, slot_count: int) -> tuple:
+    """filled_rows' row for a pair of one-node runs."""
+    return filled_rows(one_node_run(history), one_node_run(comp_history), slot_count)[0]
 
 
 class TestSlotsFromHistory:
     def test_fixture_node0(self):
-        # A at t=1 takes slot 0, C at t=2 takes slot 1, the B opens none
-        assert node_slots("ACB", 2) == ((0, 2), 2)
+        # A at t=1 takes slot 0, C at t=2 takes slot 1, the B opens none;
+        # the complement's C at t=1 fills slot 0
+        assert node_filled("ACB", "CBA", 2) == ((1, True), (2, False))
 
     def test_all_a_history(self):
-        assert node_slots("AAA", 3) == ((0, 0, 0), 3)
+        # the complement's C's at t = 1, 3, 5 fill every slot
+        assert node_filled("AAA", "CBCBC", 3) == ((1, True), (3, True), (5, True))
 
     def test_b_inherits_no_slot(self):
         # C opens a slot, the following B does not
-        assert node_slots("CBCB", 2) == ((1, 3), 2)
+        assert node_filled("CBCB", "AAAA", 2) == ((1, False), (3, False))
 
     def test_overflow_reported_via_count(self):
-        assert node_slots("AAAA", 2) == ((0, 0), 4)
+        report = check_ipf(one_node_run("AAAA"), one_node_run("CBCBC"))
+        assert report.K == 3
+        assert [w for w in report.witnesses if w["condition"] == "slots"] == [
+            {"condition": "slots", "node": 0, "detail": "run: 4 events for 3 slots"}]
+        assert report.failure_counts["slots"] == 1
 
     def test_slots_past_the_last_event_are_empty(self):
-        assert node_slots("CBA", 4) == ((1, 0, -1, -1), 2)
-
-
-class TestBuildSlots:
-    def test_fixture_tables(self, fixture_pair):
-        slots, comp = build_slots(*fixture_pair)
-        assert slots.slot_count == 2
-        assert slots.events[0] == (0, 2)
-        assert comp.events[0] == (1, 0)
-        assert slots.event_counts == (2, 2, 2)
-        assert slots.overflow_nodes == ()
-        assert fixture_pair[0].lambda_value == 0
-
-    def test_degenerate_raises(self, ring3):
-        a = run_to_mirror(ring3, "AAA")
-        b = run_to_mirror(ring3, "BBB")
-        with pytest.raises(DegenerateRun):
-            build_slots(a, b)
+        # swapped skeletons, then skeletons that differ
+        assert node_filled("CBA", "ACB", 4) == ((1, False), (2, True), None, None)
+        assert node_filled("CBA", "AAC", 4) == ((1, False), None, (3, True), None)
 
 
 class TestFilledSlots:
     def test_fixture_rows(self, fixture_pair):
         # node 0: the complement's C at t=1 fills slot 0, the run's C at
         # t=2 fills slot 1
-        assert filled_slots(*build_slots(*fixture_pair)) == (
+        assert filled_rows(*fixture_pair) == (
             ((1, True), (2, False)),
             ((1, False), (2, True)),
             ((1, True), (2, False)),
         )
+        # two slots, and every node has two events in both runs
+        report = check_ipf(*fixture_pair)
+        assert report.K == 2 and "slots" not in report.failure_counts
+        assert fixture_pair[0].lambda_value == 0
 
     def test_a_slot_needs_exactly_one_c(self):
-        # node 0: C in both runs, A in both, C against no event; node 1:
-        # A against C, no event against C, no event in either
-        slots = SlotTable(3, ((3, 0, 5), (0, -1, -1)), (3, 1))
-        comp = SlotTable(3, ((4, 0, -1), (2, 6, -1)), (2, 2))
-        assert filled_slots(slots, comp) == (
-            (None, None, (5, False)),
-            ((2, True), (6, True), None),
-        )
+        # C in both runs, A in both, C against no event
+        assert node_filled("CBAC", "CBA", 3) == (None, None, (4, False))
+        # C against A, A against C, no event against C
+        assert node_filled("CBA", "ACBC", 3) == ((1, False), (2, True), (4, True))
 
-    def test_full_report_keeps_the_rows(self, fixture_pair):
-        report = check_ipf(*fixture_pair, level="full")
-        assert report.filled == filled_slots(*build_slots(*fixture_pair))
-        assert "filled" not in report.to_json_dict()
+    def test_degenerate_raises(self, ring3):
+        a = run_to_mirror(ring3, "AAA")
+        b = run_to_mirror(ring3, "BBB")
+        with pytest.raises(DegenerateRun):
+            filled_rows(a, b)
+
+    def test_report_json_carries_no_rows(self, fixture_pair):
+        data = check_ipf(*fixture_pair, level="full").to_json_dict()
+        assert not {"filled", "runs"} & set(data)
 
     def test_rows_of_a_pair_that_fails_the_slot_conditions(self):
-        # (1,5) at L=7: BAABAAA fails [4]..[7]; its rows come from the slot tables
+        # (1,5) at L=7: BAABAAA fails [4]..[7], and every node has 9
+        # events in the run and 11 in the complement for K = 10 slots
         run, comp = pair_for(Mask(1, 5), 7, "BAABAAA")
         report = check_ipf(run, comp, level="full")
         assert report.c4 is False
-        assert report.filled == filled_slots(*build_slots(run, comp, report.K))
-        assert any(row.count(None) for row in report.filled)
+        overflow = [w["detail"] for w in report.witnesses if w["condition"] == "slots"]
+        assert overflow == ["run: 9 events for 10 slots"] * 7 + [
+            "complement run: 11 events for 10 slots"] * 7
+        assert report.failure_counts["slots"] == 14
+        assert filled_rows(run, comp)[3][6:] == ((10, True), None, None, None)
 
     def test_c8_at_origin0_fails_on_every_first_phase(self, fixture_pair):
         # counted from 0 every F(0) is odd, and nothing else fails, so

@@ -9,8 +9,9 @@ from the rule table:
 
 The lane engine's summary runs are compared with the same naive runs,
 lane by lane, on circle graphs and on random mixed graphs, and so are
-the skeletons a recording batch cuts out of its lanes and the slot rows
-built from them.  ``check_ipf`` is compared with a transcription of the
+the skeletons a recording batch cuts out of its lanes and the filled
+rows ``filled_rows`` builds from the skeletons of a run and its
+complement.  ``check_ipf`` is compared with a transcription of the
 nine statements of the ``trine.ipf`` module docstring, evaluated on the
 naive runs, both on one-lane runs and on recorded lane summaries.
 """
@@ -22,11 +23,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphgen import random_mixed_graph
-from trine import dynamics
+from trine import dynamics, ipf
 from trine.ac23 import Mask, bits_to_coloring, build_graph
 from trine.dynamics import run_lanes, run_to_mirror, step
+from trine.errors import DegenerateRun
 from trine.graph import MixedGraph, complement
-from trine.ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, build_slots, check_ipf
+from trine.ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, check_ipf, filled_rows
 
 RULES = {False: {"A": "A", "B": "C", "C": "B"}, True: {"A": "C", "B": "A", "C": "B"}}
 SWAP_BC = str.maketrans("BC", "CB")
@@ -190,27 +192,58 @@ def naive_slots(history: str) -> list[tuple[str, int]]:
     return [(color, t) for t, color in enumerate(history, 1) if color != "B"]
 
 
+def naive_node_slots(g: MixedGraph, bits: int) -> list:
+    """naive_slots of every node's history in the naive run of a start,
+    given by its B bits."""
+    states = naive_run(g, bits_to_coloring(bits, g.node_count))
+    return [naive_slots("".join(state[v] for state in states)) for v in range(g.node_count)]
+
+
+def naive_filled(slots: list, bar_slots: list, width: int) -> tuple:
+    """Per node, for slots k < ``width``: (time, from_complement) of the
+    one C of the two runs at slot k, None unless exactly one run has a C
+    there (the ``phase`` rule of ``naive_ipf``, before the origin)."""
+    def fill(v, k):
+        cs = [(rows[v][k][1], barred)
+              for barred, rows in ((False, slots), (True, bar_slots))
+              if k < len(rows[v]) and rows[v][k][0] == "C"]
+        return cs[0] if len(cs) == 1 else None
+
+    return tuple(tuple(fill(v, k) for k in range(width)) for v in range(len(slots)))
+
+
 def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
-    """Per node of every recorded lane: the skeleton spells the naive
-    slots' colors, and the slot row built from it holds their times (the
-    t_k identity), 0 for an A and -1 past the last event."""
-    n = g.node_count
-    for bits, run in zip(starts, run_lanes(g, starts, record=True), strict=True):
-        states = naive_run(g, bits_to_coloring(bits, n))
-        slots = [naive_slots("".join(state[v] for state in states)) for v in range(n)]
-        assert run.skeletons == tuple(
-            "".join("1" if color == "C" else "0" for color, _ in row) for row in slots)
-        if run.degenerate:
-            continue  # build_slots refuses degenerate runs
-        width = max(map(len, slots)) + 1
-        table, _ = build_slots(run, run, width)
-        assert table.events == tuple(
-            tuple(t if color == "C" else 0 for color, t in row) + (-1,) * (width - len(row))
-            for row in slots)
-        assert table.event_counts == tuple(map(len, slots))
+    """Per node of every recorded lane and of its complement's lane: the
+    skeleton spells the naive slots' colors; and the filled rows of the
+    pair, at the default K and at a width past every node's last event,
+    hold the naive filling C's times (the t_k identity), from
+    ``filled_rows`` and from the two-skeleton walk alone."""
+    full = (1 << g.node_count) - 1
+    runs = run_lanes(g, starts + [bits ^ full for bits in starts], record=True)
+    for bits, run, comp in zip(starts, runs, runs[len(starts):]):
+        slots, bar_slots = naive_node_slots(g, bits), naive_node_slots(g, bits ^ full)
+        for lane, rows in ((run, slots), (comp, bar_slots)):
+            assert lane.skeletons == tuple(
+                "".join("1" if color == "C" else "0" for color, _ in row) for row in rows)
+        if run.degenerate or comp.degenerate:
+            with pytest.raises(DegenerateRun):
+                filled_rows(run, comp)
+            continue
+        K = (run.period + comp.period) // 3
+        width = max(map(len, slots + bar_slots)) + 1
+        assert filled_rows(run, comp) == naive_filled(slots, bar_slots, K)
+        for w in (K, width):
+            want = naive_filled(slots, bar_slots, w)
+            assert filled_rows(run, comp, w) == want
+            assert ipf._two_skeleton_rows(run.skeletons, comp.skeletons, w) == want
 
 
+# (1,1) at L=3: ABA's complement skeletons are its own with A and C
+# swapped, so filled_rows reads the run's alone; (1,5) at L=7: BAABAAA's
+# are not, so it walks both.
 @given(mask_circle_batches())
+@example((build_graph(Mask(1, 1), 3), [0b010]))
+@example((build_graph(Mask(1, 5), 7), [0b1001]))
 @settings(deadline=None)
 def test_slot_rows_from_skeletons_match_oracle(case):
     assert_slots_match_oracle(*case)
@@ -220,6 +253,21 @@ def test_slot_rows_from_skeletons_match_oracle(case):
 @settings(deadline=None)
 def test_slot_rows_from_skeletons_match_oracle_on_mixed_graphs(case):
     assert_slots_match_oracle(*case)
+
+
+def test_filled_rows_walks_both_skeletons_only_when_they_differ(monkeypatch):
+    walked = []
+    walk = ipf._two_skeleton_rows
+
+    def counted(*args):
+        walked.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(ipf, "_two_skeleton_rows", counted)
+    for mask, L, start in ((Mask(1, 1), 3, "ABA"), (Mask(1, 5), 7, "BAABAAA")):
+        g = build_graph(mask, L)
+        filled_rows(run_to_mirror(g, start), run_to_mirror(g, complement(start)))
+    assert len(walked) == 1 and len(walked[0]) == 7
 
 
 @pytest.mark.parametrize("record_bits,first_flush", [

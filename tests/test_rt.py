@@ -456,7 +456,6 @@ class TestExtraction:
     def test_light_report_rows_match_full_report_rows(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
         light = check_ipf(*pair, level="light")
-        assert light.filled is None
         assert extract_rows(Mask(1, 1), [(pair, light, False)]) == extract_rows(
             Mask(1, 1), [(pair, check_ipf(*pair), False)]
         )
@@ -471,9 +470,11 @@ class TestExtraction:
 
     @pytest.mark.parametrize("level", ["full", "light"])
     def test_each_extracted_pair_is_checked_once(self, monkeypatch, level):
-        # at full level the lanes record the skeletons: no slot table is
-        # built and no run re-walks its states; a light-level report has
-        # no filled rows, so extraction builds them per pair
+        # at full level the lanes record the skeletons and every passing
+        # pair's complement skeletons are the run's with A and C swapped:
+        # no run re-walks its states and no pair walks both skeletons; a
+        # light-level pass promises no such match, so extraction reads
+        # each pair's skeletons from its re-walked states
         from trine import ac23, dynamics, ipf
 
         calls = Counter()
@@ -488,8 +489,7 @@ class TestExtraction:
             monkeypatch.setattr(module, name, counted)
 
         count(ac23, "check_ipf")
-        count(ipf, "build_slots")
-        count(rt, "build_slots")
+        count(ipf, "_two_skeleton_rows")
         count(dynamics, "_walk")
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
         extracted = []
@@ -502,9 +502,9 @@ class TestExtraction:
         assert extract_rows(Mask(1, 3), recorded()).row_count > 0
         assert calls["check_ipf"] == len(extracted) > 0
         if level == "full":
-            assert calls["build_slots"] == calls["_walk"] == 0
+            assert calls["_two_skeleton_rows"] == calls["_walk"] == 0
         else:
-            assert calls["build_slots"] == len(extracted)
+            assert calls["_walk"] == 2 * len(extracted)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
