@@ -54,6 +54,22 @@ class TestSlotsFromHistory:
         assert node_filled("CBA", "AAC", 4) == ((1, False), None, (3, True), None)
 
 
+class TestBuildSlots:
+    def test_fixture_tables(self, fixture_pair):
+        # the slot layout the rows are read from: two slots; node 0 has A
+        # then C in the run and C then A in the complement; every node has
+        # two events in both runs, so no node overflows
+        run, comp = fixture_pair
+        report = check_ipf(run, comp)
+        assert report.K == 2
+        assert run.skeletons[0] == "01"
+        assert comp.skeletons[0] == "10"
+        assert [len(s) for s in run.skeletons] == [2, 2, 2]
+        assert [len(s) for s in comp.skeletons] == [2, 2, 2]
+        assert "slots" not in report.failure_counts
+        assert run.lambda_value == 0
+
+
 class TestFilledSlots:
     def test_fixture_rows(self, fixture_pair):
         # node 0: the complement's C at t=1 fills slot 0, the run's C at
@@ -63,10 +79,6 @@ class TestFilledSlots:
             ((1, False), (2, True)),
             ((1, True), (2, False)),
         )
-        # two slots, and every node has two events in both runs
-        report = check_ipf(*fixture_pair)
-        assert report.K == 2 and "slots" not in report.failure_counts
-        assert fixture_pair[0].lambda_value == 0
 
     def test_a_slot_needs_exactly_one_c(self):
         # C in both runs, A in both, C against no event
