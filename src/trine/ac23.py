@@ -16,10 +16,11 @@ relative to the envelope it examined; a single failing pair settles
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
@@ -53,20 +54,20 @@ class Mask:
         if self.n < 1 or self.m < 1:
             raise ValueError(f"mask numbers must be positive, got ({self.n},{self.m})")
 
-    @property
+    @cached_property
     def left_offsets(self) -> tuple[int, ...]:
         return _offsets(self.n)
 
-    @property
+    @cached_property
     def right_offsets(self) -> tuple[int, ...]:
         return _offsets(self.m)
 
-    @property
+    @cached_property
     def point_count(self) -> int:
         """Total number of mask points including the central one."""
         return len(self.left_offsets) + len(self.right_offsets) + 1
 
-    @property
+    @cached_property
     def column_offsets(self) -> tuple[int, ...]:
         signed = sorted([-d for d in self.left_offsets] + list(self.right_offsets))
         return (0, *signed)
@@ -149,15 +150,14 @@ def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
-    """(bits, orbit size) of every L-bit start that is its own smallest
-    rotation, increasing.  FKM algorithm (Fredricksen & Maiorana 1978;
-    Ruskey, Savage & Wang 1992), bit L-1 being the first letter: the
-    next prenecklace repeats the prefix up to its last 0, that 0 set to
-    1, and is a necklace of orbit size p when the prefix length p
-    divides L.  Cached per L."""
+def _necklaces(L: int) -> tuple[int, ...]:
+    """Every L-bit start that is its own smallest rotation, increasing.
+    FKM algorithm (Fredricksen & Maiorana 1978; Ruskey, Savage & Wang
+    1992), bit L-1 being the first letter: the next prenecklace repeats
+    the prefix up to its last 0, that 0 set to 1, and is a necklace when
+    the prefix length p divides L.  Cached per L."""
     full = (1 << L) - 1
-    found = [(0, 1)]
+    found = [0]
     bits = 0
     while bits != full:
         ones = (bits ^ (bits + 1)).bit_length() - 1  # trailing 1 bits
@@ -166,8 +166,18 @@ def _necklaces(L: int) -> tuple[tuple[int, int], ...]:
         repeated = (bits >> ones | 1) * ((1 << p * copies) - 1) // ((1 << p) - 1)
         bits = repeated >> (p * copies - L)
         if L % p == 0:
-            found.append((bits, p))
+            found.append(bits)
     return tuple(found)
+
+
+def _indices(L: int, config: Config, total: int):
+    """The indices below ``total`` that run at size L, increasing: the
+    necklaces up to the exhaustive cutoff, one per rotation orbit, else
+    every sample index."""
+    if L > config.exhaustive_cutoff:
+        return range(total)
+    necklaces = _necklaces(L)
+    return necklaces[:bisect_left(necklaces, total)]
 
 
 def _complement_partner(bits: int, L: int) -> tuple[int, int]:
@@ -225,12 +235,13 @@ def iter_pairs(
     ``bits`` being the start's B bits (see ``bits_to_coloring``):
     ``runs`` is None when a run hit ``max_steps`` (unresolved);
     ``report`` is None when unresolved or when either run is
-    degenerate.  Beyond the exhaustive cutoff the index selects a seeded
-    sample, ``partner`` is None, and every index yields; ``indices``
-    defaults to every configured sample.
+    degenerate.  ``indices`` (increasing) defaults to every index that
+    runs at the size (see ``_indices``).  Beyond the exhaustive cutoff
+    the index selects a seeded sample, ``partner`` is None, and every
+    index yields.
 
-    Up to the cutoff the index is the start's bit pattern, and
-    ``indices`` defaults to the necklaces, one per rotation orbit.
+    Up to the cutoff the index is the start's bit pattern, and only
+    necklaces run, one per rotation orbit.
     Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
     along and leaves every outcome and checked condition unchanged.
@@ -253,8 +264,8 @@ def iter_pairs(
     """
     L = g.node_count
     if indices is None:
-        indices = ([bits for bits, _ in _necklaces(L)] if L <= config.exhaustive_cutoff
-                   else range(config.samples_per_L))
+        indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
+                           else config.samples_per_L)
     pairs = _pair_starts(mask, L, config, indices)
     record = config.check_level == "full"
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
@@ -278,85 +289,66 @@ def iter_pairs(
             yield index, bits, partner, (run, comp_run), report
 
 
-_NOT_FAILED = _UNRESOLVED, _DEGENERATE, _PASSED = "unresolved", "degenerate", "passed"
-
-
-def _scan_block(mask: Mask, g: MixedGraph, config: Config, indices: list) -> dict:
-    """Run the pairs of the increasing ``indices`` up to the first
-    failing one: index -> (start bits, outcome), the outcome being
-    "unresolved", "degenerate", "passed" or the first failed condition.
-    A checked pair's partner (see ``iter_pairs``) gets the same outcome.
+def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
+                k: int) -> tuple[Optional[tuple[int, int, str]], list]:
+    """Run every ``workers``-th index that runs below ``total`` (see
+    ``_indices``), from the k-th on, up to the first failing pair.
+    Returns (failure, notes): the failure is (index, start bits, first
+    failed condition) or None, and notes lists (index, start bits,
+    "unresolved" or "degenerate") for each member of a class (see
+    ``iter_pairs``) that did not pass.  A passing pair leaves no trace.
     Picklable, so batches can run in worker processes."""
-    ran = {}
+    notes = []
+    indices = islice(_indices(g.node_count, config, total), k, None, workers)
     for index, bits, partner, runs, report in iter_pairs(mask, g, config, indices):
-        if runs is None:
-            outcome = _UNRESOLVED
-        elif report is None:
-            outcome = _DEGENERATE
-        elif report.passed:
-            outcome = _PASSED
-        else:
-            outcome = report.first_failed_condition
-        ran[index] = (bits, outcome)
-        if partner is not None:
-            ran[partner] = (partner, outcome)
-        if outcome not in _NOT_FAILED:
-            break
-    return ran
+        if report is not None:
+            if not report.passed:
+                return (index, bits, report.first_failed_condition), notes
+            continue
+        outcome = "unresolved" if runs is None else "degenerate"
+        notes.append((index, bits, outcome))
+        if partner not in (None, index):
+            notes.append((partner, partner, outcome))
+    return None, notes
 
 
 def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -> dict:
     """Count the starts with index 0..total-1 on the mask's circle graph
     ``g`` of size L, up to and including the first failing one.
 
-    The indices that run (necklaces up to the exhaustive cutoff, whose
-    smallest failing one is the smallest failing start) are dealt
-    round-robin into ``config.threads`` batches for ``run_map``, each
-    stopping at its own first failure.  Within a batch a necklace runs
-    and is checked with its complement class (see ``iter_pairs``) when
-    it is the class's smaller member, and is skipped otherwise; the
-    class's outcome goes to both members.  A failing class fails at its
-    smaller member, so every index up to the smallest failure of all
-    batches (the limit, else total-1) has an outcome, and counts once
-    per rotation up to the limit.  ``pairs_run`` counts these indices,
-    one per rotation orbit, though a class of two orbits runs each
-    necklace once and is checked once; no count depends on the batches.
+    The indices that run (see ``_indices``) are dealt round-robin into
+    ``config.threads`` batches for ``run_map`` (see ``_scan_block``),
+    each stopping at its own first failure.  A class fails at its
+    smaller member, so each batch gets at least as far as the smallest
+    failure of all (the limit, else total-1), and every class with a
+    member up to the limit has been checked.  The counts go by
+    exception: each noted member up to the limit counts once per
+    distinct rotation up to the limit (once at sampled sizes), and every
+    other start up to the limit is tested.  ``pairs_run`` counts the
+    indices up to the limit that run, one per rotation orbit, though a
+    class of two orbits runs each necklace once and is checked once; no
+    count depends on the batches.
     """
     L = g.node_count
-    exhaustive = L <= config.exhaustive_cutoff
-    if exhaustive:
-        orbits = {bits: size for bits, size in _necklaces(L) if bits < total}
-    else:
-        orbits = dict.fromkeys(range(total), 1)
-    indices = list(orbits)
     workers = config.threads
-    batches = [indices[k::workers] for k in range(workers)]
-    ran: dict = {}
-    for outcomes in run_map(partial(_scan_block, mask, g, config), batches):
-        ran.update(outcomes)
-    limit = min((i for i, (_, outcome) in ran.items() if outcome not in _NOT_FAILED),
-                default=total - 1)
-    full = (1 << L) - 1
-    scan = dict.fromkeys(("tested", "degenerate_skips", "unresolved", "pairs_run"), 0)
-    for index in indices:
+    blocks = list(run_map(partial(_scan_block, mask, g, config, total, workers),
+                          range(workers)))
+    failure = min((found for found, _ in blocks if found is not None), default=None)
+    limit = total - 1 if failure is None else failure[0]
+    scan = {"tested": limit + 1, "degenerate_skips": 0, "unresolved": 0,
+            "pairs_run": len(_indices(L, config, limit + 1))}
+    for index, bits, outcome in sorted(note for _, notes in blocks for note in notes):
         if index > limit:
             break
-        bits, outcome = ran[index]
-        starts = orbits[index]
-        if exhaustive and limit < full:
-            starts = sum(rotate(index, k, L) <= limit for k in range(starts))
-        scan["pairs_run"] += 1
-        if outcome == _UNRESOLVED:
-            scan["unresolved"] += starts
-            if "first_unresolved" not in scan:
-                scan["first_unresolved"] = bits_to_coloring(bits, L)
-        elif outcome == _DEGENERATE:
-            scan["degenerate_skips"] += starts
-        else:
-            scan["tested"] += starts
-            if outcome != _PASSED:
-                scan["witness"] = {"start": bits_to_coloring(bits, L),
-                                   "condition": outcome}
+        orbit = ({rotate(index, k, L) for k in range(L)}
+                 if L <= config.exhaustive_cutoff else (index,))
+        starts = sum(x <= limit for x in orbit)
+        scan["unresolved" if outcome == "unresolved" else "degenerate_skips"] += starts
+        scan["tested"] -= starts
+        if outcome == "unresolved" and "first_unresolved" not in scan:
+            scan["first_unresolved"] = bits_to_coloring(bits, L)
+    if failure is not None:
+        scan["witness"] = {"start": bits_to_coloring(failure[1], L), "condition": failure[2]}
     return scan
 
 
@@ -435,7 +427,9 @@ def classify_mask(
     never decide the headline status.  Each envelope block counts starts
     (``planned``, ``tested``, ...) up to the size's first failing one,
     and under ``pairs_run`` the rotation orbits (or samples) they stand
-    for.
+    for.  The counts go by exception (see ``_scan_size``): a scan keeps
+    only the starts that did not pass, and every other counted start
+    was tested.
 
     ``budget`` (at least 1) caps the number of start pairs examined;
     exhausting it returns the partial verdict with ``budget_exhausted``

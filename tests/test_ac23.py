@@ -19,7 +19,7 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.dynamics import run_to_mirror
+from trine.dynamics import rotate, run_to_mirror
 from trine.errors import MaxStepsExceeded
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
@@ -327,8 +327,10 @@ class TestRotationReduction:
     def test_unresolved_runs_match_naive_sweep(self, n, m, max_steps):
         cfg = quick_config(lmax=9, exhaustive_cutoff=8, samples_per_L=30,
                            max_steps=max_steps)
-        got = reduced_envelope(Mask(n, m), cfg)
-        assert got == naive_envelope(Mask(n, m), cfg)
+        want = naive_envelope(Mask(n, m), cfg)
+        for threads in (1, 3):
+            got = reduced_envelope(Mask(n, m), cfg.with_overrides(threads=threads))
+            assert got == want
         assert any(unresolved for _, _, _, unresolved, _, _ in got[0])
 
     @pytest.mark.parametrize("n,m,L,total", [(1, 1, 9, 300), (1, 3, 8, 100),
@@ -337,8 +339,21 @@ class TestRotationReduction:
         # the budget cuts the size after ``total`` starts, past some
         # rotations of the necklaces below the cut
         cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L)
-        got = reduced_envelope(Mask(n, m), cfg, budget=total)
-        assert got == naive_envelope(Mask(n, m), cfg, total)
+        want = naive_envelope(Mask(n, m), cfg, total)
+        for threads in (1, 3):
+            cut = cfg.with_overrides(threads=threads)
+            assert reduced_envelope(Mask(n, m), cut, budget=total) == want
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 3)])
+    def test_budget_cut_through_unresolved_orbits_matches_naive_sweep(self, n, m):
+        # an unresolved necklace below the cut counts only its rotations
+        # below the cut
+        cfg = quick_config(lmin=9, lmax=9, exhaustive_cutoff=9, max_steps=6)
+        want = naive_envelope(Mask(n, m), cfg, 300)
+        assert any(unresolved for _, _, _, unresolved, _, _ in want[0])
+        for threads in (1, 3):
+            cut = cfg.with_overrides(threads=threads)
+            assert reduced_envelope(Mask(n, m), cut, budget=300) == want
 
     @pytest.mark.parametrize("origin", [0, 1])
     @pytest.mark.parametrize("n,m,threads", [(1, 1, 1), (1, 3, 1), (1, 5, 1), (1, 5, 2),
@@ -358,16 +373,24 @@ class TestRotationReduction:
         # {17, 119}: each is checked at its first necklace, and its second
         # one lies past the cut
         L, total = 8, 100
-        cut = [(r, ac23._complement_partner(r, L)[0]) for r, _ in ac23._necklaces(L)]
+        cut = [(r, ac23._complement_partner(r, L)[0]) for r in ac23._necklaces(L)]
         assert {(1, 127), (9, 111), (17, 119)} <= {(r, p) for r, p in cut if r < total <= p}
         cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L, check_level="full",
                            time_origin=origin)
         got = reduced_envelope(Mask(1, 1), cfg, budget=total)
         assert got == naive_envelope(Mask(1, 1), cfg, total)
 
+    def test_scan_block_notes_only_unpassed_class_members(self):
+        # L = 10 in one batch: only the uniform class {all A, all B} does
+        # not pass, as two degenerate runs
+        cfg = quick_config(lmin=10, lmax=10, exhaustive_cutoff=10)
+        g = build_graph(Mask(1, 1), 10)
+        assert ac23._scan_block(Mask(1, 1), g, cfg, 2**10, 1, 0) == (
+            None, [(0, 0, "degenerate"), (1023, 1023, "degenerate")])
+
     def test_complement_partner(self):
         full = 2**9 - 1
-        necklaces = {bits for bits, _ in ac23._necklaces(9)}
+        necklaces = set(ac23._necklaces(9))
         for r in necklaces:
             p, k = ac23._complement_partner(r, 9)
             assert p in necklaces
@@ -398,17 +421,19 @@ class TestRotationReduction:
 
     def test_necklaces_are_the_smallest_string_rotations(self):
         for L in range(3, 13):
-            smallest, orbit_sizes = [], []
+            smallest = []
             for bits in range(2**L):
                 start = bits_to_coloring(bits, L)
                 rotations = {start[k:] + start[:k] for k in range(L)}
                 if min(sum(1 << v for v, ch in enumerate(r) if ch == "B")
                        for r in rotations) == bits:
                     smallest.append(bits)
-                    orbit_sizes.append(len(rotations))
             necklaces = ac23._necklaces(L)
-            assert necklaces == tuple(zip(smallest, orbit_sizes))
-            assert sum(orbit_sizes) == 2**L
+            assert necklaces == tuple(smallest)
+            # their rotations cover every start exactly once
+            covered = Counter(x for r in necklaces
+                              for x in {rotate(r, k, L) for k in range(L)})
+            assert covered == Counter(range(2**L))
 
     def test_pairs_run_counts_one_pair_per_orbit(self):
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=10, lmax=10,
