@@ -25,9 +25,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, rotate, run_lanes
+from .dynamics import RunRecord, light_lanes, rotate, run_lanes
 from .graph import MixedGraph, weak_computable
-from .ipf import IpfReport, check_ipf
+from .ipf import IpfReport, check_ipf, light_check
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
@@ -258,19 +258,21 @@ def iter_pairs(
     self-complementary necklace).
 
     The starts run as summary runs, a few hundred pairs at a time in one
-    lane integer (``run_lanes``).  The light check reads only their
-    periods, final states and counts; for the full check the lanes also
-    record each run's skeletons, so no run re-walks its states.
+    lane integer (``_pair_batches``, ``run_lanes``).  The light check
+    reads only their periods, final states and counts; for the full
+    check the lanes also record each run's skeletons, so no run re-walks
+    its states.  This is the walk for whoever reads the runs or reports:
+    the full-level search and rt extraction.  The light search pairs
+    the same batches' lane readouts instead (``_light_outcomes``).
     """
     L = g.node_count
     if indices is None:
         indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
                            else config.samples_per_L)
-    pairs = _pair_starts(mask, L, config, indices)
     record = config.check_level == "full"
-    while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
-        starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
-        runs = dict(zip(starts, run_lanes(g, starts, config.max_steps, record)))
+    batches = _pair_batches(mask, g, config, indices,
+                            lambda starts: run_lanes(g, starts, config.max_steps, record))
+    for chunk, runs in batches:
         for index, bits, partner, comp, k in chunk:
             run, comp_run = runs[bits], runs[comp]
             if run is None or comp_run is None:
@@ -289,6 +291,44 @@ def iter_pairs(
             yield index, bits, partner, (run, comp_run), report
 
 
+def _pair_batches(mask: Mask, g: MixedGraph, config: Config, indices: Iterable[int],
+                  run_batch) -> Iterator[tuple[list, dict]]:
+    """The pairs of ``_pair_starts`` in chunks of ``_PAIRS_PER_LANE_RUN``,
+    each with the runs of its distinct starts: (chunk, the result of
+    ``run_batch(starts)`` by start bits)."""
+    pairs = _pair_starts(mask, g.node_count, config, indices)
+    while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
+        starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
+        yield chunk, dict(zip(starts, run_batch(starts)))
+
+
+def _light_outcomes(mask: Mask, g: MixedGraph, config: Config, indices: Iterable[int]
+                    ) -> Iterator[tuple[int, int, Optional[int], Optional[str]]]:
+    """The light level of ``iter_pairs`` from lane readouts (see
+    ``dynamics.light_lanes``), with no RunRecord or IpfReport: (index,
+    bits, partner, outcome) per pair, the outcome being None when the
+    pair passes, else "unresolved", "degenerate" or the first failed
+    condition (see ``ipf.light_check``).  The partner's run rotated up by
+    k has its final state rotated, and the same period and lambda."""
+    L = g.node_count
+    cond1 = config.cond1_interpretation
+    batches = _pair_batches(mask, g, config, indices,
+                            lambda starts: light_lanes(g, starts, config.max_steps))
+    for chunk, lanes in batches:
+        for index, bits, partner, comp, k in chunk:
+            lane, comp_lane = lanes[bits], lanes[comp]
+            if lane is None or comp_lane is None:
+                outcome = "unresolved"
+            elif lane[0] <= 2 or comp_lane[0] <= 2:
+                outcome = "degenerate"
+            else:
+                if k:
+                    Tbar, h_c, h_b, lam_bar = comp_lane
+                    comp_lane = Tbar, rotate(h_c, k, L), rotate(h_b, k, L), lam_bar
+                outcome = next(iter(light_check(lane, comp_lane, L, cond1)[2]), None)
+            yield index, bits, partner, outcome
+
+
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
                 k: int) -> tuple[Optional[tuple[int, int, str]], list]:
     """Run every ``workers``-th index that runs below ``total`` (see
@@ -297,15 +337,23 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     failed condition) or None, and notes lists (index, start bits,
     "unresolved" or "degenerate") for each member of a class (see
     ``iter_pairs``) that did not pass.  A passing pair leaves no trace.
-    Picklable, so batches can run in worker processes."""
+    The light level pairs lane readouts (``_light_outcomes``); the full
+    level checks the runs of ``iter_pairs``.  Picklable, so batches can
+    run in worker processes."""
     notes = []
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
-    for index, bits, partner, runs, report in iter_pairs(mask, g, config, indices):
-        if report is not None:
-            if not report.passed:
-                return (index, bits, report.first_failed_condition), notes
+    if config.check_level == "light":
+        outcomes = _light_outcomes(mask, g, config, indices)
+    else:
+        outcomes = ((index, bits, partner, "unresolved" if runs is None
+                     else "degenerate" if report is None else report.first_failed_condition)
+                    for index, bits, partner, runs, report
+                    in iter_pairs(mask, g, config, indices))
+    for index, bits, partner, outcome in outcomes:
+        if outcome is None:
             continue
-        outcome = "unresolved" if runs is None else "degenerate"
+        if outcome not in ("unresolved", "degenerate"):
+            return (index, bits, outcome), notes
         notes.append((index, bits, outcome))
         if partner not in (None, index):
             notes.append((partner, partner, outcome))

@@ -30,7 +30,7 @@ P has one formula on every graph.  With M_d the offset mask of d
 out-neighbor of v), P is the OR over the offsets d in use of C rotated
 down by d, masked to M_d.  A circulant graph has every M_d full.
 
-``run_lanes`` is the one runner.  It walks many starts at once
+``_step_lanes`` is the one stepper.  It walks many starts at once
 (multi-spin coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start
 j owns lane j, bits j*L .. j*L+L-1 of one Python int, with node v at bit
 j*L+v.  The rotation within each lane is two shifts: C at v + d reaches
@@ -42,19 +42,24 @@ the top bit of every lane and LOW the other bits,
 ``(((d & LOW) + LOW) | d) & H`` sets the top bit of exactly the nonzero
 lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
 section 6-1): adding LOW carries into the top bit from any set low bit
-and never past it.  A finished lane leaves the ``active`` mask, and its
-period, final state and counter planes are sliced out at that step; its
-bits keep stepping unread.  Periods are long-tailed, so once three
-quarters of the lanes have finished the survivors are repacked into a
-narrower int.
+and never past it.  A finished lane leaves the ``active`` mask and is
+read out at that step by a per-lane callback; its bits keep stepping
+unread.  Periods are long-tailed, so once three quarters of the lanes
+have finished the survivors are repacked into a narrower int.
 
-A run is summarized by its period, its final packed state and its C
-counter planes: enough for the final coloring, the color counts and
-lambda.  ``run_to_mirror`` runs one start as one lane.  A summary knows
-its start and its exact period, so the first read of its states
-re-walks that many steps in one lane and keeps them.  On a circulant
-graph, rotating a start rotates its run (``RunRecord.rotated``), so one
-summary serves every rotation of its start.
+Two readouts share the stepper.  ``run_lanes`` slices a finished lane's
+period, final state and counter planes into a summary RunRecord: enough
+for the final coloring, the color counts and lambda.  ``light_lanes``
+reads only what the light check needs, (period, final C bits, final B
+bits, lambda), as plain ints, and reads lambda straight from the planes
+at the lane's shift (``_lane_lambda``, which ``RunRecord.lambda_value``
+uses too), stopping at the first plane that is neither empty nor full.
+``run_to_mirror`` runs one start as one lane.  A summary knows its start
+and its exact period, so the first read of its states re-walks that
+many steps in one lane and keeps them.  On a circulant graph, rotating
+a start rotates its run (``RunRecord.rotated``), so one summary serves
+every rotation of its start; a readout's period and lambda stay, and
+its final state rotates.
 
 A recording batch (``run_lanes(..., record=True)``) also gives each
 summary its skeletons, the per-node histories with the B's dropped that
@@ -116,6 +121,30 @@ def _plane_count(planes: list[int], v: int) -> int:
     for i, plane in enumerate(planes):
         total += ((plane >> v) & 1) << i
     return total
+
+
+def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
+                 lane: int) -> Optional[int]:
+    """The common per-node A-surplus of a run, or None if nodes disagree.
+
+    The run's final C bits are ``final_c``; its C counter planes sit at
+    bits shift .. shift + width - 1 of ``planes``, ``lane`` being the
+    width's all-ones.  Per node the surplus is T - 3 N_C + [C at T], so
+    it is uniform exactly when every counter plane and the final C bits
+    are each empty or full (a partial final C would need 3 N_C(v) - 1 =
+    3 N_C(w)); that holds however the planes are rotated.  The read
+    stops at the first plane that is neither.
+    """
+    if final_c not in (0, lane):
+        return None
+    n_c = 0
+    for i, plane in enumerate(planes):
+        bits = plane >> shift & lane
+        if bits == lane:
+            n_c |= 1 << i
+        elif bits:
+            return None
+    return period - 3 * n_c + (final_c & 1)
 
 
 # -- public single-step operations ------------------------------------
@@ -267,22 +296,10 @@ class RunRecord:
 
     @property
     def lambda_value(self) -> Optional[int]:
-        """The common per-node A-surplus, or None if nodes disagree.
-        Per node it is T - 3 N_C + [C at T], so it is uniform exactly when
-        every counter plane and the final C bits are each empty or full
-        (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)); that
-        holds however the planes are rotated."""
+        """The common per-node A-surplus, or None if nodes disagree (see
+        ``_lane_lambda``)."""
         full = (1 << self.graph.node_count) - 1
-        final_c = self.final[0]
-        if final_c not in (0, full):
-            return None
-        n_c = 0
-        for i, plane in enumerate(self._c_planes):
-            if plane == full:
-                n_c |= 1 << i
-            elif plane:
-                return None
-        return self.period - 3 * n_c + (final_c & 1)
+        return _lane_lambda(self.period, self.final[0], self._c_planes, 0, full)
 
     # -- export --------------------------------------------------------
 
@@ -378,11 +395,51 @@ def run_lanes(
     Returns one summary RunRecord per start, in order, or None for a
     start whose run is unresolved after ``max_steps`` steps.  With
     ``record`` set, each summary also carries its skeletons (see
-    ``RunRecord.skeletons``), read from the C bits of every step.
+    ``RunRecord.skeletons``), read from the C bits of every step.  The
+    light check needs no summary: ``light_lanes`` steps the same lanes
+    and reads plain ints instead.
     """
+    lane = (1 << g.node_count) - 1
+
+    def summary(i: int, t: int, shift: int, c: int, b: int, planes: list[int]):
+        return RunRecord(g, starts[i], t, (c >> shift & lane, b >> shift & lane),
+                         [plane >> shift & lane for plane in planes])
+
+    return _step_lanes(g, starts, max_steps, summary, record)
+
+
+# What the light check reads of a run: (period, final C bits, final B
+# bits, lambda or None).
+LaneReadout = tuple[int, int, int, Optional[int]]
+
+
+def light_lanes(
+    g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
+) -> list[Optional[LaneReadout]]:
+    """``run_lanes`` without records: per start, in order, (period,
+    final C bits, final B bits, lambda), lambda as ``_lane_lambda`` reads
+    it from the counter planes when the lane finishes, or None for a
+    start whose run is unresolved after ``max_steps`` steps."""
+    lane = (1 << g.node_count) - 1
+
+    def readout(i: int, t: int, shift: int, c: int, b: int, planes: list[int]):
+        final_c = c >> shift & lane
+        return t, final_c, b >> shift & lane, _lane_lambda(t, final_c, planes, shift, lane)
+
+    return _step_lanes(g, starts, max_steps, readout)
+
+
+def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, readout,
+                record: bool = False) -> list:
+    """The one lane stepper.  When the lane of start i finishes at
+    period t, its result is ``readout(i, t, shift, c, b, planes)``: the
+    lane sits at bits shift .. shift + width - 1 of the final packed
+    state (c, b) and of the C counter planes.  Returns the results in
+    start order, None for a lane still running after ``max_steps``
+    steps.  ``record`` gives each result (a RunRecord) its skeletons."""
     width = g.node_count
     lane = (1 << width) - 1
-    records: list[Optional[RunRecord]] = [None] * len(starts)
+    records: list = [None] * len(starts)
     ids = list(range(len(starts)))  # lane position -> start index
     c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
     b = 0
@@ -416,16 +473,13 @@ def run_lanes(
             done = active & ~(((d & low) + low | d) & top)
             if done:
                 active ^= done
-                while done:  # slice out the highest finished lane
+                while done:  # read out the highest finished lane
                     shift = done.bit_length() - width
                     done ^= 1 << (shift + width - 1)
-                    i = ids[shift // width]
-                    records[i] = RunRecord(
-                        g, starts[i], t, ((c >> shift) & lane, (b >> shift) & lane),
-                        [(plane >> shift) & lane for plane in planes],
-                    )
+                    j = shift // width
+                    records[ids[j]] = readout(ids[j], t, shift, c, b, planes)
                     if record:
-                        finished.append((shift // width, len(steps)))
+                        finished.append((j, len(steps)))
                 live = active.bit_count()
             c, b = new_c, c
             t += 1

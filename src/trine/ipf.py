@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .dynamics import RunRecord
+from .dynamics import LaneReadout, RunRecord, unpack
 from .errors import DegenerateRun
 
 CHECK_LEVELS = ("light", "full")
@@ -152,6 +152,45 @@ def _two_skeleton_rows(
             pbar += cbar
         rows.append(tuple(row))
     return tuple(rows)
+
+
+LIGHT_CONDITIONS = ("div3", "c1", "c2", "c3")
+
+
+def light_check(
+    lane: LaneReadout, comp_lane: LaneReadout, node_count: int, cond1_interpretation: str
+) -> tuple[bool, bool, dict]:
+    """div3 and [1]..[3] on a run pair, from each run's (period, final C
+    bits, final B bits, lambda) (see ``dynamics.light_lanes``).
+
+    Returns (c1 raw, c1 complemented, failed): ``failed`` maps each
+    light statement that fails, in the order of ``LIGHT_CONDITIONS``
+    and with [1] in the given reading, to its witness detail.  An
+    undefined lambda fails [2] and [3] and is reported once, under [2]:
+    [3] then maps to None.  A pair passes the light level exactly when
+    ``failed`` is empty.
+    """
+    T, g_c, g_b, lam = lane
+    Tbar, h_c, h_b, lam_bar = comp_lane
+    c1_raw = g_c == h_c and g_b == h_b
+    # the complement swaps A and B: its B bits are the A bits of H
+    c1_complemented = g_c == h_c and g_b == ((1 << node_count) - 1) & ~(h_c | h_b)
+    failed = {}
+    if (T + Tbar) % 3:
+        failed["div3"] = f"T+Tbar={T + Tbar} not divisible by 3"
+    if not (c1_complemented if cond1_interpretation == "complemented" else c1_raw):
+        failed["c1"] = (f"G_T={unpack(node_count, g_c, g_b)} "
+                        f"H_Tbar={unpack(node_count, h_c, h_b)} "
+                        f"({cond1_interpretation} reading)")
+    if lam is None or lam_bar is None:
+        failed["c2"] = "per-node A-surplus is not uniform across nodes"
+        failed["c3"] = None
+    else:
+        if lam != -lam_bar:
+            failed["c2"] = f"lambda={lam} lambdaBar={lam_bar}"
+        if Tbar - T != lam:
+            failed["c3"] = f"Tbar-T={Tbar - T} lambda={lam}"
+    return c1_raw, c1_complemented, failed
 
 
 @dataclass
@@ -349,54 +388,17 @@ def check_ipf(
     witnesses: list = []
     failure_counts: dict = {}
 
-    div3 = (T + Tbar) % 3 == 0
+    c1_raw, c1_complemented, failed = light_check(
+        (T, *run.final, lam), (Tbar, *complement_run.final, lam_bar),
+        run.graph.node_count, cond1_interpretation,
+    )
+    div3, c1, c2, c3 = (name not in failed for name in LIGHT_CONDITIONS)
     K = (T + Tbar) // 3 if div3 else None
-    if not div3:
-        witnesses.append(
-            {"condition": "div3", "detail": f"T+Tbar={T + Tbar} not divisible by 3"}
-        )
-        failure_counts["div3"] = 1
-
-    (g_c, g_b), (h_c, h_b) = run.final, complement_run.final
-    full = (1 << run.graph.node_count) - 1
-    c1_raw = g_c == h_c and g_b == h_b
-    # the complement swaps A and B: its B bits are the A bits of H
-    c1_complemented = g_c == h_c and g_b == full & ~(h_c | h_b)
-    c1 = c1_complemented if cond1_interpretation == "complemented" else c1_raw
-    if not c1:
-        witnesses.append(
-            {
-                "condition": "c1",
-                "detail": f"G_T={run.final_state} H_Tbar={complement_run.final_state} "
-                f"({cond1_interpretation} reading)",
-            }
-        )
-        failure_counts["c1"] = 1
-
-    if lam is None or lam_bar is None:
-        c2 = c3 = False
-        witnesses.append(
-            {
-                "condition": "c2",
-                "detail": "per-node A-surplus is not uniform across nodes",
-            }
-        )
-        failure_counts["c2"] = 1
-    else:
-        c2 = lam == -lam_bar
-        c3 = (Tbar - T) == lam
-        if not c2:
-            witnesses.append(
-                {"condition": "c2", "detail": f"lambda={lam} lambdaBar={lam_bar}"}
-            )
-            failure_counts["c2"] = 1
-        if not c3:
-            witnesses.append(
-                {"condition": "c3", "detail": f"Tbar-T={Tbar - T} lambda={lam}"}
-            )
-            failure_counts["c3"] = 1
-
-    light_ok = div3 and c1 and c2 and c3
+    for name, detail in failed.items():
+        if detail is not None:
+            witnesses.append({"condition": name, "detail": detail})
+            failure_counts[name] = 1
+    light_ok = not failed
 
     c4 = c5 = c6 = c7 = c8 = None
     c8_origin0 = c8_origin1 = None

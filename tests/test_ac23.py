@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from trine import ac23
+from trine import ac23, rt
 from trine.ac23 import (
     CORRECT_SO_FAR,
     INCONCLUSIVE,
@@ -19,7 +19,7 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.dynamics import rotate, run_to_mirror
+from trine.dynamics import RunRecord, rotate, run_to_mirror
 from trine.errors import MaxStepsExceeded
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
@@ -400,20 +400,21 @@ class TestRotationReduction:
     def test_one_run_per_necklace_and_one_check_per_class(self, monkeypatch, L,
                                                           necklaces, checks):
         # 56 and 180 complement classes (Gilbert & Riordan); the uniform
-        # class {all A, all B} is degenerate and never checked
+        # class {all A, all B} is degenerate and never checked.  A light
+        # sweep runs lane readouts and checks them with light_check.
         counts = Counter()
-        run_lanes, check_ipf = ac23.run_lanes, ac23.check_ipf
+        light_lanes, light_check = ac23.light_lanes, ac23.light_check
 
-        def counted_run_lanes(g, starts, *args):
+        def counted_light_lanes(g, starts, *args):
             counts["starts"] += len(starts)
-            return run_lanes(g, starts, *args)
+            return light_lanes(g, starts, *args)
 
-        def counted_check_ipf(*args, **kwargs):
+        def counted_light_check(*args):
             counts["checks"] += 1
-            return check_ipf(*args, **kwargs)
+            return light_check(*args)
 
-        monkeypatch.setattr(ac23, "run_lanes", counted_run_lanes)
-        monkeypatch.setattr(ac23, "check_ipf", counted_check_ipf)
+        monkeypatch.setattr(ac23, "light_lanes", counted_light_lanes)
+        monkeypatch.setattr(ac23, "light_check", counted_light_check)
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=L, lmax=L,
                                                          exhaustive_cutoff=L))
         assert verdict.tested[0]["pairs_run"] == necklaces
@@ -445,6 +446,50 @@ class TestRotationReduction:
                                                          exhaustive_cutoff=8,
                                                          samples_per_L=30))
         assert sampled.tested[0]["pairs_run"] == 30
+
+
+@pytest.fixture
+def object_counts(monkeypatch):
+    """Counts of RunRecords built and of check_ipf calls by the search."""
+    counts = Counter()
+    init, check = RunRecord.__init__, ac23.check_ipf
+
+    def counted_init(self, *args, **kwargs):
+        counts["records"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_check_ipf(*args, **kwargs):
+        counts["checks"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(RunRecord, "__init__", counted_init)
+    monkeypatch.setattr(ac23, "check_ipf", counted_check_ipf)
+    return counts
+
+
+class TestLightSweepObjects:
+    """A light sweep pairs lane readouts: no RunRecord and no IpfReport
+    per pair.  The full level and rt extraction still read runs."""
+
+    def test_light_classify_mask_builds_no_run_and_no_report(self, object_counts):
+        verdict = classify_mask(Mask(1, 5), quick_config(lmax=10, exhaustive_cutoff=10))
+        assert verdict.witness == {"L": 7, "start": "BABAAAA", "condition": "div3"}
+        assert classify_mask(Mask(1, 3), quick_config(lmax=10, exhaustive_cutoff=8,
+                                                      samples_per_L=20)).status == CORRECT_SO_FAR
+        assert object_counts == {}
+
+    def test_light_verdict_grid_builds_no_run_and_no_report(self, object_counts):
+        grid = verdict_grid(5, 5, quick_config(lmax=8))
+        assert grid.cells[(1, 5)].status == INCORRECT
+        assert object_counts == {}
+
+    def test_full_level_and_extraction_still_check_runs(self, object_counts):
+        verdict = classify_mask(Mask(1, 5), quick_config(lmax=10, check_level="full"))
+        assert verdict.witness == {"L": 7, "start": "BABAAAA", "condition": "div3"}
+        assert object_counts["records"] > 0 and object_counts["checks"] > 0
+        object_counts.clear()
+        assert list(rt.extraction_run_pairs(Mask(1, 1), quick_config(lmax=6)))
+        assert object_counts["records"] > 0 and object_counts["checks"] > 0
 
 
 class TestVerdictGrid:

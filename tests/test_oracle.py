@@ -13,7 +13,10 @@ the skeletons a recording batch cuts out of its lanes and the filled
 rows ``filled_rows`` builds from the skeletons of a run and its
 complement.  ``check_ipf`` is compared with a transcription of the
 nine statements of the ``trine.ipf`` module docstring, evaluated on the
-naive runs, both on one-lane runs and on recorded lane summaries.
+naive runs, both on one-lane runs and on recorded lane summaries.  The
+light sweep's lane readouts and ``light_check`` are compared with the
+naive runs and the same transcription, with the complement's readout
+also taken from a rotated run on circle graphs.
 """
 
 from itertools import product
@@ -25,10 +28,11 @@ from hypothesis import strategies as st
 from graphgen import random_mixed_graph
 from trine import dynamics, ipf
 from trine.ac23 import Mask, bits_to_coloring, build_graph
-from trine.dynamics import run_lanes, run_to_mirror, step
+from trine.dynamics import light_lanes, pack, rotate, run_lanes, run_to_mirror, step
 from trine.errors import DegenerateRun
 from trine.graph import MixedGraph, complement
-from trine.ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, check_ipf, filled_rows
+from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
+                       filled_rows, light_check)
 
 RULES = {False: {"A": "A", "B": "C", "C": "B"}, True: {"A": "C", "B": "A", "C": "B"}}
 SWAP_BC = str.maketrans("BC", "CB")
@@ -86,9 +90,15 @@ ALL_C_AT_T = (MixedGraph(2, undirected=[(0, 1)]), "BB")
 SOME_C_AT_T = (MixedGraph(3, undirected=[(0, 1)]), "BAB")
 
 
+# A pinned run with the same C count at every node and C on some nodes at
+# T: its lambda is undefined.
+UNIFORM_C_COUNT = (MixedGraph(4, directed=[(3, 1), (0, 3), (2, 0)]), "BBAB")
+
+
 def test_pinned_runs_end_with_c():
     assert naive_run(*ALL_C_AT_T)[-1] == "CC"
     assert naive_run(*SOME_C_AT_T)[-1] == "ABC"
+    assert naive_run(*UNIFORM_C_COUNT) == ["CCAC", "BBCB"]
 
 
 @given(graph_and_coloring("ABC"))
@@ -517,3 +527,69 @@ def test_swapping_run_and_complement_keeps_the_outcome(case):
 @settings(deadline=None)
 def test_swapping_run_and_complement_keeps_the_outcome_on_weak_graphs(case):
     assert_swap_keeps_the_outcome(*case)
+
+
+# -- the light level from lane readouts ------------------------------------
+
+
+def naive_readout(states: list[str]) -> tuple:
+    """(period, final C bits, final B bits, lambda) of a naive run."""
+    return (len(states), *pack(states[-1]), naive_lambda(states))
+
+
+def assert_light_check_matches_oracle(g: MixedGraph, start: str, rotations: bool = False
+                                      ) -> None:
+    """light_lanes' readouts of a start and its complement against the
+    naive runs and the RunRecords of run_lanes, and light_check on them
+    against naive_ipf under both cond1 readings.  With ``rotations`` (a
+    circle graph), the complement's readout is also taken, as the sweep
+    takes a partner's, from the run of the complement rotated down by k
+    with its final state rotated back up by k, for every k != 0."""
+    n = g.node_count
+    bits = sum(1 << v for v, color in enumerate(start) if color == "B")
+    comp = bits ^ ((1 << n) - 1)
+    turns = range(1, n) if rotations else ()
+    starts = [bits, comp] + [rotate(comp, n - k, n) for k in turns]
+    lanes = light_lanes(g, starts)
+    assert lanes == [(run.period, *run.final, run.lambda_value) for run in run_lanes(g, starts)]
+    states, bar_states = naive_run(g, start), naive_run(g, complement(start))
+    assert lanes[:2] == [naive_readout(states), naive_readout(bar_states)]
+    assume(len(states) > 2 and len(bar_states) > 2)  # the sweep skips degenerate runs
+    partners = [lanes[1]] + [(T, rotate(c, k, n), rotate(b, k, n), lam)
+                             for k, (T, c, b, lam) in zip(turns, lanes[2:])]
+    wants = {cond1: naive_ipf(states, bar_states, cond1, 1) for cond1 in COND1_INTERPRETATIONS}
+    for cond1, want in wants.items():
+        want_failed = want["failed"] & set(LIGHT_CONDITIONS)
+        want_first = next((name for name in LIGHT_CONDITIONS if name in want_failed), None)
+        for k, partner in enumerate(partners):
+            c1_raw, c1_complemented, failed = light_check(lanes[0], partner, n, cond1)
+            assert (c1_raw, c1_complemented) == (wants["raw"]["c1"],
+                                                 wants["complemented"]["c1"]), k
+            assert next(iter(failed), None) == want_first, (cond1, k)
+            # an undefined lambda fails c3 too, with its witness under c2
+            assert {name for name, detail in failed.items() if detail is not None} == want_failed
+            assert (not failed) == want["light"]
+
+
+@given(mask_circles())
+@with_pinned_pairs
+@settings(deadline=None)
+def test_light_check_matches_oracle_on_mask_circles(case):
+    assert_light_check_matches_oracle(*case, rotations=True)
+
+
+@given(weak_graph_starts())
+@example(UNIFORM_C_COUNT)  # not weak computable: pins the lambda read
+@settings(deadline=None)
+def test_light_check_matches_oracle_on_weak_graphs(case):
+    assert_light_check_matches_oracle(*case)
+
+
+@given(mask_circle_batches(), st.integers(1, 12))
+@settings(deadline=None)
+def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
+    g, starts = case
+    assert light_lanes(g, starts, max_steps) == [
+        None if run is None else (run.period, *run.final, run.lambda_value)
+        for run in run_lanes(g, starts, max_steps)
+    ]
