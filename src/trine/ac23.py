@@ -25,7 +25,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, light_lanes, rotate, run_lanes
+from .dynamics import RunRecord, light_lanes, rotate, rotate_readout, run_lanes
 from .graph import MixedGraph, weak_computable
 from .ipf import IpfReport, check_ipf, light_check
 
@@ -259,9 +259,9 @@ def iter_pairs(
 
     The starts run as summary runs, a few hundred pairs at a time in one
     lane integer (``_pair_batches``, ``run_lanes``).  The light check
-    reads only their periods, final states and counts; for the full
-    check the lanes also record each run's skeletons, so no run re-walks
-    its states.  This is the walk for whoever reads the runs or reports:
+    reads only the lane readouts they wrap; for the full check the
+    lanes also record each run's skeletons, so no run re-walks its
+    states.  This is the walk for whoever reads the runs or reports:
     the full-level search and rt extraction.  The light search pairs
     the same batches' lane readouts instead (``_light_outcomes``).
     """
@@ -308,8 +308,8 @@ def _light_outcomes(mask: Mask, g: MixedGraph, config: Config, indices: Iterable
     ``dynamics.light_lanes``), with no RunRecord or IpfReport: (index,
     bits, partner, outcome) per pair, the outcome being None when the
     pair passes, else "unresolved", "degenerate" or the first failed
-    condition (see ``ipf.light_check``).  The partner's run rotated up by
-    k has its final state rotated, and the same period and lambda."""
+    condition (see ``ipf.light_check``).  The partner's readout is
+    rotated up by k (``dynamics.rotate_readout``)."""
     L = g.node_count
     cond1 = config.cond1_interpretation
     batches = _pair_batches(mask, g, config, indices,
@@ -323,8 +323,7 @@ def _light_outcomes(mask: Mask, g: MixedGraph, config: Config, indices: Iterable
                 outcome = "degenerate"
             else:
                 if k:
-                    Tbar, h_c, h_b, lam_bar = comp_lane
-                    comp_lane = Tbar, rotate(h_c, k, L), rotate(h_b, k, L), lam_bar
+                    comp_lane = rotate_readout(comp_lane, k, L)
                 outcome = next(iter(light_check(lane, comp_lane, L, cond1)[2]), None)
             yield index, bits, partner, outcome
 

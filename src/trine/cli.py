@@ -217,6 +217,8 @@ def _load_resume_rows(path: Path, grid_max: int) -> dict:
 
 def _cr_annotations_from(directory: str) -> dict:
     """Row counts of <n>_<m>.rt files in a directory, for grid cells."""
+    if not Path(directory).is_dir():
+        raise TrineError(f"--cr-from {directory!r} is not a directory")
     annotations = {}
     for path in sorted(Path(directory).glob("*.rt")):
         table = rt.load_table(path)
@@ -228,6 +230,7 @@ def _cr_annotations_from(directory: str) -> dict:
 def cmd_grid(args) -> int:
     cfg = _config_from_args(args)
     ac23.check_grid_bounds(args.max, args.max)
+    annotations = _cr_annotations_from(args.cr_from) if args.cr_from else None
     out = Path(args.out)
     sidecar = out.with_name(out.name + ".config.json")
     resume_rows = None
@@ -235,7 +238,6 @@ def cmd_grid(args) -> int:
         _check_resume_config(sidecar, cfg, args.max)
         resume_rows = _load_resume_rows(out, args.max)
         print(f"resuming: {len(resume_rows)} cells already done")
-    annotations = _cr_annotations_from(args.cr_from) if args.cr_from else None
 
     out.parent.mkdir(parents=True, exist_ok=True)
     write_json(sidecar, {"config": cfg.semantic_dict(), "configHash": cfg.semantic_hash(),

@@ -21,9 +21,8 @@ B bits" on packed states.
 States are packed as a pair of ints ``(c_bits, b_bits)``: bit v of
 ``c_bits`` is set iff node v is colored C, likewise for B; A is the
 remainder.  Per-node C occurrence counts are accumulated during the
-run with ripple-carry counter planes; B and A counts follow from them
-(every step copies C to B, and t = 1 has no B), so per-node statistics
-do not need a second pass over the trajectory.
+run with ripple-carry counter planes, so lambda needs no second pass
+over the trajectory.
 
 P has one formula on every graph.  With M_d the offset mask of d
 (``MixedGraph.offset_masks``: bit v set iff v + d mod n is an
@@ -43,31 +42,30 @@ the top bit of every lane and LOW the other bits,
 lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
 section 6-1): adding LOW carries into the top bit from any set low bit
 and never past it.  A finished lane leaves the ``active`` mask and is
-read out at that step by a per-lane callback; its bits keep stepping
-unread.  Periods are long-tailed, so once three quarters of the lanes
-have finished the survivors are repacked into a narrower int.
+read out at that step; its bits keep stepping unread.  Periods are
+long-tailed, so once three quarters of the lanes have finished the
+survivors are repacked into a narrower int.
 
-Two readouts share the stepper.  ``run_lanes`` slices a finished lane's
-period, final state and counter planes into a summary RunRecord: enough
-for the final coloring, the color counts and lambda.  ``light_lanes``
-reads only what the light check needs, (period, final C bits, final B
-bits, lambda), as plain ints, and reads lambda straight from the planes
-at the lane's shift (``_lane_lambda``, which ``RunRecord.lambda_value``
-uses too), stopping at the first plane that is neither empty nor full.
-``run_to_mirror`` runs one start as one lane.  A summary knows its start
-and its exact period, so the first read of its states re-walks that
-many steps in one lane and keeps them.  On a circulant graph, rotating
-a start rotates its run (``RunRecord.rotated``), so one summary serves
-every rotation of its start; a readout's period and lambda stay, and
-its final state rotates.
+A finished lane yields one readout, what the light check needs:
+(period, final C bits, final B bits, lambda) as plain ints, lambda read
+straight from the counter planes at the lane's shift (``_lane_lambda``),
+stopping at the first plane that is neither empty nor full.
+``light_lanes`` returns the readouts; ``run_lanes`` wraps each in a
+summary RunRecord.  ``run_to_mirror`` runs one start as one lane.  A
+summary knows its start and its exact period, so the first read of its
+states re-walks that many steps in one lane and keeps them.  On a
+circulant graph, rotating a start rotates its run, so one readout
+serves every rotation of its start: its period and lambda stay, and its
+final state rotates (``rotate_readout``, which ``RunRecord.rotated``
+uses too).
 
 A recording batch (``run_lanes(..., record=True)``) also gives each
 summary its skeletons, the per-node histories with the B's dropped that
-the full invariant check reads.  It keeps each step's C bits, and at
-each repack, or once they hold ``_RECORD_BITS`` bits, formats them as
-binary strings and cuts every lane's node columns out with strided
-slices; a column with the B after each C dropped is a skeleton.  So the
-full check never re-walks a run.
+the full invariant check and the color counts read.  It keeps each
+step's C bits, and at each repack, or once they hold ``_RECORD_BITS``
+bits, formats them as binary strings and cuts every lane's node columns
+out with strided slices; a column with the B after each C dropped is a
+skeleton.  So the full check never re-walks a run.
 """
 
 from __future__ import annotations
@@ -116,13 +114,6 @@ def rotate(bits: int, k: int, width: int) -> int:
     return (bits << k | bits >> (width - k)) & ((1 << width) - 1)
 
 
-def _plane_count(planes: list[int], v: int) -> int:
-    total = 0
-    for i, plane in enumerate(planes):
-        total += ((plane >> v) & 1) << i
-    return total
-
-
 def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
                  lane: int) -> Optional[int]:
     """The common per-node A-surplus of a run, or None if nodes disagree.
@@ -132,8 +123,7 @@ def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
     width's all-ones.  Per node the surplus is T - 3 N_C + [C at T], so
     it is uniform exactly when every counter plane and the final C bits
     are each empty or full (a partial final C would need 3 N_C(v) - 1 =
-    3 N_C(w)); that holds however the planes are rotated.  The read
-    stops at the first plane that is neither.
+    3 N_C(w)).  The read stops at the first plane that is neither.
     """
     if final_c not in (0, lane):
         return None
@@ -145,6 +135,18 @@ def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
         elif bits:
             return None
     return period - 3 * n_c + (final_c & 1)
+
+
+# What the light check reads of a run: (period, final C bits, final B
+# bits, lambda or None).
+LaneReadout = tuple[int, int, int, Optional[int]]
+
+
+def rotate_readout(readout: LaneReadout, k: int, width: int) -> LaneReadout:
+    """The readout of a run rotated up by k on a circulant graph: the
+    same period and lambda, the final state rotated."""
+    period, final_c, final_b, lam = readout
+    return period, rotate(final_c, k, width), rotate(final_b, k, width), lam
 
 
 # -- public single-step operations ------------------------------------
@@ -171,14 +173,17 @@ class RunRecord:
     """A forward trajectory from a two-color start to its mirror state.
 
     ``packed_states`` holds the trajectory at times t = 1..T.  A run
-    from ``run_lanes`` or ``run_to_mirror`` keeps only the period, the
-    final packed state and the C counter planes, and re-walks its known
-    period on the first read of its states; a record built with
-    ``packed_states`` has them from the start.  A trajectory has no B at
-    t = 1, and B at t exactly where C was at t - 1.  The {A,B} start
-    state itself sits before t = 1; ``start_b`` holds its B bits.  A run
-    with T <= 2 is degenerate (no proper mirror state; the uniform all-A
-    and all-B starts are the standard cases) and is flagged as such.
+    from ``run_lanes`` or ``run_to_mirror`` wraps its lane readout: the
+    period, the final packed state and ``lambda_value`` (the common
+    per-node A-surplus, None if nodes disagree).  From a recording
+    batch it also has its skeletons.  It keeps no counter planes, and
+    re-walks its known period on the first read of its states or, when
+    not recorded, its skeletons; a record built with ``packed_states``
+    has them from the start.  A trajectory has no B at t = 1, and B at t
+    exactly where C was at t - 1.  The {A,B} start state itself sits
+    before t = 1; ``start_b`` holds its B bits.  A run with T <= 2 is
+    degenerate (no proper mirror state; the uniform all-A and all-B
+    starts are the standard cases) and is flagged as such.
     """
 
     def __init__(
@@ -187,19 +192,19 @@ class RunRecord:
         start_b: int,
         period: int,
         final: tuple[int, int],
-        c_planes: list[int],
+        lambda_value: Optional[int],
         packed_states: Optional[list[tuple[int, int]]] = None,
+        skeleton_text: Optional[str] = None,
     ):
         self.graph = graph
         self.start_b = start_b
         self.period = period
         self.final = final
+        self.lambda_value = lambda_value
         self.degenerate = period <= 2
-        self._c_planes = c_planes
-        self._plane_turn = 0  # the planes are those of this run rotated down by it
         self._packed_states = packed_states
         self._states: Optional[list[str]] = None
-        self._skeleton_text: Optional[str] = None
+        self._skeleton_text = skeleton_text
 
     @property
     def start_ab(self) -> str:
@@ -208,9 +213,8 @@ class RunRecord:
     def rotated(self, k: int) -> "RunRecord":
         """The run of this start rotated up by k (see ``rotate``) on a
         circulant graph, where that rotation is an automorphism: the
-        same period and lambda, with the start, the final state, the
-        skeletons and the C counter planes rotated, the planes only when
-        the counts are read.  Its states re-walk on first read.  Raises
+        readout rotated (``rotate_readout``), with the start and the
+        skeletons rotated.  Its states re-walk on first read.  Raises
         ValueError when the graph is not circulant."""
         if self.graph.circulant_offsets is None:
             raise ValueError("only a circulant graph carries runs along rotations")
@@ -218,15 +222,13 @@ class RunRecord:
         k %= L
         if not k:
             return self
-        turned = RunRecord(
-            self.graph, rotate(self.start_b, k, L), self.period,
-            (rotate(self.final[0], k, L), rotate(self.final[1], k, L)), self._c_planes,
-        )
-        turned._plane_turn = (self._plane_turn + k) % L
-        if self._skeleton_text is not None:  # node v takes node v - k's skeleton
-            skeletons = self._skeleton_text.split("2")
-            turned._skeleton_text = "2".join(skeletons[L - k:] + skeletons[:L - k])
-        return turned
+        text = self._skeleton_text
+        if text is not None:  # node v takes node v - k's skeleton
+            skeletons = text.split("2")
+            text = "2".join(skeletons[L - k:] + skeletons[:L - k])
+        period, c, b, lam = rotate_readout((self.period, *self.final, self.lambda_value), k, L)
+        return RunRecord(self.graph, rotate(self.start_b, k, L), period, (c, b), lam,
+                         skeleton_text=text)
 
     # -- materialized views -------------------------------------------
 
@@ -248,8 +250,10 @@ class RunRecord:
         has them already; any other reads them once from its states."""
         if self._skeleton_text is None:
             states = self.packed_states
+            texts = [None]
             _flush([c for c, _ in states], self.graph.node_count, [0], 0,
-                   [(0, len(states))], {}, [self])
+                   [(0, len(states))], {}, texts)
+            self._skeleton_text = texts[0]
         return self._skeleton_text
 
     @property
@@ -276,15 +280,13 @@ class RunRecord:
 
     @property
     def color_counts(self) -> tuple[tuple[int, int, int], ...]:
-        """Per node, (N_A, N_B, N_C) over t = 1..T.  Only C is counted:
-        B at t is C at t - 1, so N_B = N_C - [C at T]."""
-        L = self.graph.node_count
-        final_c = self.final[0]
-        planes = [rotate(plane, self._plane_turn, L) for plane in self._c_planes]
+        """Per node, (N_A, N_B, N_C) over t = 1..T.  N_C counts the '1's
+        of the node's skeleton; B at t is C at t - 1, so N_B = N_C - [C
+        at T]."""
         counts = []
-        for v in range(L):
-            n_c = _plane_count(planes, v)
-            n_b = n_c - ((final_c >> v) & 1)
+        for v, skeleton in enumerate(self.skeletons):
+            n_c = skeleton.count("1")
+            n_b = n_c - (self.final[0] >> v & 1)
             counts.append((self.period - n_b - n_c, n_b, n_c))
         return tuple(counts)
 
@@ -293,13 +295,6 @@ class RunRecord:
         """Per node, N_A - N_C.  When B and C counts agree (they do on
         weak-computable graphs) this is the A-surplus parameter."""
         return tuple(n_a - n_c for n_a, _, n_c in self.color_counts)
-
-    @property
-    def lambda_value(self) -> Optional[int]:
-        """The common per-node A-surplus, or None if nodes disagree (see
-        ``_lane_lambda``)."""
-        full = (1 << self.graph.node_count) - 1
-        return _lane_lambda(self.period, self.final[0], self._c_planes, 0, full)
 
     # -- export --------------------------------------------------------
 
@@ -396,50 +391,35 @@ def run_lanes(
     start whose run is unresolved after ``max_steps`` steps.  With
     ``record`` set, each summary also carries its skeletons (see
     ``RunRecord.skeletons``), read from the C bits of every step.  The
-    light check needs no summary: ``light_lanes`` steps the same lanes
-    and reads plain ints instead.
+    light check needs no summary: ``light_lanes`` returns the lane
+    readouts the summaries wrap.
     """
-    lane = (1 << g.node_count) - 1
-
-    def summary(i: int, t: int, shift: int, c: int, b: int, planes: list[int]):
-        return RunRecord(g, starts[i], t, (c >> shift & lane, b >> shift & lane),
-                         [plane >> shift & lane for plane in planes])
-
-    return _step_lanes(g, starts, max_steps, summary, record)
-
-
-# What the light check reads of a run: (period, final C bits, final B
-# bits, lambda or None).
-LaneReadout = tuple[int, int, int, Optional[int]]
+    readouts, texts = _step_lanes(g, starts, max_steps, record)
+    return [None if readout is None else
+            RunRecord(g, bits, readout[0], readout[1:3], readout[3], skeleton_text=text)
+            for bits, readout, text in zip(starts, readouts, texts)]
 
 
 def light_lanes(
     g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
 ) -> list[Optional[LaneReadout]]:
-    """``run_lanes`` without records: per start, in order, (period,
-    final C bits, final B bits, lambda), lambda as ``_lane_lambda`` reads
-    it from the counter planes when the lane finishes, or None for a
+    """``run_lanes`` without records: per start, in order, its lane
+    readout (period, final C bits, final B bits, lambda), or None for a
     start whose run is unresolved after ``max_steps`` steps."""
-    lane = (1 << g.node_count) - 1
-
-    def readout(i: int, t: int, shift: int, c: int, b: int, planes: list[int]):
-        final_c = c >> shift & lane
-        return t, final_c, b >> shift & lane, _lane_lambda(t, final_c, planes, shift, lane)
-
-    return _step_lanes(g, starts, max_steps, readout)
+    return _step_lanes(g, starts, max_steps)[0]
 
 
-def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, readout,
-                record: bool = False) -> list:
-    """The one lane stepper.  When the lane of start i finishes at
-    period t, its result is ``readout(i, t, shift, c, b, planes)``: the
-    lane sits at bits shift .. shift + width - 1 of the final packed
-    state (c, b) and of the C counter planes.  Returns the results in
-    start order, None for a lane still running after ``max_steps``
-    steps.  ``record`` gives each result (a RunRecord) its skeletons."""
+def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, record: bool = False
+                ) -> tuple[list[Optional[LaneReadout]], list[Optional[str]]]:
+    """The one lane stepper.  Returns, in start order, each lane's
+    readout (None for a lane still running after ``max_steps`` steps),
+    lambda read by ``_lane_lambda`` when the lane finishes, and, when
+    ``record`` is set, each finished lane's skeleton text (see
+    ``RunRecord.skeleton_text``), else None each."""
     width = g.node_count
     lane = (1 << width) - 1
-    records: list = [None] * len(starts)
+    readouts: list = [None] * len(starts)
+    texts: list = [None] * len(starts)
     ids = list(range(len(starts)))  # lane position -> start index
     c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
     b = 0
@@ -456,7 +436,7 @@ def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, readout,
         while t <= max_steps:
             if record:
                 if len(steps) >= room:
-                    _flush(steps, width, ids, active, finished, columns, records)
+                    _flush(steps, width, ids, active, finished, columns, texts)
                     steps, finished = [], []
                 steps.append(c)
             carry = c  # add c into the counter planes, ripple-carry
@@ -477,7 +457,9 @@ def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, readout,
                     shift = done.bit_length() - width
                     done ^= 1 << (shift + width - 1)
                     j = shift // width
-                    records[ids[j]] = readout(ids[j], t, shift, c, b, planes)
+                    final_c = c >> shift & lane
+                    readouts[ids[j]] = (t, final_c, b >> shift & lane,
+                                        _lane_lambda(t, final_c, planes, shift, lane))
                     if record:
                         finished.append((j, len(steps)))
                 live = active.bit_count()
@@ -486,14 +468,14 @@ def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, readout,
             if 4 * live <= len(ids):
                 break
         if record:
-            _flush(steps, width, ids, active, finished, columns, records)
+            _flush(steps, width, ids, active, finished, columns, texts)
         # repack the survivors into a narrower integer
         kept = _active_lanes(active, len(ids), width)
         ids = [ids[j] for j in kept]
         c, b = (_pack_lanes([x >> j * width & lane for j in kept], width) for x in (c, b))
         planes = [_pack_lanes([x >> j * width & lane for j in kept], width)
                   for x in planes]
-    return records
+    return readouts, texts
 
 
 # A recording flushes its steps into per-lane columns once they hold this
@@ -507,17 +489,17 @@ def _active_lanes(active: int, lanes: int, width: int) -> list[int]:
 
 
 def _flush(steps: list[int], width: int, ids: list[int], active: int,
-           finished: list[tuple[int, int]], columns: dict, records: list) -> None:
+           finished: list[tuple[int, int]], columns: dict, texts: list) -> None:
     """Move the C bits recorded in ``steps`` into per-lane node columns.
 
     Each step is formatted as one binary string, most significant bit
     first, so node v of lane j sits at offset W - 1 - j * width - v of
     each step's W characters, and one strided slice reads its column.  A
     lane in ``finished`` (position, steps up to its mirror state) gets
-    its skeleton text (see ``RunRecord.skeleton_text``): in a column
-    every C but the last is followed by a B, a '0', so dropping the '0'
-    after each '1' leaves the events.  An active lane keeps its columns
-    in ``columns``.
+    its skeleton text (see ``RunRecord.skeleton_text``) in ``texts`` at
+    its start index: in a column every C but the last is followed by a
+    B, a '0', so dropping the '0' after each '1' leaves the events.  An
+    active lane keeps its columns in ``columns``.
     """
     total = len(ids) * width
     fmt = f"0{total}b"
@@ -532,7 +514,7 @@ def _flush(steps: list[int], width: int, ids: list[int], active: int,
     if finished:
         lanes = "3".join(["2".join(cut(j, end * total)) for j, end in finished])
         for (j, _), skeletons in zip(finished, lanes.replace("10", "1").split("3")):
-            records[ids[j]]._skeleton_text = skeletons
+            texts[ids[j]] = skeletons
     for j in _active_lanes(active, len(ids), width):
         columns[ids[j]] = cut(j, len(text))
 

@@ -63,7 +63,7 @@ def value_to_token(value: int) -> str:
 def token_to_value(token: str) -> int:
     try:
         return _TOKEN_TO_VALUE[token]
-    except KeyError:
+    except (KeyError, TypeError):
         raise RtParseError(f"bad value token {token!r}") from None
 
 
@@ -417,12 +417,16 @@ def _default_base_rows() -> list[tuple[int, ...]]:
     return rows
 
 
-def parse_step_table(data: dict) -> dict[int, tuple[int, int, int]]:
-    """Step table from token form {"1": ["1","2","-1"], ...}."""
+def parse_step_table(data) -> dict[int, tuple[int, int, int]]:
+    """Step table from token form {"1": ["1","2","-1"], ...}: a JSON
+    object whose every entry is a list of three value tokens, else
+    RtParseError."""
+    if not isinstance(data, dict):
+        raise RtParseError("step table must be a JSON object")
     table = {}
     for key, triple in data.items():
-        if len(triple) != 3:
-            raise RtParseError(f"step table entry {key!r} needs three values")
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise RtParseError(f"step table entry {key!r} needs a list of three values")
         table[token_to_value(key)] = tuple(token_to_value(t) for t in triple)
     missing = set(range(6)) - set(table)
     if missing:

@@ -360,6 +360,28 @@ class TestGrid:
         assert annotated[(1, 3)] == 27
         assert annotated[(1, 1)] is None
 
+    @pytest.mark.parametrize("source", ["missing", "file", "empty directory"])
+    def test_cr_from_must_be_a_directory(self, tmp_path, capsys, source):
+        # refused before any cell runs; a directory without .rt files
+        # annotates no cell
+        rtdir = tmp_path / "rt"
+        if source == "file":
+            rtdir.write_text("")
+        elif source == "empty directory":
+            rtdir.mkdir()
+        out = tmp_path / "grid.csv"
+        gridjson = tmp_path / "grid.json"
+        code = run_cli("grid", "--max", "3", "--lmax", "4", "--out", str(out),
+                       "--json", str(gridjson), "--cr-from", str(rtdir))
+        if source == "empty directory":
+            assert code == 0
+            cells = json.loads(gridjson.read_text())["cells"]
+            assert all("C_R" not in cell for cell in cells)
+        else:
+            assert code == 1
+            assert "is not a directory" in capsys.readouterr().err
+            assert not out.exists() and not gridjson.exists()
+
 
 class TestRtCommands:
     @pytest.fixture
@@ -370,6 +392,20 @@ class TestRtCommands:
                        "--step-table", "builtin:all-combos", "--out", str(a)) == 0
         assert run_cli("rt", "reflect", str(a), "--out", str(b)) == 0
         return a, b
+
+    @pytest.mark.parametrize("data,detail", [
+        ({"1": 5}, "step table entry '1' needs a list of three values"),
+        ([1, 2], "step table must be a JSON object"),
+        ({"1": [["1"], "2", "-1"]}, "bad value token ['1']"),
+    ])
+    def test_malformed_step_table_is_an_error(self, tmp_path, capsys, data, detail):
+        table = tmp_path / "f.json"
+        table.write_text(json.dumps(data))
+        out = tmp_path / "t.rt"
+        assert run_cli("rt", "build-1-2k1", "--k", "2", "--step-table", str(table),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {detail}\n"
+        assert not out.exists()
 
     def test_build_and_reflect(self, tables, capsys):
         a, b = tables

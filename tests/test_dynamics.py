@@ -164,7 +164,7 @@ class TestRunToMirror:
             assert run.lambda_value is not None
 
     def test_counts_match_histories(self):
-        # color_counts derives N_A and N_B from the C counter alone
+        # color_counts derives N_A and N_B from the skeletons' C's alone
         rng = random.Random(19)
         for _ in range(40):
             g = random_mixed_graph(rng, max_nodes=7)

@@ -19,7 +19,7 @@ def one_node_run(history: str) -> RunRecord:
     """A one-node run whose packed states spell ``history``, a
     trajectory: no B at t = 1, and a B exactly after each C."""
     packed = [pack(color) for color in history]
-    return RunRecord(MixedGraph(1), 0, len(history), packed[-1], [], packed)
+    return RunRecord(MixedGraph(1), 0, len(history), packed[-1], None, packed)
 
 
 def node_filled(history: str, comp_history: str, slot_count: int) -> tuple:

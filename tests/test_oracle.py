@@ -161,10 +161,14 @@ def mixed_graph_batches(draw):
 
 
 def assert_lanes_match_oracle(g: MixedGraph, starts: list[int]) -> None:
-    for bits, run in zip(starts, run_lanes(g, starts), strict=True):
-        start = bits_to_coloring(bits, g.node_count)
-        assert run.states == naive_run(g, start)
-        assert_run_matches_oracle(run, g, start)
+    """Unrecorded and recorded batches: a recorded run's counts and
+    lambda come from its recorded skeletons, an unrecorded one's from
+    its re-walked states."""
+    for record in (False, True):
+        for bits, run in zip(starts, run_lanes(g, starts, record=record), strict=True):
+            start = bits_to_coloring(bits, g.node_count)
+            assert run.states == naive_run(g, start)
+            assert_run_matches_oracle(run, g, start)
 
 
 @given(mixed_graph_batches())
@@ -186,11 +190,12 @@ def test_lanes_match_oracle_through_repacks():
     # finished some are still running, so the survivors are repacked
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
-    runs = run_lanes(g, starts)
-    periods = sorted(run.period for run in runs)
-    assert periods[len(periods) * 3 // 4] < periods[-1]
-    for bits, run in zip(starts, runs):
-        assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
+    for record in (False, True):
+        runs = run_lanes(g, starts, record=record)
+        periods = sorted(run.period for run in runs)
+        assert periods[len(periods) * 3 // 4] < periods[-1]
+        for bits, run in zip(starts, runs):
+            assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
 
 
 # -- the nine statements ---------------------------------------------------
