@@ -25,9 +25,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import RunRecord, light_lanes, rotate, rotate_readout, run_lanes
+from .dynamics import LaneReadout, RunRecord, rotate, rotate_readout, rotate_skeletons, step_lanes
 from .graph import MixedGraph, weak_computable
-from .ipf import IpfReport, check_ipf, light_check
+from .ipf import check_ipf, light_check
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
@@ -221,24 +221,26 @@ def _pair_starts(
 # a few hundred lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
 
+# A resolved pair's lanes: (readout, complement readout, skeleton text,
+# complement skeleton text), the texts None unless recorded.
+PairLanes = tuple[LaneReadout, LaneReadout, Optional[str], Optional[str]]
+
 
 def iter_pairs(
     mask: Mask, g: MixedGraph, config: Config, indices: Optional[Iterable[int]] = None
-) -> Iterator[tuple[
-    int, int, Optional[int], Optional[tuple[RunRecord, RunRecord]], Optional[IpfReport]
-]]:
+) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
     """Run the starts with the given indices on the mask's circle graph
-    ``g`` (of size L), each with its complement, and check each clean
-    pair at the configured level.
+    ``g`` (of size L), each with its complement: the one pair walk, for
+    the search at either check level and for rt extraction.
 
-    Yields (index, bits, partner, runs, report) per checked pair,
-    ``bits`` being the start's B bits (see ``bits_to_coloring``):
-    ``runs`` is None when a run hit ``max_steps`` (unresolved);
-    ``report`` is None when unresolved or when either run is
-    degenerate.  ``indices`` (increasing) defaults to every index that
-    runs at the size (see ``_indices``).  Beyond the exhaustive cutoff
-    the index selects a seeded sample, ``partner`` is None, and every
-    index yields.
+    Yields (index, bits, partner, lanes) per pair to check, ``bits``
+    being the start's B bits (see ``bits_to_coloring``): ``lanes`` is
+    None when either run hit ``max_steps`` (unresolved), else the pair's
+    ``PairLanes``, the complement's readout and skeletons as the
+    complement start's own (see ``pair_runs``).  ``indices``
+    (increasing) defaults to every index that runs at the size (see
+    ``_indices``).  Beyond the exhaustive cutoff the index selects a
+    seeded sample, ``partner`` is None, and every index yields.
 
     Up to the cutoff the index is the start's bit pattern, and only
     necklaces run, one per rotation orbit.
@@ -257,98 +259,78 @@ def iter_pairs(
     outcome of both, and runs r and p once each (p == r for a
     self-complementary necklace).
 
-    The starts run as summary runs, a few hundred pairs at a time in one
-    lane integer (``_pair_batches``, ``run_lanes``).  The light check
-    reads only the lane readouts they wrap; for the full check the
-    lanes also record each run's skeletons, so no run re-walks its
-    states.  This is the walk for whoever reads the runs or reports:
-    the full-level search and rt extraction.  The light search pairs
-    the same batches' lane readouts instead (``_light_outcomes``).
+    The distinct starts of a few hundred pairs run at a time through
+    ``dynamics.step_lanes``, which records skeletons at the full level
+    only; p's readout and skeletons are rotated up by k into place
+    (``rotate_readout``, ``rotate_skeletons``).  No run object is built
+    here: ``pair_runs`` wraps a pair's lanes for whoever reads runs.
     """
     L = g.node_count
     if indices is None:
         indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
                            else config.samples_per_L)
     record = config.check_level == "full"
-    batches = _pair_batches(mask, g, config, indices,
-                            lambda starts: run_lanes(g, starts, config.max_steps, record))
-    for chunk, runs in batches:
-        for index, bits, partner, comp, k in chunk:
-            run, comp_run = runs[bits], runs[comp]
-            if run is None or comp_run is None:
-                yield index, bits, partner, None, None
-                continue
-            comp_run = comp_run.rotated(k)
-            report = None
-            if not (run.degenerate or comp_run.degenerate):
-                report = check_ipf(
-                    run,
-                    comp_run,
-                    level=config.check_level,
-                    cond1_interpretation=config.cond1_interpretation,
-                    time_origin=config.time_origin,
-                )
-            yield index, bits, partner, (run, comp_run), report
-
-
-def _pair_batches(mask: Mask, g: MixedGraph, config: Config, indices: Iterable[int],
-                  run_batch) -> Iterator[tuple[list, dict]]:
-    """The pairs of ``_pair_starts`` in chunks of ``_PAIRS_PER_LANE_RUN``,
-    each with the runs of its distinct starts: (chunk, the result of
-    ``run_batch(starts)`` by start bits)."""
-    pairs = _pair_starts(mask, g.node_count, config, indices)
+    pairs = _pair_starts(mask, L, config, indices)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
-        yield chunk, dict(zip(starts, run_batch(starts)))
-
-
-def _light_outcomes(mask: Mask, g: MixedGraph, config: Config, indices: Iterable[int]
-                    ) -> Iterator[tuple[int, int, Optional[int], Optional[str]]]:
-    """The light level of ``iter_pairs`` from lane readouts (see
-    ``dynamics.light_lanes``), with no RunRecord or IpfReport: (index,
-    bits, partner, outcome) per pair, the outcome being None when the
-    pair passes, else "unresolved", "degenerate" or the first failed
-    condition (see ``ipf.light_check``).  The partner's readout is
-    rotated up by k (``dynamics.rotate_readout``)."""
-    L = g.node_count
-    cond1 = config.cond1_interpretation
-    batches = _pair_batches(mask, g, config, indices,
-                            lambda starts: light_lanes(g, starts, config.max_steps))
-    for chunk, lanes in batches:
+        lanes = dict(zip(starts, zip(*step_lanes(g, starts, config.max_steps, record))))
         for index, bits, partner, comp, k in chunk:
-            lane, comp_lane = lanes[bits], lanes[comp]
-            if lane is None or comp_lane is None:
-                outcome = "unresolved"
-            elif lane[0] <= 2 or comp_lane[0] <= 2:
-                outcome = "degenerate"
-            else:
-                if k:
-                    comp_lane = rotate_readout(comp_lane, k, L)
-                outcome = next(iter(light_check(lane, comp_lane, L, cond1)[2]), None)
-            yield index, bits, partner, outcome
+            (readout, text), (comp_readout, comp_text) = lanes[bits], lanes[comp]
+            if readout is None or comp_readout is None:
+                yield index, bits, partner, None
+                continue
+            if k:
+                comp_readout = rotate_readout(comp_readout, k, L)
+                if record:
+                    comp_text = rotate_skeletons(comp_text, k)
+            yield index, bits, partner, (readout, comp_readout, text, comp_text)
+
+
+def pair_runs(g: MixedGraph, bits: int, lanes: PairLanes) -> tuple[RunRecord, RunRecord]:
+    """The run and the complement run of a resolved pair of
+    ``iter_pairs``, wrapping its lanes; the complement's start is
+    ``bits`` with every bit flipped."""
+    readout, comp_readout, text, comp_text = lanes
+    comp_bits = bits ^ ((1 << g.node_count) - 1)
+    return tuple(RunRecord(g, start, T, (c, b), lam, skeleton_text=skeletons)
+                 for start, (T, c, b, lam), skeletons
+                 in ((bits, readout, text), (comp_bits, comp_readout, comp_text)))
+
+
+def _outcome(g: MixedGraph, config: Config, bits: int, lanes: Optional[PairLanes]
+             ) -> Optional[str]:
+    """What a pair of ``iter_pairs`` settles at the configured level:
+    None when it passes, else "unresolved", "degenerate" (a period <= 2)
+    or its first failed condition.  That is the first failed statement
+    of ``ipf.light_check``; at the full level a pair passing those is
+    checked by ``check_ipf`` on ``pair_runs``."""
+    if lanes is None:
+        return "unresolved"
+    readout, comp_readout = lanes[:2]
+    if readout[0] <= 2 or comp_readout[0] <= 2:
+        return "degenerate"
+    failed = light_check(readout, comp_readout, g.node_count, config.cond1_interpretation)[2]
+    if failed or config.check_level == "light":
+        return next(iter(failed), None)
+    return check_ipf(*pair_runs(g, bits, lanes), level="full",
+                     cond1_interpretation=config.cond1_interpretation,
+                     time_origin=config.time_origin).first_failed_condition
 
 
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
                 k: int) -> tuple[Optional[tuple[int, int, str]], list]:
     """Run every ``workers``-th index that runs below ``total`` (see
-    ``_indices``), from the k-th on, up to the first failing pair.
-    Returns (failure, notes): the failure is (index, start bits, first
-    failed condition) or None, and notes lists (index, start bits,
-    "unresolved" or "degenerate") for each member of a class (see
-    ``iter_pairs``) that did not pass.  A passing pair leaves no trace.
-    The light level pairs lane readouts (``_light_outcomes``); the full
-    level checks the runs of ``iter_pairs``.  Picklable, so batches can
-    run in worker processes."""
+    ``_indices``), from the k-th on, through ``iter_pairs``, up to the
+    first failing pair (see ``_outcome``).  Returns (failure, notes):
+    the failure is (index, start bits, first failed condition) or None,
+    and notes lists (index, start bits, "unresolved" or "degenerate")
+    for each member of a class (see ``iter_pairs``) that did not pass.
+    A passing pair leaves no trace.  Picklable, so batches can run in
+    worker processes."""
     notes = []
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
-    if config.check_level == "light":
-        outcomes = _light_outcomes(mask, g, config, indices)
-    else:
-        outcomes = ((index, bits, partner, "unresolved" if runs is None
-                     else "degenerate" if report is None else report.first_failed_condition)
-                    for index, bits, partner, runs, report
-                    in iter_pairs(mask, g, config, indices))
-    for index, bits, partner, outcome in outcomes:
+    for index, bits, partner, lanes in iter_pairs(mask, g, config, indices):
+        outcome = _outcome(g, config, bits, lanes)
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):

@@ -68,24 +68,32 @@ def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
 
 def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
                  trace_specs: list[tuple[Mask, int, str]]) -> dict:
-    """Write the bundle into ``outdir`` and return its manifest.  The grid
-    bound is checked and the tables are extracted first: a bad bound or a
-    mask without a passing pair writes no file."""
+    """Write the bundle into ``outdir`` and return its manifest, which
+    digests exactly the files this call wrote.  Everything is computed
+    before ``outdir`` is made: a bad grid bound, a mask without a
+    passing pair or an unresolved trace run writes no file."""
     ac23.check_grid_bounds(grid_max, grid_max)
     extract_cfg = cfg.with_overrides(check_level="full")
     tables = [rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
               for mask in rt_masks]
+    traces = [(f"traces/trace_{mask.n}_{mask.m}_L{L}_{start}",
+               trace_pair(ac23.build_graph(mask, L), start, cfg, "full"))
+              for mask, L, start in trace_specs]
+    grid = ac23.verdict_grid(grid_max, grid_max, cfg)
 
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "rt").mkdir(exist_ok=True)
     (outdir / "traces").mkdir(exist_ok=True)
+    written = []
 
-    grid = ac23.verdict_grid(grid_max, grid_max, cfg)
-    write_csv(outdir / "grid.csv", GRID_CSV_COLUMNS, grid.csv_rows())
+    def path(name: str) -> Path:
+        written.append(name)
+        return outdir / name
 
+    write_csv(path("grid.csv"), GRID_CSV_COLUMNS, grid.csv_rows())
     for mask, table in zip(rt_masks, tables):
-        rt.save_table(table, outdir / "rt" / f"{mask.n}_{mask.m}.rt")
-    write_csv(outdir / "scounts.csv", rt.SCOUNTS_CSV_COLUMNS,
+        rt.save_table(table, path(f"rt/{mask.n}_{mask.m}.rt"))
+    write_csv(path("scounts.csv"), rt.SCOUNTS_CSV_COLUMNS,
               [rt.scounts_csv_row(t) for t in tables])
 
     coincide_rows = []
@@ -96,23 +104,16 @@ def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
         group = by_width[width]
         if len(group) >= 2:
             coincide_rows.extend(rt.coincidence_matrix(group).csv_rows())
-    write_csv(outdir / "coincidence.csv", rt.COINCIDENCE_CSV_COLUMNS, coincide_rows)
+    write_csv(path("coincidence.csv"), rt.COINCIDENCE_CSV_COLUMNS, coincide_rows)
 
-    for mask, L, start in trace_specs:
-        run, _, report = trace_pair(ac23.build_graph(mask, L), start, cfg, "full")
-        name = f"trace_{mask.n}_{mask.m}_L{L}_{start}"
-        with open(outdir / "traces" / f"{name}.csv", "w", encoding="utf-8",
-                  newline="") as fh:
+    for name, (run, _, report) in traces:
+        with open(path(f"{name}.csv"), "w", encoding="utf-8", newline="") as fh:
             run.write_trace_csv(fh)
         if report is not None:
-            write_json(outdir / "traces" / f"{name}_ipf.json",
-                       report.to_json_dict())
+            write_json(path(f"{name}_ipf.json"), report.to_json_dict())
 
-    files = {}
-    for path in sorted(outdir.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            files[path.relative_to(outdir).as_posix()] = digest
+    files = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+             for name in written}
     manifest = {
         "tool": {"name": "trine", "version": __version__},
         "config": cfg.semantic_dict(),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -172,13 +173,13 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
                          "not resuming")
 
 
-def _load_resume_rows(path: Path, grid_max: int) -> dict:
+def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
     """Finished cells of an interrupted grid CSV of the odd masks up to
     ``grid_max``, which must be the first cells in grid order; a row
     outside that grid, a second row for a cell, or a row out of order is
     refused.  A last line without its newline was cut off mid-write: it
-    is dropped, and the file is truncated to the last complete row so
-    appending continues cleanly."""
+    is dropped.  Returns (cells, the byte length of the complete rows,
+    where appending continues)."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
@@ -209,10 +210,7 @@ def _load_resume_rows(path: Path, grid_max: int) -> dict:
                 "condition": record["conditionFailed"],
             }
         rows[(mask.n, mask.m)] = MaskVerdict(mask, record["status"], witness)
-    if len(complete) < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(len(complete))
-    return rows
+    return rows, len(complete)
 
 
 def _cr_annotations_from(directory: str) -> dict:
@@ -236,7 +234,12 @@ def cmd_grid(args) -> int:
     resume_rows = None
     if args.resume and out.exists():
         _check_resume_config(sidecar, cfg, args.max)
-        resume_rows = _load_resume_rows(out, args.max)
+        resume_rows, complete = _load_resume_rows(out, args.max)
+        if resume_rows and args.json:
+            raise TrineError(f"--json needs each cell's tested envelope, which the "
+                             f"{len(resume_rows)} cells resumed from {out} do not keep; "
+                             "rerun the grid without --resume for the JSON")
+        os.truncate(out, complete)
         print(f"resuming: {len(resume_rows)} cells already done")
 
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -29,7 +29,7 @@ P has one formula on every graph.  With M_d the offset mask of d
 out-neighbor of v), P is the OR over the offsets d in use of C rotated
 down by d, masked to M_d.  A circulant graph has every M_d full.
 
-``_step_lanes`` is the one stepper.  It walks many starts at once
+``step_lanes`` is the one stepper.  It walks many starts at once
 (multi-spin coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start
 j owns lane j, bits j*L .. j*L+L-1 of one Python int, with node v at bit
 j*L+v.  The rotation within each lane is two shifts: C at v + d reaches
@@ -50,18 +50,17 @@ A finished lane yields one readout, what the light check needs:
 (period, final C bits, final B bits, lambda) as plain ints, lambda read
 straight from the counter planes at the lane's shift (``_lane_lambda``),
 stopping at the first plane that is neither empty nor full.
-``light_lanes`` returns the readouts; ``run_lanes`` wraps each in a
+``step_lanes`` returns the readouts; ``run_lanes`` wraps each in a
 summary RunRecord.  ``run_to_mirror`` runs one start as one lane.  A
 summary knows its start and its exact period, so the first read of its
 states re-walks that many steps in one lane and keeps them.  On a
-circulant graph, rotating a start rotates its run, so one readout
-serves every rotation of its start: its period and lambda stay, and its
-final state rotates (``rotate_readout``, which ``RunRecord.rotated``
-uses too).
+circulant graph, rotating a start rotates its run, so one lane serves
+every rotation of its start: its period and lambda stay, and its final
+state and skeletons rotate (``rotate_readout``, ``rotate_skeletons``).
 
-A recording batch (``run_lanes(..., record=True)``) also gives each
-summary its skeletons, the per-node histories with the B's dropped that
-the full invariant check and the color counts read.  It keeps each
+A recording batch (``step_lanes(..., record=True)``) also returns each
+finished lane's skeletons, the per-node histories with the B's dropped
+that the full invariant check and the color counts read.  It keeps each
 step's C bits, and at each repack, or once they hold ``_RECORD_BITS``
 bits, formats them as binary strings and cuts every lane's node columns
 out with strided slices; a column with the B after each C dropped is a
@@ -149,6 +148,15 @@ def rotate_readout(readout: LaneReadout, k: int, width: int) -> LaneReadout:
     return period, rotate(final_c, k, width), rotate(final_b, k, width), lam
 
 
+def rotate_skeletons(text: str, k: int) -> str:
+    """The skeleton text (see ``RunRecord.skeleton_text``) of a run
+    rotated up by k on a circulant graph: node v takes node v - k's
+    skeleton."""
+    skeletons = text.split("2")
+    cut = len(skeletons) - k % len(skeletons)
+    return "2".join(skeletons[cut:] + skeletons[:cut])
+
+
 # -- public single-step operations ------------------------------------
 
 
@@ -173,17 +181,18 @@ class RunRecord:
     """A forward trajectory from a two-color start to its mirror state.
 
     ``packed_states`` holds the trajectory at times t = 1..T.  A run
-    from ``run_lanes`` or ``run_to_mirror`` wraps its lane readout: the
-    period, the final packed state and ``lambda_value`` (the common
-    per-node A-surplus, None if nodes disagree).  From a recording
-    batch it also has its skeletons.  It keeps no counter planes, and
-    re-walks its known period on the first read of its states or, when
-    not recorded, its skeletons; a record built with ``packed_states``
-    has them from the start.  A trajectory has no B at t = 1, and B at t
-    exactly where C was at t - 1.  The {A,B} start state itself sits
-    before t = 1; ``start_b`` holds its B bits.  A run with T <= 2 is
-    degenerate (no proper mirror state; the uniform all-A and all-B
-    starts are the standard cases) and is flagged as such.
+    from ``run_lanes``, ``run_to_mirror`` or ``ac23.pair_runs`` wraps
+    its lane readout: the period, the final packed state and
+    ``lambda_value`` (the common per-node A-surplus, None if nodes
+    disagree).  From a recording batch it also has its skeletons.  It
+    keeps no counter planes, and re-walks its known period on the first
+    read of its states or, when not recorded, its skeletons; a record
+    built with ``packed_states`` has them from the start.  A trajectory
+    has no B at t = 1, and B at t exactly where C was at t - 1.  The
+    {A,B} start state itself sits before t = 1; ``start_b`` holds its B
+    bits.  A run with T <= 2 is degenerate (no proper mirror state; the
+    uniform all-A and all-B starts are the standard cases) and is
+    flagged as such.
     """
 
     def __init__(
@@ -209,26 +218,6 @@ class RunRecord:
     @property
     def start_ab(self) -> str:
         return unpack(self.graph.node_count, 0, self.start_b)
-
-    def rotated(self, k: int) -> "RunRecord":
-        """The run of this start rotated up by k (see ``rotate``) on a
-        circulant graph, where that rotation is an automorphism: the
-        readout rotated (``rotate_readout``), with the start and the
-        skeletons rotated.  Its states re-walk on first read.  Raises
-        ValueError when the graph is not circulant."""
-        if self.graph.circulant_offsets is None:
-            raise ValueError("only a circulant graph carries runs along rotations")
-        L = self.graph.node_count
-        k %= L
-        if not k:
-            return self
-        text = self._skeleton_text
-        if text is not None:  # node v takes node v - k's skeleton
-            skeletons = text.split("2")
-            text = "2".join(skeletons[L - k:] + skeletons[:L - k])
-        period, c, b, lam = rotate_readout((self.period, *self.final, self.lambda_value), k, L)
-        return RunRecord(self.graph, rotate(self.start_b, k, L), period, (c, b), lam,
-                         skeleton_text=text)
 
     # -- materialized views -------------------------------------------
 
@@ -384,38 +373,28 @@ def run_lanes(
     max_steps: int = DEFAULT_MAX_STEPS,
     record: bool = False,
 ) -> list[Optional[RunRecord]]:
-    """Walk every {A,B} start (given by its B bits) to its mirror state
-    at once, one lane per start.
-
-    Returns one summary RunRecord per start, in order, or None for a
-    start whose run is unresolved after ``max_steps`` steps.  With
-    ``record`` set, each summary also carries its skeletons (see
-    ``RunRecord.skeletons``), read from the C bits of every step.  The
-    light check needs no summary: ``light_lanes`` returns the lane
-    readouts the summaries wrap.
-    """
-    readouts, texts = _step_lanes(g, starts, max_steps, record)
+    """``step_lanes`` with each readout wrapped: one summary RunRecord
+    per start, in order, or None for a start whose run is unresolved
+    after ``max_steps`` steps.  With ``record`` set, each summary also
+    carries its skeletons (see ``RunRecord.skeletons``)."""
+    readouts, texts = step_lanes(g, starts, max_steps, record)
     return [None if readout is None else
             RunRecord(g, bits, readout[0], readout[1:3], readout[3], skeleton_text=text)
             for bits, readout, text in zip(starts, readouts, texts)]
 
 
-def light_lanes(
-    g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
-) -> list[Optional[LaneReadout]]:
-    """``run_lanes`` without records: per start, in order, its lane
-    readout (period, final C bits, final B bits, lambda), or None for a
-    start whose run is unresolved after ``max_steps`` steps."""
-    return _step_lanes(g, starts, max_steps)[0]
-
-
-def _step_lanes(g: MixedGraph, starts: list[int], max_steps: int, record: bool = False
-                ) -> tuple[list[Optional[LaneReadout]], list[Optional[str]]]:
-    """The one lane stepper.  Returns, in start order, each lane's
-    readout (None for a lane still running after ``max_steps`` steps),
-    lambda read by ``_lane_lambda`` when the lane finishes, and, when
-    ``record`` is set, each finished lane's skeleton text (see
-    ``RunRecord.skeleton_text``), else None each."""
+def step_lanes(
+    g: MixedGraph,
+    starts: list[int],
+    max_steps: int = DEFAULT_MAX_STEPS,
+    record: bool = False,
+) -> tuple[list[Optional[LaneReadout]], list[Optional[str]]]:
+    """The one lane stepper: walk every {A,B} start (given by its B
+    bits) to its mirror state at once, one lane per start.  Returns, in
+    start order, each lane's readout (None for a lane still running
+    after ``max_steps`` steps), lambda read by ``_lane_lambda`` when the
+    lane finishes, and, when ``record`` is set, each finished lane's
+    skeleton text (see ``RunRecord.skeleton_text``), else None each."""
     width = g.node_count
     lane = (1 << width) - 1
     readouts: list = [None] * len(starts)

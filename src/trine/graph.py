@@ -13,7 +13,7 @@ Both are involutions.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
 
@@ -57,10 +57,7 @@ class MixedGraph:
     between threads.
     """
 
-    __slots__ = (
-        "node_count", "directed", "undirected", "_out_masks", "_offset_masks",
-        "_circulant_offsets",
-    )
+    __slots__ = ("node_count", "directed", "undirected", "_out_masks", "_offset_masks")
 
     def __init__(
         self,
@@ -104,8 +101,6 @@ class MixedGraph:
             offset_masks[d] = offset_masks.get(d, 0) | 1 << u
         self._out_masks = tuple(out_masks)
         self._offset_masks = tuple(sorted(offset_masks.items()))
-        circulant = set(offset_masks.values()) <= {(1 << node_count) - 1}
-        self._circulant_offsets = tuple(sorted(offset_masks)) if circulant else None
 
     def _pairs(self, edges, kind: str):
         """The (u, v) pairs of an edge list, each checked."""
@@ -147,16 +142,9 @@ class MixedGraph:
     def offset_masks(self) -> tuple[tuple[int, int], ...]:
         """The pairs (d, M_d), d ascending, of every offset d in use: bit v
         of M_d is set iff v + d mod node_count is an out-neighbor of v.
-        The step engine forms P from these."""
+        The step engine forms P from these; a graph is circulant in its
+        node order when every M_d is full."""
         return self._offset_masks
-
-    @property
-    def circulant_offsets(self) -> Optional[tuple[int, ...]]:
-        """The offsets d (ascending) with an edge from every node v to
-        v + d mod node_count, when every offset in use is used at every
-        node (its M_d is full); None for a graph that is not circulant in
-        its node order."""
-        return self._circulant_offsets
 
     # -- comparison --------------------------------------------------
 

@@ -161,7 +161,7 @@ def light_check(
     lane: LaneReadout, comp_lane: LaneReadout, node_count: int, cond1_interpretation: str
 ) -> tuple[bool, bool, dict]:
     """div3 and [1]..[3] on a run pair, from each run's (period, final C
-    bits, final B bits, lambda) (see ``dynamics.light_lanes``).
+    bits, final B bits, lambda) (see ``dynamics.step_lanes``).
 
     Returns (c1 raw, c1 complemented, failed): ``failed`` maps each
     light statement that fails, in the order of ``LIGHT_CONDITIONS``

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import Mask, build_graph, degenerate_at, iter_pairs, parse_mask
+from .ac23 import Mask, build_graph, degenerate_at, iter_pairs, pair_runs, parse_mask
 from .config import Config
 from .dynamics import RunRecord
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     UnverifiedRuns,
 )
 from .graph import weak_computable
-from .ipf import IpfReport, filled_rows
+from .ipf import IpfReport, check_ipf, filled_rows
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -567,17 +567,18 @@ def extraction_run_pairs(
 ) -> Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport, bool]]:
     """Checked run pairs for extraction, walking the configured
     envelope: ((run, complement run), report, swapped) for every pair
-    that passes the configured level.  Degenerate circle sizes,
-    degenerate runs, unresolved runs and failing pairs are skipped
-    (extraction wants evidence from clean runs only).  Exhaustive sizes
-    yield one start per rotation orbit, and one pair per complement
-    class (see ``iter_pairs``): ``extract_rows`` reads every node, so a
-    rotated start would only repeat the same rows, and the class's other
-    necklace gives the pair swapped up to rotation, whose rows
-    ``extract_rows`` adds when ``swapped`` is set (the two necklaces
-    differ).  Sampled sizes yield every passing sample with ``swapped``
-    unset.  A walk that yields no pair raises UnverifiedRuns: a table
-    needs evidence."""
+    that passes the configured level, the runs wrapped by ``pair_runs``
+    from the lanes of ``iter_pairs`` and checked by ``check_ipf`` here.
+    Degenerate circle sizes, degenerate runs, unresolved runs and
+    failing pairs are skipped (extraction wants evidence from clean runs
+    only).  Exhaustive sizes yield one start per rotation orbit, and one
+    pair per complement class (see ``iter_pairs``): ``extract_rows``
+    reads every node, so a rotated start would only repeat the same
+    rows, and the class's other necklace gives the pair swapped up to
+    rotation, whose rows ``extract_rows`` adds when ``swapped`` is set
+    (the two necklaces differ).  Sampled sizes yield every passing
+    sample with ``swapped`` unset.  A walk that yields no pair raises
+    UnverifiedRuns: a table needs evidence."""
     passed = 0
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L):
@@ -585,8 +586,16 @@ def extraction_run_pairs(
         g = build_graph(mask, L)
         if not weak_computable(g):
             continue
-        for index, _, partner, runs, report in iter_pairs(mask, g, config):
-            if report is not None and report.passed:
+        for index, bits, partner, lanes in iter_pairs(mask, g, config):
+            if lanes is None:
+                continue
+            runs = pair_runs(g, bits, lanes)
+            if runs[0].degenerate or runs[1].degenerate:
+                continue
+            report = check_ipf(*runs, level=config.check_level,
+                               cond1_interpretation=config.cond1_interpretation,
+                               time_origin=config.time_origin)
+            if report.passed:
                 passed += 1
                 yield runs, report, partner not in (None, index)
     if not passed:

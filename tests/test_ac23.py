@@ -314,19 +314,25 @@ class TestRotationReduction:
         cfg = quick_config(lmin=lmin, lmax=lmax, exhaustive_cutoff=lmax, threads=2)
         assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
 
+    @pytest.mark.parametrize("level", ["light", "full"])
     @pytest.mark.parametrize("cond1", ["raw", "complemented"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 5), (5, 1)])
-    def test_sampled_size_and_cond1_reading_match_naive_sweep(self, n, m, cond1, threads):
+    def test_sampled_size_and_cond1_reading_match_naive_sweep(self, n, m, cond1, threads,
+                                                              level):
         # L = 10 is past the cutoff, so its starts are seeded samples
         cfg = quick_config(lmax=10, exhaustive_cutoff=9, samples_per_L=60,
-                           cond1_interpretation=cond1, threads=threads)
+                           cond1_interpretation=cond1, threads=threads, check_level=level)
         assert reduced_envelope(Mask(n, m), cfg) == naive_envelope(Mask(n, m), cfg)
 
-    @pytest.mark.parametrize("n,m,max_steps", [(1, 3, 6), (3, 3, 5), (1, 5, 4)])
-    def test_unresolved_runs_match_naive_sweep(self, n, m, max_steps):
+    @pytest.mark.parametrize("n,m,max_steps,level", [
+        pytest.param(n, m, max_steps, level,
+                     id=f"{n}-{m}-{max_steps}" + ("-full" if level == "full" else ""))
+        for level in ("light", "full") for n, m, max_steps in ((1, 3, 6), (3, 3, 5), (1, 5, 4))
+    ])
+    def test_unresolved_runs_match_naive_sweep(self, n, m, max_steps, level):
         cfg = quick_config(lmax=9, exhaustive_cutoff=8, samples_per_L=30,
-                           max_steps=max_steps)
+                           max_steps=max_steps, check_level=level)
         want = naive_envelope(Mask(n, m), cfg)
         for threads in (1, 3):
             got = reduced_envelope(Mask(n, m), cfg.with_overrides(threads=threads))
@@ -403,17 +409,17 @@ class TestRotationReduction:
         # class {all A, all B} is degenerate and never checked.  A light
         # sweep runs lane readouts and checks them with light_check.
         counts = Counter()
-        light_lanes, light_check = ac23.light_lanes, ac23.light_check
+        step_lanes, light_check = ac23.step_lanes, ac23.light_check
 
-        def counted_light_lanes(g, starts, *args):
+        def counted_step_lanes(g, starts, *args):
             counts["starts"] += len(starts)
-            return light_lanes(g, starts, *args)
+            return step_lanes(g, starts, *args)
 
         def counted_light_check(*args):
             counts["checks"] += 1
             return light_check(*args)
 
-        monkeypatch.setattr(ac23, "light_lanes", counted_light_lanes)
+        monkeypatch.setattr(ac23, "step_lanes", counted_step_lanes)
         monkeypatch.setattr(ac23, "light_check", counted_light_check)
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=L, lmax=L,
                                                          exhaustive_cutoff=L))
@@ -450,7 +456,8 @@ class TestRotationReduction:
 
 @pytest.fixture
 def object_counts(monkeypatch):
-    """Counts of RunRecords built and of check_ipf calls by the search."""
+    """Counts of RunRecords built and of check_ipf calls by the search
+    and by rt extraction."""
     counts = Counter()
     init, check = RunRecord.__init__, ac23.check_ipf
 
@@ -464,6 +471,7 @@ def object_counts(monkeypatch):
 
     monkeypatch.setattr(RunRecord, "__init__", counted_init)
     monkeypatch.setattr(ac23, "check_ipf", counted_check_ipf)
+    monkeypatch.setattr(rt, "check_ipf", counted_check_ipf)
     return counts
 
 

@@ -68,7 +68,8 @@ class TestGoldenOutputs:
         # random_two_color(rng, 11) is the start
         golden = DATA / "golden_trace_mixed"
         graph = golden / "mixed120.json"
-        assert MixedGraph.load(graph).circulant_offsets is None
+        g = MixedGraph.load(graph)
+        assert any(mask != (1 << g.node_count) - 1 for _, mask in g.offset_masks)
         out = tmp_path / "t"
         assert run_cli("trace", "--graph", str(graph), "--start", "ABBBAAABAAA",
                        "--out", str(out)) == 0
@@ -236,6 +237,24 @@ class TestGrid:
             shutil.copy(sidecar, tmp_path / f"partial{i}.csv.config.json")
             assert run_cli("grid", *flags, "--out", str(partial), "--resume") == 0
             assert partial.read_bytes() == fresh.read_bytes()
+
+    def test_resume_refuses_json_for_resumed_cells(self, tmp_path, capsys):
+        # a resumed cell keeps only its CSV row, no tested envelope
+        flags = ["--max", "5", "--lmax", "6"]
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", *flags, "--out", str(out)) == 0
+        out.write_text("".join(out.read_text().splitlines(keepends=True)[:4]))
+        cut = out.read_bytes()
+        sidecar = tmp_path / "grid.csv.config.json"
+        written = sidecar.read_bytes()
+        gridjson = tmp_path / "grid.json"
+        capsys.readouterr()
+        assert run_cli("grid", *flags, "--out", str(out), "--resume",
+                       "--json", str(gridjson)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --json") and "3 cells resumed" in err
+        assert out.read_bytes() == cut and sidecar.read_bytes() == written
+        assert not gridjson.exists()
 
     def test_resume_rejects_unknown_status(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
@@ -539,6 +558,24 @@ class TestBundle:
                        "--lmax", "5", "--cutoff", "5", "--time-origin", "0") == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unresolved_trace_run_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("bundle", "--out", str(out), "--grid-max", "3", "--lmax", "6",
+                       "--rt-masks", "1,1", "--trace", "1,3:11:BBBBABAAAAA",
+                       "--max-steps", "50") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_reused_directory_gets_the_manifest_of_a_fresh_one(self, tmp_path, capsys):
+        flags = ["--grid-max", "3", "--lmax", "5", "--cutoff", "5", "--samples", "0"]
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert run_cli("bundle", "--out", str(used), *flags, "--rt-masks", "1,1", "1,3") == 0
+        for out in (used, fresh):
+            assert run_cli("bundle", "--out", str(out), *flags, "--rt-masks", "1,1") == 0
+        manifest = (used / "manifest.json").read_bytes()
+        assert manifest == (fresh / "manifest.json").read_bytes()
+        assert b"1_3.rt" not in manifest
 
     @pytest.mark.parametrize("flags,message", [
         (["--grid-max", "2"], "odd"),

@@ -18,14 +18,17 @@ from trine.dynamics import (
     pack,
     predecessor,
     rotate,
+    rotate_readout,
+    rotate_skeletons,
     run_lanes,
     run_to_mirror,
     step,
+    step_lanes,
     unpack,
 )
 from trine.ac23 import Mask, bits_to_coloring, build_graph
 from trine.errors import MaxStepsExceeded
-from trine.graph import MixedGraph, transliterate
+from trine.graph import transliterate
 
 
 def all_colorings(n):
@@ -273,25 +276,19 @@ class TestLanes:
                 csvs.append(buf.getvalue())
             assert csvs[0] == csvs[1]
 
-    def test_needs_a_circulant_graph(self):
-        run = run_to_mirror(MixedGraph(3, directed=[(0, 1)]), "BAA")
-        with pytest.raises(ValueError, match="circulant"):
-            run.rotated(1)
-
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([(1, 1), (1, 3), (2, 1), (3, 5), (7, 1)]), st.integers(3, 12), st.data())
     def test_rotated_run_is_the_run_of_the_rotated_start(self, nm, L, data):
         g = build_graph(Mask(*nm), L)
         bits = data.draw(st.integers(0, 2**L - 1), label="bits")
         k = data.draw(st.integers(0, L - 1), label="k")
-        [moved] = run_lanes(g, [rotate(bits, k, L)])
-        turned = run_lanes(g, [bits], record=True)[0].rotated(k)
-        assert turned.start_b == moved.start_b
-        assert (turned.period, turned.final, turned.color_counts, turned.lambda_value) == (
-            moved.period, moved.final, moved.color_counts, moved.lambda_value)
-        assert turned.skeletons == moved.skeletons  # recorded, rotated; read from states
-        assert turned.rotated(L - k).color_counts == run_lanes(g, [bits])[0].color_counts
-        assert turned.packed_states == moved.packed_states
+        moved = rotate(bits, k, L)
+        [readout, moved_readout], [text, moved_text] = step_lanes(g, [bits, moved], record=True)
+        assert rotate_readout(readout, k, L) == moved_readout
+        assert rotate_skeletons(text, k) == moved_text
+        [walked] = run_lanes(g, [moved])  # skeletons read from the states
+        assert rotate_skeletons(text, k) == walked.skeleton_text
+        assert rotate_skeletons(moved_text, L - k) == text
 
     def test_empty_batch(self, ring3):
         assert run_lanes(ring3, []) == []

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from graphgen import random_mixed_graph
 from trine import dynamics, ipf
 from trine.ac23 import Mask, bits_to_coloring, build_graph
-from trine.dynamics import light_lanes, pack, rotate, run_lanes, run_to_mirror, step
+from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes
 from trine.errors import DegenerateRun
 from trine.graph import MixedGraph, complement
 from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
@@ -544,7 +544,7 @@ def naive_readout(states: list[str]) -> tuple:
 
 def assert_light_check_matches_oracle(g: MixedGraph, start: str, rotations: bool = False
                                       ) -> None:
-    """light_lanes' readouts of a start and its complement against the
+    """step_lanes' readouts of a start and its complement against the
     naive runs and the RunRecords of run_lanes, and light_check on them
     against naive_ipf under both cond1 readings.  With ``rotations`` (a
     circle graph), the complement's readout is also taken, as the sweep
@@ -555,7 +555,7 @@ def assert_light_check_matches_oracle(g: MixedGraph, start: str, rotations: bool
     comp = bits ^ ((1 << n) - 1)
     turns = range(1, n) if rotations else ()
     starts = [bits, comp] + [rotate(comp, n - k, n) for k in turns]
-    lanes = light_lanes(g, starts)
+    lanes = step_lanes(g, starts)[0]
     assert lanes == [(run.period, *run.final, run.lambda_value) for run in run_lanes(g, starts)]
     states, bar_states = naive_run(g, start), naive_run(g, complement(start))
     assert lanes[:2] == [naive_readout(states), naive_readout(bar_states)]
@@ -594,7 +594,7 @@ def test_light_check_matches_oracle_on_weak_graphs(case):
 @settings(deadline=None)
 def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
     g, starts = case
-    assert light_lanes(g, starts, max_steps) == [
+    assert step_lanes(g, starts, max_steps)[0] == [
         None if run is None else (run.period, *run.final, run.lambda_value)
         for run in run_lanes(g, starts, max_steps)
     ]

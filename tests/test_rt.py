@@ -489,6 +489,7 @@ class TestExtraction:
             monkeypatch.setattr(module, name, counted)
 
         count(ac23, "check_ipf")
+        count(rt, "check_ipf")
         count(ipf, "_two_skeleton_rows")
         count(dynamics, "_walk")
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
