@@ -3,8 +3,9 @@
 
 Values are encoded 0..5 with 3, 4, 5 standing for the barred (negative)
 digits -0, -1, -2; a value decomposes into (digit mod 3, bar flag).
-A stored table is always the "=0" sub-table; the other five sub-tables
-are derived on demand by the six-element substitution group.
+Extraction and the builder make the "=0" sub-table; the other five
+are derived from it by the six-element substitution group, and a
+table's header names the sub-table it holds.
 
 Column convention (shared with the mask geometry): column 0 is the
 central point, the remaining columns are the mask points in ascending
@@ -17,7 +18,8 @@ mark every output EXPERIMENTAL:
 
 * ``extract_rows`` derives rows from verified run pairs as phase
   differences mod 3 with a bar for slots filled by the complement run
-  (hypothesis id "phase-diff-mod3-v1").
+  (hypothesis id "phase-diff-mod3-v1"), deduplicated as slot-code
+  tuples in C-level set updates before any row is built.
 * ``build_1_2k1`` grows tables for masks (1, 2^k - 1) by tripling rows
   and deriving the new column from the last one via an injected step
   table; the zero column follows the middle-branch sign fractal.
@@ -172,7 +174,9 @@ class ResolutionTable:
 
 def expand_subtables(table: ResolutionTable) -> dict[str, ResolutionTable]:
     """All six sub-tables, keyed by target.  Row counts are preserved;
-    the "=0" entry is the table itself."""
+    the "=0" entry is the table itself, which must be the "=0" sub-table."""
+    if table.subtable != "=0":
+        raise ValueError(f'sub-tables expand from "=0", not {table.subtable!r}')
     out = {}
     for target in SUBTABLE_TARGETS:
         out[target] = ResolutionTable(
@@ -493,7 +497,8 @@ def build_1_2k1(
 
 def reflect(table: ResolutionTable) -> ResolutionTable:
     """Re-express the table for the mirrored mask: the column at offset
-    x becomes the column at offset -x of the reflected mask."""
+    x becomes the column at offset -x of the reflected mask.  The
+    sub-table tag is kept, as substitution acts on each value alone."""
     if table.mask is None:
         raise ValueError("reflection needs a mask-tagged table")
     src = table.mask.column_offsets
@@ -506,6 +511,7 @@ def reflect(table: ResolutionTable) -> ResolutionTable:
         mask=table.mask.reflected,
         experimental=table.experimental,
         hypothesis=table.hypothesis,
+        subtable=table.subtable,
     )
 
 
@@ -520,19 +526,24 @@ def extract_rows(
     """EXPERIMENTAL: derive a table from checked run pairs.
 
     ``checked_pairs`` holds ((run, complement run), report, swapped)
-    items, as ``extraction_run_pairs`` yields them.  For every node v and
-    slot k, the row holds, per mask column at offset o, the difference
-    of the integral phases of node v+o and node v at slot k, mod 3,
-    barred when the neighbor's slot was filled by the complement run, as
-    ``filled_rows`` gives them at either check level.  ``swapped`` marks
-    a pair that also stands for its swapped pair (complement run first),
-    whose rows are these with every bar flipped, as the other run fills
-    each slot; those rows are added too.
-    A pair whose report did not pass raises UnverifiedRuns.  Slots not
-    filled by exactly one run at every needed node are skipped.
+    items, as ``extraction_run_pairs`` yields them; a pair whose report
+    did not pass raises UnverifiedRuns.  For every node v and slot k, the
+    row holds, per mask column at offset o, the difference of the
+    integral phases of node v+o and node v at slot k, mod 3, barred when
+    the complement run fills the neighbor's slot (``filled_rows``).  A
+    (v, k) with a needed slot not filled by exactly one run is skipped.
+    A ``swapped`` pair also stands for its swapped pair, whose rows,
+    these with every bar flipped, are added too.
+
+    No cell is visited in Python: a pair's filled rows become one
+    node-major list of slot codes (time mod 3, plus 3 when the complement
+    fills the slot, else None), the column at offset o is that list
+    rotated by o nodes, and ``zip`` over the columns adds every (v, k)
+    tuple to a set per ``swapped`` flag.  Only the distinct tuples, a few
+    hundred per mask, become rows.
     """
-    rows: set[tuple[int, ...]] = set()
     offsets = mask.column_offsets
+    distinct: dict[bool, set] = {False: set(), True: set()}
     for runs, report, swapped in checked_pairs:
         if not report.passed:
             raise UnverifiedRuns(
@@ -540,23 +551,19 @@ def extract_rows(
                 f"({report.first_failed_condition})"
             )
         filled = filled_rows(*runs)
-        L = len(filled)
-        for v, center_row in enumerate(filled):
-            for k, center in enumerate(center_row):
-                if center is None:
-                    continue
-                row = []
-                for offset in offsets:
-                    got = filled[(v + offset) % L][k]
-                    if got is None:
-                        row = None
-                        break
-                    phi, barred = got
-                    row.append((phi - center[0]) % 3 + (3 if barred else 0))
-                if row is not None:
-                    rows.add(tuple(row))
-                    if swapped:
-                        rows.add(tuple((value + 3) % 6 for value in row))
+        codes = [None if cell is None else cell[0] % 3 + 3 * cell[1]
+                 for row in filled for cell in row]
+        shifts = [offset % len(filled) * len(filled[0]) for offset in offsets]
+        distinct[bool(swapped)].update(zip(*(codes[s:] + codes[:s] for s in shifts)))
+    rows = set()
+    for flip, tuples in distinct.items():
+        for t in tuples:
+            if None in t:
+                continue
+            row = tuple((x - t[0]) % 3 + (3 if x >= 3 else 0) for x in t)
+            rows.add(row)
+            if flip:
+                rows.add(tuple((value + 3) % 6 for value in row))
     return ResolutionTable(
         mask.point_count, rows, mask=mask, experimental=True, hypothesis=hypothesis
     )
@@ -650,6 +657,8 @@ def parse_table(text: str) -> ResolutionTable:
             pass  # derived from the mask; accepted for readability
         elif token.startswith("subtable="):
             subtable = token[9:]
+            if subtable not in SUBTABLE_TARGETS:
+                raise RtParseError(f"unknown sub-table target {subtable!r}")
         elif token == "[EXPERIMENTAL]":
             experimental = True
         elif token.startswith("hypothesis="):

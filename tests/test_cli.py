@@ -57,6 +57,16 @@ class TestGoldenOutputs:
         for table in sorted((golden / "rt").iterdir()):
             assert (out / "rt" / table.name).read_bytes() == table.read_bytes(), table.name
 
+    @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 3)])
+    def test_rt_extract_at_light_level(self, tmp_path, capsys, n, m):
+        # (1,5) holds a passing pair at L=10 whose complement skeletons are
+        # not the run's swapped, so its filled rows hold empty slots
+        out = tmp_path / "t.rt"
+        assert run_cli("rt", "extract", "--n", str(n), "--m", str(m), "--level", "light",
+                       "--lmax", "10", "--out", str(out)) == 0
+        golden = DATA / "golden_rt_extract" / f"rt_{n}_{m}_light.rt"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
@@ -462,6 +472,31 @@ class TestRtCommands:
         files = sorted(p.name for p in outdir.iterdir())
         assert len(files) == 6
         assert "sub_0.rt" in files and "sub_m2.rt" in files
+
+    def test_expand_refuses_a_table_that_is_not_the_zero_subtable(self, tables, tmp_path,
+                                                                  capsys):
+        a, _ = tables
+        subs = tmp_path / "subs"
+        assert run_cli("rt", "expand", str(a), "--outdir", str(subs)) == 0
+        again = tmp_path / "again"
+        assert run_cli("rt", "expand", str(subs / "sub_1.rt"), "--outdir", str(again)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'=1'" in err
+        assert not again.exists()
+
+    def test_reflect_keeps_the_subtable(self, tables, tmp_path, capsys):
+        a, _ = tables
+        subs = tmp_path / "subs"
+        assert run_cli("rt", "expand", str(a), "--outdir", str(subs)) == 0
+        out = tmp_path / "r.rt"
+        assert run_cli("rt", "reflect", str(subs / "sub_m1.rt"), "--out", str(out)) == 0
+        assert rt.load_table(out).subtable == "=-1"
+
+    def test_unknown_subtable_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rt"
+        bad.write_text("N=3 subtable=foo\n1,1,1\n")
+        assert run_cli("rt", "classify", str(bad)) == 1
+        assert capsys.readouterr().err == "error: unknown sub-table target 'foo'\n"
 
     def test_extract(self, tmp_path, capsys):
         out = tmp_path / "e.rt"

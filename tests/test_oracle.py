@@ -16,7 +16,9 @@ nine statements of the ``trine.ipf`` module docstring, evaluated on the
 naive runs, both on one-lane runs and on recorded lane summaries.  The
 light sweep's lane readouts and ``light_check`` are compared with the
 naive runs and the same transcription, with the complement's readout
-also taken from a rotated run on circle graphs.
+also taken from a rotated run on circle graphs.  ``extract_rows``,
+which collects distinct tuples of slot codes, is compared with a row
+built for every node and slot of every pair.
 """
 
 from itertools import product
@@ -28,11 +30,14 @@ from hypothesis import strategies as st
 from graphgen import random_mixed_graph
 from trine import dynamics, ipf
 from trine.ac23 import Mask, bits_to_coloring, build_graph
+from trine.config import Config
 from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes
-from trine.errors import DegenerateRun
+from trine.errors import DegenerateRun, UnverifiedRuns
 from trine.graph import MixedGraph, complement
 from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
                        filled_rows, light_check)
+from trine.rt import (EXTRACTION_HYPOTHESIS, ResolutionTable, extract_rows,
+                      extraction_run_pairs, format_table)
 
 RULES = {False: {"A": "A", "B": "C", "C": "B"}, True: {"A": "C", "B": "A", "C": "B"}}
 SWAP_BC = str.maketrans("BC", "CB")
@@ -598,3 +603,70 @@ def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
         None if run is None else (run.period, *run.final, run.lambda_value)
         for run in run_lanes(g, starts, max_steps)
     ]
+
+
+# -- rt extraction -----------------------------------------------------------
+
+
+def naive_extract_rows(mask: Mask, checked_pairs: list) -> ResolutionTable:
+    """For every node v and slot k of every pair: the row of phase
+    differences mod 3 of node v+o against node v, per column offset o,
+    barred where the complement fills the neighbor's slot, kept when
+    every needed slot has one filling C; a swapped pair also adds the
+    row with every bar flipped."""
+    rows = set()
+    for runs, report, swapped in checked_pairs:
+        assert report.passed
+        filled = filled_rows(*runs)
+        L = len(filled)
+        for v, center_row in enumerate(filled):
+            for k, center in enumerate(center_row):
+                cells = [filled[(v + offset) % L][k] for offset in mask.column_offsets]
+                if None in cells:
+                    continue
+                row = tuple((phi - center[0]) % 3 + (3 if barred else 0)
+                            for phi, barred in cells)
+                rows.add(row)
+                if swapped:
+                    rows.add(tuple((value + 3) % 6 for value in row))
+    return ResolutionTable(mask.point_count, rows, mask=mask, experimental=True,
+                           hypothesis=EXTRACTION_HYPOTHESIS)
+
+
+def passing_pairs(mask: Mask, config: Config) -> list:
+    """The pairs ``extraction_run_pairs`` yields, none when no pair passes."""
+    pairs = []
+    try:
+        pairs.extend(extraction_run_pairs(mask, config))
+    except UnverifiedRuns:
+        assert not pairs
+    return pairs
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 3)])
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+@pytest.mark.parametrize("origin", [0, 1])
+def test_extract_rows_matches_oracle(n, m, level, origin):
+    mask = Mask(n, m)
+    for lmax in (8, 9, 10):
+        pairs = passing_pairs(mask, Config(lmax=lmax, check_level=level, time_origin=origin))
+        if pairs:
+            assert (format_table(extract_rows(mask, pairs))
+                    == format_table(naive_extract_rows(mask, pairs)))
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_extract_rows_matches_oracle_on_hand_built_pairs(swapped):
+    # (1,5) at L=10: BBBBBAAAAA passes light, but its complement's
+    # skeletons are not its own with A and C swapped, and some slots are
+    # filled by both runs or by neither; (1,1) at L=3: ABA's are
+    for mask, L, start in ((Mask(1, 5), 10, "BBBBBAAAAA"), (Mask(1, 1), 3, "ABA")):
+        g = build_graph(mask, L)
+        runs = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
+        report = check_ipf(*runs, level="light")
+        empty = sum(cell is None for row in filled_rows(*runs) for cell in row)
+        assert report.passed and (empty > 0) == (L == 10)
+        pairs = [(runs, report, swapped)]
+        table = extract_rows(mask, pairs)
+        assert table.row_count > 0
+        assert format_table(table) == format_table(naive_extract_rows(mask, pairs))

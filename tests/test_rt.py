@@ -164,6 +164,13 @@ class TestExpand:
         rows = {sub.rows[0] for sub in expand_subtables(t).values()}
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("target", SUBTABLE_TARGETS[1:])
+    def test_only_the_zero_subtable_expands(self, target):
+        sub = expand_subtables(ResolutionTable(3, [(0, 1, 2)]))[target]
+        assert sub.subtable == target
+        with pytest.raises(ValueError, match="sub-table"):
+            expand_subtables(sub)
+
 
 class TestClassify:
     def test_small(self):
@@ -403,6 +410,14 @@ class TestReflect:
         assert r.mask == Mask(3, 1)
         assert r.N == t.N
 
+    @pytest.mark.parametrize("target", SUBTABLE_TARGETS)
+    def test_reflection_keeps_the_subtable(self, target):
+        sub = expand_subtables(build_1_2k1(2, ALL_COMBOS_STEP_TABLE))[target]
+        r = reflect(sub)
+        assert r.subtable == target
+        # substitution acts on each value alone, so it commutes with reflection
+        assert r == expand_subtables(reflect(build_1_2k1(2, ALL_COMBOS_STEP_TABLE)))[target]
+
     def test_symmetric_mask_permutation_involution(self):
         rows = [(1, 0, 2), (4, 5, 3)]
         t = ResolutionTable(3, rows, mask=Mask(1, 1))
@@ -579,6 +594,17 @@ class TestSerialization:
         for tag in ("1;3", "1,x", "0,3"):
             with pytest.raises(RtParseError):
                 parse_table(f"N=3 mask={tag}\n")
+        for target in ("foo", "", "=3", "0", "=+1"):
+            with pytest.raises(RtParseError, match="sub-table"):
+                parse_table(f"N=3 subtable={target}\n")
+
+    @pytest.mark.parametrize("target", SUBTABLE_TARGETS)
+    def test_round_trip_subtable(self, target):
+        sub = expand_subtables(build_1_2k1(2, ALL_COMBOS_STEP_TABLE))[target]
+        text = format_table(sub)
+        assert f"subtable={target} " in text
+        assert parse_table(text).subtable == target
+        assert format_table(parse_table(text)) == text
 
     def test_save_load(self, tmp_path):
         t = build_1_2k1(1, ALL_COMBOS_STEP_TABLE)
