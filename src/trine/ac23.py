@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 from .config import Config
 from .dynamics import LaneReadout, RunRecord, rotate, rotate_readout, rotate_skeletons, step_lanes
 from .graph import MixedGraph, weak_computable
-from .ipf import check_ipf, light_check
+from .ipf import check_ipf, light_check, mirrored
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
@@ -106,7 +106,8 @@ def build_graph(mask: Mask, L: int) -> MixedGraph:
     """
     if L < 3:
         raise ValueError(f"circle size must be at least 3, got {L}")
-    arcs = {(x, (x + s) % L) for x in range(L) for s in connection_set(mask, L)}
+    steps = connection_set(mask, L)
+    arcs = {(x, (x + s) % L) for x in range(L) for s in steps}
     directed = []
     undirected = []
     for u, v in arcs:
@@ -297,31 +298,39 @@ def pair_runs(g: MixedGraph, bits: int, lanes: PairLanes) -> tuple[RunRecord, Ru
                  in ((bits, readout, text), (comp_bits, comp_readout, comp_text)))
 
 
-def _outcome(g: MixedGraph, config: Config, bits: int, lanes: Optional[PairLanes]
-             ) -> Optional[str]:
-    """What a pair of ``iter_pairs`` settles at the configured level:
-    None when it passes, else "unresolved", "degenerate" (a period <= 2)
-    or its first failed condition.  That is the first failed statement
-    of ``ipf.light_check``; at the full level a pair passing those is
-    checked by ``check_ipf`` on ``pair_runs``."""
+def settle_pair(g: MixedGraph, config: Config, bits: int, lanes: Optional[PairLanes]
+                ) -> tuple[Optional[str], bool]:
+    """What a pair of ``iter_pairs`` settles at the configured level, and
+    whether it was settled as ``ipf.mirrored``.
+
+    The outcome is None when the pair passes, else "unresolved",
+    "degenerate" (a period <= 2) or its first failed condition, the one
+    ``check_ipf`` on ``pair_runs`` reports.  That is the first failed
+    statement of ``ipf.light_check``.  At the full level a pair passing
+    those is settled from its skeleton texts when it is mirrored: it
+    passes at time origin 1 and fails [8] at origin 0, and no run or
+    report is built.  Any other pair is wrapped as runs and checked by
+    ``check_ipf``."""
     if lanes is None:
-        return "unresolved"
-    readout, comp_readout = lanes[:2]
+        return "unresolved", False
+    readout, comp_readout, text, comp_text = lanes
     if readout[0] <= 2 or comp_readout[0] <= 2:
-        return "degenerate"
+        return "degenerate", False
     failed = light_check(readout, comp_readout, g.node_count, config.cond1_interpretation)[2]
     if failed or config.check_level == "light":
-        return next(iter(failed), None)
+        return next(iter(failed), None), False
+    if mirrored(text, comp_text):
+        return (None if config.time_origin else "c8"), True
     return check_ipf(*pair_runs(g, bits, lanes), level="full",
                      cond1_interpretation=config.cond1_interpretation,
-                     time_origin=config.time_origin).first_failed_condition
+                     time_origin=config.time_origin).first_failed_condition, False
 
 
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
                 k: int) -> tuple[Optional[tuple[int, int, str]], list]:
     """Run every ``workers``-th index that runs below ``total`` (see
     ``_indices``), from the k-th on, through ``iter_pairs``, up to the
-    first failing pair (see ``_outcome``).  Returns (failure, notes):
+    first failing pair (see ``settle_pair``).  Returns (failure, notes):
     the failure is (index, start bits, first failed condition) or None,
     and notes lists (index, start bits, "unresolved" or "degenerate")
     for each member of a class (see ``iter_pairs``) that did not pass.
@@ -330,7 +339,7 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     notes = []
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
     for index, bits, partner, lanes in iter_pairs(mask, g, config, indices):
-        outcome = _outcome(g, config, bits, lanes)
+        outcome = settle_pair(g, config, bits, lanes)[0]
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):

@@ -33,19 +33,26 @@ class DimensionMismatch(TrineError):
 
 class IncompatibleTables(TrineError):
     """Raised when resolution tables cannot be merged because a row of
-    one appears under a different sub-table label of another.
+    one appears under a different sub-table label of another, or because
+    the two hold different sub-tables.
 
-    Carries the offending evidence: (row, owner_tag, other_tag, target).
+    Carries the offending evidence: (row, owner_tag, other_tag, target),
+    row None when table ``owner`` holds sub-table ``owner_target`` and
+    table ``other`` sub-table ``target``.
     """
 
-    def __init__(self, row, owner, other, target):
+    def __init__(self, row, owner, other, target, owner_target=None):
         super().__init__(
             f"row {row} of table {owner} appears in sub-table {target} of table {other}"
+            if row is not None else
+            f"table {owner} ({owner_target}) and table {other} ({target}) "
+            f"hold different sub-tables"
         )
         self.row = row
         self.owner = owner
         self.other = other
         self.target = target
+        self.owner_target = owner_target
 
 
 class UnconfiguredStepTable(TrineError):
@@ -54,7 +61,7 @@ class UnconfiguredStepTable(TrineError):
 
 
 class UnverifiedRuns(TrineError):
-    """Raised when row extraction is fed a run pair that fails the
+    """Raised when row extraction finds no run pair that passes the
     configured invariant level."""
 
 

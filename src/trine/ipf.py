@@ -45,20 +45,23 @@ origin 0 and even at 1; F(2k-1) and F(2k) always share parity (p grows
 by the C at the odd slot 2k-1); and for even K the last slot's parity,
 that of 1 + T - K - origin, is the same at every node.  Such a pair
 holds [4]..[8] at time origin 1 and fails only [8] at origin 0, which
-one string comparison settles.  Any other pair, and any pair at origin
-0, goes through the cell by cell witness code on the skeletons cut or
-padded to K slots, so every witness and count is the one the slots
-give.  Filled rows are built only by ``filled_rows``, for the pair
-check [8] explains and for ``rt`` extraction, and never reach the
-report JSON; a pair whose skeletons match swapped has them from the
-run's skeletons alone.  Condition failures are reported as data with
-witnesses, never raised.
+one string comparison of the skeleton texts settles (``mirrored``).
+The search and ``rt`` extraction make that comparison on the texts the
+lanes record, before any run or report exists.  Any other pair, and
+any pair at origin 0 in ``check_ipf``, goes through the cell by cell
+witness code on the skeletons cut or padded to K slots, so every
+witness and count is the one the slots give.  Filled rows are built
+only by ``filled_rows``, for the pair check [8] explains and for ``rt``
+extraction, and never reach the report JSON; a mirrored pair has them
+from the run's skeletons alone (``mirrored_filled``), which is how
+``rt`` reads a pair the lanes settled as mirrored.  Condition failures
+are reported as data with witnesses, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dynamics import LaneReadout, RunRecord, unpack
 from .errors import DegenerateRun
@@ -84,10 +87,12 @@ def _refuse_degenerate(run: RunRecord, complement_run: RunRecord) -> None:
         )
 
 
-def _swapped(run: RunRecord, complement_run: RunRecord) -> bool:
-    """Whether the complement's skeletons are the run's with A and C
-    swapped."""
-    return run.skeleton_text == complement_run.skeleton_text.translate(_SWAP_AC)
+def mirrored(text: str, comp_text: str) -> bool:
+    """Whether a pair is *mirrored*: its complement's skeleton text
+    ``comp_text`` is the run's ``text`` with A and C swapped (see
+    ``RunRecord.skeleton_text``).  Such a pair passes [4]..[7], and [8]
+    at time origin 1 only, whenever it passes div3 (module docstring)."""
+    return comp_text == text.translate(_SWAP_AC)
 
 
 def _padded(skeleton: str, slot_count: int) -> str:
@@ -109,16 +114,16 @@ def filled_rows(
     _refuse_degenerate(run, complement_run)
     if slot_count is None:
         slot_count = (run.period + complement_run.period) // 3
-    if _swapped(run, complement_run):
-        return _accepted_filled(run.skeletons, slot_count)
+    if mirrored(run.skeleton_text, complement_run.skeleton_text):
+        return mirrored_filled(run.skeletons, slot_count)
     return _two_skeleton_rows(run.skeletons, complement_run.skeletons, slot_count)
 
 
-def _accepted_filled(skeletons: tuple[str, ...], slot_count: int) -> FilledRows:
-    """The filled-slot rows of a pair whose complement skeletons are
-    the run's with A and C swapped, from the run's skeletons alone: the
-    run's C at slot k is at 1 + k + p_k; else the complement has the C,
-    after its k - p_k C's, at 1 + 2k - p_k."""
+def mirrored_filled(skeletons: Sequence[str], slot_count: int) -> FilledRows:
+    """The filled-slot rows of a mirrored pair (see ``mirrored``), from
+    the run's skeletons alone: the run's C at slot k is at 1 + k + p_k;
+    else the complement has the C, after its k - p_k C's, at 1 + 2k -
+    p_k."""
     rows = []
     for skeleton in skeletons:
         row = []
@@ -414,10 +419,8 @@ def check_ipf(
                 }
             )
         else:
-            # The complement's skeletons are the run's with A and C
-            # swapped: then [4]..[7] hold, and [8] holds at time origin 1
-            # only (see the module docstring).
-            if _swapped(run, complement_run):
+            # a mirrored pair holds [4]..[7], and [8] at origin 1 only
+            if mirrored(run.skeleton_text, complement_run.skeleton_text):
                 c4 = c5 = c6 = c7 = True
                 c8_origin0, c8_origin1 = False, True
                 c8 = time_origin == 1

@@ -16,10 +16,10 @@ ascending.
 Two reconstructions here are hypotheses rather than settled facts and
 mark every output EXPERIMENTAL:
 
-* ``extract_rows`` derives rows from verified run pairs as phase
-  differences mod 3 with a bar for slots filled by the complement run
-  (hypothesis id "phase-diff-mod3-v1"), deduplicated as slot-code
-  tuples in C-level set updates before any row is built.
+* ``extract_rows`` derives rows from the slot codes of verified run
+  pairs as phase differences mod 3 with a bar for slots filled by the
+  complement run (hypothesis id "phase-diff-mod3-v1"), deduplicated as
+  slot-code tuples in C-level set updates before any row is built.
 * ``build_1_2k1`` grows tables for masks (1, 2^k - 1) by tripling rows
   and deriving the new column from the last one via an injected step
   table; the zero column follows the middle-branch sign fractal.
@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import Mask, build_graph, degenerate_at, iter_pairs, pair_runs, parse_mask
+from .ac23 import (Mask, build_graph, degenerate_at, iter_pairs, pair_runs, parse_mask,
+                   settle_pair)
 from .config import Config
-from .dynamics import RunRecord
 from .errors import (
     DimensionMismatch,
     IncompatibleTables,
@@ -41,7 +41,7 @@ from .errors import (
     UnverifiedRuns,
 )
 from .graph import weak_computable
-from .ipf import IpfReport, check_ipf, filled_rows
+from .ipf import FilledRows, filled_rows, mirrored_filled
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -258,7 +258,12 @@ def _check_dims(a: ResolutionTable, b: ResolutionTable) -> None:
 
 
 def _merge_tags(a: ResolutionTable, b: ResolutionTable) -> dict:
+    """The tags of a table made from the rows of a and b: the sub-table
+    both hold, else IncompatibleTables."""
+    if a.subtable != b.subtable:
+        raise IncompatibleTables(None, a.tag(), b.tag(), b.subtable, a.subtable)
     return {
+        "subtable": a.subtable,
         "mask": a.mask if a.mask == b.mask else None,
         "experimental": a.experimental or b.experimental,
         "hypothesis": a.hypothesis if a.hypothesis == b.hypothesis else None,
@@ -375,7 +380,8 @@ def coincidence_matrix(tables: Sequence[ResolutionTable]) -> CoincidenceMatrix:
     for i in range(len(tables)):
         for j in range(i, len(tables)):
             a, b = tables[i], tables[j]
-            inter = intersect(a, b)
+            # the shared rows alone: tables of different sub-tables coincide too
+            inter = ResolutionTable(a.N, a.row_set() & b.row_set())
             if i == j:
                 relation = "self"
             elif a == b:
@@ -518,42 +524,37 @@ def reflect(table: ResolutionTable) -> ResolutionTable:
 # -- extraction from runs --------------------------------------------------
 
 
+# A pair's slot codes, node-major: per node v and slot k, the time of
+# the C filling the slot mod 3, plus 3 when the complement run has it,
+# or None when no single run does; with the pair's node count and its
+# ``swapped`` flag (see ``extraction_run_pairs``).
+PairCodes = tuple[list[Optional[int]], int, bool]
+
+
 def extract_rows(
     mask: Mask,
-    checked_pairs: Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport, bool]],
+    pair_codes: Iterable[PairCodes],
     hypothesis: str = EXTRACTION_HYPOTHESIS,
 ) -> ResolutionTable:
-    """EXPERIMENTAL: derive a table from checked run pairs.
+    """EXPERIMENTAL: derive a table from the slot codes of verified run
+    pairs, as ``extraction_run_pairs`` yields them.
 
-    ``checked_pairs`` holds ((run, complement run), report, swapped)
-    items, as ``extraction_run_pairs`` yields them; a pair whose report
-    did not pass raises UnverifiedRuns.  For every node v and slot k, the
-    row holds, per mask column at offset o, the difference of the
-    integral phases of node v+o and node v at slot k, mod 3, barred when
-    the complement run fills the neighbor's slot (``filled_rows``).  A
-    (v, k) with a needed slot not filled by exactly one run is skipped.
-    A ``swapped`` pair also stands for its swapped pair, whose rows,
-    these with every bar flipped, are added too.
+    For every node v and slot k, the row holds, per mask column at
+    offset o, the difference of the integral phases of node v+o and node
+    v at slot k, mod 3, barred when the complement run fills the
+    neighbor's slot.  A (v, k) with a needed slot not filled by exactly
+    one run is skipped.  A ``swapped`` pair also stands for its swapped
+    pair, whose rows, these with every bar flipped, are added too.
 
-    No cell is visited in Python: a pair's filled rows become one
-    node-major list of slot codes (time mod 3, plus 3 when the complement
-    fills the slot, else None), the column at offset o is that list
-    rotated by o nodes, and ``zip`` over the columns adds every (v, k)
-    tuple to a set per ``swapped`` flag.  Only the distinct tuples, a few
-    hundred per mask, become rows.
+    No cell is visited in Python: the column at offset o is a pair's
+    codes rotated by o nodes, and ``zip`` over the columns adds every
+    (v, k) tuple to a set per ``swapped`` flag.  Only the distinct
+    tuples, a few hundred per mask, become rows.
     """
     offsets = mask.column_offsets
     distinct: dict[bool, set] = {False: set(), True: set()}
-    for runs, report, swapped in checked_pairs:
-        if not report.passed:
-            raise UnverifiedRuns(
-                f"pair starting {runs[0].start_ab!r} fails {report.level} check "
-                f"({report.first_failed_condition})"
-            )
-        filled = filled_rows(*runs)
-        codes = [None if cell is None else cell[0] % 3 + 3 * cell[1]
-                 for row in filled for cell in row]
-        shifts = [offset % len(filled) * len(filled[0]) for offset in offsets]
+    for codes, node_count, swapped in pair_codes:
+        shifts = [offset % node_count * (len(codes) // node_count) for offset in offsets]
         distinct[bool(swapped)].update(zip(*(codes[s:] + codes[:s] for s in shifts)))
     rows = set()
     for flip, tuples in distinct.items():
@@ -569,24 +570,33 @@ def extract_rows(
     )
 
 
-def extraction_run_pairs(
-    mask: Mask, config: Config
-) -> Iterable[tuple[tuple[RunRecord, RunRecord], IpfReport, bool]]:
-    """Checked run pairs for extraction, walking the configured
-    envelope: ((run, complement run), report, swapped) for every pair
-    that passes the configured level, the runs wrapped by ``pair_runs``
-    from the lanes of ``iter_pairs`` and checked by ``check_ipf`` here.
-    Degenerate circle sizes, degenerate runs, unresolved runs and
-    failing pairs are skipped (extraction wants evidence from clean runs
-    only).  Exhaustive sizes yield one start per rotation orbit, and one
-    pair per complement class (see ``iter_pairs``): ``extract_rows``
-    reads every node, so a rotated start would only repeat the same
-    rows, and the class's other necklace gives the pair swapped up to
-    rotation, whose rows ``extract_rows`` adds when ``swapped`` is set
-    (the two necklaces differ).  Sampled sizes yield every passing
-    sample with ``swapped`` unset.  A walk that yields no pair raises
-    UnverifiedRuns: a table needs evidence."""
+def slot_codes(filled: FilledRows) -> list[Optional[int]]:
+    """A pair's slot codes (see ``PairCodes``) from its filled rows."""
+    return [None if cell is None else cell[0] % 3 + 3 * cell[1]
+            for row in filled for cell in row]
+
+
+def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
+    """The slot codes (see ``PairCodes``) of every pair that passes the
+    configured level, walking the configured envelope through
+    ``iter_pairs`` and settling each pair as the search does
+    (``ac23.settle_pair``).  The filled rows of a pair settled as
+    ``ipf.mirrored`` come from the run's skeleton text alone
+    (``ipf.mirrored_filled``, once per distinct node skeleton of the
+    walk); any other passing pair is wrapped by ``pair_runs`` and read
+    by ``filled_rows``.  Degenerate circle sizes, degenerate runs,
+    unresolved runs and failing pairs are skipped (extraction wants
+    evidence from clean runs only).  Exhaustive sizes yield one start
+    per rotation orbit, and one pair per complement class (see
+    ``iter_pairs``): ``extract_rows`` reads every node, so a rotated
+    start would only repeat the same rows, and the class's other
+    necklace gives the pair swapped up to rotation, whose rows
+    ``extract_rows`` adds when ``swapped`` is set (the two necklaces
+    differ).  Sampled sizes yield every passing sample with ``swapped``
+    unset.  A walk that yields no pair raises UnverifiedRuns: a table
+    needs evidence."""
     passed = 0
+    node_codes: dict[str, list] = {}
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L):
             continue
@@ -594,17 +604,22 @@ def extraction_run_pairs(
         if not weak_computable(g):
             continue
         for index, bits, partner, lanes in iter_pairs(mask, g, config):
-            if lanes is None:
+            outcome, is_mirrored = settle_pair(g, config, bits, lanes)
+            if outcome is not None:
                 continue
-            runs = pair_runs(g, bits, lanes)
-            if runs[0].degenerate or runs[1].degenerate:
-                continue
-            report = check_ipf(*runs, level=config.check_level,
-                               cond1_interpretation=config.cond1_interpretation,
-                               time_origin=config.time_origin)
-            if report.passed:
-                passed += 1
-                yield runs, report, partner not in (None, index)
+            passed += 1
+            if is_mirrored:
+                # every node of a passing mirrored pair has K events, and
+                # its codes follow from its skeleton alone
+                codes = []
+                for skeleton in lanes[2].split("2"):
+                    if skeleton not in node_codes:
+                        node_codes[skeleton] = slot_codes(
+                            mirrored_filled((skeleton,), len(skeleton)))
+                    codes += node_codes[skeleton]
+            else:
+                codes = slot_codes(filled_rows(*pair_runs(g, bits, lanes)))
+            yield codes, L, partner not in (None, index)
     if not passed:
         raise UnverifiedRuns(
             f"mask {mask}: no pair passes the {config.check_level} check at "

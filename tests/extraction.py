@@ -1,0 +1,10 @@
+"""``rt.extract_rows`` input for hand-built run pairs."""
+
+from trine.ipf import filled_rows
+from trine.rt import slot_codes
+
+
+def pair_codes(runs, swapped=False):
+    """The ``extract_rows`` item of a run pair (see ``rt.PairCodes``):
+    its slot codes from ``filled_rows``, its node count and ``swapped``."""
+    return slot_codes(filled_rows(*runs)), runs[0].graph.node_count, swapped

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -454,30 +455,10 @@ class TestRotationReduction:
         assert sampled.tested[0]["pairs_run"] == 30
 
 
-@pytest.fixture
-def object_counts(monkeypatch):
-    """Counts of RunRecords built and of check_ipf calls by the search
-    and by rt extraction."""
-    counts = Counter()
-    init, check = RunRecord.__init__, ac23.check_ipf
-
-    def counted_init(self, *args, **kwargs):
-        counts["records"] += 1
-        init(self, *args, **kwargs)
-
-    def counted_check_ipf(*args, **kwargs):
-        counts["checks"] += 1
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(RunRecord, "__init__", counted_init)
-    monkeypatch.setattr(ac23, "check_ipf", counted_check_ipf)
-    monkeypatch.setattr(rt, "check_ipf", counted_check_ipf)
-    return counts
-
-
 class TestLightSweepObjects:
     """A light sweep pairs lane readouts: no RunRecord and no IpfReport
-    per pair.  The full level and rt extraction still read runs."""
+    per pair.  At the full level only a pair that passes light and is
+    not mirrored is wrapped as runs and checked."""
 
     def test_light_classify_mask_builds_no_run_and_no_report(self, object_counts):
         verdict = classify_mask(Mask(1, 5), quick_config(lmax=10, exhaustive_cutoff=10))
@@ -491,13 +472,20 @@ class TestLightSweepObjects:
         assert grid.cells[(1, 5)].status == INCORRECT
         assert object_counts == {}
 
-    def test_full_level_and_extraction_still_check_runs(self, object_counts):
-        verdict = classify_mask(Mask(1, 5), quick_config(lmax=10, check_level="full"))
-        assert verdict.witness == {"L": 7, "start": "BABAAAA", "condition": "div3"}
-        assert object_counts["records"] > 0 and object_counts["checks"] > 0
+    def test_full_level_wraps_only_pairs_that_are_not_mirrored(self, object_counts):
+        # every pair of (1,3) that passes light is mirrored (ipf.mirrored)
+        full = quick_config(lmax=10, exhaustive_cutoff=10, check_level="full")
+        assert classify_mask(Mask(1, 3), full).status == CORRECT_SO_FAR
+        assert list(rt.extraction_run_pairs(Mask(1, 3), full))
+        assert object_counts == {}
+        # (3,9)'s first failure at L=10 passes light but is not mirrored
+        verdict = classify_mask(Mask(3, 9), replace(full, lmin=10))
+        assert verdict.witness == {"L": 10, "start": "BAAABBAAAA", "condition": "c4"}
+        assert object_counts == {"records": 2, "reports": 1}
+        # a light-level extraction reads every pair's filled rows from runs
         object_counts.clear()
-        assert list(rt.extraction_run_pairs(Mask(1, 1), quick_config(lmax=6)))
-        assert object_counts["records"] > 0 and object_counts["checks"] > 0
+        pairs = list(rt.extraction_run_pairs(Mask(1, 1), quick_config(lmax=6)))
+        assert object_counts == {"records": 2 * len(pairs)} and pairs
 
 
 class TestVerdictGrid:

@@ -58,13 +58,15 @@ class TestGoldenOutputs:
             assert (out / "rt" / table.name).read_bytes() == table.read_bytes(), table.name
 
     @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 3)])
-    def test_rt_extract_at_light_level(self, tmp_path, capsys, n, m):
-        # (1,5) holds a passing pair at L=10 whose complement skeletons are
-        # not the run's swapped, so its filled rows hold empty slots
+    @pytest.mark.parametrize("level", ["light", "full"])
+    def test_rt_extract(self, tmp_path, capsys, n, m, level):
+        # (1,5) holds a pair at L=10 that passes light but is not mirrored
+        # (its complement skeletons are not the run's swapped), so its
+        # filled rows hold empty slots; at the full level it fails c4
         out = tmp_path / "t.rt"
-        assert run_cli("rt", "extract", "--n", str(n), "--m", str(m), "--level", "light",
+        assert run_cli("rt", "extract", "--n", str(n), "--m", str(m), "--level", level,
                        "--lmax", "10", "--out", str(out)) == 0
-        golden = DATA / "golden_rt_extract" / f"rt_{n}_{m}_light.rt"
+        golden = DATA / "golden_rt_extract" / f"rt_{n}_{m}_{level}.rt"
         assert out.read_bytes() == golden.read_bytes()
 
     def test_grid_csv(self, tmp_path, capsys):
@@ -491,6 +493,39 @@ class TestRtCommands:
         out = tmp_path / "r.rt"
         assert run_cli("rt", "reflect", str(subs / "sub_m1.rt"), "--out", str(out)) == 0
         assert rt.load_table(out).subtable == "=-1"
+
+    def test_set_algebra_keeps_a_shared_subtable_and_refuses_two(self, tables, tmp_path,
+                                                                 capsys):
+        a, _ = tables
+        subs = tmp_path / "subs"
+        assert run_cli("rt", "expand", str(a), "--outdir", str(subs)) == 0
+        sub_1, sub_2 = subs / "sub_1.rt", subs / "sub_2.rt"
+        out = tmp_path / "u.rt"
+        assert run_cli("rt", "union", str(sub_1), str(sub_1), "--out", str(out)) == 0
+        assert "subtable==1" in out.read_text().splitlines()[0]
+        assert rt.load_table(out) == rt.load_table(sub_1)
+        capsys.readouterr()
+        out = tmp_path / "i.rt"
+        assert run_cli("rt", "intersect", str(sub_1), str(sub_2), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: table [1,3] (=1) and table [1,3] (=2) hold different sub-tables\n")
+        assert not out.exists()
+
+    def test_coincide_takes_tables_of_different_subtables(self, tables, tmp_path, capsys):
+        a, _ = tables
+        subs = tmp_path / "subs"
+        assert run_cli("rt", "expand", str(a), "--outdir", str(subs)) == 0
+        names = ["sub_0.rt", "sub_1.rt", "sub_2.rt"]
+        out = tmp_path / "c.csv"
+        assert run_cli("rt", "coincide", *(str(subs / name) for name in names),
+                       "--csv", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        loaded = [rt.load_table(subs / name) for name in names]
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+        assert [int(row["intersectionCR"]) for row in rows] == [
+            len(loaded[i].row_set() & loaded[j].row_set()) for i, j in pairs]
+        assert [row["relation"] for row in rows][:3] == ["self", "intersect", "intersect"]
 
     def test_unknown_subtable_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.rt"

@@ -16,26 +16,32 @@ nine statements of the ``trine.ipf`` module docstring, evaluated on the
 naive runs, both on one-lane runs and on recorded lane summaries.  The
 light sweep's lane readouts and ``light_check`` are compared with the
 naive runs and the same transcription, with the complement's readout
-also taken from a rotated run on circle graphs.  ``extract_rows``,
-which collects distinct tuples of slot codes, is compared with a row
-built for every node and slot of every pair.
+also taken from a rotated run on circle graphs.  At the full level,
+the search's outcome of every pair is compared with ``check_ipf`` on
+the pair's runs, and a mirrored pair's slot codes, read off its
+skeleton text, with those of its filled rows.  ``extract_rows``, fed by
+``extraction_run_pairs``, is compared with a row built for every node
+and slot of every pair that ``check_ipf`` passes.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from extraction import pair_codes
 from graphgen import random_mixed_graph
 from trine import dynamics, ipf
-from trine.ac23 import Mask, bits_to_coloring, build_graph
+from trine.ac23 import (Mask, bits_to_coloring, build_graph, degenerate_at, iter_pairs,
+                        pair_runs, settle_pair)
 from trine.config import Config
 from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes
 from trine.errors import DegenerateRun, UnverifiedRuns
-from trine.graph import MixedGraph, complement
+from trine.graph import MixedGraph, complement, weak_computable
 from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
-                       filled_rows, light_check)
+                       filled_rows, light_check, mirrored)
 from trine.rt import (EXTRACTION_HYPOTHESIS, ResolutionTable, extract_rows,
                       extraction_run_pairs, format_table)
 
@@ -605,6 +611,80 @@ def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
     ]
 
 
+# -- full-level pairs settled from the lane texts ------------------------------
+
+# (mask, lmax, exhaustive cutoff, max_steps): every start up to L = 10,
+# and (3,9) also with seeded samples at L = 11 and runs cut at 30 steps.
+FULL_LEVEL_WALKS = [((1, 1), 10, 10, 10**6), ((1, 3), 10, 10, 10**6),
+                    ((1, 5), 10, 10, 10**6), ((3, 3), 10, 10, 10**6),
+                    ((3, 9), 11, 10, 30)]
+
+
+def full_level_pairs(mask: Mask, config: Config):
+    """(g, bits, swapped, lanes) for every pair of ``iter_pairs`` at
+    every size ``extraction_run_pairs`` walks."""
+    for L in range(config.lmin, config.lmax + 1):
+        g = build_graph(mask, L)
+        if not degenerate_at(mask, L) and weak_computable(g):
+            for index, bits, partner, lanes in iter_pairs(mask, g, config):
+                yield g, bits, partner not in (None, index), lanes
+
+
+def two_skeleton_codes(runs) -> list:
+    """A pair's node-major slot codes, cell by cell from the walk over
+    both runs' skeletons: time mod 3, plus 3 when the complement fills
+    the slot, else None."""
+    run, comp = runs
+    K = (run.period + comp.period) // 3
+    return [None if cell is None else cell[0] % 3 + 3 * cell[1]
+            for row in ipf._two_skeleton_rows(run.skeletons, comp.skeletons, K)
+            for cell in row]
+
+
+@pytest.mark.parametrize("walk", FULL_LEVEL_WALKS, ids=lambda walk: "{},{}".format(*walk[0]))
+@pytest.mark.parametrize("cond1", COND1_INTERPRETATIONS)
+@pytest.mark.parametrize("origin", [0, 1])
+def test_full_level_outcomes_and_extracted_codes_match_check_ipf(object_counts, walk,
+                                                                cond1, origin):
+    (n, m), lmax, cutoff, max_steps = walk
+    mask = Mask(n, m)
+    config = Config(lmax=lmax, exhaustive_cutoff=cutoff, samples_per_L=60,
+                    max_steps=max_steps, check_level="full", cond1_interpretation=cond1,
+                    time_origin=origin)
+    seen = Counter()
+    extracted = []
+    for g, bits, swapped, lanes in full_level_pairs(mask, config):
+        object_counts.clear()
+        outcome, is_mirrored = settle_pair(g, config, bits, lanes)
+        assert is_mirrored == (lanes is not None and mirrored(*lanes[2:])
+                               and min(lanes[0][0], lanes[1][0]) > 2
+                               and not light_check(*lanes[:2], g.node_count, cond1)[2])
+        if is_mirrored:
+            assert object_counts == {}  # settled from the texts alone
+        if lanes is None:
+            want = "unresolved"
+        elif lanes[0][0] <= 2 or lanes[1][0] <= 2:
+            want = "degenerate"
+        else:
+            runs = pair_runs(g, bits, lanes)
+            want = check_ipf(*runs, level="full", cond1_interpretation=cond1,
+                             time_origin=origin).first_failed_condition
+            if want is None:
+                extracted.append((two_skeleton_codes(runs), g.node_count, swapped))
+        assert outcome == want
+        seen[outcome, is_mirrored] += 1
+    # the raw reading of [1] fails every pair; under the complemented
+    # one the walk holds mirrored pairs, settled by the origin alone
+    assert seen[None if origin else "c8", True] > 0 or cond1 == "raw"
+    assert seen[None, True] == 0 or origin == 1
+    # extraction yields every passing pair's codes, in walk order
+    if extracted:
+        assert list(extraction_run_pairs(mask, config)) == extracted
+    else:
+        with pytest.raises(UnverifiedRuns):
+            list(extraction_run_pairs(mask, config))
+
+
 # -- rt extraction -----------------------------------------------------------
 
 
@@ -633,13 +713,24 @@ def naive_extract_rows(mask: Mask, checked_pairs: list) -> ResolutionTable:
                            hypothesis=EXTRACTION_HYPOTHESIS)
 
 
-def passing_pairs(mask: Mask, config: Config) -> list:
-    """The pairs ``extraction_run_pairs`` yields, none when no pair passes."""
+def checked_pairs(mask: Mask, config: Config) -> list:
+    """((run, complement run), report, swapped) for every pair of the
+    walk ``extraction_run_pairs`` takes that ``check_ipf`` passes at the
+    configured level, every pair wrapped as runs and checked."""
     pairs = []
-    try:
-        pairs.extend(extraction_run_pairs(mask, config))
-    except UnverifiedRuns:
-        assert not pairs
+    for L in range(config.lmin, config.lmax + 1):
+        g = build_graph(mask, L)
+        if degenerate_at(mask, L) or not weak_computable(g):
+            continue
+        for index, bits, partner, lanes in iter_pairs(mask, g, config):
+            if lanes is None or lanes[0][0] <= 2 or lanes[1][0] <= 2:
+                continue
+            runs = pair_runs(g, bits, lanes)
+            report = check_ipf(*runs, level=config.check_level,
+                               cond1_interpretation=config.cond1_interpretation,
+                               time_origin=config.time_origin)
+            if report.passed:
+                pairs.append((runs, report, partner not in (None, index)))
     return pairs
 
 
@@ -649,10 +740,14 @@ def passing_pairs(mask: Mask, config: Config) -> list:
 def test_extract_rows_matches_oracle(n, m, level, origin):
     mask = Mask(n, m)
     for lmax in (8, 9, 10):
-        pairs = passing_pairs(mask, Config(lmax=lmax, check_level=level, time_origin=origin))
+        config = Config(lmax=lmax, check_level=level, time_origin=origin)
+        pairs = checked_pairs(mask, config)
         if pairs:
-            assert (format_table(extract_rows(mask, pairs))
+            assert (format_table(extract_rows(mask, extraction_run_pairs(mask, config)))
                     == format_table(naive_extract_rows(mask, pairs)))
+        else:
+            with pytest.raises(UnverifiedRuns):
+                list(extraction_run_pairs(mask, config))
 
 
 @pytest.mark.parametrize("swapped", [False, True])
@@ -667,6 +762,6 @@ def test_extract_rows_matches_oracle_on_hand_built_pairs(swapped):
         empty = sum(cell is None for row in filled_rows(*runs) for cell in row)
         assert report.passed and (empty > 0) == (L == 10)
         pairs = [(runs, report, swapped)]
-        table = extract_rows(mask, pairs)
+        table = extract_rows(mask, [pair_codes(runs, swapped)])
         assert table.row_count > 0
         assert format_table(table) == format_table(naive_extract_rows(mask, pairs))

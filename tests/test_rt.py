@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extraction import pair_codes
 from trine.ac23 import Mask, _sample_bits, bits_to_coloring, build_graph, degenerate_at
 from trine.config import Config
 from trine.dynamics import run_to_mirror
@@ -443,7 +444,7 @@ def own_pairs(mask, cfg):
                 continue
             report = check_ipf(*pair, level="full")
             if report.passed:
-                pairs.append((pair, report, False))
+                pairs.append(pair_codes(pair))
     return pairs
 
 
@@ -456,40 +457,32 @@ class TestExtraction:
 
     def test_deterministic(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        a = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
-        b = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
+        a = extract_rows(Mask(1, 1), [pair_codes(pair)])
+        b = extract_rows(Mask(1, 1), [pair_codes(pair)])
         assert a == b
 
     def test_fixture_rows(self, ring3):
         pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        t = extract_rows(Mask(1, 1), [(pair, check_ipf(*pair), False)])
+        t = extract_rows(Mask(1, 1), [pair_codes(pair)])
         assert t.N == 3
         assert t.row_count > 0
         # the center column records only its own fill origin
         assert {row[0] for row in t.rows} <= {0, 3}
 
-    def test_light_report_rows_match_full_report_rows(self, ring3):
-        pair = (run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB"))
-        light = check_ipf(*pair, level="light")
-        assert extract_rows(Mask(1, 1), [(pair, light, False)]) == extract_rows(
-            Mask(1, 1), [(pair, check_ipf(*pair), False)]
-        )
-
     def test_unverified_runs_rejected(self):
-        from trine.ac23 import build_graph
-
-        g = build_graph(Mask(1, 5), 7)
-        pair = (run_to_mirror(g, "BABAAAA"), run_to_mirror(g, complement("BABAAAA")))
+        # at time origin 0 a mirrored pair fails [8], and (1,3) holds no
+        # other passing pair up to L = 8: the walk finds no evidence
+        cfg = Config(lmax=8, check_level="full", time_origin=0)
         with pytest.raises(UnverifiedRuns):
-            extract_rows(Mask(1, 5), [(pair, check_ipf(*pair, level="light"), False)])
+            list(extraction_run_pairs(Mask(1, 3), cfg))
 
     @pytest.mark.parametrize("level", ["full", "light"])
-    def test_each_extracted_pair_is_checked_once(self, monkeypatch, level):
+    def test_each_extracted_pair_is_read_once(self, monkeypatch, level):
         # at full level the lanes record the skeletons and every passing
-        # pair's complement skeletons are the run's with A and C swapped:
-        # no run re-walks its states and no pair walks both skeletons; a
-        # light-level pass promises no such match, so extraction reads
-        # each pair's skeletons from its re-walked states
+        # pair is mirrored: its filled rows come from the run's skeleton
+        # text alone, with no run and no report; a light-level pass
+        # promises no such match, so extraction reads each pair's filled
+        # rows from its runs' re-walked states, and checks none
         from trine import ac23, dynamics, ipf
 
         calls = Counter()
@@ -504,23 +497,19 @@ class TestExtraction:
             monkeypatch.setattr(module, name, counted)
 
         count(ac23, "check_ipf")
-        count(rt, "check_ipf")
+        count(rt, "filled_rows")
+        count(rt, "mirrored_filled")
         count(ipf, "_two_skeleton_rows")
         count(dynamics, "_walk")
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
-        extracted = []
-
-        def recorded():
-            for item in extraction_run_pairs(Mask(1, 3), cfg):
-                extracted.append(item)
-                yield item
-
-        assert extract_rows(Mask(1, 3), recorded()).row_count > 0
-        assert calls["check_ipf"] == len(extracted) > 0
+        extracted = list(extraction_run_pairs(Mask(1, 3), cfg))
+        assert extract_rows(Mask(1, 3), extracted).row_count > 0
         if level == "full":
-            assert calls["_two_skeleton_rows"] == calls["_walk"] == 0
+            # once per distinct node skeleton, not once per node
+            assert set(calls) == {"mirrored_filled"}
+            assert calls["mirrored_filled"] < sum(L for _, L, _ in extracted) // 2
         else:
-            assert calls["_walk"] == 2 * len(extracted)
+            assert calls == {"filled_rows": len(extracted), "_walk": 2 * len(extracted)}
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
@@ -539,7 +528,7 @@ class TestExtraction:
         mask = Mask(1, 3)
         cfg = Config(lmax=10, exhaustive_cutoff=7, samples_per_L=40, check_level="full")
         reduced = list(extraction_run_pairs(mask, cfg))
-        sampled = [item for item in reduced if item[0][0].graph.node_count > 7]
+        sampled = [item for item in reduced if item[1] > 7]
         assert len(sampled) == len(own_pairs(mask, replace(cfg, lmin=8))) > 0
         assert not any(swapped for _, _, swapped in sampled)
         assert (format_table(extract_rows(mask, reduced))
