@@ -16,6 +16,7 @@ relative to the envelope it examined; a single failing pair settles
 from __future__ import annotations
 
 import hashlib
+import os
 from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -25,9 +26,9 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import LaneReadout, RunRecord, rotate, rotate_readout, rotate_skeletons, step_lanes
+from .dynamics import rotate, rotate_readout, rotate_skeletons, step_lanes
 from .graph import MixedGraph, weak_computable
-from .ipf import check_ipf, light_check, mirrored
+from .ipf import PairLanes, check_ipf, light_check, mirrored
 
 CORRECT_SO_FAR = "CorrectSoFar"
 INCORRECT = "Incorrect"
@@ -222,13 +223,10 @@ def _pair_starts(
 # a few hundred lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
 
-# A resolved pair's lanes: (readout, complement readout, skeleton text,
-# complement skeleton text), the texts None unless recorded.
-PairLanes = tuple[LaneReadout, LaneReadout, Optional[str], Optional[str]]
-
 
 def iter_pairs(
-    mask: Mask, g: MixedGraph, config: Config, indices: Optional[Iterable[int]] = None
+    mask: Mask, g: MixedGraph, config: Config, record: bool,
+    indices: Optional[Iterable[int]] = None,
 ) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
     """Run the starts with the given indices on the mask's circle graph
     ``g`` (of size L), each with its complement: the one pair walk, for
@@ -237,8 +235,9 @@ def iter_pairs(
     Yields (index, bits, partner, lanes) per pair to check, ``bits``
     being the start's B bits (see ``bits_to_coloring``): ``lanes`` is
     None when either run hit ``max_steps`` (unresolved), else the pair's
-    ``PairLanes``, the complement's readout and skeletons as the
-    complement start's own (see ``pair_runs``).  ``indices``
+    ``ipf.PairLanes``, the complement's readout and skeleton text as
+    those of the complement start (``bits`` with every bit flipped),
+    the texts recorded when ``record`` is set, else None.  ``indices``
     (increasing) defaults to every index that runs at the size (see
     ``_indices``).  Beyond the exhaustive cutoff the index selects a
     seeded sample, ``partner`` is None, and every index yields.
@@ -261,16 +260,16 @@ def iter_pairs(
     self-complementary necklace).
 
     The distinct starts of a few hundred pairs run at a time through
-    ``dynamics.step_lanes``, which records skeletons at the full level
-    only; p's readout and skeletons are rotated up by k into place
-    (``rotate_readout``, ``rotate_skeletons``).  No run object is built
-    here: ``pair_runs`` wraps a pair's lanes for whoever reads runs.
+    ``dynamics.step_lanes``, which records skeletons when ``record`` is
+    set: the search records at the full level only, rt extraction at
+    both.  p's readout and skeletons are rotated up by k into place
+    (``rotate_readout``, ``rotate_skeletons``).  No run object is built:
+    ``ipf`` reads the lanes as they are.
     """
     L = g.node_count
     if indices is None:
         indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
                            else config.samples_per_L)
-    record = config.check_level == "full"
     pairs = _pair_starts(mask, L, config, indices)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
@@ -287,29 +286,18 @@ def iter_pairs(
             yield index, bits, partner, (readout, comp_readout, text, comp_text)
 
 
-def pair_runs(g: MixedGraph, bits: int, lanes: PairLanes) -> tuple[RunRecord, RunRecord]:
-    """The run and the complement run of a resolved pair of
-    ``iter_pairs``, wrapping its lanes; the complement's start is
-    ``bits`` with every bit flipped."""
-    readout, comp_readout, text, comp_text = lanes
-    comp_bits = bits ^ ((1 << g.node_count) - 1)
-    return tuple(RunRecord(g, start, T, (c, b), lam, skeleton_text=skeletons)
-                 for start, (T, c, b, lam), skeletons
-                 in ((bits, readout, text), (comp_bits, comp_readout, comp_text)))
-
-
-def settle_pair(g: MixedGraph, config: Config, bits: int, lanes: Optional[PairLanes]
+def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]
                 ) -> tuple[Optional[str], bool]:
-    """What a pair of ``iter_pairs`` settles at the configured level, and
-    whether it was settled as ``ipf.mirrored``.
+    """What a pair of ``iter_pairs`` on ``g`` settles at the configured
+    level, and whether it was settled as ``ipf.mirrored``.
 
     The outcome is None when the pair passes, else "unresolved",
     "degenerate" (a period <= 2) or its first failed condition, the one
-    ``check_ipf`` on ``pair_runs`` reports.  That is the first failed
-    statement of ``ipf.light_check``.  At the full level a pair passing
-    those is settled from its skeleton texts when it is mirrored: it
-    passes at time origin 1 and fails [8] at origin 0, and no run or
-    report is built.  Any other pair is wrapped as runs and checked by
+    ``check_ipf`` reports.  That is the first failed statement of
+    ``ipf.light_check``.  At the full level, which needs the skeleton
+    texts recorded, a pair passing those is settled from its texts when
+    it is mirrored: it passes at time origin 1 and fails [8] at origin
+    0, and no report is built.  Any other pair is checked by
     ``check_ipf``."""
     if lanes is None:
         return "unresolved", False
@@ -321,7 +309,7 @@ def settle_pair(g: MixedGraph, config: Config, bits: int, lanes: Optional[PairLa
         return next(iter(failed), None), False
     if mirrored(text, comp_text):
         return (None if config.time_origin else "c8"), True
-    return check_ipf(*pair_runs(g, bits, lanes), level="full",
+    return check_ipf(lanes, g.node_count, level="full",
                      cond1_interpretation=config.cond1_interpretation,
                      time_origin=config.time_origin).first_failed_condition, False
 
@@ -338,8 +326,9 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     worker processes."""
     notes = []
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
-    for index, bits, partner, lanes in iter_pairs(mask, g, config, indices):
-        outcome = settle_pair(g, config, bits, lanes)[0]
+    record = config.check_level == "full"  # the full level reads the skeletons
+    for index, bits, partner, lanes in iter_pairs(mask, g, config, record, indices):
+        outcome = settle_pair(g, config, lanes)[0]
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):
@@ -394,11 +383,15 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
 def _mapper(threads: int, initializer=None):
     """A ``map`` that returns results in input order: the builtin one for
     a single thread, else that of a process pool shut down on exit,
-    whose workers each run ``initializer`` first."""
+    whose workers each run ``initializer`` first.  The pool starts at
+    most one process per CPU the process may run on; ``threads`` still
+    sets the batch count, so no result depends on the CPUs."""
     if threads <= 1:
         yield map
         return
-    with ProcessPoolExecutor(max_workers=threads, initializer=initializer) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ProcessPoolExecutor(max_workers=min(threads, cpus or 1),
+                             initializer=initializer) as pool:
         yield pool.map
 
 

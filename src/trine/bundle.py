@@ -47,20 +47,21 @@ def parse_trace_spec(text: str) -> tuple[Mask, int, str]:
 
 def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
                ) -> tuple[RunRecord, Optional[RunRecord], Optional[IpfReport]]:
-    """Run a two-color start and its complement as two lanes of one
-    batch, and check the pair at ``level`` unless the start's run is
-    degenerate: (run, complement run or None, report or None).  Raises
-    MaxStepsExceeded when a run the check needs is unresolved."""
+    """Run a two-color start and its complement as two recorded lanes
+    of one batch, and check at ``level`` the pair of their readouts and
+    skeleton texts unless the start's run is degenerate: (run,
+    complement run or None, report or None).  Raises MaxStepsExceeded
+    when a run the check needs is unresolved."""
     bits = start_bits(g, start)
-    run, comp_run = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)],
-                              cfg.max_steps, record=level == "full")
+    run, comp_run = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], cfg.max_steps)
     if run is None:
         raise MaxStepsExceeded(cfg.max_steps, start)
     if run.degenerate:
         return run, None, None
     if comp_run is None:
         raise MaxStepsExceeded(cfg.max_steps, complement(start))
-    report = check_ipf(run, comp_run, level=level,
+    pair = (run.readout, comp_run.readout, run.skeleton_text, comp_run.skeleton_text)
+    report = check_ipf(pair, g.node_count, level=level,
                        cond1_interpretation=cfg.cond1_interpretation,
                        time_origin=cfg.time_origin)
     return run, comp_run, report

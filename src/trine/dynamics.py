@@ -50,21 +50,26 @@ A finished lane yields one readout, what the light check needs:
 (period, final C bits, final B bits, lambda) as plain ints, lambda read
 straight from the counter planes at the lane's shift (``_lane_lambda``),
 stopping at the first plane that is neither empty nor full.
-``step_lanes`` returns the readouts; ``run_lanes`` wraps each in a
-summary RunRecord.  ``run_to_mirror`` runs one start as one lane.  A
-summary knows its start and its exact period, so the first read of its
-states re-walks that many steps in one lane and keeps them.  On a
-circulant graph, rotating a start rotates its run, so one lane serves
-every rotation of its start: its period and lambda stay, and its final
-state and skeletons rotate (``rotate_readout``, ``rotate_skeletons``).
+On a circulant graph, rotating a start rotates its run, so one lane
+serves every rotation of its start: its period and lambda stay, and its
+final state and skeletons rotate (``rotate_readout``,
+``rotate_skeletons``).
 
 A recording batch (``step_lanes(..., record=True)``) also returns each
-finished lane's skeletons, the per-node histories with the B's dropped
-that the full invariant check and the color counts read.  It keeps each
-step's C bits, and at each repack, or once they hold ``_RECORD_BITS``
-bits, formats them as binary strings and cuts every lane's node columns
-out with strided slices; a column with the B after each C dropped is a
-skeleton.  So the full check never re-walks a run.
+finished lane's skeleton text, the per-node histories with the B's
+dropped that the full invariant check, rt extraction and the color
+counts read.  It keeps each step's C bits, and at each repack, or once
+they hold ``_RECORD_BITS`` bits, formats them as binary strings and cuts
+every lane's node columns out with strided slices; a column with the B
+after each C dropped is a skeleton.  The recorder is the one producer
+of skeletons: no run is walked again for them.
+
+``step_lanes`` returns the readouts and texts, which ``ipf`` reads as
+they are.  ``run_lanes`` records and wraps each lane in a RunRecord,
+the single-run view that traces and the public API show;
+``run_to_mirror`` runs one start as one lane.  A RunRecord knows its
+start and its exact period, so the first read of its states re-walks
+that many steps in one lane and keeps them.
 """
 
 from __future__ import annotations
@@ -178,40 +183,29 @@ def predecessor(g: MixedGraph, coloring: str) -> str:
 
 
 class RunRecord:
-    """A forward trajectory from a two-color start to its mirror state.
+    """A forward trajectory from a two-color start to its mirror state:
+    one recorded lane of ``run_lanes``, the single-run view for traces
+    and the public API.
 
-    ``packed_states`` holds the trajectory at times t = 1..T.  A run
-    from ``run_lanes``, ``run_to_mirror`` or ``ac23.pair_runs`` wraps
-    its lane readout: the period, the final packed state and
-    ``lambda_value`` (the common per-node A-surplus, None if nodes
-    disagree).  From a recording batch it also has its skeletons.  It
-    keeps no counter planes, and re-walks its known period on the first
-    read of its states or, when not recorded, its skeletons; a record
-    built with ``packed_states`` has them from the start.  A trajectory
-    has no B at t = 1, and B at t exactly where C was at t - 1.  The
-    {A,B} start state itself sits before t = 1; ``start_b`` holds its B
-    bits.  A run with T <= 2 is degenerate (no proper mirror state; the
-    uniform all-A and all-B starts are the standard cases) and is
-    flagged as such.
+    It wraps the lane's ``readout``: the period, the final packed state
+    ``final`` and ``lambda_value`` (the common per-node A-surplus, None
+    if nodes disagree), and the lane's skeleton text.  It keeps no
+    counter planes, and re-walks its known period on the first read of
+    its states.  A trajectory has no B at t = 1, and B at t exactly
+    where C was at t - 1.  The {A,B} start state itself sits before
+    t = 1; ``start_b`` holds its B bits.  A run with T <= 2 is
+    degenerate (no proper mirror state; the uniform all-A and all-B
+    starts are the standard cases) and is flagged as such.
     """
 
-    def __init__(
-        self,
-        graph: MixedGraph,
-        start_b: int,
-        period: int,
-        final: tuple[int, int],
-        lambda_value: Optional[int],
-        packed_states: Optional[list[tuple[int, int]]] = None,
-        skeleton_text: Optional[str] = None,
-    ):
+    def __init__(self, graph: MixedGraph, start_b: int, readout: LaneReadout,
+                 skeleton_text: str):
         self.graph = graph
         self.start_b = start_b
-        self.period = period
-        self.final = final
-        self.lambda_value = lambda_value
-        self.degenerate = period <= 2
-        self._packed_states = packed_states
+        self.readout = readout
+        self.period, final_c, final_b, self.lambda_value = readout
+        self.final = final_c, final_b
+        self.degenerate = self.period <= 2
         self._states: Optional[list[str]] = None
         self._skeleton_text = skeleton_text
 
@@ -222,27 +216,12 @@ class RunRecord:
     # -- materialized views -------------------------------------------
 
     @property
-    def packed_states(self) -> list[tuple[int, int]]:
-        """Packed states at t = 1..T; a summary re-walks its period."""
-        if self._packed_states is None:
-            walk = _walk(self.graph, 0, self.start_b)
-            self._packed_states = list(islice(walk, self.period))
-        return self._packed_states
-
-    @property
     def skeleton_text(self) -> str:
         """Per node, its history over t = 1..T with the B's dropped: '1'
         for C, '0' for A; the nodes' skeletons in node order, joined by
         '2'.  Every C but one at T is followed by a B, so the k-th
         character of a skeleton (slot k) is at time 1 + k + (the number
-        of '1's before it).  A run from a recording ``run_lanes`` batch
-        has them already; any other reads them once from its states."""
-        if self._skeleton_text is None:
-            states = self.packed_states
-            texts = [None]
-            _flush([c for c, _ in states], self.graph.node_count, [0], 0,
-                   [(0, len(states))], {}, texts)
-            self._skeleton_text = texts[0]
+        of '1's before it).  Recorded by the lane (see ``step_lanes``)."""
         return self._skeleton_text
 
     @property
@@ -252,10 +231,11 @@ class RunRecord:
 
     @property
     def states(self) -> list[str]:
-        """Colorings at t = 1..T."""
+        """Colorings at t = 1..T, re-walked on the first read."""
         if self._states is None:
             n = self.graph.node_count
-            self._states = [unpack(n, c, b) for c, b in self.packed_states]
+            walk = islice(_walk(self.graph, 0, self.start_b), self.period)
+            self._states = [unpack(n, c, b) for c, b in walk]
         return self._states
 
     @property
@@ -319,7 +299,7 @@ def run_to_mirror(
     g: MixedGraph, start_ab: str, max_steps: int = DEFAULT_MAX_STEPS
 ) -> RunRecord:
     """Walk from a two-color {A,B} start until the mirror state: one lane
-    of ``run_lanes``, whose states re-walk on first read.
+    of ``run_lanes``.
 
     Raises MaxStepsExceeded when the bound is hit (the mirror always
     exists on a finite graph, so the bound was too small).
@@ -368,18 +348,13 @@ def _walk(g: MixedGraph, c: int, b: int) -> Iterator[tuple[int, int]]:
 
 
 def run_lanes(
-    g: MixedGraph,
-    starts: list[int],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    record: bool = False,
+    g: MixedGraph, starts: list[int], max_steps: int = DEFAULT_MAX_STEPS
 ) -> list[Optional[RunRecord]]:
-    """``step_lanes`` with each readout wrapped: one summary RunRecord
-    per start, in order, or None for a start whose run is unresolved
-    after ``max_steps`` steps.  With ``record`` set, each summary also
-    carries its skeletons (see ``RunRecord.skeletons``)."""
-    readouts, texts = step_lanes(g, starts, max_steps, record)
-    return [None if readout is None else
-            RunRecord(g, bits, readout[0], readout[1:3], readout[3], skeleton_text=text)
+    """A recording ``step_lanes`` batch with each lane wrapped: one
+    RunRecord per start, in order, or None for a start whose run is
+    unresolved after ``max_steps`` steps."""
+    readouts, texts = step_lanes(g, starts, max_steps, record=True)
+    return [None if readout is None else RunRecord(g, bits, readout, text)
             for bits, readout, text in zip(starts, readouts, texts)]
 
 

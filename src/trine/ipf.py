@@ -4,17 +4,21 @@ nine-statement check over a run and its complement run.
 Every node's history over t = 1..T is condensed onto "slots": each A or
 C event takes the next slot index k = 0, 1, 2, ...; a B never opens a
 slot.  The node's *skeleton* is its history with the B's dropped, '1'
-for C and '0' for A (``RunRecord.skeletons``), so slot k is character k
-and the event count is the skeleton's length.  With T and T-bar the
-periods of the two runs, the nominal slot count is K = (T + T-bar) / 3;
-nodes whose event count differs from K are flagged (slot overflow)
-rather than rejected, because searches need failures as evidence.
+for C and '0' for A, so slot k is character k and the event count is
+the skeleton's length; a run's *skeleton text* is its nodes' skeletons
+in node order, joined by '2'.  With T and T-bar the periods of the two
+runs, the nominal slot count is K = (T + T-bar) / 3; nodes whose event
+count differs from K are flagged (slot overflow) rather than rejected,
+because searches need failures as evidence.
 
 Slot times follow from the skeleton.  Every C but one at T is followed
 by a B, so a C at slot k sits at t_k = 1 + k + p_k (its integral
 phase), p_k counting the C's before slot k.  Where exactly one run has
 a C at a slot, that C fills it: ``filled_rows`` gives each node's row of
 (t_k, from_complement) for the filling C, or None.
+
+The pair of runs is read as the lanes record it (``PairLanes``): each
+run's readout and skeleton text (see ``dynamics.step_lanes``).
 
 The statements checked, over the pair of runs:
 
@@ -63,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-from .dynamics import LaneReadout, RunRecord, unpack
+from .dynamics import LaneReadout, unpack
 from .errors import DegenerateRun
 
 CHECK_LEVELS = ("light", "full")
@@ -75,23 +79,28 @@ _WITNESS_CAP = 8
 # Per node and slot: (time, from_complement) of the filling C event, or None.
 FilledRows = tuple[tuple[Optional[tuple[int, bool]], ...], ...]
 
+# A run pair as the lanes give it: (readout, complement readout, skeleton
+# text, complement skeleton text), the texts None unless recorded (see
+# ``dynamics.step_lanes``).  The full level and ``filled_rows`` read the
+# texts.
+PairLanes = tuple[LaneReadout, LaneReadout, Optional[str], Optional[str]]
+
 
 # Swaps A ('0') and C ('1') in a skeleton.
 _SWAP_AC = str.maketrans("01", "10")
 
 
-def _refuse_degenerate(run: RunRecord, complement_run: RunRecord) -> None:
-    if run.degenerate or complement_run.degenerate:
-        raise DegenerateRun(
-            f"periods {run.period}, {complement_run.period}: no mirror trajectory"
-        )
+def _refuse_degenerate(pair: PairLanes) -> None:
+    T, Tbar = pair[0][0], pair[1][0]
+    if T <= 2 or Tbar <= 2:
+        raise DegenerateRun(f"periods {T}, {Tbar}: no mirror trajectory")
 
 
 def mirrored(text: str, comp_text: str) -> bool:
     """Whether a pair is *mirrored*: its complement's skeleton text
-    ``comp_text`` is the run's ``text`` with A and C swapped (see
-    ``RunRecord.skeleton_text``).  Such a pair passes [4]..[7], and [8]
-    at time origin 1 only, whenever it passes div3 (module docstring)."""
+    ``comp_text`` is the run's ``text`` with A and C swapped.  Such a
+    pair passes [4]..[7], and [8] at time origin 1 only, whenever it
+    passes div3 (module docstring)."""
     return comp_text == text.translate(_SWAP_AC)
 
 
@@ -101,22 +110,21 @@ def _padded(skeleton: str, slot_count: int) -> str:
     return skeleton[:slot_count].ljust(slot_count, "-")
 
 
-def filled_rows(
-    run: RunRecord, complement_run: RunRecord, slot_count: Optional[int] = None
-) -> FilledRows:
-    """The C event that fills each slot, per node: (time,
-    from_complement) when exactly one of the two runs has a C at the
-    slot, None otherwise.
+def filled_rows(pair: PairLanes, slot_count: Optional[int] = None) -> FilledRows:
+    """The C event that fills each slot, per node, of a recorded pair:
+    (time, from_complement) when exactly one of the two runs has a C at
+    the slot, None otherwise.
 
     ``slot_count`` defaults to (T + T-bar) // 3, the value the
     invariant predicts; every row has that many slots.
     """
-    _refuse_degenerate(run, complement_run)
+    _refuse_degenerate(pair)
+    (T, *_), (Tbar, *_), text, comp_text = pair
     if slot_count is None:
-        slot_count = (run.period + complement_run.period) // 3
-    if mirrored(run.skeleton_text, complement_run.skeleton_text):
-        return mirrored_filled(run.skeletons, slot_count)
-    return _two_skeleton_rows(run.skeletons, complement_run.skeletons, slot_count)
+        slot_count = (T + Tbar) // 3
+    if mirrored(text, comp_text):
+        return mirrored_filled(text.split("2"), slot_count)
+    return _two_skeleton_rows(text.split("2"), comp_text.split("2"), slot_count)
 
 
 def mirrored_filled(skeletons: Sequence[str], slot_count: int) -> FilledRows:
@@ -139,7 +147,7 @@ def mirrored_filled(skeletons: Sequence[str], slot_count: int) -> FilledRows:
 
 
 def _two_skeleton_rows(
-    skeletons: tuple[str, ...], comp_skeletons: tuple[str, ...], slot_count: int
+    skeletons: Sequence[str], comp_skeletons: Sequence[str], slot_count: int
 ) -> FilledRows:
     """The filled-slot rows of any pair, walking both runs' skeletons:
     a C at slot k is at 1 + k + (the C's before it in its own run)."""
@@ -316,13 +324,13 @@ def _check_phase_pattern(
 
 
 def _explain_slot_failures(
-    run: RunRecord, complement_run: RunRecord, K: int, time_origin: int,
-    witnesses: list, failure_counts: dict,
+    pair: PairLanes, K: int, time_origin: int, witnesses: list, failure_counts: dict,
 ) -> tuple:
     """Slot overflow and [4]..[8] cell by cell on the skeletons of a
-    pair that fails one of them, adding each failure's witnesses and
-    count: (c4, c5, c6, c7, c8, c8 at origin 0, c8 at origin 1)."""
-    skeletons, comp_skeletons = run.skeletons, complement_run.skeletons
+    recorded pair that fails one of them, adding each failure's
+    witnesses and count: (c4, c5, c6, c7, c8, c8 at origin 0, c8 at
+    origin 1)."""
+    skeletons, comp_skeletons = pair[2].split("2"), pair[3].split("2")
     for run_skeletons, tag in ((skeletons, "run"), (comp_skeletons, "complement run")):
         for v, skeleton in enumerate(run_skeletons):
             if len(skeleton) != K:
@@ -356,7 +364,7 @@ def _explain_slot_failures(
             )
 
     c8_failures, c8_witnesses, c8_other = _check_phase_pattern(
-        filled_rows(run, complement_run, K), K, time_origin
+        filled_rows(pair, K), K, time_origin
     )
     c8 = c8_failures == 0
     if not c8:
@@ -367,13 +375,15 @@ def _explain_slot_failures(
 
 
 def check_ipf(
-    run: RunRecord,
-    complement_run: RunRecord,
+    pair: PairLanes,
+    node_count: int,
     level: str = "full",
     cond1_interpretation: str = "complemented",
     time_origin: int = 1,
 ) -> IpfReport:
-    """Evaluate the invariant on a run pair.
+    """Evaluate the invariant on a run pair of a graph with
+    ``node_count`` nodes; the full level reads the pair's skeleton
+    texts, which must be recorded.
 
     Degenerate runs (period <= 2) cannot be checked and raise
     DegenerateRun; everything else comes back as a report, including
@@ -385,18 +395,16 @@ def check_ipf(
         raise ValueError(f"unknown interpretation {cond1_interpretation!r}")
     if time_origin not in (0, 1):
         raise ValueError("time_origin must be 0 or 1")
-    _refuse_degenerate(run, complement_run)
+    _refuse_degenerate(pair)
 
-    T, Tbar = run.period, complement_run.period
-    lam = run.lambda_value
-    lam_bar = complement_run.lambda_value
+    readout, comp_readout, text, comp_text = pair
+    T, lam = readout[0], readout[3]
+    Tbar, lam_bar = comp_readout[0], comp_readout[3]
     witnesses: list = []
     failure_counts: dict = {}
 
     c1_raw, c1_complemented, failed = light_check(
-        (T, *run.final, lam), (Tbar, *complement_run.final, lam_bar),
-        run.graph.node_count, cond1_interpretation,
-    )
+        readout, comp_readout, node_count, cond1_interpretation)
     div3, c1, c2, c3 = (name not in failed for name in LIGHT_CONDITIONS)
     K = (T + Tbar) // 3 if div3 else None
     for name, detail in failed.items():
@@ -420,13 +428,13 @@ def check_ipf(
             )
         else:
             # a mirrored pair holds [4]..[7], and [8] at origin 1 only
-            if mirrored(run.skeleton_text, complement_run.skeleton_text):
+            if mirrored(text, comp_text):
                 c4 = c5 = c6 = c7 = True
                 c8_origin0, c8_origin1 = False, True
                 c8 = time_origin == 1
             if not c8:
                 c4, c5, c6, c7, c8, c8_origin0, c8_origin1 = _explain_slot_failures(
-                    run, complement_run, K, time_origin, witnesses, failure_counts)
+                    pair, K, time_origin, witnesses, failure_counts)
             full_ok = light_ok and all((c4, c5, c6, c7, c8))
 
     return IpfReport(

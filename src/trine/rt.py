@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import (Mask, build_graph, degenerate_at, iter_pairs, pair_runs, parse_mask,
+from .ac23 import (Mask, build_graph, degenerate_at, iter_pairs, parse_mask,
                    settle_pair)
 from .config import Config
 from .errors import (
@@ -579,12 +579,12 @@ def slot_codes(filled: FilledRows) -> list[Optional[int]]:
 def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     """The slot codes (see ``PairCodes``) of every pair that passes the
     configured level, walking the configured envelope through
-    ``iter_pairs`` and settling each pair as the search does
-    (``ac23.settle_pair``).  The filled rows of a pair settled as
-    ``ipf.mirrored`` come from the run's skeleton text alone
-    (``ipf.mirrored_filled``, once per distinct node skeleton of the
-    walk); any other passing pair is wrapped by ``pair_runs`` and read
-    by ``filled_rows``.  Degenerate circle sizes, degenerate runs,
+    ``iter_pairs``, which records skeletons at both levels, and settling
+    each pair as the search does (``ac23.settle_pair``).  The filled
+    rows of a pair settled as ``ipf.mirrored`` come from the run's
+    skeleton text alone (``ipf.mirrored_filled``, once per distinct node
+    skeleton of the walk); ``filled_rows`` reads any other passing
+    pair's lanes.  Degenerate circle sizes, degenerate runs,
     unresolved runs and failing pairs are skipped (extraction wants
     evidence from clean runs only).  Exhaustive sizes yield one start
     per rotation orbit, and one pair per complement class (see
@@ -603,8 +603,8 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
         g = build_graph(mask, L)
         if not weak_computable(g):
             continue
-        for index, bits, partner, lanes in iter_pairs(mask, g, config):
-            outcome, is_mirrored = settle_pair(g, config, bits, lanes)
+        for index, _, partner, lanes in iter_pairs(mask, g, config, True):
+            outcome, is_mirrored = settle_pair(g, config, lanes)
             if outcome is not None:
                 continue
             passed += 1
@@ -618,7 +618,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
                             mirrored_filled((skeleton,), len(skeleton)))
                     codes += node_codes[skeleton]
             else:
-                codes = slot_codes(filled_rows(*pair_runs(g, bits, lanes)))
+                codes = slot_codes(filled_rows(lanes))
             yield codes, L, partner not in (None, index)
     if not passed:
         raise UnverifiedRuns(

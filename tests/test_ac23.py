@@ -1,9 +1,11 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from math import gcd
 
 import pytest
 
+from extraction import lanes_of
 from trine import ac23, rt
 from trine.ac23 import (
     CORRECT_SO_FAR,
@@ -20,7 +22,7 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.dynamics import RunRecord, rotate, run_to_mirror
+from trine.dynamics import rotate, run_to_mirror
 from trine.errors import MaxStepsExceeded
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
@@ -270,7 +272,7 @@ def naive_envelope(mask, config, total=None):
             if run.degenerate or comp_run.degenerate:
                 degenerate += 1
                 continue
-            report = check_ipf(run, comp_run, level=config.check_level,
+            report = check_ipf(lanes_of(run, comp_run), L, level=config.check_level,
                                cond1_interpretation=config.cond1_interpretation,
                                time_origin=config.time_origin)
             tested += 1
@@ -456,9 +458,10 @@ class TestRotationReduction:
 
 
 class TestLightSweepObjects:
-    """A light sweep pairs lane readouts: no RunRecord and no IpfReport
-    per pair.  At the full level only a pair that passes light and is
-    not mirrored is wrapped as runs and checked."""
+    """A sweep and an extraction pair lane readouts and texts: no
+    RunRecord and, at the light level, no IpfReport per pair.  At the
+    full level only a pair that passes light and is not mirrored is
+    checked by ``check_ipf``."""
 
     def test_light_classify_mask_builds_no_run_and_no_report(self, object_counts):
         verdict = classify_mask(Mask(1, 5), quick_config(lmax=10, exhaustive_cutoff=10))
@@ -472,7 +475,7 @@ class TestLightSweepObjects:
         assert grid.cells[(1, 5)].status == INCORRECT
         assert object_counts == {}
 
-    def test_full_level_wraps_only_pairs_that_are_not_mirrored(self, object_counts):
+    def test_full_level_reports_only_on_pairs_that_are_not_mirrored(self, object_counts):
         # every pair of (1,3) that passes light is mirrored (ipf.mirrored)
         full = quick_config(lmax=10, exhaustive_cutoff=10, check_level="full")
         assert classify_mask(Mask(1, 3), full).status == CORRECT_SO_FAR
@@ -481,11 +484,80 @@ class TestLightSweepObjects:
         # (3,9)'s first failure at L=10 passes light but is not mirrored
         verdict = classify_mask(Mask(3, 9), replace(full, lmin=10))
         assert verdict.witness == {"L": 10, "start": "BAAABBAAAA", "condition": "c4"}
-        assert object_counts == {"records": 2, "reports": 1}
-        # a light-level extraction reads every pair's filled rows from runs
+        assert object_counts == {"reports": 1}
+        # a light-level extraction reads every pair's filled rows from its
+        # recorded lanes
         object_counts.clear()
         pairs = list(rt.extraction_run_pairs(Mask(1, 1), quick_config(lmax=6)))
-        assert object_counts == {"records": 2 * len(pairs)} and pairs
+        assert object_counts == {} and pairs
+
+
+def burnside_classes(L: int) -> int:
+    """Binary necklaces of length L up to rotation and complement (OEIS
+    A000013; Gilbert & Riordan, Illinois J. Math. 5, 1961):
+    sum(phi(2d) * 2**(L/d) for d | L) / (2L)."""
+    def phi(n):
+        return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+    return sum(phi(2 * d) * 2 ** (L // d) for d in range(1, L + 1) if L % d == 0) // (2 * L)
+
+
+def test_pair_starts_yield_one_start_per_rotation_and_complement_class():
+    config = quick_config(lmax=16, exhaustive_cutoff=16)
+    counts = []
+    for L in range(3, 17):
+        starts = [r for r, *_ in ac23._pair_starts(Mask(1, 1), L, config,
+                                                   ac23._indices(L, config, 2**L))]
+        assert len(set(starts)) == len(starts)
+        counts.append(len(starts))
+    assert counts == [burnside_classes(L) for L in range(3, 17)] == [
+        2, 4, 4, 8, 10, 20, 30, 56, 94, 180, 316, 596, 1096, 2068]
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that maps in this process and
+    records the pool sizes asked for."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None, initializer=None):
+        self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+class TestProcessPool:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """RecordingPool in place of the process pool, on two CPUs."""
+        monkeypatch.setattr(ac23, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(ac23, "_worker_memo", None)
+        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        return RecordingPool
+
+    def test_pool_processes_are_capped_at_the_cpus(self, pool):
+        # eight batches, two CPUs: two processes, and the verdict of one
+        assert classify_mask(Mask(1, 5), quick_config(threads=8)).to_json_dict() == (
+            classify_mask(Mask(1, 5), quick_config()).to_json_dict())
+        grid = verdict_grid(5, 5, quick_config(lmax=6, threads=3))
+        assert grid.csv_rows() == verdict_grid(5, 5, quick_config(lmax=6)).csv_rows()
+        assert pool.sizes == [2, 2]
+
+    def test_fewer_batches_than_cpus_start_one_process_each(self, pool, monkeypatch):
+        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        classify_mask(Mask(1, 3), quick_config(threads=3))
+        assert pool.sizes == [3]
 
 
 class TestVerdictGrid:

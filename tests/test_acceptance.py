@@ -18,6 +18,7 @@ import random
 import time
 from pathlib import Path
 
+from extraction import lanes_of
 from graphgen import (
     random_coloring,
     random_mixed_graph,
@@ -72,7 +73,7 @@ def test_criterion_03_fixture_golden_trace():
     ring3 = MixedGraph(3, undirected=[(0, 1), (1, 2), (0, 2)])
     run = run_to_mirror(ring3, golden["start"])
     comp = run_to_mirror(ring3, golden["complementStart"])
-    rep = check_ipf(run, comp, level="full",
+    rep = check_ipf(lanes_of(run, comp), 3, level="full",
                     cond1_interpretation="complemented", time_origin=0)
     actual = {
         "mask": [1, 1],

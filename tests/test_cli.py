@@ -74,17 +74,18 @@ class TestGoldenOutputs:
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
 
-    def test_trace_on_a_graph_that_is_not_circulant(self, tmp_path, capsys):
+    @pytest.mark.parametrize("level", ["light", "full"])
+    def test_trace_on_a_graph_that_is_not_circulant(self, tmp_path, capsys, level):
         # tests/graphgen.py: rng = random.Random(120);
         # random_mixed_graph(rng, max_nodes=11, min_nodes=9), then
         # random_two_color(rng, 11) is the start
-        golden = DATA / "golden_trace_mixed"
-        graph = golden / "mixed120.json"
+        graph = DATA / "golden_trace_mixed" / "mixed120.json"
+        golden = graph.parent / "light" if level == "light" else graph.parent
         g = MixedGraph.load(graph)
         assert any(mask != (1 << g.node_count) - 1 for _, mask in g.offset_masks)
         out = tmp_path / "t"
         assert run_cli("trace", "--graph", str(graph), "--start", "ABBBAAABAAA",
-                       "--out", str(out)) == 0
+                       "--level", level, "--out", str(out)) == 0
         assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
         for name in ("trace.csv", "complement_trace.csv", "run.json", "ipf.json"):
             assert (out / name).read_bytes() == (golden / name).read_bytes()

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from extraction import lanes_of
 from graphgen import random_two_color
 from trine.ac23 import Mask, build_graph
-from trine.dynamics import RunRecord, pack, run_to_mirror
+from trine.dynamics import pack, run_to_mirror
 from trine.errors import DegenerateRun
-from trine.graph import MixedGraph, complement
+from trine.graph import complement
 from trine.ipf import check_ipf, filled_rows
 
 
@@ -15,16 +16,19 @@ def fixture_pair(ring3):
     return run_to_mirror(ring3, "ABA"), run_to_mirror(ring3, "BAB")
 
 
-def one_node_run(history: str) -> RunRecord:
-    """A one-node run whose packed states spell ``history``, a
-    trajectory: no B at t = 1, and a B exactly after each C."""
-    packed = [pack(color) for color in history]
-    return RunRecord(MixedGraph(1), 0, len(history), packed[-1], None, packed)
+def one_node_pair(history: str, comp_history: str):
+    """The lanes (see ``ipf.PairLanes``) of two one-node runs whose
+    states spell the given histories, trajectories each: no B at t = 1,
+    and a B exactly after each C."""
+    readouts = [(len(h), *pack(h[-1]), None) for h in (history, comp_history)]
+    texts = [h.replace("B", "").translate(str.maketrans("AC", "01"))
+             for h in (history, comp_history)]
+    return (*readouts, *texts)
 
 
 def node_filled(history: str, comp_history: str, slot_count: int) -> tuple:
     """filled_rows' row for a pair of one-node runs."""
-    return filled_rows(one_node_run(history), one_node_run(comp_history), slot_count)[0]
+    return filled_rows(one_node_pair(history, comp_history), slot_count)[0]
 
 
 class TestSlotsFromHistory:
@@ -42,7 +46,7 @@ class TestSlotsFromHistory:
         assert node_filled("CBCB", "AAAA", 2) == ((1, False), (3, False))
 
     def test_overflow_reported_via_count(self):
-        report = check_ipf(one_node_run("AAAA"), one_node_run("CBCBC"))
+        report = check_ipf(one_node_pair("AAAA", "CBCBC"), 1)
         assert report.K == 3
         assert [w for w in report.witnesses if w["condition"] == "slots"] == [
             {"condition": "slots", "node": 0, "detail": "run: 4 events for 3 slots"}]
@@ -60,7 +64,7 @@ class TestBuildSlots:
         # then C in the run and C then A in the complement; every node has
         # two events in both runs, so no node overflows
         run, comp = fixture_pair
-        report = check_ipf(run, comp)
+        report = check_ipf(lanes_of(run, comp), run.graph.node_count)
         assert report.K == 2
         assert run.skeletons[0] == "01"
         assert comp.skeletons[0] == "10"
@@ -74,7 +78,7 @@ class TestFilledSlots:
     def test_fixture_rows(self, fixture_pair):
         # node 0: the complement's C at t=1 fills slot 0, the run's C at
         # t=2 fills slot 1
-        assert filled_rows(*fixture_pair) == (
+        assert filled_rows(lanes_of(*fixture_pair)) == (
             ((1, True), (2, False)),
             ((1, False), (2, True)),
             ((1, True), (2, False)),
@@ -90,28 +94,28 @@ class TestFilledSlots:
         a = run_to_mirror(ring3, "AAA")
         b = run_to_mirror(ring3, "BBB")
         with pytest.raises(DegenerateRun):
-            filled_rows(a, b)
+            filled_rows(lanes_of(a, b))
 
     def test_report_json_carries_no_rows(self, fixture_pair):
-        data = check_ipf(*fixture_pair, level="full").to_json_dict()
+        data = check_ipf(lanes_of(*fixture_pair), 3, level="full").to_json_dict()
         assert not {"filled", "runs"} & set(data)
 
     def test_rows_of_a_pair_that_fails_the_slot_conditions(self):
         # (1,5) at L=7: BAABAAA fails [4]..[7], and every node has 9
         # events in the run and 11 in the complement for K = 10 slots
         run, comp = pair_for(Mask(1, 5), 7, "BAABAAA")
-        report = check_ipf(run, comp, level="full")
+        report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="full")
         assert report.c4 is False
         overflow = [w["detail"] for w in report.witnesses if w["condition"] == "slots"]
         assert overflow == ["run: 9 events for 10 slots"] * 7 + [
             "complement run: 11 events for 10 slots"] * 7
         assert report.failure_counts["slots"] == 14
-        assert filled_rows(run, comp)[3][6:] == ((10, True), None, None, None)
+        assert filled_rows(lanes_of(run, comp))[3][6:] == ((10, True), None, None, None)
 
     def test_c8_at_origin0_fails_on_every_first_phase(self, fixture_pair):
         # counted from 0 every F(0) is odd, and nothing else fails, so
         # the pattern holds at origin 1
-        report = check_ipf(*fixture_pair, level="full", time_origin=0)
+        report = check_ipf(lanes_of(*fixture_pair), 3, level="full", time_origin=0)
         assert [w["detail"] for w in report.witnesses] == [
             "F(0)=3 is odd", "F(0)=1 is odd", "F(0)=3 is odd"]
         assert (report.c8_origin0, report.c8_origin1) == (False, True)
@@ -119,7 +123,7 @@ class TestFilledSlots:
 
 class TestCheckIpf:
     def test_fixture_report(self, fixture_pair):
-        report = check_ipf(*fixture_pair, level="full", time_origin=0)
+        report = check_ipf(lanes_of(*fixture_pair), 3, level="full", time_origin=0)
         assert (report.T, report.Tbar) == (3, 3)
         assert (report.lambda_value, report.lambda_bar) == (0, 0)
         assert report.K == 2
@@ -134,28 +138,28 @@ class TestCheckIpf:
         assert report.c8 is False and report.full_ok is False
 
     def test_fixture_full_with_calibrated_origin(self, fixture_pair):
-        report = check_ipf(*fixture_pair, level="full", time_origin=1)
+        report = check_ipf(lanes_of(*fixture_pair), 3, level="full", time_origin=1)
         assert report.c8 is True
         assert report.full_ok is True
 
     def test_raw_interpretation_fails_fixture(self, fixture_pair):
-        report = check_ipf(*fixture_pair, cond1_interpretation="raw")
+        report = check_ipf(lanes_of(*fixture_pair), 3, cond1_interpretation="raw")
         assert report.c1 is False
         assert not report.light_ok
         assert any(w["condition"] == "c1" for w in report.witnesses)
 
     def test_light_level_leaves_slot_conditions_unevaluated(self, fixture_pair):
-        report = check_ipf(*fixture_pair, level="light")
+        report = check_ipf(lanes_of(*fixture_pair), 3, level="light")
         assert report.light_ok
         assert report.c4 is None and report.c8 is None
         assert report.full_ok is None
 
     def test_degenerate_raises(self, ring3):
         with pytest.raises(DegenerateRun):
-            check_ipf(run_to_mirror(ring3, "AAA"), run_to_mirror(ring3, "BBB"))
+            check_ipf(lanes_of(run_to_mirror(ring3, "AAA"), run_to_mirror(ring3, "BBB")), 3)
 
     def test_json_contract(self, fixture_pair):
-        data = check_ipf(*fixture_pair).to_json_dict()
+        data = check_ipf(lanes_of(*fixture_pair), 3).to_json_dict()
         for key in ("T", "Tbar", "lambda", "lambdaBar", "K", "div3", "light",
                     "full", "witnesses"):
             assert key in data
@@ -164,11 +168,11 @@ class TestCheckIpf:
 
     def test_bad_arguments(self, fixture_pair):
         with pytest.raises(ValueError):
-            check_ipf(*fixture_pair, level="medium")
+            check_ipf(lanes_of(*fixture_pair), 3, level="medium")
         with pytest.raises(ValueError):
-            check_ipf(*fixture_pair, cond1_interpretation="inverted")
+            check_ipf(lanes_of(*fixture_pair), 3, cond1_interpretation="inverted")
         with pytest.raises(ValueError):
-            check_ipf(*fixture_pair, time_origin=2)
+            check_ipf(lanes_of(*fixture_pair), 3, time_origin=2)
 
 
 def pair_for(mask, L, start, max_steps=10**6):
@@ -180,7 +184,7 @@ class TestOnMaskRuns:
     def test_known_bad_pair(self):
         # smallest failing pair of the incorrect mask (1,5)
         run, comp = pair_for(Mask(1, 5), 7, "BABAAAA")
-        report = check_ipf(run, comp, level="light")
+        report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="light")
         assert not report.light_ok
         assert report.first_failed_condition == "div3"
         assert any(w["condition"] == "div3" for w in report.witnesses)
@@ -195,7 +199,7 @@ class TestOnMaskRuns:
             run, comp = pair_for(mask, L, start)
             if run.degenerate or comp.degenerate:
                 continue
-            report = check_ipf(run, comp, level="full")
+            report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="full")
             assert report.c2 and report.c3
             for n_a, n_b, n_c in run.color_counts:
                 assert n_a + n_c == report.K
@@ -211,7 +215,7 @@ class TestOnMaskRuns:
             run, comp = pair_for(mask, L, random_two_color(rng, L))
             if run.degenerate or comp.degenerate:
                 continue
-            report = check_ipf(run, comp, level="full")
+            report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="full")
             if report.c4 and report.c6:
                 assert report.c5 and report.c7
             if report.full_ok is False:
@@ -227,14 +231,14 @@ class TestOnMaskRuns:
                     run, comp = pair_for(mask, L, start)
                     if run.degenerate or comp.degenerate:
                         continue
-                    report = check_ipf(run, comp, level="full", time_origin=1)
+                    report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="full", time_origin=1)
                     assert report.full_ok, (mask, L, start, report.first_failed_condition)
 
     def test_c8_failure_count_is_the_total_past_the_witness_cap(self):
         # every one of the 9 nodes has an odd F(0) at time origin 0; only
         # 8 witnesses are kept, but the count is the total
         run, comp = pair_for(Mask(1, 1), 9, "BAAAAAAAA")
-        report = check_ipf(run, comp, level="full", time_origin=0)
+        report = check_ipf(lanes_of(run, comp), run.graph.node_count, level="full", time_origin=0)
         assert report.failure_counts == {"c8": 9}
         assert report.to_json_dict()["failureCounts"]["c8"] == 9
         c8_witnesses = [w for w in report.witnesses if w["condition"] == "c8"]

@@ -7,18 +7,18 @@ from the rule table:
     | no C visible | A  | C  | B  |
     | C visible    | C  | A  | B  |
 
-The lane engine's summary runs are compared with the same naive runs,
-lane by lane, on circle graphs and on random mixed graphs, and so are
-the skeletons a recording batch cuts out of its lanes and the filled
-rows ``filled_rows`` builds from the skeletons of a run and its
-complement.  ``check_ipf`` is compared with a transcription of the
-nine statements of the ``trine.ipf`` module docstring, evaluated on the
-naive runs, both on one-lane runs and on recorded lane summaries.  The
+The lane engine's runs are compared with the same naive runs, lane by
+lane, on circle graphs and on random mixed graphs, and so are the
+skeletons a recording batch cuts out of its lanes and the filled rows
+``filled_rows`` builds from the skeletons of a run and its complement.
+``check_ipf`` is compared with a transcription of the nine statements
+of the ``trine.ipf`` module docstring, evaluated on the naive runs,
+both on one-lane runs and on pairs recorded in one lane batch.  The
 light sweep's lane readouts and ``light_check`` are compared with the
 naive runs and the same transcription, with the complement's readout
 also taken from a rotated run on circle graphs.  At the full level,
 the search's outcome of every pair is compared with ``check_ipf`` on
-the pair's runs, and a mirrored pair's slot codes, read off its
+the pair's lanes, and a mirrored pair's slot codes, read off its
 skeleton text, with those of its filled rows.  ``extract_rows``, fed by
 ``extraction_run_pairs``, is compared with a row built for every node
 and slot of every pair that ``check_ipf`` passes.
@@ -31,11 +31,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from extraction import pair_codes
+from extraction import lanes_of, pair_codes
 from graphgen import random_mixed_graph
 from trine import dynamics, ipf
 from trine.ac23 import (Mask, bits_to_coloring, build_graph, degenerate_at, iter_pairs,
-                        pair_runs, settle_pair)
+                        settle_pair)
 from trine.config import Config
 from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes
 from trine.errors import DegenerateRun, UnverifiedRuns
@@ -130,8 +130,8 @@ def test_run_matches_oracle(case):
 
 
 def assert_run_matches_oracle(run, g: MixedGraph, start: str) -> None:
-    """A run's start, period, final state, counts and lambda, which a
-    summary run keeps too, against the naive run."""
+    """A run's start, period, final state, counts and lambda against the
+    naive run."""
     states = naive_run(g, start)
     assert run.start_ab == start
     assert run.period == len(states)
@@ -172,14 +172,12 @@ def mixed_graph_batches(draw):
 
 
 def assert_lanes_match_oracle(g: MixedGraph, starts: list[int]) -> None:
-    """Unrecorded and recorded batches: a recorded run's counts and
-    lambda come from its recorded skeletons, an unrecorded one's from
-    its re-walked states."""
-    for record in (False, True):
-        for bits, run in zip(starts, run_lanes(g, starts, record=record), strict=True):
-            start = bits_to_coloring(bits, g.node_count)
-            assert run.states == naive_run(g, start)
-            assert_run_matches_oracle(run, g, start)
+    """A batch's runs: counts from the recorded skeletons, lambda from
+    the counter planes, and states re-walked."""
+    for bits, run in zip(starts, run_lanes(g, starts), strict=True):
+        start = bits_to_coloring(bits, g.node_count)
+        assert run.states == naive_run(g, start)
+        assert_run_matches_oracle(run, g, start)
 
 
 @given(mixed_graph_batches())
@@ -201,12 +199,11 @@ def test_lanes_match_oracle_through_repacks():
     # finished some are still running, so the survivors are repacked
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
-    for record in (False, True):
-        runs = run_lanes(g, starts, record=record)
-        periods = sorted(run.period for run in runs)
-        assert periods[len(periods) * 3 // 4] < periods[-1]
-        for bits, run in zip(starts, runs):
-            assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
+    runs = run_lanes(g, starts)
+    periods = sorted(run.period for run in runs)
+    assert periods[len(periods) * 3 // 4] < periods[-1]
+    for bits, run in zip(starts, runs):
+        assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
 
 
 # -- the nine statements ---------------------------------------------------
@@ -245,7 +242,7 @@ def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
     hold the naive filling C's times (the t_k identity), from
     ``filled_rows`` and from the two-skeleton walk alone."""
     full = (1 << g.node_count) - 1
-    runs = run_lanes(g, starts + [bits ^ full for bits in starts], record=True)
+    runs = run_lanes(g, starts + [bits ^ full for bits in starts])
     for bits, run, comp in zip(starts, runs, runs[len(starts):]):
         slots, bar_slots = naive_node_slots(g, bits), naive_node_slots(g, bits ^ full)
         for lane, rows in ((run, slots), (comp, bar_slots)):
@@ -253,14 +250,14 @@ def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
                 "".join("1" if color == "C" else "0" for color, _ in row) for row in rows)
         if run.degenerate or comp.degenerate:
             with pytest.raises(DegenerateRun):
-                filled_rows(run, comp)
+                filled_rows(lanes_of(run, comp))
             continue
         K = (run.period + comp.period) // 3
         width = max(map(len, slots + bar_slots)) + 1
-        assert filled_rows(run, comp) == naive_filled(slots, bar_slots, K)
+        assert filled_rows(lanes_of(run, comp)) == naive_filled(slots, bar_slots, K)
         for w in (K, width):
             want = naive_filled(slots, bar_slots, w)
-            assert filled_rows(run, comp, w) == want
+            assert filled_rows(lanes_of(run, comp), w) == want
             assert ipf._two_skeleton_rows(run.skeletons, comp.skeletons, w) == want
 
 
@@ -292,7 +289,7 @@ def test_filled_rows_walks_both_skeletons_only_when_they_differ(monkeypatch):
     monkeypatch.setattr(ipf, "_two_skeleton_rows", counted)
     for mask, L, start in ((Mask(1, 1), 3, "ABA"), (Mask(1, 5), 7, "BAABAAA")):
         g = build_graph(mask, L)
-        filled_rows(run_to_mirror(g, start), run_to_mirror(g, complement(start)))
+        filled_rows(lanes_of(run_to_mirror(g, start), run_to_mirror(g, complement(start))))
     assert len(walked) == 1 and len(walked[0]) == 7
 
 
@@ -305,7 +302,7 @@ def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
     # before every step
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
-    alone = [run_lanes(g, [bits], record=True)[0].skeletons for bits in starts]
+    alone = [run_lanes(g, [bits])[0].skeletons for bits in starts]
     monkeypatch.setattr(dynamics, "_RECORD_BITS", record_bits)
     flushes = []
     flush = dynamics._flush
@@ -315,7 +312,7 @@ def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
         return flush(*args)
 
     monkeypatch.setattr(dynamics, "_flush", counted_flush)
-    runs = run_lanes(g, starts, record=True)
+    runs = run_lanes(g, starts)
     periods = sorted(run.period for run in runs)
     assert periods[len(periods) * 3 // 4] < periods[-1] and len(flushes) >= 2
     if first_flush is not None:  # steps of 512 lanes that fill the record
@@ -323,8 +320,6 @@ def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
     if record_bits == 1:
         assert set(flushes) == {1}
     assert [run.skeletons for run in runs] == alone
-    # the states' own skeletons, read without recording, agree too
-    assert [run.skeletons for run in run_lanes(g, starts)] == alone
 
 
 def naive_lambda(states: list[str]):
@@ -444,21 +439,21 @@ def weak_graph_starts(draw):
 
 def assert_ipf_matches_oracle(g: MixedGraph, start: str, lanes: bool = False) -> None:
     """check_ipf at full level on the one-lane runs of a start and its
-    complement, whose skeletons are read from their states, or on their
-    summaries from one recording lane batch, against naive_ipf."""
+    complement, or on the pair's two lanes of one batch, against
+    naive_ipf."""
     states = naive_run(g, start)
     bar_states = naive_run(g, complement(start))
     assume(len(states) > 2 and len(bar_states) > 2)  # degenerate runs raise
     if lanes:
         bits = sum(1 << v for v, color in enumerate(start) if color == "B")
-        runs = tuple(run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], record=True))
+        runs = tuple(run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)]))
     else:
         runs = run_to_mirror(g, start), run_to_mirror(g, complement(start))
     for cond1 in ("raw", "complemented"):
         wants = [naive_ipf(states, bar_states, cond1, origin) for origin in (0, 1)]
         for origin, want in enumerate(wants):
-            report = check_ipf(*runs, level="full", cond1_interpretation=cond1,
-                               time_origin=origin)
+            report = check_ipf(lanes_of(*runs), g.node_count, level="full",
+                               cond1_interpretation=cond1, time_origin=origin)
             got = {name: getattr(report, name) for name in (
                 "div3", "K", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")}
             got["light"], got["full"] = report.light_ok, report.full_ok
@@ -502,7 +497,7 @@ def test_ipf_matches_oracle_on_mask_circles(case):
 @with_pinned_pairs
 @settings(deadline=None)
 def test_ipf_matches_oracle_on_lane_summaries(case):
-    # the search's pairs: summaries with the skeletons their lanes recorded
+    # the search's pairs: two lanes of one recording batch
     assert_ipf_matches_oracle(*case, lanes=True)
 
 
@@ -522,11 +517,12 @@ def assert_swap_keeps_the_outcome(g: MixedGraph, start: str) -> None:
     """check_ipf(run, complement) and check_ipf(complement, run) agree on
     the verdict and the first failed condition at every setting."""
     bits = sum(1 << v for v, color in enumerate(start) if color == "B")
-    run, comp = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], record=True)
+    run, comp = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)])
     assume(not (run.degenerate or comp.degenerate))  # degenerate runs raise
     for level, cond1, origin in product(CHECK_LEVELS, COND1_INTERPRETATIONS, (0, 1)):
-        reports = [check_ipf(*pair, level=level, cond1_interpretation=cond1,
-                             time_origin=origin) for pair in ((run, comp), (comp, run))]
+        reports = [check_ipf(lanes_of(*pair), g.node_count, level=level,
+                             cond1_interpretation=cond1, time_origin=origin)
+                   for pair in ((run, comp), (comp, run))]
         outcomes = {(report.passed, report.first_failed_condition) for report in reports}
         assert len(outcomes) == 1, (level, cond1, origin, outcomes)
 
@@ -626,18 +622,18 @@ def full_level_pairs(mask: Mask, config: Config):
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         if not degenerate_at(mask, L) and weak_computable(g):
-            for index, bits, partner, lanes in iter_pairs(mask, g, config):
+            for index, bits, partner, lanes in iter_pairs(mask, g, config, True):
                 yield g, bits, partner not in (None, index), lanes
 
 
-def two_skeleton_codes(runs) -> list:
+def two_skeleton_codes(lanes) -> list:
     """A pair's node-major slot codes, cell by cell from the walk over
     both runs' skeletons: time mod 3, plus 3 when the complement fills
     the slot, else None."""
-    run, comp = runs
-    K = (run.period + comp.period) // 3
+    (T, *_), (Tbar, *_), text, comp_text = lanes
     return [None if cell is None else cell[0] % 3 + 3 * cell[1]
-            for row in ipf._two_skeleton_rows(run.skeletons, comp.skeletons, K)
+            for row in ipf._two_skeleton_rows(text.split("2"), comp_text.split("2"),
+                                              (T + Tbar) // 3)
             for cell in row]
 
 
@@ -655,7 +651,7 @@ def test_full_level_outcomes_and_extracted_codes_match_check_ipf(object_counts, 
     extracted = []
     for g, bits, swapped, lanes in full_level_pairs(mask, config):
         object_counts.clear()
-        outcome, is_mirrored = settle_pair(g, config, bits, lanes)
+        outcome, is_mirrored = settle_pair(g, config, lanes)
         assert is_mirrored == (lanes is not None and mirrored(*lanes[2:])
                                and min(lanes[0][0], lanes[1][0]) > 2
                                and not light_check(*lanes[:2], g.node_count, cond1)[2])
@@ -666,11 +662,10 @@ def test_full_level_outcomes_and_extracted_codes_match_check_ipf(object_counts, 
         elif lanes[0][0] <= 2 or lanes[1][0] <= 2:
             want = "degenerate"
         else:
-            runs = pair_runs(g, bits, lanes)
-            want = check_ipf(*runs, level="full", cond1_interpretation=cond1,
+            want = check_ipf(lanes, g.node_count, level="full", cond1_interpretation=cond1,
                              time_origin=origin).first_failed_condition
             if want is None:
-                extracted.append((two_skeleton_codes(runs), g.node_count, swapped))
+                extracted.append((two_skeleton_codes(lanes), g.node_count, swapped))
         assert outcome == want
         seen[outcome, is_mirrored] += 1
     # the raw reading of [1] fails every pair; under the complemented
@@ -695,9 +690,9 @@ def naive_extract_rows(mask: Mask, checked_pairs: list) -> ResolutionTable:
     every needed slot has one filling C; a swapped pair also adds the
     row with every bar flipped."""
     rows = set()
-    for runs, report, swapped in checked_pairs:
+    for lanes, report, swapped in checked_pairs:
         assert report.passed
-        filled = filled_rows(*runs)
+        filled = filled_rows(lanes)
         L = len(filled)
         for v, center_row in enumerate(filled):
             for k, center in enumerate(center_row):
@@ -714,23 +709,22 @@ def naive_extract_rows(mask: Mask, checked_pairs: list) -> ResolutionTable:
 
 
 def checked_pairs(mask: Mask, config: Config) -> list:
-    """((run, complement run), report, swapped) for every pair of the
-    walk ``extraction_run_pairs`` takes that ``check_ipf`` passes at the
-    configured level, every pair wrapped as runs and checked."""
+    """(lanes, report, swapped) for every pair of the walk
+    ``extraction_run_pairs`` takes that ``check_ipf`` passes at the
+    configured level, every pair recorded and checked."""
     pairs = []
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         if degenerate_at(mask, L) or not weak_computable(g):
             continue
-        for index, bits, partner, lanes in iter_pairs(mask, g, config):
+        for index, _, partner, lanes in iter_pairs(mask, g, config, True):
             if lanes is None or lanes[0][0] <= 2 or lanes[1][0] <= 2:
                 continue
-            runs = pair_runs(g, bits, lanes)
-            report = check_ipf(*runs, level=config.check_level,
+            report = check_ipf(lanes, L, level=config.check_level,
                                cond1_interpretation=config.cond1_interpretation,
                                time_origin=config.time_origin)
             if report.passed:
-                pairs.append((runs, report, partner not in (None, index)))
+                pairs.append((lanes, report, partner not in (None, index)))
     return pairs
 
 
@@ -758,10 +752,10 @@ def test_extract_rows_matches_oracle_on_hand_built_pairs(swapped):
     for mask, L, start in ((Mask(1, 5), 10, "BBBBBAAAAA"), (Mask(1, 1), 3, "ABA")):
         g = build_graph(mask, L)
         runs = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
-        report = check_ipf(*runs, level="light")
-        empty = sum(cell is None for row in filled_rows(*runs) for cell in row)
+        report = check_ipf(lanes_of(*runs), L, level="light")
+        empty = sum(cell is None for row in filled_rows(lanes_of(*runs)) for cell in row)
         assert report.passed and (empty > 0) == (L == 10)
-        pairs = [(runs, report, swapped)]
+        pairs = [(lanes_of(*runs), report, swapped)]
         table = extract_rows(mask, [pair_codes(runs, swapped)])
         assert table.row_count > 0
         assert format_table(table) == format_table(naive_extract_rows(mask, pairs))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extraction import pair_codes
+from extraction import lanes_of, pair_codes
 from trine.ac23 import Mask, _sample_bits, bits_to_coloring, build_graph, degenerate_at
 from trine.config import Config
 from trine.dynamics import run_to_mirror
@@ -442,7 +442,7 @@ def own_pairs(mask, cfg):
             pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
             if pair[0].degenerate or pair[1].degenerate:
                 continue
-            report = check_ipf(*pair, level="full")
+            report = check_ipf(lanes_of(*pair), L, level="full")
             if report.passed:
                 pairs.append(pair_codes(pair))
     return pairs
@@ -478,11 +478,12 @@ class TestExtraction:
 
     @pytest.mark.parametrize("level", ["full", "light"])
     def test_each_extracted_pair_is_read_once(self, monkeypatch, level):
-        # at full level the lanes record the skeletons and every passing
-        # pair is mirrored: its filled rows come from the run's skeleton
-        # text alone, with no run and no report; a light-level pass
-        # promises no such match, so extraction reads each pair's filled
-        # rows from its runs' re-walked states, and checks none
+        # the lanes record the skeletons at both levels, and no run is
+        # walked again; at full level every passing pair is mirrored: its
+        # filled rows come from the run's skeleton text alone, with no
+        # report; a light-level pass promises no such match, so
+        # extraction reads each pair's filled rows from its lanes through
+        # filled_rows, and checks none
         from trine import ac23, dynamics, ipf
 
         calls = Counter()
@@ -509,7 +510,7 @@ class TestExtraction:
             assert set(calls) == {"mirrored_filled"}
             assert calls["mirrored_filled"] < sum(L for _, L, _ in extracted) // 2
         else:
-            assert calls == {"filled_rows": len(extracted), "_walk": 2 * len(extracted)}
+            assert calls == {"filled_rows": len(extracted)}
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
