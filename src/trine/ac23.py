@@ -381,18 +381,21 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
 
 @contextmanager
 def _mapper(threads: int, initializer=None):
-    """A ``map`` that returns results in input order: the builtin one for
-    a single thread, else that of a process pool shut down on exit,
-    whose workers each run ``initializer`` first.  The pool starts at
-    most one process per CPU the process may run on; ``threads`` still
-    sets the batch count, so no result depends on the CPUs."""
+    """A ``map`` over a sized sequence that returns results in input
+    order: the builtin one for a single thread, else that of a process
+    pool shut down on exit, whose workers each run ``initializer`` first.
+    The pool starts at most one process per CPU the process may run on;
+    ``threads`` still sets the batch count, so no result depends on the
+    CPUs.  It takes n items in chunks of ceil(n / (4 * processes)), as
+    ``multiprocessing.Pool.map`` does, not one round trip per item."""
     if threads <= 1:
         yield map
         return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ProcessPoolExecutor(max_workers=min(threads, cpus or 1),
-                             initializer=initializer) as pool:
-        yield pool.map
+    processes = min(threads, cpus or 1)
+    with ProcessPoolExecutor(max_workers=processes, initializer=initializer) as pool:
+        yield lambda fn, items: pool.map(
+            fn, items, chunksize=max(1, -(-len(items) // (4 * processes))))
 
 
 @dataclass
@@ -627,11 +630,14 @@ def verdict_grid(
     the grid's reflection symmetry stays a checkable fact for every pair
     of graphs that differ.  The shared work lives for this call only.
     With ``config.threads`` above one, whole cells run in a process
-    pool, and each worker shares work among the cells it computes.
+    pool, dealt to the workers in chunks of about a quarter of each
+    process's share of the cells (see ``_mapper``), and each worker
+    shares work among the cells it computes.
     ``resume_rows`` maps (n, m) to a previously computed MaskVerdict and
     lets an interrupted grid continue; ``on_cell`` is called after each
     newly computed cell, in grid order, which is the hook incremental
-    writers use.
+    writers use.  In a pool the cells of a chunk come back together, so
+    ``on_cell`` sees them once their whole chunk is done.
     ``cr_annotations`` maps (n, m) to externally supplied table row
     counts that decorate the JSON view of the grid.
     """

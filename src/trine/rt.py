@@ -41,7 +41,7 @@ from .errors import (
     UnverifiedRuns,
 )
 from .graph import weak_computable
-from .ipf import FilledRows, filled_rows, mirrored_filled
+from .ipf import FilledRows, filled_rows, mirrored, mirrored_filled
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
 _TOKEN_TO_VALUE = {tok: v for v, tok in enumerate(VALUE_TOKENS)}
@@ -581,9 +581,10 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     configured level, walking the configured envelope through
     ``iter_pairs``, which records skeletons at both levels, and settling
     each pair as the search does (``ac23.settle_pair``).  The filled
-    rows of a pair settled as ``ipf.mirrored`` come from the run's
-    skeleton text alone (``ipf.mirrored_filled``, once per distinct node
-    skeleton of the walk); ``filled_rows`` reads any other passing
+    rows of a passing pair that is ``ipf.mirrored``, at either level,
+    come from the run's skeleton text and the slot count (T + T-bar) //
+    3 alone (``ipf.mirrored_filled``, once per distinct node skeleton
+    and slot count of the walk); ``filled_rows`` reads any other passing
     pair's lanes.  Degenerate circle sizes, degenerate runs,
     unresolved runs and failing pairs are skipped (extraction wants
     evidence from clean runs only).  Exhaustive sizes yield one start
@@ -596,7 +597,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     unset.  A walk that yields no pair raises UnverifiedRuns: a table
     needs evidence."""
     passed = 0
-    node_codes: dict[str, list] = {}
+    node_codes: dict[tuple[str, int], list] = {}
     for L in range(config.lmin, config.lmax + 1):
         if degenerate_at(mask, L):
             continue
@@ -608,15 +609,16 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
             if outcome is not None:
                 continue
             passed += 1
-            if is_mirrored:
-                # every node of a passing mirrored pair has K events, and
-                # its codes follow from its skeleton alone
+            (T, *_), (Tbar, *_), text, comp_text = lanes
+            if is_mirrored or mirrored(text, comp_text):
+                # a mirrored pair's codes at a node follow from its
+                # skeleton and the slot count K alone
+                K = (T + Tbar) // 3
                 codes = []
-                for skeleton in lanes[2].split("2"):
-                    if skeleton not in node_codes:
-                        node_codes[skeleton] = slot_codes(
-                            mirrored_filled((skeleton,), len(skeleton)))
-                    codes += node_codes[skeleton]
+                for skeleton in text.split("2"):
+                    if (skeleton, K) not in node_codes:
+                        node_codes[skeleton, K] = slot_codes(mirrored_filled((skeleton,), K))
+                    codes += node_codes[skeleton, K]
             else:
                 codes = slot_codes(filled_rows(lanes))
             yield codes, L, partner not in (None, index)

@@ -516,9 +516,10 @@ def test_pair_starts_yield_one_start_per_rotation_and_complement_class():
 
 class RecordingPool:
     """A stand-in for ProcessPoolExecutor that maps in this process and
-    records the pool sizes asked for."""
+    records the pool sizes and chunk sizes asked for."""
 
     sizes: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers=None, initializer=None):
         self.sizes.append(max_workers)
@@ -531,7 +532,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return list(map(fn, *iterables))
 
 
@@ -541,6 +543,7 @@ class TestProcessPool:
         """RecordingPool in place of the process pool, on two CPUs."""
         monkeypatch.setattr(ac23, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(RecordingPool, "chunksizes", [])
         monkeypatch.setattr(ac23, "_worker_memo", None)
         monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
         return RecordingPool
@@ -558,6 +561,18 @@ class TestProcessPool:
                             raising=False)
         classify_mask(Mask(1, 3), quick_config(threads=3))
         assert pool.sizes == [3]
+
+    def test_grid_cells_go_in_chunks_and_size_batches_alone(self, pool):
+        # 25 cells on two processes: chunks of ceil(25 / 8) = 4
+        seen = []
+        verdict_grid(9, 9, quick_config(lmax=6, threads=3),
+                     on_cell=lambda v: seen.append((v.mask.n, v.mask.m)))
+        assert pool.chunksizes == [4]
+        assert seen == [(n, m) for n in range(1, 10, 2) for m in range(1, 10, 2)]
+        # eight batches of one size on two processes: one batch per task
+        pool.chunksizes.clear()
+        classify_mask(Mask(1, 5), quick_config(threads=8))
+        assert pool.chunksizes and set(pool.chunksizes) == {1}
 
 
 class TestVerdictGrid:
@@ -605,6 +620,14 @@ class TestVerdictGrid:
             runs.append((grid.to_json_dict(), seen))
         assert runs[0] == runs[1]
         assert runs[0][1] == [(n, m) for n in (1, 3, 5, 7) for m in (1, 3, 5, 7)]
+
+    def test_real_pool_grid_json_matches_serial(self, monkeypatch):
+        # a real pool capped at two processes: 25 cells in chunks of 4
+        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = quick_config(lmax=8)
+        serial = verdict_grid(9, 9, cfg).to_json_dict()
+        assert verdict_grid(9, 9, cfg.with_overrides(threads=3)).to_json_dict() == serial
+        assert {cell["status"] for cell in serial["cells"]} == {CORRECT_SO_FAR, INCORRECT}
 
     # 9x9 holds (1,5) and (9,1), which fail on one graph at L = 7, where
     # (9,5) holds the same witness as a degenerate witness.

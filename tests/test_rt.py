@@ -479,11 +479,9 @@ class TestExtraction:
     @pytest.mark.parametrize("level", ["full", "light"])
     def test_each_extracted_pair_is_read_once(self, monkeypatch, level):
         # the lanes record the skeletons at both levels, and no run is
-        # walked again; at full level every passing pair is mirrored: its
-        # filled rows come from the run's skeleton text alone, with no
-        # report; a light-level pass promises no such match, so
-        # extraction reads each pair's filled rows from its lanes through
-        # filled_rows, and checks none
+        # walked again; at either level every passing pair of (1,3) is
+        # mirrored: its filled rows come from the run's skeleton text
+        # alone, with no report and no filled_rows call
         from trine import ac23, dynamics, ipf
 
         calls = Counter()
@@ -505,12 +503,9 @@ class TestExtraction:
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
         extracted = list(extraction_run_pairs(Mask(1, 3), cfg))
         assert extract_rows(Mask(1, 3), extracted).row_count > 0
-        if level == "full":
-            # once per distinct node skeleton, not once per node
-            assert set(calls) == {"mirrored_filled"}
-            assert calls["mirrored_filled"] < sum(L for _, L, _ in extracted) // 2
-        else:
-            assert calls == {"filled_rows": len(extracted)}
+        # once per distinct node skeleton, not once per node
+        assert set(calls) == {"mirrored_filled"}
+        assert calls["mirrored_filled"] < sum(L for _, L, _ in extracted) // 2
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_orbit_representatives_give_the_table_of_every_start(self, n, m):
