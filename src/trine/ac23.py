@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import rotate, rotate_readout, rotate_skeletons, step_lanes
+from .dynamics import rotate, step_lanes
 from .graph import MixedGraph, weak_computable
 from .ipf import PairLanes, check_ipf, light_check, mirrored
 
@@ -182,43 +182,39 @@ def _indices(L: int, config: Config, total: int):
     return necklaces[:bisect_left(necklaces, total)]
 
 
-def _complement_partner(bits: int, L: int) -> tuple[int, int]:
-    """(p, k) for an L-bit start: p is the necklace of the start's
-    complement, and rotating p up by k (see ``dynamics.rotate``) gives
-    that complement."""
+def _complement_partner(bits: int, L: int) -> int:
+    """The necklace of an L-bit start's complement: its smallest
+    rotation."""
     full = (1 << L) - 1
     comp = bits ^ full
     twice = comp << L | comp
-    p, k = comp, 0
+    p = comp
     for j in range(1, L):
         down = twice >> j & full  # comp rotated down by j
         if down < p:
-            p, k = down, j
-    return p, k
+            p = down
+    return p
 
 
 def _pair_starts(
     mask: Mask, L: int, config: Config, indices: Iterable[int]
-) -> Iterator[tuple[int, int, Optional[int], int, int]]:
-    """(index, bits, partner, complement start, k) for each pair to
-    check: the start ``bits`` pairs with the run of the complement start
-    rotated up by k.  Up to the exhaustive cutoff an index is a necklace
-    r, and only the smaller of r and its partner p (see
-    ``_complement_partner``) yields, paired with p's run rotated; past
-    it an index selects a seeded sample, paired with its complement as
-    it stands (no partner, k = 0)."""
+) -> Iterator[tuple[int, int, Optional[int]]]:
+    """(index, bits, partner) for each pair to check, the start ``bits``
+    to run beside its complement start.  Up to the exhaustive cutoff an
+    index is a necklace r, and only the smaller of r and its partner p
+    (see ``_complement_partner``) yields; past it an index selects a
+    seeded sample, with no partner."""
     if L <= config.exhaustive_cutoff:
         for r in indices:
-            p, k = _complement_partner(r, L)
+            p = _complement_partner(r, L)
             if p >= r:
-                yield r, r, p, p, k
+                yield r, r, p
         return
     for index in indices:
-        bits = _sample_bits(config.seed, mask.n, mask.m, L, index)
-        yield index, bits, None, bits ^ ((1 << L) - 1), 0
+        yield index, _sample_bits(config.seed, mask.n, mask.m, L, index), None
 
 
-# Pairs run together in one lane integer, up to two starts each.  Slicing
+# Pairs run together in one lane integer, two starts each.  Slicing
 # a finished lane out costs time in proportion to the integer's size, so
 # a few hundred lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
@@ -235,83 +231,74 @@ def iter_pairs(
     Yields (index, bits, partner, lanes) per pair to check, ``bits``
     being the start's B bits (see ``bits_to_coloring``): ``lanes`` is
     None when either run hit ``max_steps`` (unresolved), else the pair's
-    ``ipf.PairLanes``, the complement's readout and skeleton text as
-    those of the complement start (``bits`` with every bit flipped),
-    the texts recorded when ``record`` is set, else None.  ``indices``
-    (increasing) defaults to every index that runs at the size (see
-    ``_indices``).  Beyond the exhaustive cutoff the index selects a
-    seeded sample, ``partner`` is None, and every index yields.
+    ``ipf.PairLanes``, from the runs of ``bits`` and of its complement
+    start (every bit flipped), the skeleton texts recorded when
+    ``record`` is set, else None.  ``indices`` (increasing) defaults to
+    every index that runs at the size (see ``_indices``).  Beyond the
+    exhaustive cutoff the index selects a seeded sample, ``partner`` is
+    None, and every index yields.
 
     Up to the cutoff the index is the start's bit pattern, and only
-    necklaces run, one per rotation orbit.
+    necklaces yield, one per rotation orbit.
     Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
     along and leaves every outcome and checked condition unchanged.
     The complement of necklace r is a rotation of necklace ``partner``
-    (p), so r's complement run is p's run rotated, and the pair of p is
-    the pair of r swapped, up to rotation.  Swapping run and complement
-    changes neither ``passed`` nor ``first_failed_condition``: div3, c1
-    (both readings) and c2 are symmetric; given c2, so is c3 (swapped,
-    it reads T - T-bar = lambda-bar = -lambda); c4 and c5 are
-    symmetric, and c4 and c5 together imply c6 and c7; c8 reads phases
-    mod 2, so the +2 offset of slots the other run fills drops out.  So
-    the class {r, p} yields once, at its smaller member r, with the
-    outcome of both, and runs r and p once each (p == r for a
-    self-complementary necklace).
+    (p), so the pair of p is the pair of r swapped, up to rotation.
+    Swapping run and complement changes neither ``passed`` nor
+    ``first_failed_condition``: div3, c1 (both readings) and c2 are
+    symmetric; given c2, so is c3 (swapped, it reads T - T-bar =
+    lambda-bar = -lambda); c4 and c5 are symmetric, and c4 and c5
+    together imply c6 and c7; c8 reads phases mod 2, so the +2 offset of
+    slots the other run fills drops out.  So the class {r, p} yields
+    once, at its smaller member r, with the outcome of both.
 
-    The distinct starts of a few hundred pairs run at a time through
-    ``dynamics.step_lanes``, which records skeletons when ``record`` is
-    set: the search records at the full level only, rt extraction at
-    both.  p's readout and skeletons are rotated up by k into place
-    (``rotate_readout``, ``rotate_skeletons``).  No run object is built:
-    ``ipf`` reads the lanes as they are.
+    The starts of a few hundred pairs and their complements run at a
+    time through ``dynamics.step_lanes``, which records skeletons when
+    ``record`` is set: the search records at the full level only, rt
+    extraction at both.  No run object is built: ``ipf`` reads the
+    lanes as they are.
     """
     L = g.node_count
+    full = (1 << L) - 1
     if indices is None:
         indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
                            else config.samples_per_L)
     pairs = _pair_starts(mask, L, config, indices)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
-        starts = list(dict.fromkeys(x for _, bits, _, comp, _ in chunk for x in (bits, comp)))
+        starts = list(dict.fromkeys(x for _, bits, _ in chunk for x in (bits, bits ^ full)))
         lanes = dict(zip(starts, zip(*step_lanes(g, starts, config.max_steps, record))))
-        for index, bits, partner, comp, k in chunk:
-            (readout, text), (comp_readout, comp_text) = lanes[bits], lanes[comp]
+        for index, bits, partner in chunk:
+            (readout, text), (comp_readout, comp_text) = lanes[bits], lanes[bits ^ full]
             if readout is None or comp_readout is None:
                 yield index, bits, partner, None
-                continue
-            if k:
-                comp_readout = rotate_readout(comp_readout, k, L)
-                if record:
-                    comp_text = rotate_skeletons(comp_text, k)
-            yield index, bits, partner, (readout, comp_readout, text, comp_text)
+            else:
+                yield index, bits, partner, (readout, comp_readout, text, comp_text)
 
 
-def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]
-                ) -> tuple[Optional[str], bool]:
+def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Optional[str]:
     """What a pair of ``iter_pairs`` on ``g`` settles at the configured
-    level, and whether it was settled as ``ipf.mirrored``.
-
-    The outcome is None when the pair passes, else "unresolved",
-    "degenerate" (a period <= 2) or its first failed condition, the one
+    level: None when the pair passes, else "unresolved", "degenerate"
+    (a period <= 2) or its first failed condition, the one
     ``check_ipf`` reports.  That is the first failed statement of
     ``ipf.light_check``.  At the full level, which needs the skeleton
     texts recorded, a pair passing those is settled from its texts when
-    it is mirrored: it passes at time origin 1 and fails [8] at origin
-    0, and no report is built.  Any other pair is checked by
+    it is ``ipf.mirrored``: it passes at time origin 1 and fails [8] at
+    origin 0, and no report is built.  Any other pair is checked by
     ``check_ipf``."""
     if lanes is None:
-        return "unresolved", False
+        return "unresolved"
     readout, comp_readout, text, comp_text = lanes
     if readout[0] <= 2 or comp_readout[0] <= 2:
-        return "degenerate", False
+        return "degenerate"
     failed = light_check(readout, comp_readout, g.node_count, config.cond1_interpretation)[2]
     if failed or config.check_level == "light":
-        return next(iter(failed), None), False
+        return next(iter(failed), None)
     if mirrored(text, comp_text):
-        return (None if config.time_origin else "c8"), True
+        return None if config.time_origin else "c8"
     return check_ipf(lanes, g.node_count, level="full",
                      cond1_interpretation=config.cond1_interpretation,
-                     time_origin=config.time_origin).first_failed_condition, False
+                     time_origin=config.time_origin).first_failed_condition
 
 
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
@@ -328,7 +315,7 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
     record = config.check_level == "full"  # the full level reads the skeletons
     for index, bits, partner, lanes in iter_pairs(mask, g, config, record, indices):
-        outcome = settle_pair(g, config, lanes)[0]
+        outcome = settle_pair(g, config, lanes)
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):
@@ -352,9 +339,10 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     exception: each noted member up to the limit counts once per
     distinct rotation up to the limit (once at sampled sizes), and every
     other start up to the limit is tested.  ``pairs_run`` counts the
-    indices up to the limit that run, one per rotation orbit, though a
-    class of two orbits runs each necklace once and is checked once; no
-    count depends on the batches.
+    indices up to the limit (see ``_indices``), one per rotation orbit,
+    though a class of two orbits is checked once, at its smaller
+    necklace beside its complement start; no count depends on the
+    batches.
     """
     L = g.node_count
     workers = config.threads
@@ -499,8 +487,6 @@ def classify_mask(
                 mode, total = "exhaustive", 2**L
             else:
                 mode, total = "sampled", config.samples_per_L
-            if total == 0:
-                continue
             if budget_left is not None:
                 if budget_left <= 0:
                     budget_exhausted = True

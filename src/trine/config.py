@@ -47,6 +47,12 @@ class Config:
             raise ValueError("time_origin must be 0 or 1")
         if self.samples_per_L < 0:
             raise ValueError("samples_per_L must be >= 0")
+        if self.samples_per_L == 0 and self.lmax > self.exhaustive_cutoff:
+            raise ValueError(
+                f"samples_per_L (--samples) is 0, so L = "
+                f"{max(self.lmin, self.exhaustive_cutoff + 1)}.."
+                f"{self.lmax}, above exhaustive_cutoff (--cutoff) {self.exhaustive_cutoff}, "
+                "would test no start; raise --samples or --cutoff, or lower --lmax")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         if self.threads < 1:

@@ -50,10 +50,9 @@ A finished lane yields one readout, what the light check needs:
 (period, final C bits, final B bits, lambda) as plain ints, lambda read
 straight from the counter planes at the lane's shift (``_lane_lambda``),
 stopping at the first plane that is neither empty nor full.
-On a circulant graph, rotating a start rotates its run, so one lane
-serves every rotation of its start: its period and lambda stay, and its
-final state and skeletons rotate (``rotate_readout``,
-``rotate_skeletons``).
+On a circulant graph, rotating a start rotates its run: its period and
+lambda stay, and its final state and skeletons rotate.  So one run
+stands for every rotation of its start.
 
 A recording batch (``step_lanes(..., record=True)``) also returns each
 finished lane's skeleton text, the per-node histories with the B's
@@ -144,22 +143,6 @@ def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
 # What the light check reads of a run: (period, final C bits, final B
 # bits, lambda or None).
 LaneReadout = tuple[int, int, int, Optional[int]]
-
-
-def rotate_readout(readout: LaneReadout, k: int, width: int) -> LaneReadout:
-    """The readout of a run rotated up by k on a circulant graph: the
-    same period and lambda, the final state rotated."""
-    period, final_c, final_b, lam = readout
-    return period, rotate(final_c, k, width), rotate(final_b, k, width), lam
-
-
-def rotate_skeletons(text: str, k: int) -> str:
-    """The skeleton text (see ``RunRecord.skeleton_text``) of a run
-    rotated up by k on a circulant graph: node v takes node v - k's
-    skeleton."""
-    skeletons = text.split("2")
-    cut = len(skeletons) - k % len(skeletons)
-    return "2".join(skeletons[cut:] + skeletons[:cut])
 
 
 # -- public single-step operations ------------------------------------

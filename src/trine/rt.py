@@ -605,12 +605,11 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
         if not weak_computable(g):
             continue
         for index, _, partner, lanes in iter_pairs(mask, g, config, True):
-            outcome, is_mirrored = settle_pair(g, config, lanes)
-            if outcome is not None:
+            if settle_pair(g, config, lanes) is not None:
                 continue
             passed += 1
             (T, *_), (Tbar, *_), text, comp_text = lanes
-            if is_mirrored or mirrored(text, comp_text):
+            if mirrored(text, comp_text):
                 # a mirrored pair's codes at a node follow from its
                 # skeleton and the slot count K alone
                 K = (T + Tbar) // 3

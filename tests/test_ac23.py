@@ -205,6 +205,13 @@ class TestClassifyMask:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             quick_config(threads=0)
 
+    def test_no_samples_above_the_cutoff_is_rejected(self):
+        # sizes above the cutoff would test no start, and a verdict
+        # would claim them
+        with pytest.raises(ValueError, match=r"--samples.*L = 13\.\.14.*--cutoff"):
+            Config(lmin=13, lmax=14, samples_per_L=0)
+        assert Config(lmax=12, samples_per_L=0).lmax == 12
+
     def test_budget_cuts_search_short(self):
         verdict = classify_mask(Mask(1, 1), quick_config(), budget=10)
         assert verdict.budget_exhausted
@@ -382,7 +389,7 @@ class TestRotationReduction:
         # {17, 119}: each is checked at its first necklace, and its second
         # one lies past the cut
         L, total = 8, 100
-        cut = [(r, ac23._complement_partner(r, L)[0]) for r in ac23._necklaces(L)]
+        cut = [(r, ac23._complement_partner(r, L)) for r in ac23._necklaces(L)]
         assert {(1, 127), (9, 111), (17, 119)} <= {(r, p) for r, p in cut if r < total <= p}
         cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=L, check_level="full",
                            time_origin=origin)
@@ -401,16 +408,19 @@ class TestRotationReduction:
         full = 2**9 - 1
         necklaces = set(ac23._necklaces(9))
         for r in necklaces:
-            p, k = ac23._complement_partner(r, 9)
+            p = ac23._complement_partner(r, 9)
             assert p in necklaces
-            assert (p << k | p >> (9 - k)) & full == r ^ full
+            assert p == min(rotate(r ^ full, k, 9) for k in range(9))
 
-    @pytest.mark.parametrize("L,necklaces,checks", [(10, 108, 55), (12, 352, 179)])
-    def test_one_run_per_necklace_and_one_check_per_class(self, monkeypatch, L,
-                                                          necklaces, checks):
-        # 56 and 180 complement classes (Gilbert & Riordan); the uniform
-        # class {all A, all B} is degenerate and never checked.  A light
-        # sweep runs lane readouts and checks them with light_check.
+    @pytest.mark.parametrize("L,necklaces,starts,checks", [(10, 108, 112, 55),
+                                                           (12, 352, 360, 179)])
+    def test_two_runs_per_class_and_one_check_per_class(self, monkeypatch, L, necklaces,
+                                                        starts, checks):
+        # 56 and 180 complement classes (Gilbert & Riordan), each run as
+        # its smaller necklace and that necklace's complement start; the
+        # uniform class {all A, all B} is degenerate and never checked.
+        # A light sweep runs lane readouts and checks them with
+        # light_check.
         counts = Counter()
         step_lanes, light_check = ac23.step_lanes, ac23.light_check
 
@@ -427,7 +437,7 @@ class TestRotationReduction:
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=L, lmax=L,
                                                          exhaustive_cutoff=L))
         assert verdict.tested[0]["pairs_run"] == necklaces
-        assert counts == {"starts": necklaces, "checks": checks}
+        assert counts == {"starts": starts, "checks": checks}
 
     def test_necklaces_are_the_smallest_string_rotations(self):
         for L in range(3, 13):

@@ -159,6 +159,18 @@ class TestCheckMask:
                        "--lmax", "7", "--samples", "0") == 0
         assert "CorrectSoFar" in capsys.readouterr().out
 
+    def test_no_samples_above_the_cutoff_exits_1(self, capsys, tmp_path):
+        # L = 13, 14 lie above the default cutoff 12 and would test no
+        # start: an error, not a CorrectSoFar that leaves them out
+        out = tmp_path / "v.json"
+        code = run_cli("check-mask", "--n", "1", "--m", "1", "--lmin", "13", "--lmax", "14",
+                       "--samples", "0", "--json", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ")
+        assert "--samples" in captured.err and "--cutoff" in captured.err
+
     def test_unresolved_runs_exit_3(self, capsys, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli("check-mask", "--n", "1", "--m", "5", "--lmax", "9",

@@ -18,8 +18,6 @@ from trine.dynamics import (
     pack,
     predecessor,
     rotate,
-    rotate_readout,
-    rotate_skeletons,
     run_lanes,
     run_to_mirror,
     step,
@@ -283,11 +281,13 @@ class TestLanes:
         k = data.draw(st.integers(0, L - 1), label="k")
         moved = rotate(bits, k, L)
         [readout, moved_readout], [text, moved_text] = step_lanes(g, [bits, moved], record=True)
-        assert rotate_readout(readout, k, L) == moved_readout
-        assert rotate_skeletons(text, k) == moved_text
+        period, final_c, final_b, lam = readout
+        assert (period, rotate(final_c, k, L), rotate(final_b, k, L), lam) == moved_readout
+        # node v of the moved run has node v - k's skeleton
+        skeletons, moved_skeletons = text.split("2"), moved_text.split("2")
+        assert moved_skeletons == skeletons[L - k:] + skeletons[:L - k]
         [alone] = run_lanes(g, [moved])  # recorded in a batch of its own
-        assert rotate_skeletons(text, k) == alone.skeleton_text
-        assert rotate_skeletons(moved_text, L - k) == text
+        assert alone.skeleton_text == moved_text
 
     def test_empty_batch(self, ring3):
         assert run_lanes(ring3, []) == []
