@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import rotate, step_lanes
+from .dynamics import rotate, step_lanes, unpack
 from .graph import MixedGraph, weak_computable
 from .ipf import PairLanes, check_ipf, light_check, mirrored
 
@@ -140,11 +140,6 @@ def mask_weak_computable(mask: Mask, L: int) -> bool:
 # -- search ------------------------------------------------------------
 
 
-def bits_to_coloring(bits: int, L: int) -> str:
-    """Start-state encoding: bit v set means node v starts as B."""
-    return "".join("B" if (bits >> v) & 1 else "A" for v in range(L))
-
-
 def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
     """Deterministic, platform-independent start sample."""
     digest = hashlib.sha256(f"{seed}:{n}:{m}:{L}:{index}".encode()).digest()
@@ -229,7 +224,7 @@ def iter_pairs(
     the search at either check level and for rt extraction.
 
     Yields (index, bits, partner, lanes) per pair to check, ``bits``
-    being the start's B bits (see ``bits_to_coloring``): ``lanes`` is
+    being the start's B bits (bit v set: node v starts as B): ``lanes`` is
     None when either run hit ``max_steps`` (unresolved), else the pair's
     ``ipf.PairLanes``, from the runs of ``bits`` and of its complement
     start (every bit flipped), the skeleton texts recorded when
@@ -361,9 +356,9 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
         scan["unresolved" if outcome == "unresolved" else "degenerate_skips"] += starts
         scan["tested"] -= starts
         if outcome == "unresolved" and "first_unresolved" not in scan:
-            scan["first_unresolved"] = bits_to_coloring(bits, L)
+            scan["first_unresolved"] = unpack(L, 0, bits)
     if failure is not None:
-        scan["witness"] = {"start": bits_to_coloring(failure[1], L), "condition": failure[2]}
+        scan["witness"] = {"start": unpack(L, 0, failure[1]), "condition": failure[2]}
     return scan
 
 

@@ -68,8 +68,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         dest="time_origin")
 
 
-def _config_from_args(args) -> Config:
-    base = Config.load(args.config) if args.config else Config()
+def _config_from_args(args, **defaults) -> Config:
+    """The config of a command: the flags over the ``--config`` file
+    over the command's ``defaults`` over ``Config``'s own."""
+    base = Config.load(args.config, **defaults) if args.config else Config(**defaults)
     # every config field has a flag of the same dest; unset flags are None
     return base.with_overrides(**{f.name: getattr(args, f.name) for f in fields(Config)})
 
@@ -78,7 +80,7 @@ def _config_from_args(args) -> Config:
 
 
 def cmd_trace(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, check_level="full")
     if args.graph:
         g = MixedGraph.load(args.graph)
         label = Path(args.graph).stem
@@ -94,7 +96,7 @@ def cmd_trace(args) -> int:
         return EXIT_ERROR
 
     start = args.start
-    run, comp_run, report = trace_pair(g, start, cfg, args.check_level or "full")
+    run, comp_run, report = trace_pair(g, start, cfg, cfg.check_level)
     print(f"start {start}: T={run.period}" + (" (degenerate)" if run.degenerate else ""))
     if run.degenerate:
         print("degenerate trajectory (period <= 2); no invariant check")
@@ -277,10 +279,8 @@ def _load_tables(paths) -> list:
 
 
 def cmd_rt_extract(args) -> int:
-    cfg = _config_from_args(args)
-    if args.check_level is None:
-        # extraction reads slot data, so the full check is the useful default
-        cfg = cfg.with_overrides(check_level="full")
+    # extraction reads slot data, so the full check is the useful default
+    cfg = _config_from_args(args, check_level="full")
     mask = Mask(args.n, args.m)
     table = rt.extract_rows(mask, rt.extraction_run_pairs(mask, cfg))
     rt.save_table(table, args.out)

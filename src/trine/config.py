@@ -73,17 +73,19 @@ class Config:
         return replace(self, **kwargs) if kwargs else self
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Config":
+    def from_json_dict(cls, data: dict, **defaults) -> "Config":
+        """The config a JSON object gives, ``defaults`` standing in for
+        the fields it leaves out before the class defaults do."""
         if not isinstance(data, dict):
             raise ValueError(f"a config must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return cls(**{**defaults, **data})
 
     @classmethod
-    def load(cls, path) -> "Config":
+    def load(cls, path, **defaults) -> "Config":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            return cls.from_json_dict(json.load(fh), **defaults)
 

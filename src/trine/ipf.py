@@ -34,7 +34,9 @@ The statements checked, over the pair of runs:
 
 The "light" level is div3 + [1] + [2] + [3]; "full" adds [4]..[8].
 
-The full level accepts from the skeletons and explains only failures.
+The full level reads every slot.  [4]..[7] are evaluated cell by cell
+on both runs' skeletons cut or padded to K slots, and [8] on the filled
+rows, so every verdict, witness and count is the one the slots give.
 [4]..[7] together hold exactly when, at every node, both runs have at
 least K events and the complement's first K are the run's with A and C
 swapped.  Take a pair whose whole skeletons match that way.  A node
@@ -50,22 +52,20 @@ by the C at the odd slot 2k-1); and for even K the last slot's parity,
 that of 1 + T - K - origin, is the same at every node.  Such a pair
 holds [4]..[8] at time origin 1 and fails only [8] at origin 0, which
 one string comparison of the skeleton texts settles (``mirrored``).
-The search and ``rt`` extraction make that comparison on the texts the
-lanes record, before any run or report exists.  Any other pair, and
-any pair at origin 0 in ``check_ipf``, goes through the cell by cell
-witness code on the skeletons cut or padded to K slots, so every
-witness and count is the one the slots give.  Filled rows are built
-only by ``filled_rows``, for the pair check [8] explains and for ``rt``
-extraction, and never reach the report JSON; a mirrored pair has them
-from the run's skeletons alone (``mirrored_filled``), which is how
-``rt`` reads a pair the lanes settled as mirrored.  Condition failures
-are reported as data with witnesses, never raised.
+The search (``ac23.settle_pair``) and ``rt`` extraction make that
+comparison on the texts the lanes record, before any run or report
+exists, and ``rt`` reads a mirrored pair's filled slots off the run's
+skeletons alone (``mirrored_filled``).  ``check_ipf`` never takes the
+shortcut, so its report checks the theorem rather than repeating it.
+Filled rows are built by ``filled_rows`` for [8] and for ``rt``
+extraction, and never reach the report JSON.  Condition failures are
+reported as data with witnesses, never raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 from .dynamics import LaneReadout, unpack
 from .errors import DegenerateRun
@@ -76,8 +76,9 @@ COND1_INTERPRETATIONS = ("raw", "complemented")
 # Slot-condition witnesses kept per condition; totals are reported too.
 _WITNESS_CAP = 8
 
-# Per node and slot: (time, from_complement) of the filling C event, or None.
-FilledRows = tuple[tuple[Optional[tuple[int, bool]], ...], ...]
+# Per slot of a node: (time, from_complement) of the filling C event, or None.
+FilledRow = tuple[Optional[tuple[int, bool]], ...]
+FilledRows = tuple[FilledRow, ...]
 
 # A run pair as the lanes give it: (readout, complement readout, skeleton
 # text, complement skeleton text), the texts None unless recorded (see
@@ -113,7 +114,9 @@ def _padded(skeleton: str, slot_count: int) -> str:
 def filled_rows(pair: PairLanes, slot_count: Optional[int] = None) -> FilledRows:
     """The C event that fills each slot, per node, of a recorded pair:
     (time, from_complement) when exactly one of the two runs has a C at
-    the slot, None otherwise.
+    the slot, None otherwise.  Walks both runs' skeletons cut or padded
+    to ``slot_count`` slots: a C at slot k is at 1 + k + (the C's before
+    it in its own run).
 
     ``slot_count`` defaults to (T + T-bar) // 3, the value the
     invariant predicts; every row has that many slots.
@@ -122,37 +125,8 @@ def filled_rows(pair: PairLanes, slot_count: Optional[int] = None) -> FilledRows
     (T, *_), (Tbar, *_), text, comp_text = pair
     if slot_count is None:
         slot_count = (T + Tbar) // 3
-    if mirrored(text, comp_text):
-        return mirrored_filled(text.split("2"), slot_count)
-    return _two_skeleton_rows(text.split("2"), comp_text.split("2"), slot_count)
-
-
-def mirrored_filled(skeletons: Sequence[str], slot_count: int) -> FilledRows:
-    """The filled-slot rows of a mirrored pair (see ``mirrored``), from
-    the run's skeletons alone: the run's C at slot k is at 1 + k + p_k;
-    else the complement has the C, after its k - p_k C's, at 1 + 2k -
-    p_k."""
     rows = []
-    for skeleton in skeletons:
-        row = []
-        p = 0
-        for k, event in enumerate(skeleton[:slot_count]):
-            if event == "1":
-                row.append((1 + k + p, False))
-                p += 1
-            else:
-                row.append((1 + 2 * k - p, True))
-        rows.append(tuple(row) + (None,) * (slot_count - len(row)))
-    return tuple(rows)
-
-
-def _two_skeleton_rows(
-    skeletons: Sequence[str], comp_skeletons: Sequence[str], slot_count: int
-) -> FilledRows:
-    """The filled-slot rows of any pair, walking both runs' skeletons:
-    a C at slot k is at 1 + k + (the C's before it in its own run)."""
-    rows = []
-    for skeleton, comp in zip(skeletons, comp_skeletons):
+    for skeleton, comp in zip(text.split("2"), comp_text.split("2")):
         row = []
         p = pbar = 0
         for k, (e, ebar) in enumerate(
@@ -165,6 +139,22 @@ def _two_skeleton_rows(
             pbar += cbar
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def mirrored_filled(skeleton: str, slot_count: int) -> FilledRow:
+    """One node's filled-slot row (see ``filled_rows``) in a mirrored
+    pair (see ``mirrored``), from the run's skeleton alone: the run's C
+    at slot k is at 1 + k + p_k; else the complement has the C, after
+    its k - p_k C's, at 1 + 2k - p_k."""
+    row = []
+    p = 0
+    for k, event in enumerate(skeleton[:slot_count]):
+        if event == "1":
+            row.append((1 + k + p, False))
+            p += 1
+        else:
+            row.append((1 + 2 * k - p, True))
+    return tuple(row) + (None,) * (slot_count - len(row))
 
 
 LIGHT_CONDITIONS = ("div3", "c1", "c2", "c3")
@@ -323,13 +313,12 @@ def _check_phase_pattern(
     return failures, witnesses, failures == odd_starts == len(phases)
 
 
-def _explain_slot_failures(
+def _slot_conditions(
     pair: PairLanes, K: int, time_origin: int, witnesses: list, failure_counts: dict,
 ) -> tuple:
     """Slot overflow and [4]..[8] cell by cell on the skeletons of a
-    recorded pair that fails one of them, adding each failure's
-    witnesses and count: (c4, c5, c6, c7, c8, c8 at origin 0, c8 at
-    origin 1)."""
+    recorded pair, adding each failure's witnesses and count: (c4, c5,
+    c6, c7, c8, c8 at origin 0, c8 at origin 1)."""
     skeletons, comp_skeletons = pair[2].split("2"), pair[3].split("2")
     for run_skeletons, tag in ((skeletons, "run"), (comp_skeletons, "complement run")):
         for v, skeleton in enumerate(run_skeletons):
@@ -382,8 +371,9 @@ def check_ipf(
     time_origin: int = 1,
 ) -> IpfReport:
     """Evaluate the invariant on a run pair of a graph with
-    ``node_count`` nodes; the full level reads the pair's skeleton
-    texts, which must be recorded.
+    ``node_count`` nodes.  The full level reads every slot of the pair's
+    skeleton texts, which must be recorded, when K is defined: a
+    mirrored pair (see ``mirrored``) is checked like any other.
 
     Degenerate runs (period <= 2) cannot be checked and raise
     DegenerateRun; everything else comes back as a report, including
@@ -397,7 +387,7 @@ def check_ipf(
         raise ValueError("time_origin must be 0 or 1")
     _refuse_degenerate(pair)
 
-    readout, comp_readout, text, comp_text = pair
+    readout, comp_readout = pair[:2]
     T, lam = readout[0], readout[3]
     Tbar, lam_bar = comp_readout[0], comp_readout[3]
     witnesses: list = []
@@ -427,14 +417,8 @@ def check_ipf(
                 }
             )
         else:
-            # a mirrored pair holds [4]..[7], and [8] at origin 1 only
-            if mirrored(text, comp_text):
-                c4 = c5 = c6 = c7 = True
-                c8_origin0, c8_origin1 = False, True
-                c8 = time_origin == 1
-            if not c8:
-                c4, c5, c6, c7, c8, c8_origin0, c8_origin1 = _explain_slot_failures(
-                    pair, K, time_origin, witnesses, failure_counts)
+            c4, c5, c6, c7, c8, c8_origin0, c8_origin1 = _slot_conditions(
+                pair, K, time_origin, witnesses, failure_counts)
             full_ok = light_ok and all((c4, c5, c6, c7, c8))
 
     return IpfReport(

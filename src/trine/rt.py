@@ -616,7 +616,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
                 codes = []
                 for skeleton in text.split("2"):
                     if (skeleton, K) not in node_codes:
-                        node_codes[skeleton, K] = slot_codes(mirrored_filled((skeleton,), K))
+                        node_codes[skeleton, K] = slot_codes((mirrored_filled(skeleton, K),))
                     codes += node_codes[skeleton, K]
             else:
                 codes = slot_codes(filled_rows(lanes))

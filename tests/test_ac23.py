@@ -12,7 +12,6 @@ from trine.ac23 import (
     INCONCLUSIVE,
     INCORRECT,
     Mask,
-    bits_to_coloring,
     build_graph,
     classify_mask,
     connection_set,
@@ -22,7 +21,7 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.dynamics import rotate, run_to_mirror
+from trine.dynamics import rotate, run_to_mirror, unpack
 from trine.errors import MaxStepsExceeded
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
@@ -268,7 +267,7 @@ def naive_envelope(mask, config, total=None):
             starts = [ac23._sample_bits(config.seed, mask.n, mask.m, L, index)
                       for index in range(config.samples_per_L)]
         for bits in starts:
-            start = bits_to_coloring(bits, L)
+            start = unpack(L, 0, bits)
             try:
                 run = run_to_mirror(g, start, config.max_steps)
                 comp_run = run_to_mirror(g, complement(start), config.max_steps)
@@ -443,7 +442,7 @@ class TestRotationReduction:
         for L in range(3, 13):
             smallest = []
             for bits in range(2**L):
-                start = bits_to_coloring(bits, L)
+                start = unpack(L, 0, bits)
                 rotations = {start[k:] + start[:k] for k in range(L)}
                 if min(sum(1 << v for v, ch in enumerate(r) if ch == "B")
                        for r in rotations) == bits:
@@ -728,16 +727,17 @@ class TestVerdictGrid:
 
 
 class TestStartEncoding:
-    def test_bits_to_coloring(self):
-        assert bits_to_coloring(0, 3) == "AAA"
-        assert bits_to_coloring(5, 3) == "BAB"
-        assert bits_to_coloring(2, 3) == "ABA"
+    # a start's B bits spell it with dynamics.unpack: bit v set, node v is B
+    def test_b_bits_spell_the_start(self):
+        assert unpack(3, 0, 0) == "AAA"
+        assert unpack(3, 0, 5) == "BAB"
+        assert unpack(3, 0, 2) == "ABA"
 
     def test_round_trip(self):
         rng = random.Random(41)
         for _ in range(50):
             L = rng.randint(3, 16)
             bits = rng.getrandbits(L)
-            s = bits_to_coloring(bits, L)
+            s = unpack(L, 0, bits)
             back = sum(1 << v for v, ch in enumerate(s) if ch == "B")
             assert back == bits

@@ -90,6 +90,19 @@ class TestGoldenOutputs:
         for name in ("trace.csv", "complement_trace.csv", "run.json", "ipf.json"):
             assert (out / name).read_bytes() == (golden / name).read_bytes()
 
+    @pytest.mark.parametrize("origin", [1, 0])
+    def test_full_trace_of_a_mirrored_pair(self, tmp_path, capsys, origin):
+        # (1,3) at L=9: ABBABAAAA's complement skeletons are its own with A
+        # and C swapped (T = T-bar = 66, K = 44); the report reads every
+        # slot, and the pair passes at time origin 1 and fails only [8] at 0
+        golden = DATA / "golden_trace_mirrored" / f"origin{origin}"
+        out = tmp_path / "t"
+        assert run_cli("trace", "--mask", "1,3", "--L", "9", "--start", "ABBABAAAA",
+                       "--level", "full", "--time-origin", str(origin), "--out", str(out)) == 0
+        assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+        for name in ("trace.csv", "complement_trace.csv", "run.json", "ipf.json"):
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+
 
 class TestTrace:
     def test_fixture_trace(self, capsys):
@@ -711,3 +724,28 @@ class TestConfigPlumbing:
                        "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_trace_reads_the_level_from_the_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"check_level": "light"}))
+        trace = ("trace", "--mask", "1,3", "--L", "9", "--start", "ABBABAAAA")
+        assert run_cli(*trace, "--config", str(path)) == 0
+        assert "light=True full=None" in capsys.readouterr().out
+        # the full level is the command's default, and a flag beats the file
+        for extra in ((), ("--config", str(path), "--level", "full")):
+            assert run_cli(*trace, *extra) == 0
+            assert "light=True full=True" in capsys.readouterr().out
+
+    def test_rt_extract_reads_the_level_from_the_config_file(self, tmp_path, capsys):
+        # at time origin 0 no pair of (1,3) up to L = 8 passes the full
+        # check, the command's default, but every mirrored pair passes light
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"check_level": "light", "lmax": 8, "time_origin": 0}))
+        extract = ("rt", "extract", "--n", "1", "--m", "3")
+        by_file, by_flags = tmp_path / "file.rt", tmp_path / "flags.rt"
+        assert run_cli(*extract, "--config", str(path), "--out", str(by_file)) == 0
+        assert run_cli(*extract, "--lmax", "8", "--level", "light", "--time-origin", "0",
+                       "--out", str(by_flags)) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        assert run_cli(*extract, "--config", str(path), "--level", "full",
+                       "--out", str(tmp_path / "full.rt")) == 1

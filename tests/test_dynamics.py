@@ -24,7 +24,7 @@ from trine.dynamics import (
     step_lanes,
     unpack,
 )
-from trine.ac23 import Mask, bits_to_coloring, build_graph
+from trine.ac23 import Mask, build_graph
 from trine.errors import MaxStepsExceeded
 from trine.graph import transliterate
 
@@ -238,7 +238,7 @@ class TestLanes:
         g = build_graph(Mask(1, 3), 8)
         first_by_period = {}
         for bits in range(2**8):
-            period = run_to_mirror(g, bits_to_coloring(bits, 8)).period
+            period = run_to_mirror(g, unpack(8, 0, bits)).period
             first_by_period.setdefault(period, bits)
         T = min(p for p in first_by_period if p > 2 and p + 1 in first_by_period)
         starts = [first_by_period[T + 1], first_by_period[T]]
@@ -246,7 +246,7 @@ class TestLanes:
         assert long_run is None
         assert short_run.period == T
         with pytest.raises(MaxStepsExceeded):
-            run_to_mirror(g, bits_to_coloring(starts[0], 8), max_steps=T)
+            run_to_mirror(g, unpack(8, 0, starts[0]), max_steps=T)
         assert run_lanes(g, starts, max_steps=T + 1)[0].period == T + 1
 
     def test_summary_matches_recorded_run(self, ring3):
@@ -262,7 +262,7 @@ class TestLanes:
         g = build_graph(Mask(1, 3), 9)
         starts = [0b000010110, 0b011001011, 0b111111111]
         for bits, summary in zip(starts, run_lanes(g, starts), strict=True):
-            recorded = run_to_mirror(g, bits_to_coloring(bits, 9))
+            recorded = run_to_mirror(g, unpack(9, 0, bits))
             assert summary.states == recorded.states
             assert summary.states is summary.states  # walked once
             assert summary.to_json_dict() == recorded.to_json_dict()

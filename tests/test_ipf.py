@@ -8,7 +8,8 @@ from trine.ac23 import Mask, build_graph
 from trine.dynamics import pack, run_to_mirror
 from trine.errors import DegenerateRun
 from trine.graph import complement
-from trine.ipf import check_ipf, filled_rows
+from trine import ipf
+from trine.ipf import check_ipf, filled_rows, mirrored, mirrored_filled
 
 
 @pytest.fixture
@@ -178,6 +179,46 @@ class TestCheckIpf:
 def pair_for(mask, L, start, max_steps=10**6):
     g = build_graph(mask, L)
     return run_to_mirror(g, start, max_steps), run_to_mirror(g, complement(start), max_steps)
+
+
+class TestMirrored:
+    # (1,3) at L=9: ABBABAAAA's complement skeletons are its own with A
+    # and C swapped, node by node (T = T-bar = 66, K = 44)
+    SWAP_AC = str.maketrans("01", "10")
+
+    def test_a_pair_whose_complement_skeletons_are_swapped(self):
+        run, comp = pair_for(Mask(1, 3), 9, "ABBABAAAA")
+        assert comp.skeletons == tuple(s.translate(self.SWAP_AC) for s in run.skeletons)
+        assert mirrored(run.skeleton_text, comp.skeleton_text)
+        assert not mirrored(run.skeleton_text, run.skeleton_text)
+        # the rows rt reads off the run's skeletons alone
+        assert tuple(mirrored_filled(s, 44) for s in run.skeletons) == filled_rows(
+            lanes_of(run, comp))
+
+    @pytest.mark.parametrize("node", [0, 8])
+    def test_one_node_that_differs_is_enough(self, node):
+        # the complement's skeleton at one node, its last event flipped,
+        # dropped or followed by one more
+        run, comp = pair_for(Mask(1, 3), 9, "ABBABAAAA")
+        skeleton = comp.skeletons[node]
+        flipped = skeleton[:-1] + skeleton[-1].translate(self.SWAP_AC)
+        for changed in (flipped, skeleton[:-1], skeleton + "0"):
+            skeletons = list(comp.skeletons)
+            skeletons[node] = changed
+            assert not mirrored(run.skeleton_text, "2".join(skeletons))
+
+    @pytest.mark.parametrize("origin", [0, 1])
+    def test_check_ipf_reads_every_cell_of_a_mirrored_pair(self, monkeypatch, origin):
+        run, comp = pair_for(Mask(1, 3), 9, "ABBABAAAA")
+
+        def refused(*args):
+            raise AssertionError("check_ipf took the mirrored shortcut")
+
+        monkeypatch.setattr(ipf, "mirrored", refused)
+        report = check_ipf(lanes_of(run, comp), 9, level="full", time_origin=origin)
+        assert (report.c4, report.c5, report.c6, report.c7) == (True,) * 4
+        assert (report.c8, report.c8_origin0, report.c8_origin1) == (origin == 1, False, True)
+        assert report.failure_counts == ({} if origin else {"c8": 9})
 
 
 class TestOnMaskRuns:

@@ -18,8 +18,10 @@ light sweep's lane readouts and ``light_check`` are compared with the
 naive runs and the same transcription, with the complement's readout
 also taken from a rotated run on circle graphs.  At the full level,
 the search's outcome of every pair is compared with ``check_ipf`` on
-the pair's lanes, and a mirrored pair's slot codes, read off its
-skeleton text, with those of its filled rows.  ``extract_rows``, fed by
+the pair's lanes, which reads every cell of a mirrored pair too, so the
+search's mirrored shortcut is checked against code it does not share;
+and a mirrored pair's slot codes, read off its skeleton text, are
+compared with those of its filled rows.  ``extract_rows``, fed by
 ``extraction_run_pairs``, is compared with a row built for every node
 and slot of every pair that ``check_ipf`` passes.
 """
@@ -33,11 +35,10 @@ from hypothesis import strategies as st
 
 from extraction import lanes_of, pair_codes
 from graphgen import random_mixed_graph
-from trine import dynamics, ipf
-from trine.ac23 import (Mask, bits_to_coloring, build_graph, degenerate_at, iter_pairs,
-                        settle_pair)
+from trine import dynamics
+from trine.ac23 import Mask, build_graph, degenerate_at, iter_pairs, settle_pair
 from trine.config import Config
-from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes
+from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes, unpack
 from trine.errors import DegenerateRun, UnverifiedRuns
 from trine.graph import MixedGraph, complement, weak_computable
 from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
@@ -158,7 +159,7 @@ def mask_circle_batches(draw):
 def test_lanes_match_oracle(case):
     g, starts = case
     for bits, run in zip(starts, run_lanes(g, starts), strict=True):
-        assert_run_matches_oracle(run, g, bits_to_coloring(bits, g.node_count))
+        assert_run_matches_oracle(run, g, unpack(g.node_count, 0, bits))
 
 
 @st.composite
@@ -175,7 +176,7 @@ def assert_lanes_match_oracle(g: MixedGraph, starts: list[int]) -> None:
     """A batch's runs: counts from the recorded skeletons, lambda from
     the counter planes, and states re-walked."""
     for bits, run in zip(starts, run_lanes(g, starts), strict=True):
-        start = bits_to_coloring(bits, g.node_count)
+        start = unpack(g.node_count, 0, bits)
         assert run.states == naive_run(g, start)
         assert_run_matches_oracle(run, g, start)
 
@@ -203,7 +204,7 @@ def test_lanes_match_oracle_through_repacks():
     periods = sorted(run.period for run in runs)
     assert periods[len(periods) * 3 // 4] < periods[-1]
     for bits, run in zip(starts, runs):
-        assert_run_matches_oracle(run, g, bits_to_coloring(bits, 9))
+        assert_run_matches_oracle(run, g, unpack(9, 0, bits))
 
 
 # -- the nine statements ---------------------------------------------------
@@ -218,7 +219,7 @@ def naive_slots(history: str) -> list[tuple[str, int]]:
 def naive_node_slots(g: MixedGraph, bits: int) -> list:
     """naive_slots of every node's history in the naive run of a start,
     given by its B bits."""
-    states = naive_run(g, bits_to_coloring(bits, g.node_count))
+    states = naive_run(g, unpack(g.node_count, 0, bits))
     return [naive_slots("".join(state[v] for state in states)) for v in range(g.node_count)]
 
 
@@ -239,8 +240,7 @@ def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
     """Per node of every recorded lane and of its complement's lane: the
     skeleton spells the naive slots' colors; and the filled rows of the
     pair, at the default K and at a width past every node's last event,
-    hold the naive filling C's times (the t_k identity), from
-    ``filled_rows`` and from the two-skeleton walk alone."""
+    hold the naive filling C's times (the t_k identity)."""
     full = (1 << g.node_count) - 1
     runs = run_lanes(g, starts + [bits ^ full for bits in starts])
     for bits, run, comp in zip(starts, runs, runs[len(starts):]):
@@ -258,12 +258,10 @@ def assert_slots_match_oracle(g: MixedGraph, starts: list[int]) -> None:
         for w in (K, width):
             want = naive_filled(slots, bar_slots, w)
             assert filled_rows(lanes_of(run, comp), w) == want
-            assert ipf._two_skeleton_rows(run.skeletons, comp.skeletons, w) == want
 
 
 # (1,1) at L=3: ABA's complement skeletons are its own with A and C
-# swapped, so filled_rows reads the run's alone; (1,5) at L=7: BAABAAA's
-# are not, so it walks both.
+# swapped; (1,5) at L=7: BAABAAA's are not.
 @given(mask_circle_batches())
 @example((build_graph(Mask(1, 1), 3), [0b010]))
 @example((build_graph(Mask(1, 5), 7), [0b1001]))
@@ -276,21 +274,6 @@ def test_slot_rows_from_skeletons_match_oracle(case):
 @settings(deadline=None)
 def test_slot_rows_from_skeletons_match_oracle_on_mixed_graphs(case):
     assert_slots_match_oracle(*case)
-
-
-def test_filled_rows_walks_both_skeletons_only_when_they_differ(monkeypatch):
-    walked = []
-    walk = ipf._two_skeleton_rows
-
-    def counted(*args):
-        walked.append(args[0])
-        return walk(*args)
-
-    monkeypatch.setattr(ipf, "_two_skeleton_rows", counted)
-    for mask, L, start in ((Mask(1, 1), 3, "ABA"), (Mask(1, 5), 7, "BAABAAA")):
-        g = build_graph(mask, L)
-        filled_rows(lanes_of(run_to_mirror(g, start), run_to_mirror(g, complement(start))))
-    assert len(walked) == 1 and len(walked[0]) == 7
 
 
 @pytest.mark.parametrize("record_bits,first_flush", [
@@ -628,14 +611,11 @@ def full_level_pairs(mask: Mask, config: Config):
 
 
 def two_skeleton_codes(lanes) -> list:
-    """A pair's node-major slot codes, cell by cell from the walk over
-    both runs' skeletons: time mod 3, plus 3 when the complement fills
-    the slot, else None."""
-    (T, *_), (Tbar, *_), text, comp_text = lanes
+    """A pair's node-major slot codes, cell by cell from ``filled_rows``'
+    walk over both runs' skeletons: time mod 3, plus 3 when the
+    complement fills the slot, else None."""
     return [None if cell is None else cell[0] % 3 + 3 * cell[1]
-            for row in ipf._two_skeleton_rows(text.split("2"), comp_text.split("2"),
-                                              (T + Tbar) // 3)
-            for cell in row]
+            for row in filled_rows(lanes) for cell in row]
 
 
 @pytest.mark.parametrize("walk", FULL_LEVEL_WALKS, ids=lambda walk: "{},{}".format(*walk[0]))

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extraction import lanes_of, pair_codes
-from trine.ac23 import Mask, _sample_bits, bits_to_coloring, build_graph, degenerate_at
+from trine.ac23 import Mask, _sample_bits, build_graph, degenerate_at
 from trine.config import Config
-from trine.dynamics import run_to_mirror
+from trine.dynamics import run_to_mirror, unpack
 from trine.errors import (
     DimensionMismatch,
     IncompatibleTables,
@@ -438,7 +438,7 @@ def own_pairs(mask, cfg):
                   [_sample_bits(cfg.seed, mask.n, mask.m, L, i)
                    for i in range(cfg.samples_per_L)])
         for bits in starts:
-            start = bits_to_coloring(bits, L)
+            start = unpack(L, 0, bits)
             pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
             if pair[0].degenerate or pair[1].degenerate:
                 continue
@@ -481,7 +481,8 @@ class TestExtraction:
         # the lanes record the skeletons at both levels, and no run is
         # walked again; at either level every passing pair of (1,3) is
         # mirrored: its filled rows come from the run's skeleton text
-        # alone, with no report and no filled_rows call
+        # alone, with no report and no filled_rows call, from rt or
+        # from within ipf
         from trine import ac23, dynamics, ipf
 
         calls = Counter()
@@ -498,7 +499,7 @@ class TestExtraction:
         count(ac23, "check_ipf")
         count(rt, "filled_rows")
         count(rt, "mirrored_filled")
-        count(ipf, "_two_skeleton_rows")
+        count(ipf, "filled_rows")
         count(dynamics, "_walk")
         cfg = Config(lmax=8, exhaustive_cutoff=8, samples_per_L=0, check_level=level)
         extracted = list(extraction_run_pairs(Mask(1, 3), cfg))
