@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import islice
+from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
@@ -120,15 +121,25 @@ def build_graph(mask: Mask, L: int) -> MixedGraph:
     return MixedGraph(L, directed=directed, undirected=undirected)
 
 
-def degenerate_at(mask: Mask, L: int) -> bool:
+def degenerate_at(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
     """True when the mask's points collide on a circle of size L:
     an offset reaches around (>= L), lands on the center, or two mask
-    points land on the same node."""
-    left, right = mask.left_offsets, mask.right_offsets
-    if any(d >= L for d in left + right):
+    points land on the same node.  An offset below L misses the center,
+    so then the points collide exactly when the connection set ``S``
+    (see ``connection_set``; computed when not given) has fewer steps
+    than the mask has points besides the center."""
+    if max(mask.n.bit_length(), mask.m.bit_length()) >= L:
         return True
-    targets = [(-d) % L for d in left] + [d % L for d in right]
-    return 0 in targets or len(set(targets)) != len(targets)
+    S = connection_set(mask, L) if S is None else S
+    return len(S) < mask.point_count - 1
+
+
+def _multiplier_class(S: frozenset, L: int) -> tuple[int, ...]:
+    """The smallest ``sorted(aS)`` over the units a mod L, aS being
+    {a*s mod L : s in S}: one key for every connection set whose circle
+    graph the relabeling v -> a*v maps C_L(S) onto (the easy direction
+    of Adam's isomorphism question for circulants)."""
+    return min(tuple(sorted(a * s % L for s in S)) for a in range(1, L) if gcd(a, L) == 1)
 
 
 def mask_weak_computable(mask: Mask, L: int) -> bool:
@@ -454,11 +465,21 @@ def classify_mask(
     many even batches in a process pool.
 
     ``memo`` lets the cells of one ``verdict_grid`` call share work, and
-    never changes a result: it maps (L, S) to the weak computability of
-    the circle graph with connection set S (see ``connection_set``), and
-    (L, S, total) to the size's scan, with the mask appended to the key
-    at sampled sizes, whose samples the mask seeds.  Each size builds
-    its own block from a copy of the scan.
+    never changes a result.  For any unit a mod L the relabeling
+    v -> a*v maps the circle graph with connection set S (see
+    ``connection_set``) onto that with aS, and carries each start's runs
+    and outcome along, so the sets of a multiplier class (one
+    ``_multiplier_class`` key C) share a graph build and weak
+    computability test, and an exhaustive size's whole scan when it
+    found no failing start and no unresolved run.  Witness starts and
+    first unresolved starts do move under v -> a*v, and a budget's
+    prefix of start indices does not map onto itself, so any other
+    scan is the connection set's own.  The memo maps (L, S) to C, (L, C)
+    to weak computability, (L, C, 2**L) to the class's first whole
+    exhaustive scan, and (L, S, total) to the size's scan, with the mask
+    appended to the key at sampled sizes, whose samples the mask seeds
+    (C is a tuple and S a frozenset, so the keys never meet).  Each
+    size builds its own block from a copy of the scan.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -472,12 +493,16 @@ def classify_mask(
             S = connection_set(mask, L)
             g = None
             if (L, S) not in memo:
-                g = build_graph(mask, L)
-                memo[L, S] = weak_computable(g)
-            if not memo[L, S]:
+                C = _multiplier_class(S, L)
+                if (L, C) not in memo:
+                    g = build_graph(mask, L)
+                    memo[L, C] = weak_computable(g)
+                memo[L, S] = C
+            C = memo[L, S]
+            if not memo[L, C]:
                 envelope.append({"L": L, "skipped": "not weak computable"})
                 continue
-            degenerate_L = degenerate_at(mask, L)
+            degenerate_L = degenerate_at(mask, L, S)
             if L <= config.exhaustive_cutoff:
                 mode, total = "exhaustive", 2**L
             else:
@@ -493,9 +518,15 @@ def classify_mask(
 
             key = (L, S, total) if mode == "exhaustive" else (L, S, total, mask)
             if key not in memo:
-                if g is None:
-                    g = build_graph(mask, L)
-                memo[key] = _scan_size(mask, g, config, total, run_map)
+                whole = mode == "exhaustive" and total == 2**L
+                scan = memo.get((L, C, total)) if whole else None
+                if scan is None or "witness" in scan or scan["unresolved"]:
+                    if g is None:
+                        g = build_graph(mask, L)
+                    scan = _scan_size(mask, g, config, total, run_map)
+                    if whole:
+                        memo.setdefault((L, C, total), scan)
+                memo[key] = scan
             scan = dict(memo[key])
             found = scan.pop("witness", None)
             block = {"L": L, "mode": mode, "planned": total, **scan,
@@ -556,7 +587,11 @@ class VerdictGrid:
 
     def is_reflection_symmetric(self) -> bool:
         """Status (and witness size, when incorrect) agrees between each
-        cell and its mirror."""
+        cell and its mirror.  Mirror cells share the scans of their
+        sizes with no failing start and no unresolved run (see
+        ``verdict_grid``), so only the sizes with a witness or an
+        unresolved run, scanned for each cell's own connection set, make
+        this a checked fact."""
         for (n, m), verdict in self.cells.items():
             other = self.cells.get((m, n))
             if other is None or other.status != verdict.status:
@@ -601,15 +636,17 @@ def verdict_grid(
 ) -> VerdictGrid:
     """Classify every odd mask with n <= n_max, m <= m_max.
 
-    Cells share work only where their circle graphs are the same graph:
-    at each size, cells with the same connection set (see
-    ``connection_set``) share its graph build, weak computability test
-    and scan, and at sampled sizes only the cell of the same mask does,
-    since the mask seeds the samples.  The set is never folded under
-    reflection (-S) or any other isomorphism, which would move witness
-    starts and block counts; so no cell is copied from its mirror, and
-    the grid's reflection symmetry stays a checkable fact for every pair
-    of graphs that differ.  The shared work lives for this call only.
+    Cells share work where their circle graphs are the same graph up to
+    the relabeling v -> a*v, a a unit mod L (see ``classify_mask``): at
+    each size, cells whose connection sets (see ``connection_set``) are
+    one multiplier class share a graph build and weak computability
+    test, and an exhaustive size's scan when it found no failing start
+    and no unresolved run.  Any other exhaustive size is scanned once
+    per connection set, and a sampled size once per mask, since the
+    mask seeds the samples.  Reflection (-S) is the multiplier -1, so a
+    cell shares its mirror's scan at such sizes; the grid's reflection
+    symmetry stays a checked fact only at sizes with a witness or an
+    unresolved run.  The shared work lives for this call only.
     With ``config.threads`` above one, whole cells run in a process
     pool, dealt to the workers in chunks of about a quarter of each
     process's share of the cells (see ``_mapper``), and each worker

@@ -110,6 +110,21 @@ class TestDegeneracy:
     def test_wraparound_offset(self):
         assert degenerate_at(Mask(1, 17), 5)  # offset 5 lands on the center
 
+    @staticmethod
+    def collide(mask, L):
+        """The points' collision test, target by target."""
+        left, right = mask.left_offsets, mask.right_offsets
+        if any(d >= L for d in left + right):
+            return True
+        targets = [(-d) % L for d in left] + [d % L for d in right]
+        return 0 in targets or len(set(targets)) != len(targets)
+
+    def test_read_off_the_connection_set(self):
+        masks = [Mask(n, m) for n in range(1, 128) for m in range(1, 128)]
+        wrong = [(mask, L) for L in range(3, 41) for mask in masks
+                 if degenerate_at(mask, L) != self.collide(mask, L)]
+        assert not wrong
+
 
 class TestWeakComputability:
     def test_odd_masks_all_sizes(self):
@@ -137,6 +152,12 @@ class TestWeakComputability:
     def test_nowhere_weak_computable_is_rejected(self):
         with pytest.raises(ValueError, match="not weak computable"):
             classify_mask(Mask(2, 4), quick_config(lmax=5))
+
+
+def multiplier_orbit(S, L):
+    """The connection sets aS = {a*s mod L : s in S}, a a unit mod L."""
+    return L, frozenset(frozenset(a * s % L for s in S)
+                        for a in range(1, L) if gcd(a, L) == 1)
 
 
 def quick_config(**kwargs):
@@ -665,8 +686,9 @@ class TestVerdictGrid:
         assert block["degenerate_witness"] == witness
 
     def test_reflected_graphs_are_scanned_apart(self):
-        # C_11({1, 2, 5, 10}) and C_11({1, 6, 9, 10}) are mirror images, but
-        # their smallest failing starts are not rotations of each other
+        # C_11({1, 2, 5, 10}) and C_11({1, 6, 9, 10}) are mirror images (a
+        # multiplier class, a = -1), but their smallest failing starts are
+        # not rotations of each other, so a size with a witness is not shared
         cfg = quick_config(lmin=11, lmax=11, exhaustive_cutoff=11)
         masks = (Mask(1, 19), Mask(19, 1))
         alone = [classify_mask(mask, cfg) for mask in masks]
@@ -688,16 +710,74 @@ class TestVerdictGrid:
         monkeypatch.setattr(ac23, "_scan_size", counting)
         return calls
 
-    def test_one_scan_per_graph_and_call(self, monkeypatch):
+    def test_budget_cut_sizes_are_not_shared(self, monkeypatch):
+        # the first 12 starts at L = 11 hold the witness of (19,1) (start
+        # 11) but not that of (1,19) (start 13): v -> -v maps the whole
+        # size onto itself, not a prefix of its starts
+        cfg = quick_config(lmin=11, lmax=11, exhaustive_cutoff=11)
+        masks = (Mask(1, 19), Mask(19, 1))
+        alone = [classify_mask(mask, cfg, budget=12).to_json_dict() for mask in masks]
+        assert [v["status"] for v in alone] == [CORRECT_SO_FAR, INCORRECT]
+        calls = self.count_scans(monkeypatch)
+        memo = {}
+        shared = [classify_mask(mask, cfg, budget=12, memo=memo).to_json_dict()
+                  for mask in masks]
+        assert shared == alone
+        assert calls == [11, 11]
+
+    @pytest.mark.parametrize("max_steps", [Config().max_steps, 12])
+    def test_multiplier_classes_share_exactly(self, max_steps):
+        # Each size of each class of two or more connection sets of odd
+        # masks <= 31, L <= 12: the first set is classified in a fresh
+        # memo, so alone, and every later one alone and in that memo,
+        # where it reads the first set's scan if it may.  Equal results
+        # for every set give the same for every ordered pair.  The sets of
+        # a class differ in witness starts (both max_steps) or in first
+        # unresolved starts (max_steps 12).
+        varied = 0
+        for L in range(3, 13):
+            cfg = quick_config(lmin=L, lmax=L, exhaustive_cutoff=12, max_steps=max_steps)
+            by_set = {}
+            for n in range(1, 32, 2):
+                for m in range(1, 32, 2):
+                    by_set.setdefault(connection_set(Mask(n, m), L), Mask(n, m))
+            classes = {}
+            for S, mask in by_set.items():
+                classes.setdefault(multiplier_orbit(S, L), []).append(mask)
+            for first, *rest in classes.values():
+                if not rest:
+                    continue
+                memo = {}
+                alone = [classify_mask(first, cfg, memo=memo).to_json_dict()]
+                for mask in rest:
+                    alone.append(classify_mask(mask, cfg).to_json_dict())
+                    assert classify_mask(mask, cfg, memo=memo).to_json_dict() == alone[-1]
+                varied += len({((v["witness"] or {}).get("start"),
+                                v["tested"][-1].get("first_unresolved")) for v in alone}) > 1
+        assert varied
+
+    def test_one_scan_per_multiplier_class_and_call(self, monkeypatch):
+        # a size with a witness or an unresolved run is scanned for its own
+        # connection set, any other once for its multiplier class
+        # (the benchmark grid, twice: the memo lives for one call)
         calls = self.count_scans(monkeypatch)
         cfg = quick_config(lmax=8)
         for _ in range(2):
             calls.clear()
-            grid = verdict_grid(11, 11, cfg)
-            scanned = [(block["L"], connection_set(verdict.mask, block["L"]))
-                       for verdict in grid.cells.values()
-                       for block in verdict.tested if "mode" in block]
-            assert len(calls) == len(set(scanned)) < len(scanned)
+            grid = verdict_grid(15, 15, cfg)
+            sets, scanned = set(), set()
+            for verdict in grid.cells.values():
+                for block in verdict.tested:
+                    if "mode" not in block:
+                        continue
+                    L = block["L"]
+                    S = connection_set(verdict.mask, L)
+                    alone = (block["unresolved"] or "degenerate_witness" in block
+                             or (verdict.witness or {}).get("L") == L)
+                    sets.add((L, S))
+                    scanned.add((L, S) if alone else multiplier_orbit(S, L))
+            assert len(calls) == len(scanned) < len(sets)
+            assert len(calls) <= 41
 
     def test_sampled_sizes_scan_once_per_mask(self, monkeypatch):
         # (1,1) and (2049,1) share S = {1, 12} at L = 13

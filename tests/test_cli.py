@@ -74,6 +74,21 @@ class TestGoldenOutputs:
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
 
+    # the benchmark grid; and a grid whose sizes hold witnesses and
+    # unresolved runs, which cells scan for their own connection sets
+    @pytest.mark.parametrize("name,flags,code", [
+        ("golden_grid_15.json", ("--lmax", "8"), 0),
+        ("golden_grid_15_steps12.json", ("--lmax", "10", "--max-steps", "12"), 3),
+    ])
+    def test_grid_json(self, tmp_path, capsys, name, flags, code):
+        out = tmp_path / "grid.json"
+        assert run_cli("grid", "--max", "15", *flags, "--out", str(tmp_path / "grid.csv"),
+                       "--json", str(out)) == code
+        golden = (DATA / name).read_bytes()
+        assert out.read_bytes() == golden
+        if code:
+            assert b'"witness": {' in golden and b'"first_unresolved"' in golden
+
     @pytest.mark.parametrize("level", ["light", "full"])
     def test_trace_on_a_graph_that_is_not_circulant(self, tmp_path, capsys, level):
         # tests/graphgen.py: rng = random.Random(120);
