@@ -21,14 +21,14 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
 from .dynamics import rotate, step_lanes, unpack
-from .graph import MixedGraph, weak_computable
+from .graph import MixedGraph
 from .ipf import PairLanes, check_ipf, light_check, mirrored
 
 CORRECT_SO_FAR = "CorrectSoFar"
@@ -70,9 +70,14 @@ class Mask:
         return len(self.left_offsets) + len(self.right_offsets) + 1
 
     @cached_property
+    def steps(self) -> tuple[int, ...]:
+        """The signed offsets besides the center, ascending: -d for each
+        left offset d, d for each right one."""
+        return tuple(sorted([-d for d in self.left_offsets] + list(self.right_offsets)))
+
+    @cached_property
     def column_offsets(self) -> tuple[int, ...]:
-        signed = sorted([-d for d in self.left_offsets] + list(self.right_offsets))
-        return (0, *signed)
+        return (0, *self.steps)
 
     @property
     def reflected(self) -> "Mask":
@@ -92,33 +97,24 @@ def parse_mask(text: str) -> Mask:
 
 
 def connection_set(mask: Mask, L: int) -> frozenset:
-    """The nonzero steps mod L of the mask's connections: -d for each
-    left offset d, d for each right one.  They alone fix the circle
-    graph at size L (the circulant graph C_L(S), see ``build_graph``)."""
-    steps = [-d for d in mask.left_offsets] + list(mask.right_offsets)
-    return frozenset(d % L for d in steps if d % L)
+    """The nonzero steps mod L of the mask's connections (``Mask.steps``
+    mod L).  They alone fix the circle graph at size L (the circulant
+    graph C_L(S), see ``build_graph``)."""
+    return frozenset(d % L for d in mask.steps if d % L)
 
 
 def build_graph(mask: Mask, L: int) -> MixedGraph:
-    """The circle graph of a mask at circle size L: an arc x -> x+s
-    mod L for each step s of ``connection_set``, so masks with the same
-    set share the graph.  Reciprocal arcs merge into undirected edges.
-    Steps that vanish or coincide mod L make the size degenerate (see
-    ``degenerate_at``) but not invalid.
+    """The circle graph of a mask at circle size L: the circulant graph
+    C_L(S) of S = ``connection_set``, an arc x -> x+s mod L for each
+    step s in S, so masks with the same set share the graph.
+    Reciprocal arcs are undirected edges.  It is built straight from S
+    (``MixedGraph.circulant``), with no edge list, as the step engine
+    reads only its offsets.  Steps that vanish or coincide mod L make
+    the size degenerate (see ``degenerate_at``) but not invalid.
     """
     if L < 3:
         raise ValueError(f"circle size must be at least 3, got {L}")
-    steps = connection_set(mask, L)
-    arcs = {(x, (x + s) % L) for x in range(L) for s in steps}
-    directed = []
-    undirected = []
-    for u, v in arcs:
-        if (v, u) in arcs:
-            if u < v:
-                undirected.append((u, v))
-        else:
-            directed.append((u, v))
-    return MixedGraph(L, directed=directed, undirected=undirected)
+    return MixedGraph.circulant(L, connection_set(mask, L))
 
 
 def degenerate_at(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
@@ -142,10 +138,16 @@ def _multiplier_class(S: frozenset, L: int) -> tuple[int, ...]:
     return min(tuple(sorted(a * s % L for s in S)) for a in range(1, L) if gcd(a, L) == 1)
 
 
-def mask_weak_computable(mask: Mask, L: int) -> bool:
-    """Whether the built circle graph is walkable on undirected edges
-    alone.  Odd n and m guarantee it at every L."""
-    return weak_computable(build_graph(mask, L))
+def mask_weak_computable(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
+    """Whether the circle graph at size L is walkable on undirected
+    edges alone (``graph.weak_computable``), read off the connection set
+    ``S`` (computed when not given) with no graph built: its undirected
+    edges join x and x+s for the steps s with L-s in S too, so they
+    connect the circle iff those steps and L have gcd 1 (Boesch &
+    Tindell, "Circulants and their connectivities", J. Graph Theory 8,
+    1984).  Odd n and m give the steps 1 and L-1 at every L."""
+    S = connection_set(mask, L) if S is None else S
+    return gcd(L, *(s for s in S if L - s in S)) == 1
 
 
 # -- search ------------------------------------------------------------
@@ -203,16 +205,17 @@ def _complement_partner(bits: int, L: int) -> int:
 
 
 def _pair_starts(
-    mask: Mask, L: int, config: Config, indices: Iterable[int]
+    mask: Mask, L: int, config: Config, indices: Iterable[int],
+    find_partner=_complement_partner,
 ) -> Iterator[tuple[int, int, Optional[int]]]:
     """(index, bits, partner) for each pair to check, the start ``bits``
     to run beside its complement start.  Up to the exhaustive cutoff an
     index is a necklace r, and only the smaller of r and its partner p
-    (see ``_complement_partner``) yields; past it an index selects a
-    seeded sample, with no partner."""
+    (``find_partner(r, L)``, see ``_complement_partner``) yields; past
+    it an index selects a seeded sample, with no partner."""
     if L <= config.exhaustive_cutoff:
         for r in indices:
-            p = _complement_partner(r, L)
+            p = find_partner(r, L)
             if p >= r:
                 yield r, r, p
         return
@@ -228,7 +231,7 @@ _PAIRS_PER_LANE_RUN = 256
 
 def iter_pairs(
     mask: Mask, g: MixedGraph, config: Config, record: bool,
-    indices: Optional[Iterable[int]] = None,
+    indices: Optional[Iterable[int]] = None, find_partner=_complement_partner,
 ) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
     """Run the starts with the given indices on the mask's circle graph
     ``g`` (of size L), each with its complement: the one pair walk, for
@@ -240,9 +243,10 @@ def iter_pairs(
     ``ipf.PairLanes``, from the runs of ``bits`` and of its complement
     start (every bit flipped), the skeleton texts recorded when
     ``record`` is set, else None.  ``indices`` (increasing) defaults to
-    every index that runs at the size (see ``_indices``).  Beyond the
-    exhaustive cutoff the index selects a seeded sample, ``partner`` is
-    None, and every index yields.
+    every index that runs at the size (see ``_indices``), and
+    ``find_partner`` is as in ``_pair_starts``.  Beyond the exhaustive
+    cutoff the index selects a seeded sample, ``partner`` is None, and
+    every index yields.
 
     Up to the cutoff the index is the start's bit pattern, and only
     necklaces yield, one per rotation orbit.
@@ -270,7 +274,7 @@ def iter_pairs(
     if indices is None:
         indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
                            else config.samples_per_L)
-    pairs = _pair_starts(mask, L, config, indices)
+    pairs = _pair_starts(mask, L, config, indices, find_partner)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = list(dict.fromkeys(x for _, bits, _ in chunk for x in (bits, bits ^ full)))
         lanes = dict(zip(starts, zip(*step_lanes(g, starts, config.max_steps, record))))
@@ -308,7 +312,8 @@ def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Op
 
 
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
-                k: int) -> tuple[Optional[tuple[int, int, str]], list]:
+                k: int, find_partner=_complement_partner
+                ) -> tuple[Optional[tuple[int, int, str]], list]:
     """Run every ``workers``-th index that runs below ``total`` (see
     ``_indices``), from the k-th on, through ``iter_pairs``, up to the
     first failing pair (see ``settle_pair``).  Returns (failure, notes):
@@ -320,7 +325,8 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     notes = []
     indices = islice(_indices(g.node_count, config, total), k, None, workers)
     record = config.check_level == "full"  # the full level reads the skeletons
-    for index, bits, partner, lanes in iter_pairs(mask, g, config, record, indices):
+    pairs = iter_pairs(mask, g, config, record, indices, find_partner)
+    for index, bits, partner, lanes in pairs:
         outcome = settle_pair(g, config, lanes)
         if outcome is None:
             continue
@@ -332,7 +338,8 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     return None, notes
 
 
-def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -> dict:
+def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
+               find_partner=_complement_partner) -> dict:
     """Count the starts with index 0..total-1 on the mask's circle graph
     ``g`` of size L, up to and including the first failing one.
 
@@ -348,12 +355,12 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     indices up to the limit (see ``_indices``), one per rotation orbit,
     though a class of two orbits is checked once, at its smaller
     necklace beside its complement start; no count depends on the
-    batches.
+    batches.  ``find_partner`` is as in ``_pair_starts``.
     """
     L = g.node_count
     workers = config.threads
-    blocks = list(run_map(partial(_scan_block, mask, g, config, total, workers),
-                          range(workers)))
+    blocks = list(run_map(partial(_scan_block, mask, g, config, total, workers,
+                                  find_partner=find_partner), range(workers)))
     failure = min((found for found, _ in blocks if found is not None), default=None)
     limit = total - 1 if failure is None else failure[0]
     scan = {"tested": limit + 1, "degenerate_skips": 0, "unresolved": 0,
@@ -469,17 +476,19 @@ def classify_mask(
     v -> a*v maps the circle graph with connection set S (see
     ``connection_set``) onto that with aS, and carries each start's runs
     and outcome along, so the sets of a multiplier class (one
-    ``_multiplier_class`` key C) share a graph build and weak
-    computability test, and an exhaustive size's whole scan when it
-    found no failing start and no unresolved run.  Witness starts and
-    first unresolved starts do move under v -> a*v, and a budget's
-    prefix of start indices does not map onto itself, so any other
-    scan is the connection set's own.  The memo maps (L, S) to C, (L, C)
-    to weak computability, (L, C, 2**L) to the class's first whole
-    exhaustive scan, and (L, S, total) to the size's scan, with the mask
-    appended to the key at sampled sizes, whose samples the mask seeds
-    (C is a tuple and S a frozenset, so the keys never meet).  Each
-    size builds its own block from a copy of the scan.
+    ``_multiplier_class`` key C) share an exhaustive size's whole scan
+    when it found no failing start and no unresolved run.  Witness
+    starts and first unresolved starts do move under v -> a*v, and a
+    budget's prefix of start indices does not map onto itself, so any
+    other scan is the connection set's own.  The memo maps (L, C, 2**L)
+    to the class's first whole exhaustive scan, and (L, S, total) to
+    the size's scan, with the mask appended to the key at sampled sizes,
+    whose samples the mask seeds (C is a tuple and S a frozenset, so the
+    keys never meet).  Each size builds its own block from a copy of
+    the scan.  A memo that is given, at one thread, also maps "partners"
+    to a cache of ``_complement_partner`` for the later cells' scans: a
+    call's own memo would not read it again, and a pool's blocks would
+    get only a copy.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -487,19 +496,14 @@ def classify_mask(
     witness = None
     budget_left = budget
     budget_exhausted = False
+    find_partner = _complement_partner
+    if memo is not None and config.threads <= 1:
+        find_partner = memo.setdefault("partners", cache(_complement_partner))
     memo = {} if memo is None else memo
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
             S = connection_set(mask, L)
-            g = None
-            if (L, S) not in memo:
-                C = _multiplier_class(S, L)
-                if (L, C) not in memo:
-                    g = build_graph(mask, L)
-                    memo[L, C] = weak_computable(g)
-                memo[L, S] = C
-            C = memo[L, S]
-            if not memo[L, C]:
+            if not mask_weak_computable(mask, L, S):
                 envelope.append({"L": L, "skipped": "not weak computable"})
                 continue
             degenerate_L = degenerate_at(mask, L, S)
@@ -519,13 +523,13 @@ def classify_mask(
             key = (L, S, total) if mode == "exhaustive" else (L, S, total, mask)
             if key not in memo:
                 whole = mode == "exhaustive" and total == 2**L
-                scan = memo.get((L, C, total)) if whole else None
+                class_key = (L, _multiplier_class(S, L), total) if whole else None
+                scan = memo.get(class_key)
                 if scan is None or "witness" in scan or scan["unresolved"]:
-                    if g is None:
-                        g = build_graph(mask, L)
-                    scan = _scan_size(mask, g, config, total, run_map)
+                    scan = _scan_size(mask, build_graph(mask, L), config, total, run_map,
+                                      find_partner)
                     if whole:
-                        memo.setdefault((L, C, total), scan)
+                        memo.setdefault(class_key, scan)
                 memo[key] = scan
             scan = dict(memo[key])
             found = scan.pop("witness", None)
@@ -639,14 +643,15 @@ def verdict_grid(
     Cells share work where their circle graphs are the same graph up to
     the relabeling v -> a*v, a a unit mod L (see ``classify_mask``): at
     each size, cells whose connection sets (see ``connection_set``) are
-    one multiplier class share a graph build and weak computability
-    test, and an exhaustive size's scan when it found no failing start
-    and no unresolved run.  Any other exhaustive size is scanned once
-    per connection set, and a sampled size once per mask, since the
-    mask seeds the samples.  Reflection (-S) is the multiplier -1, so a
-    cell shares its mirror's scan at such sizes; the grid's reflection
-    symmetry stays a checked fact only at sizes with a witness or an
-    unresolved run.  The shared work lives for this call only.
+    one multiplier class share an exhaustive size's scan when it found
+    no failing start and no unresolved run.  Any other exhaustive size
+    is scanned once per connection set, and a sampled size once per
+    mask, since the mask seeds the samples.  Each necklace of an
+    exhaustive size finds its complement partner once for all the
+    scans.  Reflection (-S) is the multiplier -1, so a cell shares its
+    mirror's scan at such sizes; the grid's reflection symmetry stays a
+    checked fact only at sizes with a witness or an unresolved run.  The
+    shared work lives for this call only.
     With ``config.threads`` above one, whole cells run in a process
     pool, dealt to the workers in chunks of about a quarter of each
     process's share of the cells (see ``_mapper``), and each worker

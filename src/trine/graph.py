@@ -53,11 +53,16 @@ class MixedGraph:
     * no pair of nodes carries both an undirected edge and a directed
       edge (in either orientation).
 
+    ``circulant`` builds a circulant graph from its steps alone, with no
+    edge list and no checks: the step engine reads only ``offset_masks``.
+    Its ``directed`` and ``undirected`` edge sets, and any graph's
+    ``out_masks``, are derived from the offset masks on first read.
     Instances are immutable after construction and safe to share
-    between threads.
+    between threads: a derived view is the same whichever thread first
+    reads it.
     """
 
-    __slots__ = ("node_count", "directed", "undirected", "_out_masks", "_offset_masks")
+    __slots__ = ("node_count", "_edges", "_out_masks", "_offset_masks")
 
     def __init__(
         self,
@@ -90,17 +95,25 @@ class MixedGraph:
                     f"nodes {u},{v} carry both an undirected and a directed edge"
                 )
 
-        self.directed = frozenset(dir_set)
-        self.undirected = frozenset(und_set)
-
-        out_masks = [0] * node_count
+        self._edges = frozenset(dir_set), frozenset(und_set)
+        self._out_masks = None
         offset_masks: dict[int, int] = {}
         for u, v in (*dir_set, *und_set, *((v, u) for u, v in und_set)):
-            out_masks[u] |= 1 << v
             d = (v - u) % node_count
             offset_masks[d] = offset_masks.get(d, 0) | 1 << u
-        self._out_masks = tuple(out_masks)
         self._offset_masks = tuple(sorted(offset_masks.items()))
+
+    @classmethod
+    def circulant(cls, node_count: int, steps: Iterable[int]) -> "MixedGraph":
+        """The circulant graph C_n(S), n = ``node_count``: an arc v -> v+s
+        mod n for each node v and step s in S, reciprocal arcs being
+        undirected edges.  Unchecked: S must hold distinct 0 < s < n."""
+        g = cls.__new__(cls)
+        g.node_count = node_count
+        full = (1 << node_count) - 1
+        g._offset_masks = tuple((d, full) for d in sorted(steps))
+        g._edges = g._out_masks = None
+        return g
 
     def _pairs(self, edges, kind: str):
         """The (u, v) pairs of an edge list, each checked."""
@@ -129,13 +142,18 @@ class MixedGraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Targets of directed edges from v plus undirected partners of v,
         in ascending node order."""
-        mask = self._out_masks[v]
+        mask = self.out_masks[v]
         return tuple(u for u in range(self.node_count) if mask >> u & 1)
 
     @property
     def out_masks(self) -> tuple[int, ...]:
         """Per-node out-neighborhoods as bitmasks (bit u set iff u is an
         out-neighbor)."""
+        if self._out_masks is None:
+            out_masks = [0] * self.node_count
+            for u, v in self._arcs():
+                out_masks[u] |= 1 << v
+            self._out_masks = tuple(out_masks)
         return self._out_masks
 
     @property
@@ -145,6 +163,32 @@ class MixedGraph:
         The step engine forms P from these; a graph is circulant in its
         node order when every M_d is full."""
         return self._offset_masks
+
+    @property
+    def directed(self) -> frozenset:
+        """The directed edges (u, v), u -> v."""
+        return self._edge_sets()[0]
+
+    @property
+    def undirected(self) -> frozenset:
+        """The undirected edges {u, v}, as pairs (u, v) with u < v."""
+        return self._edge_sets()[1]
+
+    def _arcs(self) -> set[tuple[int, int]]:
+        """The arcs (u, v), u -> v, of the offset masks."""
+        n = self.node_count
+        return {(u, (u + d) % n) for d, mask in self._offset_masks
+                for u in range(n) if mask >> u & 1}
+
+    def _edge_sets(self) -> tuple[frozenset, frozenset]:
+        """(directed, undirected): a checked graph's as given, where two
+        opposite directed edges are not an undirected one; a
+        ``circulant`` graph's from its arcs, merging reciprocal ones."""
+        if self._edges is None:
+            arcs = self._arcs()
+            self._edges = (frozenset(a for a in arcs if a[::-1] not in arcs),
+                           frozenset((u, v) for u, v in arcs if u < v and (v, u) in arcs))
+        return self._edges
 
     # -- comparison --------------------------------------------------
 

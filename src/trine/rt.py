@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ac23 import (Mask, build_graph, degenerate_at, iter_pairs, parse_mask,
-                   settle_pair)
+from .ac23 import (Mask, build_graph, connection_set, degenerate_at, iter_pairs,
+                   mask_weak_computable, parse_mask, settle_pair)
 from .config import Config
 from .errors import (
     DimensionMismatch,
@@ -40,7 +40,6 @@ from .errors import (
     UnconfiguredStepTable,
     UnverifiedRuns,
 )
-from .graph import weak_computable
 from .ipf import FilledRows, filled_rows, mirrored, mirrored_filled
 
 VALUE_TOKENS = ("0", "1", "2", "-0", "-1", "-2")
@@ -599,11 +598,10 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     passed = 0
     node_codes: dict[tuple[str, int], list] = {}
     for L in range(config.lmin, config.lmax + 1):
-        if degenerate_at(mask, L):
+        S = connection_set(mask, L)
+        if degenerate_at(mask, L, S) or not mask_weak_computable(mask, L, S):
             continue
         g = build_graph(mask, L)
-        if not weak_computable(g):
-            continue
         for index, _, partner, lanes in iter_pairs(mask, g, config, True):
             if settle_pair(g, config, lanes) is not None:
                 continue

@@ -2,7 +2,7 @@
 
 import random
 
-from trine.graph import MixedGraph
+from trine.graph import MixedGraph, super_weak_computable, weak_computable
 
 
 def random_coloring(rng: random.Random, n: int) -> str:
@@ -86,3 +86,26 @@ def random_super_weak_graph(
             elif roll < 0.18:
                 directed.add((u, v) if rng.random() < 0.5 else (v, u))
     return MixedGraph(n, sorted(directed), sorted(undirected))
+
+
+def checked_circulant(L: int, steps) -> MixedGraph:
+    """The circulant graph C_L(S) through the checked constructor: an
+    arc x -> x+s mod L for each step s, reciprocal arcs merged into
+    undirected edges."""
+    arcs = {(x, (x + s) % L) for x in range(L) for s in steps}
+    directed = [(u, v) for u, v in arcs if (v, u) not in arcs]
+    undirected = [(u, v) for u, v in arcs if u < v and (v, u) in arcs]
+    return MixedGraph(L, directed, undirected)
+
+
+def assert_same_graph(g: MixedGraph, want: MixedGraph) -> None:
+    """Every view of ``g`` equals that of ``want``."""
+    assert g == want and hash(g) == hash(want)
+    assert g.to_json_dict() == want.to_json_dict()
+    assert g.offset_masks == want.offset_masks
+    assert g.out_masks == want.out_masks
+    assert ([g.out_neighbors(v) for v in range(g.node_count)]
+            == [want.out_neighbors(v) for v in range(want.node_count)])
+    assert repr(g) == repr(want)
+    assert weak_computable(g) == weak_computable(want)
+    assert super_weak_computable(g) == super_weak_computable(want)

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from extraction import lanes_of
+from graphgen import assert_same_graph, checked_circulant
 from trine import ac23, rt
 from trine.ac23 import (
     CORRECT_SO_FAR,
@@ -88,6 +89,21 @@ class TestBuildGraph:
         # and distinct sets give distinct graphs
         assert len(set(graphs.values())) == len(graphs)
 
+    def test_matches_the_checked_constructor(self):
+        # every connection set of n, m < 64 at L <= 12, where steps wrap
+        # around and collide, and each mask at one larger L, 13..40 in
+        # turn (all 150,822 builds at L <= 40 take about 100 s)
+        seen = set()
+        for n in range(1, 64):
+            for m in range(1, 64):
+                mask = Mask(n, m)
+                for L in (*range(3, 13), 13 + (64 * n + m) % 28):
+                    S = connection_set(mask, L)
+                    if (L, S) not in seen:
+                        seen.add((L, S))
+                        assert_same_graph(build_graph(mask, L), checked_circulant(L, S))
+        assert len(seen) == 7941
+
     def test_rejects_tiny_circle(self):
         with pytest.raises(ValueError):
             build_graph(Mask(1, 1), 2)
@@ -148,6 +164,21 @@ class TestWeakComputability:
                 for x in range(L):
                     pair = (min(x, (x + 1) % L), max(x, (x + 1) % L))
                     assert pair in g.undirected
+
+    def test_read_off_the_connection_set(self):
+        # against a walk of the built graph for n, m < 64 at L 3..40; the
+        # walk reads the undirected edges alone, the steps s and -s both
+        # in S, so it runs once per set of such steps
+        masks = [Mask(n, m) for n in range(1, 64) for m in range(1, 64)]
+        walked = {}
+        for L in range(3, 41):
+            for mask in masks:
+                S = connection_set(mask, L)
+                key = (L, S & {-s % L for s in S})
+                if key not in walked:
+                    walked[key] = weak_computable(checked_circulant(L, S))
+                assert mask_weak_computable(mask, L) == walked[key], (mask, L)
+        assert len(set(walked.values())) == 2
 
     def test_nowhere_weak_computable_is_rejected(self):
         with pytest.raises(ValueError, match="not weak computable"):
@@ -778,6 +809,26 @@ class TestVerdictGrid:
                     scanned.add((L, S) if alone else multiplier_orbit(S, L))
             assert len(calls) == len(scanned) < len(sets)
             assert len(calls) <= 41
+
+    def test_one_partner_search_per_necklace_and_call(self, monkeypatch):
+        # the benchmark grid, twice: each necklace of a scanned size finds
+        # its complement partner once in a call, and no table outlives it
+        found = []
+        complement_partner = ac23._complement_partner
+
+        def counting(r, L):
+            found.append((r, L))
+            return complement_partner(r, L)
+
+        monkeypatch.setattr(ac23, "_complement_partner", counting)
+        counts = []
+        for _ in range(2):
+            found.clear()
+            verdict_grid(15, 15, quick_config(lmax=8))
+            assert len(set(found)) == len(found)
+            counts.append(len(found))
+        necklaces = sum(len(ac23._necklaces(L)) for L in range(3, 9))
+        assert counts[0] == counts[1] <= necklaces == 88
 
     def test_sampled_sizes_scan_once_per_mask(self, monkeypatch):
         # (1,1) and (2049,1) share S = {1, 12} at L = 13

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphgen import random_mixed_graph
-from trine.ac23 import Mask, build_graph
+from graphgen import assert_same_graph, checked_circulant, random_mixed_graph
+from trine.ac23 import Mask, build_graph, mask_weak_computable
 from trine.errors import GraphFormatError
 from trine.graph import (
     MixedGraph,
@@ -235,6 +235,15 @@ class TestCirculant:
                 assert 0 < d < n and mask
                 assert all((mask >> v & 1) == ((v + d) % n in g.out_neighbors(v))
                            for v in range(n))
+
+    @given(st.integers(3, 40).flatmap(
+        lambda L: st.tuples(st.just(L), st.frozensets(st.integers(1, L - 1)))))
+    def test_built_from_steps_as_from_edges(self, case):
+        L, steps = case
+        assert_same_graph(MixedGraph.circulant(L, steps), checked_circulant(L, steps))
+        # the connection set given, the mask goes unread
+        assert mask_weak_computable(Mask(1, 1), L, steps) == weak_computable(
+            checked_circulant(L, steps))
 
     def test_other_graphs_report_none(self):
         rng = random.Random(11)
