@@ -180,16 +180,6 @@ def _necklaces(L: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _indices(L: int, config: Config, total: int):
-    """The indices below ``total`` that run at size L, increasing: the
-    necklaces up to the exhaustive cutoff, one per rotation orbit, else
-    every sample index."""
-    if L > config.exhaustive_cutoff:
-        return range(total)
-    necklaces = _necklaces(L)
-    return necklaces[:bisect_left(necklaces, total)]
-
-
 def _complement_partner(bits: int, L: int) -> int:
     """The necklace of an L-bit start's complement: its smallest
     rotation."""
@@ -204,23 +194,47 @@ def _complement_partner(bits: int, L: int) -> int:
     return p
 
 
-def _pair_starts(
-    mask: Mask, L: int, config: Config, indices: Iterable[int],
-    find_partner=_complement_partner,
+def pair_starts(
+    mask: Mask, L: int, config: Config, total: Optional[int] = None, k: int = 0,
+    workers: int = 1, find_partner=_complement_partner,
 ) -> Iterator[tuple[int, int, Optional[int]]]:
-    """(index, bits, partner) for each pair to check, the start ``bits``
-    to run beside its complement start.  Up to the exhaustive cutoff an
-    index is a necklace r, and only the smaller of r and its partner p
-    (``find_partner(r, L)``, see ``_complement_partner``) yields; past
-    it an index selects a seeded sample, with no partner."""
-    if L <= config.exhaustive_cutoff:
-        for r in indices:
-            p = find_partner(r, L)
-            if p >= r:
-                yield r, r, p
+    """The start plan of size L: (index, bits, partner) for each pair to
+    check, the start ``bits`` to run beside its complement start, over
+    the k-th of ``workers`` round-robin shares of the indices below
+    ``total`` (the whole size when None), increasing.
+
+    Up to the exhaustive cutoff the indices are the necklaces r, one
+    per rotation orbit, and the share takes every ``workers``-th of
+    them; of those, only r with r <= p, p = ``find_partner(r, L)`` (see
+    ``_complement_partner``), yields, as r itself, with ``partner`` p
+    when p is a second necklace, else None.  Past the cutoff an index
+    selects a seeded sample of the ``config.samples_per_L``, with no
+    partner.
+
+    Rotating bit v to bit v+1 mod L relabels node x as x+1, an
+    automorphism of the circulant circle graph, which carries the runs
+    along and leaves every outcome and checked condition unchanged.
+    The complement of necklace r is a rotation of necklace p, so the
+    pair of p is the pair of r swapped, up to rotation.  Swapping run
+    and complement changes neither ``passed`` nor
+    ``first_failed_condition``: div3, c1 (both readings) and c2 are
+    symmetric; given c2, so is c3 (swapped, it reads T - T-bar =
+    lambda-bar = -lambda); c4 and c5 are symmetric, and c4 and c5
+    together imply c6 and c7; c8 reads phases mod 2, so the +2 offset of
+    slots the other run fills drops out.  So the class {r, p} yields
+    once, at its smaller member r, with the outcome of both."""
+    if L > config.exhaustive_cutoff:
+        total = config.samples_per_L if total is None else total
+        for index in range(k, total, workers):
+            yield index, _sample_bits(config.seed, mask.n, mask.m, L, index), None
         return
-    for index in indices:
-        yield index, _sample_bits(config.seed, mask.n, mask.m, L, index), None
+    total = 2**L if total is None else total
+    for r in islice(_necklaces(L), k, None, workers):
+        if r >= total:
+            return
+        p = find_partner(r, L)
+        if p >= r:
+            yield r, r, None if p == r else p
 
 
 # Pairs run together in one lane integer, two starts each.  Slicing
@@ -230,38 +244,19 @@ _PAIRS_PER_LANE_RUN = 256
 
 
 def iter_pairs(
-    mask: Mask, g: MixedGraph, config: Config, record: bool,
-    indices: Optional[Iterable[int]] = None, find_partner=_complement_partner,
+    g: MixedGraph, pairs: Iterable[tuple[int, int, Optional[int]]], max_steps: int,
+    record: bool,
 ) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
-    """Run the starts with the given indices on the mask's circle graph
-    ``g`` (of size L), each with its complement: the one pair walk, for
-    the search at either check level and for rt extraction.
+    """Run each start of ``pairs`` (as ``pair_starts`` yields them) on
+    the circle graph ``g`` beside its complement start (every bit
+    flipped): the one pair walk, for the search at either check level
+    and for rt extraction.
 
-    Yields (index, bits, partner, lanes) per pair to check, ``bits``
+    Yields (index, bits, partner, lanes) per pair, in order, ``bits``
     being the start's B bits (bit v set: node v starts as B): ``lanes`` is
     None when either run hit ``max_steps`` (unresolved), else the pair's
-    ``ipf.PairLanes``, from the runs of ``bits`` and of its complement
-    start (every bit flipped), the skeleton texts recorded when
-    ``record`` is set, else None.  ``indices`` (increasing) defaults to
-    every index that runs at the size (see ``_indices``), and
-    ``find_partner`` is as in ``_pair_starts``.  Beyond the exhaustive
-    cutoff the index selects a seeded sample, ``partner`` is None, and
-    every index yields.
-
-    Up to the cutoff the index is the start's bit pattern, and only
-    necklaces yield, one per rotation orbit.
-    Rotating bit v to bit v+1 mod L relabels node x as x+1, an
-    automorphism of the circulant circle graph, which carries the runs
-    along and leaves every outcome and checked condition unchanged.
-    The complement of necklace r is a rotation of necklace ``partner``
-    (p), so the pair of p is the pair of r swapped, up to rotation.
-    Swapping run and complement changes neither ``passed`` nor
-    ``first_failed_condition``: div3, c1 (both readings) and c2 are
-    symmetric; given c2, so is c3 (swapped, it reads T - T-bar =
-    lambda-bar = -lambda); c4 and c5 are symmetric, and c4 and c5
-    together imply c6 and c7; c8 reads phases mod 2, so the +2 offset of
-    slots the other run fills drops out.  So the class {r, p} yields
-    once, at its smaller member r, with the outcome of both.
+    ``ipf.PairLanes``, from the runs of ``bits`` and of its complement,
+    the skeleton texts recorded when ``record`` is set, else None.
 
     The starts of a few hundred pairs and their complements run at a
     time through ``dynamics.step_lanes``, which records skeletons when
@@ -269,15 +264,11 @@ def iter_pairs(
     extraction at both.  No run object is built: ``ipf`` reads the
     lanes as they are.
     """
-    L = g.node_count
-    full = (1 << L) - 1
-    if indices is None:
-        indices = _indices(L, config, 2**L if L <= config.exhaustive_cutoff
-                           else config.samples_per_L)
-    pairs = _pair_starts(mask, L, config, indices, find_partner)
+    full = (1 << g.node_count) - 1
+    pairs = iter(pairs)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = list(dict.fromkeys(x for _, bits, _ in chunk for x in (bits, bits ^ full)))
-        lanes = dict(zip(starts, zip(*step_lanes(g, starts, config.max_steps, record))))
+        lanes = dict(zip(starts, zip(*step_lanes(g, starts, max_steps, record))))
         for index, bits, partner in chunk:
             (readout, text), (comp_readout, comp_text) = lanes[bits], lanes[bits ^ full]
             if readout is None or comp_readout is None:
@@ -314,26 +305,25 @@ def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Op
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
                 k: int, find_partner=_complement_partner
                 ) -> tuple[Optional[tuple[int, int, str]], list]:
-    """Run every ``workers``-th index that runs below ``total`` (see
-    ``_indices``), from the k-th on, through ``iter_pairs``, up to the
-    first failing pair (see ``settle_pair``).  Returns (failure, notes):
-    the failure is (index, start bits, first failed condition) or None,
-    and notes lists (index, start bits, "unresolved" or "degenerate")
-    for each member of a class (see ``iter_pairs``) that did not pass.
-    A passing pair leaves no trace.  Picklable, so batches can run in
+    """Run the k-th of ``workers`` shares of the start plan below
+    ``total`` (``pair_starts``) through ``iter_pairs``, up to the first
+    failing pair (see ``settle_pair``).  Returns (failure, notes): the
+    failure is (index, start bits, first failed condition) or None, and
+    notes lists (index, start bits, "unresolved" or "degenerate") for
+    each member of a class (see ``pair_starts``) that did not pass.  A
+    passing pair leaves no trace.  Picklable, so batches can run in
     worker processes."""
     notes = []
-    indices = islice(_indices(g.node_count, config, total), k, None, workers)
+    pairs = pair_starts(mask, g.node_count, config, total, k, workers, find_partner)
     record = config.check_level == "full"  # the full level reads the skeletons
-    pairs = iter_pairs(mask, g, config, record, indices, find_partner)
-    for index, bits, partner, lanes in pairs:
+    for index, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, record):
         outcome = settle_pair(g, config, lanes)
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):
             return (index, bits, outcome), notes
         notes.append((index, bits, outcome))
-        if partner not in (None, index):
+        if partner is not None:
             notes.append((partner, partner, outcome))
     return None, notes
 
@@ -343,7 +333,7 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
     """Count the starts with index 0..total-1 on the mask's circle graph
     ``g`` of size L, up to and including the first failing one.
 
-    The indices that run (see ``_indices``) are dealt round-robin into
+    The start plan (``pair_starts``) is dealt round-robin into
     ``config.threads`` batches for ``run_map`` (see ``_scan_block``),
     each stopping at its own first failure.  A class fails at its
     smaller member, so each batch gets at least as far as the smallest
@@ -352,10 +342,10 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
     exception: each noted member up to the limit counts once per
     distinct rotation up to the limit (once at sampled sizes), and every
     other start up to the limit is tested.  ``pairs_run`` counts the
-    indices up to the limit (see ``_indices``), one per rotation orbit,
-    though a class of two orbits is checked once, at its smaller
-    necklace beside its complement start; no count depends on the
-    batches.  ``find_partner`` is as in ``_pair_starts``.
+    necklaces up to the limit, one per rotation orbit (the samples at
+    sampled sizes), though a class of two orbits is checked once, at
+    its smaller necklace beside its complement start; no count depends
+    on the batches.  ``find_partner`` is as in ``pair_starts``.
     """
     L = g.node_count
     workers = config.threads
@@ -363,13 +353,13 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
                                   find_partner=find_partner), range(workers)))
     failure = min((found for found, _ in blocks if found is not None), default=None)
     limit = total - 1 if failure is None else failure[0]
+    exhaustive = L <= config.exhaustive_cutoff
     scan = {"tested": limit + 1, "degenerate_skips": 0, "unresolved": 0,
-            "pairs_run": len(_indices(L, config, limit + 1))}
+            "pairs_run": bisect_left(_necklaces(L), limit + 1) if exhaustive else limit + 1}
     for index, bits, outcome in sorted(note for _, notes in blocks for note in notes):
         if index > limit:
             break
-        orbit = ({rotate(index, k, L) for k in range(L)}
-                 if L <= config.exhaustive_cutoff else (index,))
+        orbit = {rotate(index, k, L) for k in range(L)} if exhaustive else (index,)
         starts = sum(x <= limit for x in orbit)
         scan["unresolved" if outcome == "unresolved" else "degenerate_skips"] += starts
         scan["tested"] -= starts
@@ -455,7 +445,7 @@ def classify_mask(
     necklace of its complement form a class whose pairs are each
     other's swapped up to rotation, so the class is checked once, at
     its smaller necklace, and both count its outcome (see
-    ``iter_pairs``).  The rest draw seeded samples.  The first failure
+    ``pair_starts``).  The rest draw seeded samples.  The first failure
     at a clean (non degenerate) size settles Incorrect, with the
     smallest failing size and the smallest failing start inside it as
     the witness.  Results at degenerate sizes are recorded per block but
@@ -472,23 +462,21 @@ def classify_mask(
     many even batches in a process pool.
 
     ``memo`` lets the cells of one ``verdict_grid`` call share work, and
-    never changes a result.  For any unit a mod L the relabeling
-    v -> a*v maps the circle graph with connection set S (see
-    ``connection_set``) onto that with aS, and carries each start's runs
-    and outcome along, so the sets of a multiplier class (one
-    ``_multiplier_class`` key C) share an exhaustive size's whole scan
-    when it found no failing start and no unresolved run.  Witness
-    starts and first unresolved starts do move under v -> a*v, and a
-    budget's prefix of start indices does not map onto itself, so any
-    other scan is the connection set's own.  The memo maps (L, C, 2**L)
-    to the class's first whole exhaustive scan, and (L, S, total) to
-    the size's scan, with the mask appended to the key at sampled sizes,
-    whose samples the mask seeds (C is a tuple and S a frozenset, so the
-    keys never meet).  Each size builds its own block from a copy of
-    the scan.  A memo that is given, at one thread, also maps "partners"
-    to a cache of ``_complement_partner`` for the later cells' scans: a
-    call's own memo would not read it again, and a pool's blocks would
-    get only a copy.
+    never changes a result.  It holds only whole exhaustive scans, the
+    only ones a later cell reads back: a sampled size is seeded by the
+    mask, and a grid passes no budget.  For any unit a mod L the
+    relabeling v -> a*v maps the circle graph with connection set S
+    (see ``connection_set``) onto that with aS, and carries each start's
+    runs and outcome along, so the sets of a multiplier class (one
+    ``_multiplier_class`` key C) share a whole scan when it found no
+    failing start and no unresolved run; witness starts and first
+    unresolved starts do move under v -> a*v.  The memo maps (L, C) to
+    the class's first whole scan and (L, S) to the size's (C is a tuple
+    and S a frozenset, so the keys never meet).  Each size builds its
+    own block from a copy of the scan.  A memo that is given, at one
+    thread, also maps "partners" to a cache of ``_complement_partner``
+    for the later cells' scans: a call's own memo would not read it
+    again, and a pool's blocks would get only a copy.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -520,18 +508,19 @@ def classify_mask(
                     budget_exhausted = True
                 budget_left -= total
 
-            key = (L, S, total) if mode == "exhaustive" else (L, S, total, mask)
-            if key not in memo:
-                whole = mode == "exhaustive" and total == 2**L
-                class_key = (L, _multiplier_class(S, L), total) if whole else None
+            whole = mode == "exhaustive" and total == 2**L
+            if whole and (L, S) in memo:
+                scan = memo[L, S]
+            else:
+                class_key = (L, _multiplier_class(S, L)) if whole else None
                 scan = memo.get(class_key)
                 if scan is None or "witness" in scan or scan["unresolved"]:
                     scan = _scan_size(mask, build_graph(mask, L), config, total, run_map,
                                       find_partner)
-                    if whole:
-                        memo.setdefault(class_key, scan)
-                memo[key] = scan
-            scan = dict(memo[key])
+                if whole:
+                    memo.setdefault(class_key, scan)
+                    memo[L, S] = scan
+            scan = dict(scan)
             found = scan.pop("witness", None)
             block = {"L": L, "mode": mode, "planned": total, **scan,
                      "degenerate_L": degenerate_L}

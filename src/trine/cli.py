@@ -145,7 +145,7 @@ def cmd_check_mask(args) -> int:
         w = verdict.witness
         print(f"witness: L={w['L']} start={w['start']} condition={w['condition']}")
     tested = sum(b.get("tested", 0) for b in verdict.tested)
-    print(f"tested {tested} start pairs over L={cfg.lmin}..{cfg.lmax}"
+    print(f"tested {tested} start pairs over L={cfg.lmin}..{verdict.tested[-1]['L']}"
           + (" (budget exhausted)" if verdict.budget_exhausted else ""))
     if args.json:
         write_json(Path(args.json), verdict.to_json_dict())

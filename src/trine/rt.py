@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .ac23 import (Mask, build_graph, connection_set, degenerate_at, iter_pairs,
-                   mask_weak_computable, parse_mask, settle_pair)
+                   mask_weak_computable, pair_starts, parse_mask, settle_pair)
 from .config import Config
 from .errors import (
     DimensionMismatch,
@@ -448,10 +448,10 @@ def parse_step_table(data) -> dict[int, tuple[int, int, int]]:
 def build_1_2k1(
     k: int,
     step_table: Optional[dict[int, tuple[int, int, int]]] = None,
-    base_rows: Optional[Iterable[Sequence[int]]] = None,
     hypothesis: str = ALL_COMBOS_STEP_TABLE_ID,
 ) -> ResolutionTable:
-    """Grow the table for mask (1, 2^k - 1) by induction on k.
+    """Grow the table for mask (1, 2^k - 1) by induction on k, from the
+    rows of (1,1) (``_default_base_rows``).
 
     Each induction step triples every row: the three copies receive the
     new last-column values the step table assigns to the row's previous
@@ -475,11 +475,7 @@ def build_1_2k1(
                 f"step table needs a triple for value {value_to_token(value)}"
             )
 
-    rows = [tuple(row) for row in (base_rows or _default_base_rows())]
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"base row {row} must have width 3")
-
+    rows = _default_base_rows()
     for _ in range(k - 1):
         grown = []
         for row in rows:
@@ -530,11 +526,7 @@ def reflect(table: ResolutionTable) -> ResolutionTable:
 PairCodes = tuple[list[Optional[int]], int, bool]
 
 
-def extract_rows(
-    mask: Mask,
-    pair_codes: Iterable[PairCodes],
-    hypothesis: str = EXTRACTION_HYPOTHESIS,
-) -> ResolutionTable:
+def extract_rows(mask: Mask, pair_codes: Iterable[PairCodes]) -> ResolutionTable:
     """EXPERIMENTAL: derive a table from the slot codes of verified run
     pairs, as ``extraction_run_pairs`` yields them.
 
@@ -564,9 +556,8 @@ def extract_rows(
             rows.add(row)
             if flip:
                 rows.add(tuple((value + 3) % 6 for value in row))
-    return ResolutionTable(
-        mask.point_count, rows, mask=mask, experimental=True, hypothesis=hypothesis
-    )
+    return ResolutionTable(mask.point_count, rows, mask=mask, experimental=True,
+                           hypothesis=EXTRACTION_HYPOTHESIS)
 
 
 def slot_codes(filled: FilledRows) -> list[Optional[int]]:
@@ -577,8 +568,8 @@ def slot_codes(filled: FilledRows) -> list[Optional[int]]:
 
 def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     """The slot codes (see ``PairCodes``) of every pair that passes the
-    configured level, walking the configured envelope through
-    ``iter_pairs``, which records skeletons at both levels, and settling
+    configured level, walking each size's start plan (``pair_starts``)
+    through ``iter_pairs``, recording skeletons at both levels, and settling
     each pair as the search does (``ac23.settle_pair``).  The filled
     rows of a passing pair that is ``ipf.mirrored``, at either level,
     come from the run's skeleton text and the slot count (T + T-bar) //
@@ -588,7 +579,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     unresolved runs and failing pairs are skipped (extraction wants
     evidence from clean runs only).  Exhaustive sizes yield one start
     per rotation orbit, and one pair per complement class (see
-    ``iter_pairs``): ``extract_rows`` reads every node, so a rotated
+    ``pair_starts``): ``extract_rows`` reads every node, so a rotated
     start would only repeat the same rows, and the class's other
     necklace gives the pair swapped up to rotation, whose rows
     ``extract_rows`` adds when ``swapped`` is set (the two necklaces
@@ -602,7 +593,8 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
         if degenerate_at(mask, L, S) or not mask_weak_computable(mask, L, S):
             continue
         g = build_graph(mask, L)
-        for index, _, partner, lanes in iter_pairs(mask, g, config, True):
+        pairs = iter_pairs(g, pair_starts(mask, L, config), config.max_steps, True)
+        for _, _, partner, lanes in pairs:
             if settle_pair(g, config, lanes) is not None:
                 continue
             passed += 1
@@ -618,7 +610,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
                     codes += node_codes[skeleton, K]
             else:
                 codes = slot_codes(filled_rows(lanes))
-            yield codes, L, partner not in (None, index)
+            yield codes, L, partner is not None
     if not passed:
         raise UnverifiedRuns(
             f"mask {mask}: no pair passes the {config.check_level} check at "

@@ -567,12 +567,35 @@ def test_pair_starts_yield_one_start_per_rotation_and_complement_class():
     config = quick_config(lmax=16, exhaustive_cutoff=16)
     counts = []
     for L in range(3, 17):
-        starts = [r for r, *_ in ac23._pair_starts(Mask(1, 1), L, config,
-                                                   ac23._indices(L, config, 2**L))]
+        starts = [r for r, *_ in ac23.pair_starts(Mask(1, 1), L, config)]
         assert len(set(starts)) == len(starts)
         counts.append(len(starts))
     assert counts == [burnside_classes(L) for L in range(3, 17)] == [
         2, 4, 4, 8, 10, 20, 30, 56, 94, 180, 316, 596, 1096, 2068]
+
+
+@pytest.mark.parametrize("L,total", [(10, None), (8, 100), (12, None), (12, 7)])
+def test_pair_starts_shares_partition_the_plan(L, total):
+    # exhaustive at L = 10, a budget cut at L = 8, sampled at L = 12:
+    # share k takes every workers-th necklace (or sample) below the
+    # total from the k-th on, whether it yields or not
+    config = quick_config(lmax=12, exhaustive_cutoff=10, samples_per_L=30)
+    if L <= config.exhaustive_cutoff:
+        indices = [r for r in ac23._necklaces(L) if r < (total or 2**L)]
+        partners = {r: ac23._complement_partner(r, L) for r in indices}
+        kept = {r: None if p == r else p for r, p in partners.items() if p >= r}
+    else:
+        indices = list(range(total or config.samples_per_L))
+        kept = dict.fromkeys(indices)
+    plan = list(ac23.pair_starts(Mask(1, 3), L, config, total))
+    assert [(index, partner) for index, _, partner in plan] == list(kept.items())
+    for workers in range(1, 5):
+        shares = [list(ac23.pair_starts(Mask(1, 3), L, config, total, k, workers))
+                  for k in range(workers)]
+        for k, share in enumerate(shares):
+            assert [index for index, *_ in share] == [
+                r for r in indices[k::workers] if r in kept]
+        assert sorted(pair for share in shares for pair in share) == plan
 
 
 class RecordingPool:
@@ -843,6 +866,23 @@ class TestVerdictGrid:
             shared = [classify_mask(mask, cfg, memo=memo).to_json_dict() for mask in (a, b)]
             assert len(calls) == scans
             assert shared == alone
+
+    def test_memo_keeps_only_whole_exhaustive_scans(self):
+        # sampled sizes above the cutoff, and a budget that cuts L = 8
+        # at 52 starts: neither is read back by a later cell, so neither
+        # is kept
+        cfg = quick_config(lmax=12, exhaustive_cutoff=10, samples_per_L=20)
+        memo = {}
+        for mask in (Mask(1, 1), Mask(1, 3), Mask(3, 1), Mask(3, 3)):
+            classify_mask(mask, cfg, memo=memo)
+        assert classify_mask(Mask(5, 3), cfg, budget=300, memo=memo).budget_exhausted
+        sizes = set()
+        for key in memo:
+            if key != "partners":
+                assert len(key) == 2 and key[0] <= cfg.exhaustive_cutoff, key
+                assert isinstance(key[1], (frozenset, tuple))
+                sizes.add(key[0])
+        assert sizes == set(range(3, 11))
 
     def test_resume_rows_short_circuit(self):
         cfg = quick_config(lmax=6)

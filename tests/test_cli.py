@@ -69,16 +69,27 @@ class TestGoldenOutputs:
         golden = DATA / "golden_rt_extract" / f"rt_{n}_{m}_{level}.rt"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_rt_extract_at_sampled_sizes(self, tmp_path, capsys):
+        # exhaustive sizes up to 10, seeded samples at 11..14
+        out = tmp_path / "t.rt"
+        assert run_cli("rt", "extract", "--n", "1", "--m", "3", "--lmax", "14",
+                       "--cutoff", "10", "--samples", "40", "--out", str(out)) == 0
+        golden = DATA / "golden_rt_extract" / "rt_1_3_full_sampled.rt"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
 
-    # the benchmark grid; and a grid whose sizes hold witnesses and
-    # unresolved runs, which cells scan for their own connection sets
+    # the benchmark grid; a grid whose sizes hold witnesses and
+    # unresolved runs, which cells scan for their own connection sets;
+    # and one with seeded samples above L=10, and a witness at L=11
     @pytest.mark.parametrize("name,flags,code", [
         ("golden_grid_15.json", ("--lmax", "8"), 0),
         ("golden_grid_15_steps12.json", ("--lmax", "10", "--max-steps", "12"), 3),
+        ("golden_grid_15_sampled.json",
+         ("--lmax", "14", "--cutoff", "10", "--samples", "30"), 0),
     ])
     def test_grid_json(self, tmp_path, capsys, name, flags, code):
         out = tmp_path / "grid.json"
@@ -181,6 +192,17 @@ class TestCheckMask:
         assert "witness: L=7 start=BABAAAA condition=div3" in capsys.readouterr().out
         verdict = json.loads(out.read_text())
         assert verdict["status"] == "Incorrect"
+
+    @pytest.mark.parametrize("flags,summary", [
+        # the witness at L=7 ends the search
+        (("--n", "1", "--m", "5"), "tested 117 start pairs over L=3..7\n"),
+        # the budget runs out inside L=11
+        (("--n", "1", "--m", "3", "--lmax", "14", "--budget", "3000"),
+         "tested 2983 start pairs over L=3..11 (budget exhausted)\n"),
+    ], ids=["witness", "budget"])
+    def test_summary_names_the_last_size_examined(self, capsys, flags, summary):
+        run_cli("check-mask", *flags)
+        assert capsys.readouterr().out.endswith(summary)
 
     def test_correct_exits_0(self, capsys):
         assert run_cli("check-mask", "--n", "1", "--m", "1",

@@ -36,7 +36,8 @@ from hypothesis import strategies as st
 from extraction import lanes_of, pair_codes
 from graphgen import random_mixed_graph
 from trine import dynamics
-from trine.ac23 import Mask, build_graph, degenerate_at, iter_pairs, settle_pair
+from trine.ac23 import (Mask, build_graph, degenerate_at, iter_pairs, pair_starts,
+                        settle_pair)
 from trine.config import Config
 from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes, unpack
 from trine.errors import DegenerateRun, UnverifiedRuns
@@ -514,7 +515,7 @@ def assert_swap_keeps_the_outcome(g: MixedGraph, start: str) -> None:
 @with_pinned_pairs
 @settings(deadline=None)
 def test_swapping_run_and_complement_keeps_the_outcome(case):
-    # iter_pairs checks each complement class once, at its smaller necklace
+    # pair_starts plans each complement class once, at its smaller necklace
     assert_swap_keeps_the_outcome(*case)
 
 
@@ -606,8 +607,9 @@ def full_level_pairs(mask: Mask, config: Config):
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         if not degenerate_at(mask, L) and weak_computable(g):
-            for index, bits, partner, lanes in iter_pairs(mask, g, config, True):
-                yield g, bits, partner not in (None, index), lanes
+            pairs = pair_starts(mask, L, config)
+            for _, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, True):
+                yield g, bits, partner is not None, lanes
 
 
 def two_skeleton_codes(lanes) -> list:
@@ -698,14 +700,15 @@ def checked_pairs(mask: Mask, config: Config) -> list:
         g = build_graph(mask, L)
         if degenerate_at(mask, L) or not weak_computable(g):
             continue
-        for index, _, partner, lanes in iter_pairs(mask, g, config, True):
+        for _, _, partner, lanes in iter_pairs(g, pair_starts(mask, L, config),
+                                               config.max_steps, True):
             if lanes is None or lanes[0][0] <= 2 or lanes[1][0] <= 2:
                 continue
             report = check_ipf(lanes, L, level=config.check_level,
                                cond1_interpretation=config.cond1_interpretation,
                                time_origin=config.time_origin)
             if report.passed:
-                pairs.append((lanes, report, partner not in (None, index)))
+                pairs.append((lanes, report, partner is not None))
     return pairs
 
 
