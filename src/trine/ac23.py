@@ -21,7 +21,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 from math import gcd
 from typing import Iterable, Iterator, Optional
@@ -37,12 +37,17 @@ INCONCLUSIVE = "Inconclusive"
 STATUSES = (CORRECT_SO_FAR, INCORRECT, INCONCLUSIVE)
 
 def _offsets(bits: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
+    return tuple([i for i, bit in enumerate(bin(bits)[:1:-1], 1) if bit == "1"])
 
 
 @dataclass(frozen=True)
 class Mask:
-    """A mask (n, m) with its derived geometry.
+    """A mask (n, m) with its derived geometry, set once at construction:
+    ``left_offsets`` and ``right_offsets`` (the set bits of n and m, as
+    offsets 1, 2, ... ascending), ``point_count`` (the mask points
+    including the central one), ``steps`` (the signed offsets besides
+    the center, ascending: -d for each left offset d, d for each right
+    one) and ``column_offsets``.  Equality and hash read (n, m) alone.
 
     ``column_offsets`` fixes the table column convention used
     everywhere: column 0 is the central point (offset 0), the remaining
@@ -55,29 +60,11 @@ class Mask:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError(f"mask numbers must be positive, got ({self.n},{self.m})")
-
-    @cached_property
-    def left_offsets(self) -> tuple[int, ...]:
-        return _offsets(self.n)
-
-    @cached_property
-    def right_offsets(self) -> tuple[int, ...]:
-        return _offsets(self.m)
-
-    @cached_property
-    def point_count(self) -> int:
-        """Total number of mask points including the central one."""
-        return len(self.left_offsets) + len(self.right_offsets) + 1
-
-    @cached_property
-    def steps(self) -> tuple[int, ...]:
-        """The signed offsets besides the center, ascending: -d for each
-        left offset d, d for each right one."""
-        return tuple(sorted([-d for d in self.left_offsets] + list(self.right_offsets)))
-
-    @cached_property
-    def column_offsets(self) -> tuple[int, ...]:
-        return (0, *self.steps)
+        left, right = _offsets(self.n), _offsets(self.m)
+        steps = tuple([-d for d in reversed(left)]) + right
+        self.__dict__.update(left_offsets=left, right_offsets=right,
+                             point_count=len(steps) + 1, steps=steps,
+                             column_offsets=(0, *steps))
 
     @property
     def reflected(self) -> "Mask":
@@ -100,7 +87,7 @@ def connection_set(mask: Mask, L: int) -> frozenset:
     """The nonzero steps mod L of the mask's connections (``Mask.steps``
     mod L).  They alone fix the circle graph at size L (the circulant
     graph C_L(S), see ``build_graph``)."""
-    return frozenset(d % L for d in mask.steps if d % L)
+    return frozenset([d % L for d in mask.steps if d % L])
 
 
 def build_graph(mask: Mask, L: int) -> MixedGraph:
@@ -135,7 +122,7 @@ def _multiplier_class(S: frozenset, L: int) -> tuple[int, ...]:
     {a*s mod L : s in S}: one key for every connection set whose circle
     graph the relabeling v -> a*v maps C_L(S) onto (the easy direction
     of Adam's isomorphism question for circulants)."""
-    return min(tuple(sorted(a * s % L for s in S)) for a in range(1, L) if gcd(a, L) == 1)
+    return tuple(min(sorted([a * s % L for s in S]) for a in range(1, L) if gcd(a, L) == 1))
 
 
 def mask_weak_computable(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
@@ -258,8 +245,12 @@ def iter_pairs(
     ``ipf.PairLanes``, from the runs of ``bits`` and of its complement,
     the skeleton texts recorded when ``record`` is set, else None.
 
-    The starts of a few hundred pairs and their complements run at a
-    time through ``dynamics.step_lanes``, which records skeletons when
+    The starts of a few hundred pairs run at a time through
+    ``dynamics.step_lanes``, each start in lane 2i and its complement in
+    lane 2i+1, whose readouts are read back by position.  A start that
+    comes twice runs twice: at exhaustive sizes none does (a necklace's
+    complement is never another yielded necklace), and a repeated seeded
+    sample costs one more pair.  ``step_lanes`` records skeletons when
     ``record`` is set: the search records at the full level only, rt
     extraction at both.  No run object is built: ``ipf`` reads the
     lanes as they are.
@@ -267,14 +258,15 @@ def iter_pairs(
     full = (1 << g.node_count) - 1
     pairs = iter(pairs)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
-        starts = list(dict.fromkeys(x for _, bits, _ in chunk for x in (bits, bits ^ full)))
-        lanes = dict(zip(starts, zip(*step_lanes(g, starts, max_steps, record))))
-        for index, bits, partner in chunk:
-            (readout, text), (comp_readout, comp_text) = lanes[bits], lanes[bits ^ full]
+        starts = [x for _, bits, _ in chunk for x in (bits, bits ^ full)]
+        readouts, texts = step_lanes(g, starts, max_steps, record)
+        for lane, (index, bits, partner) in zip(range(0, len(starts), 2), chunk):
+            readout, comp_readout = readouts[lane], readouts[lane + 1]
             if readout is None or comp_readout is None:
                 yield index, bits, partner, None
             else:
-                yield index, bits, partner, (readout, comp_readout, text, comp_text)
+                yield index, bits, partner, (readout, comp_readout, texts[lane],
+                                             texts[lane + 1])
 
 
 def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Optional[str]:
@@ -471,12 +463,16 @@ def classify_mask(
     ``_multiplier_class`` key C) share a whole scan when it found no
     failing start and no unresolved run; witness starts and first
     unresolved starts do move under v -> a*v.  The memo maps (L, C) to
-    the class's first whole scan and (L, S) to the size's (C is a tuple
-    and S a frozenset, so the keys never meet).  Each size builds its
-    own block from a copy of the scan.  A memo that is given, at one
-    thread, also maps "partners" to a cache of ``_complement_partner``
-    for the later cells' scans: a call's own memo would not read it
-    again, and a pool's blocks would get only a copy.
+    the class's first whole size and (L, S) to the size's (C is a tuple
+    and S a frozenset, so the keys never meet), each as its finished
+    (block, witness): the envelope block but for ``degenerate_L``, which
+    the mask alone decides, and the scan's witness, or None.  A
+    size the memo holds was weak computable, so it costs a cell one
+    connection set, one lookup and one copy of the block.  A memo that
+    is given, at one thread, also maps "partners" to a cache of
+    ``_complement_partner`` for the later cells' scans, made once: a
+    call's own memo would not read it again, and a pool's blocks would
+    get only a copy.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -486,15 +482,18 @@ def classify_mask(
     budget_exhausted = False
     find_partner = _complement_partner
     if memo is not None and config.threads <= 1:
-        find_partner = memo.setdefault("partners", cache(_complement_partner))
+        if "partners" not in memo:
+            memo["partners"] = cache(_complement_partner)
+        find_partner = memo["partners"]
     memo = {} if memo is None else memo
+    reach = max(mask.n, mask.m).bit_length()  # the largest offset
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
             S = connection_set(mask, L)
-            if not mask_weak_computable(mask, L, S):
+            stored = memo.get((L, S))  # a whole exhaustive size: weak computable
+            if stored is None and not mask_weak_computable(mask, L, S):
                 envelope.append({"L": L, "skipped": "not weak computable"})
                 continue
-            degenerate_L = degenerate_at(mask, L, S)
             if L <= config.exhaustive_cutoff:
                 mode, total = "exhaustive", 2**L
             else:
@@ -509,21 +508,20 @@ def classify_mask(
                 budget_left -= total
 
             whole = mode == "exhaustive" and total == 2**L
-            if whole and (L, S) in memo:
-                scan = memo[L, S]
-            else:
+            if stored is None or not whole:
                 class_key = (L, _multiplier_class(S, L)) if whole else None
-                scan = memo.get(class_key)
-                if scan is None or "witness" in scan or scan["unresolved"]:
+                stored = memo.get(class_key)
+                if stored is None or stored[1] is not None or stored[0]["unresolved"]:
                     scan = _scan_size(mask, build_graph(mask, L), config, total, run_map,
                                       find_partner)
+                    found = scan.pop("witness", None)
+                    stored = ({"L": L, "mode": mode, "planned": total, **scan}, found)
                 if whole:
-                    memo.setdefault(class_key, scan)
-                    memo[L, S] = scan
-            scan = dict(scan)
-            found = scan.pop("witness", None)
-            block = {"L": L, "mode": mode, "planned": total, **scan,
-                     "degenerate_L": degenerate_L}
+                    memo.setdefault(class_key, stored)
+                    memo[L, S] = stored
+            block, found = stored
+            degenerate_L = reach >= L or len(S) < mask.point_count - 1  # degenerate_at
+            block = {**block, "degenerate_L": degenerate_L}
             if found is not None:
                 found = {"L": L, **found}
                 if degenerate_L:

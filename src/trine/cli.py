@@ -43,11 +43,12 @@ EXIT_INCONCLUSIVE = 3
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the exit-code contract
-    reserves 2 for Incorrect verdicts, so remap usage errors to 1."""
+    reserves 2 for Incorrect verdicts, so remap usage errors to 1, with
+    argparse's usage and message."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_ERROR)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,6 +1,7 @@
+import pickle
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import gcd
 
 import pytest
@@ -45,6 +46,34 @@ class TestMask:
 
     def test_reflection(self):
         assert Mask(1, 3).reflected == Mask(3, 1)
+
+    @staticmethod
+    def read_geometry(n, m):
+        """The five attributes as the former ``cached_property`` bodies
+        read them on first use."""
+        def offsets(bits):
+            return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
+        left, right = offsets(n), offsets(m)
+        steps = tuple(sorted([-d for d in left] + list(right)))
+        return {"left_offsets": left, "right_offsets": right,
+                "point_count": len(left) + len(right) + 1, "steps": steps,
+                "column_offsets": (0, *steps)}
+
+    def test_geometry_is_built_at_construction_as_it_was_read(self):
+        assert [f.name for f in fields(Mask)] == ["n", "m"]
+        for n in range(1, 128):
+            for m in range(1, 128):
+                mask = Mask(n, m)
+                expected = self.read_geometry(n, m)
+                assert {name: getattr(mask, name) for name in expected} == expected
+                copied = pickle.loads(pickle.dumps(mask))
+                assert {name: getattr(copied, name) for name in expected} == expected
+                assert copied == mask and hash(copied) == hash(mask) == hash((n, m))
+                assert repr(copied) == f"Mask(n={n}, m={m})"
+                swapped = replace(mask, n=m, m=n)
+                assert swapped == mask.reflected
+                assert {name: getattr(swapped, name) for name in expected} == (
+                    self.read_geometry(m, n))
 
     def test_parse(self):
         assert parse_mask("3,5") == Mask(3, 5)
@@ -852,6 +881,51 @@ class TestVerdictGrid:
             counts.append(len(found))
         necklaces = sum(len(ac23._necklaces(L)) for L in range(3, 9))
         assert counts[0] == counts[1] <= necklaces == 88
+
+    def test_sizes_read_whole_from_the_memo_and_pairs_in_two_lanes(self, monkeypatch):
+        # the benchmark grid: each size is tested for weak computability
+        # and keyed by its multiplier class once per call, and a later cell
+        # reads it whole from the memo; each batch of the pair walk runs
+        # its pairs in order, each start in one lane, its complement in
+        # the next
+        seen = {"weak": [], "class": []}
+        weak, class_key = ac23.mask_weak_computable, ac23._multiplier_class
+        batches, pulled = [], []
+        step_lanes, pair_starts = ac23.step_lanes, ac23.pair_starts
+
+        def counting_weak(mask, L, S=None):
+            seen["weak"].append((L, S))
+            return weak(mask, L, S)
+
+        def counting_class(S, L):
+            seen["class"].append((L, S))
+            return class_key(S, L)
+
+        def recording_lanes(g, starts, *args):
+            batches.append((g.node_count, starts))
+            return step_lanes(g, starts, *args)
+
+        def recording_starts(*args, **kwargs):
+            for pair in pair_starts(*args, **kwargs):
+                pulled.append(pair)
+                yield pair
+
+        monkeypatch.setattr(ac23, "mask_weak_computable", counting_weak)
+        monkeypatch.setattr(ac23, "_multiplier_class", counting_class)
+        monkeypatch.setattr(ac23, "step_lanes", recording_lanes)
+        monkeypatch.setattr(ac23, "pair_starts", recording_starts)
+        grid = verdict_grid(15, 15, quick_config(lmax=8))
+        for verdict in grid.cells.values():
+            for block in verdict.tested:
+                assert block["degenerate_L"] == degenerate_at(verdict.mask, block["L"])
+        for name, calls in seen.items():
+            assert calls and max(Counter(calls).values()) == 1, name
+        walked = []
+        for L, starts in batches:
+            assert 0 < len(starts) <= 2 * ac23._PAIRS_PER_LANE_RUN
+            assert starts[1::2] == [bits ^ ((1 << L) - 1) for bits in starts[::2]]
+            walked += starts[::2]
+        assert walked == [bits for _, bits, _ in pulled]
 
     def test_sampled_sizes_scan_once_per_mask(self, monkeypatch):
         # (1,1) and (2049,1) share S = {1, 12} at L = 13

@@ -39,6 +39,13 @@ class TestGoldenOutputs:
                        *GOLDEN_FULL_CONFIG, "--json", str(out)) == code
         assert out.read_bytes() == (DATA / f"golden_check_mask_full_{n}_{m}.json").read_bytes()
 
+    def test_check_mask_json_with_a_budget(self, tmp_path, capsys):
+        # the budget runs out inside L=11, a size cut to its first 960 starts
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", "--n", "1", "--m", "3", "--lmax", "14",
+                       "--budget", "3000", "--json", str(out)) == 0
+        assert out.read_bytes() == (DATA / "golden_check_mask_1_3_budget.json").read_bytes()
+
     def test_full_level_check_mask_json_at_time_origin_0(self, tmp_path, capsys):
         out = tmp_path / "verdict.json"
         assert run_cli("check-mask", "--n", "1", "--m", "3", "--level", "full",
@@ -99,6 +106,15 @@ class TestGoldenOutputs:
         assert out.read_bytes() == golden
         if code:
             assert b'"witness": {' in golden and b'"first_unresolved"' in golden
+
+    def test_full_level_grid_json(self, tmp_path, capsys):
+        # every pair recorded, four witnesses and two degenerate witnesses
+        out = tmp_path / "grid.json"
+        assert run_cli("grid", "--max", "9", "--lmax", "8", "--level", "full",
+                       "--out", str(tmp_path / "grid.csv"), "--json", str(out)) == 0
+        golden = (DATA / "golden_grid_9_full.json").read_bytes()
+        assert out.read_bytes() == golden
+        assert golden.count(b'"witness": {') == 4
 
     @pytest.mark.parametrize("level", ["light", "full"])
     def test_trace_on_a_graph_that_is_not_circulant(self, tmp_path, capsys, level):
@@ -181,6 +197,22 @@ class TestTrace:
 
     def test_missing_arguments(self, capsys):
         assert run_cli("trace", "--start", "ABA") == 1
+
+
+class TestUsageErrors:
+    # argparse's usage and reason on stderr, and exit 1: exit 2 means Incorrect
+    @pytest.mark.parametrize("argv,message", [
+        (("check-mask", "--n", "1", "--m", "x"),
+         "trine check-mask: error: argument --m: invalid int value: 'x'"),
+        (("grid", "--max", "3"),
+         "trine grid: error: the following arguments are required: --out"),
+        (("check-mask", "--n", "1", "--m", "3", "--bogus"),
+         "trine: error: unrecognized arguments: --bogus"),
+    ], ids=["invalid-int", "missing-flag", "unknown-flag"])
+    def test_usage_errors_say_why(self, capsys, argv, message):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: trine") and err.endswith(message + "\n")
 
 
 class TestCheckMask:
