@@ -37,7 +37,7 @@ INCONCLUSIVE = "Inconclusive"
 STATUSES = (CORRECT_SO_FAR, INCORRECT, INCONCLUSIVE)
 
 def _offsets(bits: int) -> tuple[int, ...]:
-    return tuple([i for i, bit in enumerate(bin(bits)[:1:-1], 1) if bit == "1"])
+    return tuple(i + 1 for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def connection_set(mask: Mask, L: int) -> frozenset:
     """The nonzero steps mod L of the mask's connections (``Mask.steps``
     mod L).  They alone fix the circle graph at size L (the circulant
     graph C_L(S), see ``build_graph``)."""
-    return frozenset([d % L for d in mask.steps if d % L])
+    return frozenset(d % L for d in mask.steps if d % L)
 
 
 def build_graph(mask: Mask, L: int) -> MixedGraph:
@@ -122,7 +122,7 @@ def _multiplier_class(S: frozenset, L: int) -> tuple[int, ...]:
     {a*s mod L : s in S}: one key for every connection set whose circle
     graph the relabeling v -> a*v maps C_L(S) onto (the easy direction
     of Adam's isomorphism question for circulants)."""
-    return tuple(min(sorted([a * s % L for s in S]) for a in range(1, L) if gcd(a, L) == 1))
+    return min(tuple(sorted(a * s % L for s in S)) for a in range(1, L) if gcd(a, L) == 1)
 
 
 def mask_weak_computable(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
@@ -486,7 +486,6 @@ def classify_mask(
             memo["partners"] = cache(_complement_partner)
         find_partner = memo["partners"]
     memo = {} if memo is None else memo
-    reach = max(mask.n, mask.m).bit_length()  # the largest offset
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
             S = connection_set(mask, L)
@@ -520,7 +519,7 @@ def classify_mask(
                     memo.setdefault(class_key, stored)
                     memo[L, S] = stored
             block, found = stored
-            degenerate_L = reach >= L or len(S) < mask.point_count - 1  # degenerate_at
+            degenerate_L = degenerate_at(mask, L, S)
             block = {**block, "degenerate_L": degenerate_L}
             if found is not None:
                 found = {"L": L, **found}
