@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import signal
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, partial
@@ -117,12 +118,18 @@ def degenerate_at(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
     return len(S) < mask.point_count - 1
 
 
+@cache
+def _units(L: int) -> tuple[int, ...]:
+    """The units mod L: 0 < a < L with gcd(a, L) = 1.  Cached per L."""
+    return tuple(a for a in range(1, L) if gcd(a, L) == 1)
+
+
 def _multiplier_class(S: frozenset, L: int) -> tuple[int, ...]:
     """The smallest ``sorted(aS)`` over the units a mod L, aS being
     {a*s mod L : s in S}: one key for every connection set whose circle
     graph the relabeling v -> a*v maps C_L(S) onto (the easy direction
     of Adam's isomorphism question for circulants)."""
-    return min(tuple(sorted(a * s % L for s in S)) for a in range(1, L) if gcd(a, L) == 1)
+    return tuple(min([sorted([a * s % L for s in S]) for a in _units(L)]))
 
 
 def mask_weak_computable(mask: Mask, L: int, S: Optional[frozenset] = None) -> bool:
@@ -140,10 +147,18 @@ def mask_weak_computable(mask: Mask, L: int, S: Optional[frozenset] = None) -> b
 # -- search ------------------------------------------------------------
 
 
-def _sample_bits(seed: int, n: int, m: int, L: int, index: int) -> int:
-    """Deterministic, platform-independent start sample."""
-    digest = hashlib.sha256(f"{seed}:{n}:{m}:{L}:{index}".encode()).digest()
-    return int.from_bytes(digest, "big") & ((1 << L) - 1)
+def _samples(seed: int, n: int, m: int, L: int, indices: Iterable[int]) -> Iterator[int]:
+    """The seeded start samples of size L with the given indices, in
+    order: the low L bits of the SHA-256 digest of
+    f"{seed}:{n}:{m}:{L}:{index}", deterministic and platform
+    independent.  All but the index is hashed once, and each sample
+    hashes the index into a copy of that."""
+    prefix = hashlib.sha256(f"{seed}:{n}:{m}:{L}:".encode())
+    low = (1 << L) - 1
+    for index in indices:
+        digest = prefix.copy()
+        digest.update(str(index).encode())
+        yield int.from_bytes(digest.digest(), "big") & low
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +227,9 @@ def pair_starts(
     once, at its smaller member r, with the outcome of both."""
     if L > config.exhaustive_cutoff:
         total = config.samples_per_L if total is None else total
-        for index in range(k, total, workers):
-            yield index, _sample_bits(config.seed, mask.n, mask.m, L, index), None
+        indices = range(k, total, workers)
+        for index, bits in zip(indices, _samples(config.seed, mask.n, mask.m, L, indices)):
+            yield index, bits, None
         return
     total = 2**L if total is None else total
     for r in islice(_necklaces(L), k, None, workers):
@@ -362,23 +378,90 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
     return scan
 
 
+def _serve(tasks, results) -> None:
+    """The loop of a forked ``_mapper`` worker: for each message (fn,
+    items) read from ``tasks``, up to None, send (True, fn(item)) or
+    (False, the exception fn raised) to ``results`` for each item, as
+    soon as it is done.  The worker leaves only through ``os._exit``, so
+    nothing of the parent's stack or exit handlers runs in it."""
+    code = 1
+    try:
+        while (task := pickle.load(tasks)) is not None:
+            fn, items = task
+            for item in items:
+                try:
+                    reply = True, fn(item)
+                except Exception as exc:
+                    reply = False, exc
+                pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+                results.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_on(pipes: list, fn, items) -> Iterator:
+    """Map ``fn`` over the sized sequence ``items`` on the workers of
+    ``pipes`` (see ``_mapper``): worker k gets items[k::P] in one
+    message, P being the worker count, and the results come back in
+    input order.  An exception a worker raised is raised here."""
+    P = len(pipes)
+    for k, (tasks, _) in enumerate(pipes):
+        pickle.dump((fn, items[k::P]), tasks, pickle.HIGHEST_PROTOCOL)
+        tasks.flush()
+    for i in range(len(items)):
+        try:
+            ok, value = pickle.load(pipes[i % P][1])
+        except EOFError:
+            raise ChildProcessError("a pool worker exited before sending its results") from None
+        if not ok:
+            raise value
+        yield value
+
+
 @contextmanager
-def _mapper(threads: int, initializer=None):
+def _mapper(threads: int):
     """A ``map`` over a sized sequence that returns results in input
-    order: the builtin one for a single thread, else that of a process
-    pool shut down on exit, whose workers each run ``initializer`` first.
-    The pool starts at most one process per CPU the process may run on;
-    ``threads`` still sets the batch count, so no result depends on the
-    CPUs.  It takes n items in chunks of ceil(n / (4 * processes)), as
-    ``multiprocessing.Pool.map`` does, not one round trip per item."""
-    if threads <= 1:
+    order: the builtin one for one thread or without ``os.fork``, else
+    ``_map_on`` over workers forked on entry, at most one per CPU the
+    process may run on and at least one; ``threads`` still sets the
+    batch count, so no result depends on the CPUs.  Each worker has a
+    task pipe and a result pipe and lives for the whole block.  On exit
+    each is sent None, or killed if the block raised, and then waited
+    for, so none outlives the block.  The caller reads every result of a
+    map call before the next call, and runs no other thread: a forked
+    process holds only the forking one."""
+    if threads <= 1 or not hasattr(os, "fork"):
         yield map
         return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = min(threads, cpus or 1)
-    with ProcessPoolExecutor(max_workers=processes, initializer=initializer) as pool:
-        yield lambda fn, items: pool.map(
-            fn, items, chunksize=max(1, -(-len(items) // (4 * processes))))
+    pids, pipes = [], []
+    try:
+        for _ in range(min(threads, cpus or 1)):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pipes.append((open(task_w, "wb"), open(result_r, "rb")))
+            with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(tasks, results)
+            pids.append(pid)
+        yield partial(_map_on, pipes)
+        for tasks, _ in pipes:
+            pickle.dump(None, tasks)
+            tasks.flush()
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # the descriptors alone: a send cut short leaves bytes in its
+        # buffer that must not be flushed to a killed worker
+        for ends in pipes:
+            for end in ends:
+                end.raw.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 @dataclass
@@ -451,7 +534,8 @@ def classify_mask(
     ``budget`` (at least 1) caps the number of start pairs examined;
     exhausting it returns the partial verdict with ``budget_exhausted``
     set.  With ``config.threads`` above one, each size's pairs run in as
-    many even batches in a process pool.
+    many even batches on worker processes forked once for the call (see
+    ``_mapper``).
 
     ``memo`` lets the cells of one ``verdict_grid`` call share work, and
     never changes a result.  It holds only whole exhaustive scans, the
@@ -471,8 +555,8 @@ def classify_mask(
     connection set, one lookup and one copy of the block.  A memo that
     is given, at one thread, also maps "partners" to a cache of
     ``_complement_partner`` for the later cells' scans, made once: a
-    call's own memo would not read it again, and a pool's blocks would
-    get only a copy.
+    call's own memo would not read it again, and the batches on forked
+    workers would each fill only their own copy.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -600,22 +684,6 @@ def check_grid_bounds(n_max: int, m_max: int) -> None:
         raise ValueError(f"grid bounds must be odd, got {n_max} and {m_max}")
 
 
-# The memo of a pool worker of one ``verdict_grid`` call (see
-# ``classify_mask``).  Only the pool's initializer sets it, in each
-# worker process, so it lives exactly as long as the call's pool; the
-# calling process never sets it.
-_worker_memo: Optional[dict] = None
-
-
-def _start_grid_worker() -> None:
-    global _worker_memo
-    _worker_memo = {}
-
-
-def _classify_in_grid_worker(mask: Mask, config: Config) -> MaskVerdict:
-    return classify_mask(mask, config, memo=_worker_memo)
-
-
 def verdict_grid(
     n_max: int,
     m_max: int,
@@ -638,15 +706,16 @@ def verdict_grid(
     mirror's scan at such sizes; the grid's reflection symmetry stays a
     checked fact only at sizes with a witness or an unresolved run.  The
     shared work lives for this call only.
-    With ``config.threads`` above one, whole cells run in a process
-    pool, dealt to the workers in chunks of about a quarter of each
-    process's share of the cells (see ``_mapper``), and each worker
-    shares work among the cells it computes.
+    With ``config.threads`` above one, whole cells run on worker
+    processes forked for this call (see ``_mapper``), each given every
+    P-th cell, P being the worker count, with its own memo: the empty
+    ``memo`` of the one ``classify_mask`` partial it is sent, which it
+    fills for the cells it computes.
     ``resume_rows`` maps (n, m) to a previously computed MaskVerdict and
     lets an interrupted grid continue; ``on_cell`` is called after each
     newly computed cell, in grid order, which is the hook incremental
-    writers use.  In a pool the cells of a chunk come back together, so
-    ``on_cell`` sees them once their whole chunk is done.
+    writers use.  A worker sends each cell back as soon as it is done,
+    so ``on_cell`` sees a cell once it and every cell before it are.
     ``cr_annotations`` maps (n, m) to externally supplied table row
     counts that decorate the JSON view of the grid.
     """
@@ -660,12 +729,8 @@ def verdict_grid(
                 grid.cells[(n, m)] = resume_rows[(n, m)]
             else:
                 todo.append(Mask(n, m))
-    cell_config = replace(config, threads=1)
-    with _mapper(config.threads, initializer=_start_grid_worker) as run_map:
-        if run_map is map:
-            classify_cell = partial(classify_mask, config=cell_config, memo={})
-        else:
-            classify_cell = partial(_classify_in_grid_worker, config=cell_config)
+    classify_cell = partial(classify_mask, config=replace(config, threads=1), memo={})
+    with _mapper(config.threads) as run_map:
         for verdict in run_map(classify_cell, todo):
             grid.cells[(verdict.mask.n, verdict.mask.m)] = verdict
             if on_cell is not None:

@@ -1,3 +1,5 @@
+import hashlib
+import os
 import pickle
 import random
 from collections import Counter
@@ -345,8 +347,8 @@ def naive_envelope(mask, config, total=None):
         if L <= config.exhaustive_cutoff:
             starts = range(2**L if total is None else total)
         else:
-            starts = [ac23._sample_bits(config.seed, mask.n, mask.m, L, index)
-                      for index in range(config.samples_per_L)]
+            starts = list(ac23._samples(config.seed, mask.n, mask.m, L,
+                                        range(config.samples_per_L)))
         for bits in starts:
             start = unpack(L, 0, bits)
             try:
@@ -627,65 +629,111 @@ def test_pair_starts_shares_partition_the_plan(L, total):
         assert sorted(pair for share in shares for pair in share) == plan
 
 
-class RecordingPool:
-    """A stand-in for ProcessPoolExecutor that maps in this process and
-    records the pool sizes and chunk sizes asked for."""
-
-    sizes: list = []
-    chunksizes: list = []
-
-    def __init__(self, max_workers=None, initializer=None):
-        self.sizes.append(max_workers)
-        if initializer is not None:
-            initializer()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return list(map(fn, *iterables))
+def test_samples_follow_the_seeded_digest_formula():
+    # each sample is the low L bits of sha256(f"{seed}:{n}:{m}:{L}:{index}"),
+    # whatever the prefix hashed once per size
+    for seed in (0, 1, 7, 123456789):
+        for n, m in ((1, 1), (1, 3), (5, 9), (31, 17)):
+            for L in (3, 11, 12, 20, 40):
+                indices = [*range(12), 99, 1000, 123456]
+                assert list(ac23._samples(seed, n, m, L, indices)) == [
+                    int.from_bytes(hashlib.sha256(
+                        f"{seed}:{n}:{m}:{L}:{index}".encode()).digest(), "big")
+                    & ((1 << L) - 1) for index in indices]
 
 
-class TestProcessPool:
+def exit_at_once(item):
+    os._exit(3)
+
+
+def reaped(pid: int) -> bool:
+    """Whether the child ``pid`` has been waited for already."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedPool:
     @pytest.fixture
-    def pool(self, monkeypatch):
-        """RecordingPool in place of the process pool, on two CPUs."""
-        monkeypatch.setattr(ac23, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(RecordingPool, "chunksizes", [])
-        monkeypatch.setattr(ac23, "_worker_memo", None)
-        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-        return RecordingPool
+    def forks(self, monkeypatch):
+        """The pids of the workers forked, on two CPUs."""
+        pids = []
+        fork = os.fork
 
-    def test_pool_processes_are_capped_at_the_cpus(self, pool):
-        # eight batches, two CPUs: two processes, and the verdict of one
+        def recording_fork():
+            pid = fork()
+            pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(ac23.os, "fork", recording_fork)
+        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        return pids
+
+    @pytest.mark.parametrize("cpus", [{0, 5}, {3}])
+    def test_pool_processes_are_capped_at_the_cpus(self, forks, monkeypatch, cpus):
+        # eight batches on two CPUs: two processes, and the verdict of
+        # one; on one CPU the batches still run in a forked worker
+        monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert classify_mask(Mask(1, 5), quick_config(threads=8)).to_json_dict() == (
             classify_mask(Mask(1, 5), quick_config()).to_json_dict())
+        assert len(forks) == len(cpus)
         grid = verdict_grid(5, 5, quick_config(lmax=6, threads=3))
         assert grid.csv_rows() == verdict_grid(5, 5, quick_config(lmax=6)).csv_rows()
-        assert pool.sizes == [2, 2]
+        assert len(forks) == 2 * len(cpus)
+        assert all(map(reaped, forks))
 
-    def test_fewer_batches_than_cpus_start_one_process_each(self, pool, monkeypatch):
+    def test_fewer_batches_than_cpus_start_one_process_each(self, forks, monkeypatch):
         monkeypatch.setattr(ac23.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
         classify_mask(Mask(1, 3), quick_config(threads=3))
-        assert pool.sizes == [3]
+        assert len(forks) == 3 and all(map(reaped, forks))
 
-    def test_grid_cells_go_in_chunks_and_size_batches_alone(self, pool):
-        # 25 cells on two processes: chunks of ceil(25 / 8) = 4
+    def test_grid_cells_come_back_in_grid_order(self, forks):
         seen = []
-        verdict_grid(9, 9, quick_config(lmax=6, threads=3),
-                     on_cell=lambda v: seen.append((v.mask.n, v.mask.m)))
-        assert pool.chunksizes == [4]
+        grid = verdict_grid(9, 9, quick_config(lmax=6, threads=3),
+                            on_cell=lambda v: seen.append((v.mask.n, v.mask.m)))
         assert seen == [(n, m) for n in range(1, 10, 2) for m in range(1, 10, 2)]
-        # eight batches of one size on two processes: one batch per task
-        pool.chunksizes.clear()
-        classify_mask(Mask(1, 5), quick_config(threads=8))
-        assert pool.chunksizes and set(pool.chunksizes) == {1}
+        assert grid.csv_rows() == verdict_grid(9, 9, quick_config(lmax=6)).csv_rows()
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_a_worker_exception_reaches_the_caller(self, forks, monkeypatch):
+        def failing_settle(*args):
+            raise ValueError(f"no verdict in process {os.getpid()}")
+
+        monkeypatch.setattr(ac23, "settle_pair", failing_settle)
+        with pytest.raises(ValueError, match="no verdict in process") as raised:
+            classify_mask(Mask(1, 3), quick_config(threads=2))
+        assert type(raised.value) is ValueError
+        assert str(raised.value) in {f"no verdict in process {pid}" for pid in forks}
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_an_on_cell_exception_reaches_the_caller(self, forks):
+        seen = []
+
+        def on_cell(verdict):
+            seen.append(verdict.mask)
+            if len(seen) == 3:
+                raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            verdict_grid(9, 9, quick_config(lmax=6, threads=3), on_cell=on_cell)
+        assert seen == [Mask(1, 1), Mask(1, 3), Mask(1, 5)]
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_a_worker_that_dies_is_reported(self, forks):
+        with pytest.raises(ChildProcessError, match="exited before sending"):
+            with ac23._mapper(2) as run_map:
+                list(run_map(exit_at_once, range(4)))
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_without_fork_the_builtin_map_runs(self, monkeypatch):
+        monkeypatch.delattr(ac23.os, "fork")
+        with ac23._mapper(3) as run_map:
+            assert run_map is map
+        assert classify_mask(Mask(1, 5), quick_config(threads=3)).to_json_dict() == (
+            classify_mask(Mask(1, 5), quick_config()).to_json_dict())
 
 
 class TestVerdictGrid:

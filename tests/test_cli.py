@@ -1,10 +1,14 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trine
 from trine import bundle, rt
 from trine.ac23 import GRID_CSV_COLUMNS
 from trine.cli import main
@@ -20,6 +24,19 @@ GOLDEN_FULL_CONFIG = ("--lmax", "12", "--cutoff", "10", "--samples", "20")
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    # the pool forks its own workers: no multiprocessing at start-up
+    src = str(Path(trine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, trine.cli; "
+            "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules); "
+            "sys.exit(f'loaded {sorted(loaded)}' if loaded else 0)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 class TestGoldenOutputs:

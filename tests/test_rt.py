@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extraction import lanes_of, pair_codes
-from trine.ac23 import Mask, _sample_bits, build_graph, degenerate_at
+from trine.ac23 import Mask, _samples, build_graph, degenerate_at
 from trine.config import Config
 from trine.dynamics import run_to_mirror, unpack
 from trine.errors import (
@@ -435,8 +435,7 @@ def own_pairs(mask, cfg):
             continue
         g = build_graph(mask, L)
         starts = (range(2**L) if L <= cfg.exhaustive_cutoff else
-                  [_sample_bits(cfg.seed, mask.n, mask.m, L, i)
-                   for i in range(cfg.samples_per_L)])
+                  list(_samples(cfg.seed, mask.n, mask.m, L, range(cfg.samples_per_L))))
         for bits in starts:
             start = unpack(L, 0, bits)
             pair = (run_to_mirror(g, start), run_to_mirror(g, complement(start)))
