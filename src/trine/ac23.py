@@ -28,7 +28,7 @@ from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .config import Config
-from .dynamics import rotate, step_lanes, unpack
+from .dynamics import PASSED, rotate, step_lanes, unpack
 from .graph import MixedGraph
 from .ipf import PairLanes, check_ipf, light_check, mirrored
 
@@ -248,7 +248,7 @@ _PAIRS_PER_LANE_RUN = 256
 
 def iter_pairs(
     g: MixedGraph, pairs: Iterable[tuple[int, int, Optional[int]]], max_steps: int,
-    record: bool,
+    record: bool, cond1: Optional[str] = None,
 ) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
     """Run each start of ``pairs`` (as ``pair_starts`` yields them) on
     the circle graph ``g`` beside its complement start (every bit
@@ -270,14 +270,21 @@ def iter_pairs(
     ``record`` is set: the search records at the full level only, rt
     extraction at both.  No run object is built: ``ipf`` reads the
     lanes as they are.
+
+    With a ``cond1`` reading, which only the light search passes,
+    ``step_lanes`` settles in bulk each pair whose two runs end on the
+    same step and pass the light check in that reading, and such a
+    pair is not yielded: only the pairs that need a look reach Python.
     """
     full = (1 << g.node_count) - 1
     pairs = iter(pairs)
     while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
         starts = [x for _, bits, _ in chunk for x in (bits, bits ^ full)]
-        readouts, texts = step_lanes(g, starts, max_steps, record)
+        readouts, texts = step_lanes(g, starts, max_steps, record, cond1)
         for lane, (index, bits, partner) in zip(range(0, len(starts), 2), chunk):
             readout, comp_readout = readouts[lane], readouts[lane + 1]
+            if readout is PASSED:
+                continue
             if readout is None or comp_readout is None:
                 yield index, bits, partner, None
             else:
@@ -319,12 +326,16 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     failure is (index, start bits, first failed condition) or None, and
     notes lists (index, start bits, "unresolved" or "degenerate") for
     each member of a class (see ``pair_starts``) that did not pass.  A
-    passing pair leaves no trace.  Picklable, so batches can run in
+    passing pair leaves no trace.  At the light level the walk gets the
+    configured cond1 reading, so the pairs ``step_lanes`` settles in
+    bulk never reach ``settle_pair``.  Picklable, so batches can run in
     worker processes."""
     notes = []
     pairs = pair_starts(mask, g.node_count, config, total, k, workers, find_partner)
     record = config.check_level == "full"  # the full level reads the skeletons
-    for index, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, record):
+    cond1 = None if record else config.cond1_interpretation  # light: settle in bulk
+    for index, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, record,
+                                                  cond1):
         outcome = settle_pair(g, config, lanes)
         if outcome is None:
             continue
@@ -382,8 +393,11 @@ def _serve(tasks, results) -> None:
     """The loop of a forked ``_mapper`` worker: for each message (fn,
     items) read from ``tasks``, up to None, send (True, fn(item)) or
     (False, the exception fn raised) to ``results`` for each item, as
-    soon as it is done.  The worker leaves only through ``os._exit``, so
-    nothing of the parent's stack or exit handlers runs in it."""
+    soon as it is done.  A reply that does not pickle is sent as (False,
+    a ChildProcessError naming the exception raised, or else the
+    pickling error, by type and message).  The worker leaves only
+    through ``os._exit``, so nothing of the parent's stack or exit
+    handlers runs in it."""
     code = 1
     try:
         while (task := pickle.load(tasks)) is not None:
@@ -393,7 +407,13 @@ def _serve(tasks, results) -> None:
                     reply = True, fn(item)
                 except Exception as exc:
                     reply = False, exc
-                pickle.dump(reply, results, pickle.HIGHEST_PROTOCOL)
+                try:
+                    data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:  # any error pickle raises
+                    error = exc if reply[0] else reply[1]
+                    data = pickle.dumps((False, ChildProcessError(
+                        f"a pool worker could not send {type(error).__name__}: {error}")))
+                results.write(data)
                 results.flush()
         code = 0
     finally:

@@ -43,13 +43,28 @@ lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
 section 6-1): adding LOW carries into the top bit from any set low bit
 and never past it.  A finished lane leaves the ``active`` mask and is
 read out at that step; its bits keep stepping unread.  Periods are
-long-tailed, so once three quarters of the lanes have finished the
-survivors are repacked into a narrower int.
+long-tailed, so once three quarters of the lanes have finished, each
+pair of lanes 2i and 2i + 1 with a lane still running is repacked into
+a narrower int, ``active`` bits and all, which keeps pairs aligned.
 
 A finished lane yields one readout, what the light check needs:
-(period, final C bits, final B bits, lambda) as plain ints, lambda read
-straight from the counter planes at the lane's shift (``_lane_lambda``),
-stopping at the first plane that is neither empty nor full.
+(period, final C bits, final B bits, lambda) as plain ints.  Lambda is
+read at once for all the lanes that finish on a step
+(``_lane_counts``): the final C bits and each counter plane are
+compared with their node 0 bit spread over the lane, one zero-lane test
+finds the lanes where any differs, whose lambda is undefined, and node
+0's bits are N_C.
+
+The light search walks a run in lane 2i beside its complement in lane
+2i + 1 and passes its cond1 reading.  Where both lanes of a pair finish
+on the same step t, the light check is a few zero-lane tests over
+double-width pair lanes (``_same_step_passed``, the whole-integer twin
+of ``ipf.light_check``): 3 | t, both final C lanes empty, every node's
+C count t / 3 in both lanes, and [1] on the two final B lanes.  A pair
+that passes is ``PASSED`` and never read out; every other pair is read
+out as without a reading.  Such pairs are common because the dynamics
+is reversible: a pair whose complement run is its run reversed reaches
+both mirror states on the same step.
 On a circulant graph, rotating a start rotates its run: its period and
 lambda stay, and its final state and skeletons rotate.  So one run
 stands for every rotation of its start.
@@ -115,29 +130,6 @@ def rotate(bits: int, k: int, width: int) -> int:
     """Rotate a ``width``-bit pattern up by k: bit v moves to bit v + k
     mod width."""
     return (bits << k | bits >> (width - k)) & ((1 << width) - 1)
-
-
-def _lane_lambda(period: int, final_c: int, planes: list[int], shift: int,
-                 lane: int) -> Optional[int]:
-    """The common per-node A-surplus of a run, or None if nodes disagree.
-
-    The run's final C bits are ``final_c``; its C counter planes sit at
-    bits shift .. shift + width - 1 of ``planes``, ``lane`` being the
-    width's all-ones.  Per node the surplus is T - 3 N_C + [C at T], so
-    it is uniform exactly when every counter plane and the final C bits
-    are each empty or full (a partial final C would need 3 N_C(v) - 1 =
-    3 N_C(w)).  The read stops at the first plane that is neither.
-    """
-    if final_c not in (0, lane):
-        return None
-    n_c = 0
-    for i, plane in enumerate(planes):
-        bits = plane >> shift & lane
-        if bits == lane:
-            n_c |= 1 << i
-        elif bits:
-            return None
-    return period - 3 * n_c + (final_c & 1)
 
 
 # What the light check reads of a run: (period, final C bits, final B
@@ -315,7 +307,8 @@ def _lane_masks(g: MixedGraph, lanes: int):
 
 def _rule(c: int, b: int, full: int, rotations) -> int:
     """The C bits after the packed state (c, b), P formed from
-    ``_lane_masks``' rotations; the B bits after it are c."""
+    ``_lane_masks``' rotations; the B bits after it are c.
+    ``step_lanes`` inlines it."""
     p = 0
     for down, up, down_mask, up_mask in rotations:
         p |= (c >> down) & down_mask | (c << up) & up_mask
@@ -346,27 +339,39 @@ def step_lanes(
     starts: list[int],
     max_steps: int = DEFAULT_MAX_STEPS,
     record: bool = False,
-) -> tuple[list[Optional[LaneReadout]], list[Optional[str]]]:
+    cond1: Optional[str] = None,
+) -> tuple[list, list[Optional[str]]]:
     """The one lane stepper: walk every {A,B} start (given by its B
     bits) to its mirror state at once, one lane per start.  Returns, in
     start order, each lane's readout (None for a lane still running
-    after ``max_steps`` steps), lambda read by ``_lane_lambda`` when the
-    lane finishes, and, when ``record`` is set, each finished lane's
-    skeleton text (see ``RunRecord.skeleton_text``), else None each."""
+    after ``max_steps`` steps), lambda read in bulk at the step the lane
+    finishes (see the module docstring), and, when ``record`` is set,
+    each finished lane's skeleton text (see
+    ``RunRecord.skeleton_text``), else None each.
+
+    With a ``cond1`` reading ("raw" or "complemented"), the starts come
+    in pairs, a run in lane 2i and its complement in lane 2i + 1, and a
+    pair whose two lanes finish on the same step and pass the light
+    check (``ipf.light_check``) in that reading is settled in bulk
+    (``_same_step_passed``): both its readouts are ``PASSED``.  Every
+    other pair is read out as without it."""
     width = g.node_count
     lane = (1 << width) - 1
-    readouts: list = [None] * len(starts)
+    # with cond1 a lane is PASSED unless it is read out or left unresolved
+    readouts: list = [None if cond1 is None else PASSED] * len(starts)
     texts: list = [None] * len(starts)
     ids = list(range(len(starts)))  # lane position -> start index
     c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
     b = 0
+    active = -1  # every lane, cut to the lane top bits below
     planes: list[int] = []
     columns: dict[int, list[str]] = {}  # start index -> its C columns so far
     t = 1
     while ids and t <= max_steps:
         full, top, low, rotations = _lane_masks(g, len(ids))
-        active = top
-        live = len(ids)
+        active &= top
+        pairs = None if cond1 is None else _pair_masks(len(ids), width, cond1)
+        live = active.bit_count()
         steps: list[int] = []  # the C bits of each step since the last flush
         finished: list[tuple[int, int]] = []  # (lane position, steps) of done lanes
         room = max(1, _RECORD_BITS // (len(ids) * width))
@@ -384,19 +389,31 @@ def step_lanes(
                     break
             else:
                 planes.append(carry)
-            new_c = _rule(c, b, full, rotations)
+            p = 0  # P, as in _rule
+            for down, up, down_mask, up_mask in rotations:
+                p |= (c >> down) & down_mask | (c << up) & up_mask
+            new_c = b & ~p | (full ^ (c | b)) & p
             d = new_c ^ b
             # top bit of a lane set iff the lane of d is nonzero
             done = active & ~(((d & low) + low | d) & top)
             if done:
                 active ^= done
+                if pairs is not None and t % 3 == 0:
+                    passed = _same_step_passed(t, done, c, b, planes, width, pairs)
+                    done ^= passed | passed >> width
+                if done:
+                    uneven, counts = _lane_counts(done, c, planes, width, top, low)
                 while done:  # read out the highest finished lane
                     shift = done.bit_length() - width
                     done ^= 1 << (shift + width - 1)
                     j = shift // width
                     final_c = c >> shift & lane
+                    n_c = 0
+                    for i, count in enumerate(counts):
+                        n_c |= (count >> shift & lane) << i * width
                     readouts[ids[j]] = (t, final_c, b >> shift & lane,
-                                        _lane_lambda(t, final_c, planes, shift, lane))
+                                        None if uneven >> shift & lane
+                                        else t - 3 * n_c + (final_c & 1))
                     if record:
                         finished.append((j, len(steps)))
                 live = active.bit_count()
@@ -406,13 +423,89 @@ def step_lanes(
                 break
         if record:
             _flush(steps, width, ids, active, finished, columns, texts)
-        # repack the survivors into a narrower integer
-        kept = _active_lanes(active, len(ids), width)
+        # repack the pairs with a running lane into a narrower integer
+        kept = _live_pairs(active, len(ids), width)
         ids = [ids[j] for j in kept]
-        c, b = (_pack_lanes([x >> j * width & lane for j in kept], width) for x in (c, b))
+        c, b, active = (_pack_lanes([x >> j * width & lane for j in kept], width)
+                        for x in (c, b, active))
         planes = [_pack_lanes([x >> j * width & lane for j in kept], width)
                   for x in planes]
+    if cond1 is not None:
+        for j in _active_lanes(active, len(ids), width):
+            readouts[ids[j]] = None
     return readouts, texts
+
+
+# The readout ``step_lanes`` gives both lanes of a pair it settles in bulk.
+PASSED = "passed"
+
+
+def _lane_counts(done: int, c: int, planes: list[int], width: int, top: int,
+                 low: int) -> tuple[int, list[int]]:
+    """What lambda needs of the lanes with their top bit set in
+    ``done``, read at once from the final C bits ``c`` and the C counter
+    planes ``planes``: (the top bits of the lanes whose lambda is
+    undefined, N_C in the lane bits of the ints of a list, ``width``
+    planes per int).
+
+    Per node lambda is T - 3 N_C + [C at T], so it is uniform exactly
+    when the final C bits and every counter plane are each empty or full
+    in the lane (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)).
+    Each is compared with its node 0 bit spread over the lane, and one
+    zero-lane test finds the lanes where any differs.  Node 0's bits of
+    the planes are N_C.
+    """
+    lane = (1 << width) - 1
+    ones = done >> (width - 1)  # bit 0 of every finished lane
+    uneven = c ^ (c & ones) * lane
+    counts = [0] * -(-len(planes) // width)
+    for k, plane in enumerate(planes):
+        bit = plane & ones
+        uneven |= plane ^ bit * lane
+        counts[k // width] |= bit << k % width
+    uneven &= ones * lane
+    return ((uneven & low) + low | uneven) & top, counts
+
+
+def _pair_masks(lanes: int, width: int, cond1: str) -> tuple[int, int, int, int, int]:
+    """Masks over ``lanes`` lanes (an even count) of ``width`` bits, read
+    as pair lanes of twice the width: (all bits of a pair lane, the top
+    bit of every pair lane, the other bits, the run lanes, what the
+    run's final B lane XOR the complement's equals under [1] in the
+    ``cond1`` reading: all ones when "complemented", zero when "raw")."""
+    pair = (1 << 2 * width) - 1
+    rep = ((1 << lanes * width) - 1) // pair  # bit 0 of every pair lane
+    top = rep << (2 * width - 1)
+    runs = rep * ((1 << width) - 1)
+    return pair, top, rep * pair ^ top, runs, runs if cond1 == "complemented" else 0
+
+
+def _same_step_passed(t: int, done: int, c: int, b: int, planes: list[int], width: int,
+                      pairs: tuple[int, int, int, int, int]) -> int:
+    """The pairs, as the top bits of their complement lanes, of which
+    both lanes are in ``done``, finished at step ``t`` in the packed
+    state (c, b) with C counter planes ``planes``, and pass the light
+    check: the whole-integer twin of ``ipf.light_check`` for T = T-bar
+    = t, ``pairs`` being ``_pair_masks``.
+
+    div3 needs 3 | 2t, so 3 | t, which the caller tests.  [2] and [3]
+    need lambda = lambda-bar = 0: a final C in either lane would need
+    3 | t + 1, so both final C lanes are empty and every node's C count
+    is K = t / 3 in both lanes.  [1] then reads the run's final B lane
+    XOR the complement's.  A pair passes when its pair lane is zero in
+    all that breaks these, which one zero-lane test finds.
+    """
+    pair, top, low, runs, flip = pairs
+    both = done & done << width & top
+    K = t // 3
+    if not both or K >> len(planes):  # no node has counted K C's yet
+        return 0
+    spread = (both >> (2 * width - 1)) * pair
+    bad = c | (b ^ b >> width ^ flip) & runs
+    for k, plane in enumerate(planes):
+        bad |= plane ^ spread if K >> k & 1 else plane
+    bad &= spread
+    return both & ~(((bad & low) + low | bad) & top)
 
 
 # A recording flushes its steps into per-lane columns once they hold this
@@ -423,6 +516,14 @@ _RECORD_BITS = 1 << 20
 def _active_lanes(active: int, lanes: int, width: int) -> list[int]:
     """The positions of the lanes whose top bit is set in ``active``."""
     return [j for j in range(lanes) if active >> (j * width + width - 1) & 1]
+
+
+def _live_pairs(active: int, lanes: int, width: int) -> list[int]:
+    """The positions of the lanes of each pair, lanes 2i and 2i + 1, with
+    a top bit set in ``active``: repacking them keeps pairs aligned."""
+    both = 1 << (width - 1) | 1 << (2 * width - 1)
+    return [j for i in range(0, lanes, 2) if active >> i * width & both
+            for j in range(i, min(i + 2, lanes))]
 
 
 def _flush(steps: list[int], width: int, ids: list[int], active: int,

@@ -21,6 +21,9 @@ class MaxStepsExceeded(TrineError):
         self.steps = steps
         self.start = start
 
+    def __reduce__(self):
+        return type(self), (self.steps, self.start)
+
 
 class DegenerateRun(TrineError):
     """Raised when an operation that needs a proper mirror trajectory
@@ -53,6 +56,9 @@ class IncompatibleTables(TrineError):
         self.other = other
         self.target = target
         self.owner_target = owner_target
+
+    def __reduce__(self):
+        return type(self), (self.row, self.owner, self.other, self.target, self.owner_target)
 
 
 class UnconfiguredStepTable(TrineError):

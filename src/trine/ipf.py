@@ -172,6 +172,11 @@ def light_check(
     undefined lambda fails [2] and [3] and is reported once, under [2]:
     [3] then maps to None.  A pair passes the light level exactly when
     ``failed`` is empty.
+
+    The predicate has one whole-integer twin,
+    ``dynamics._same_step_passed``, for pairs whose runs end on the same
+    step (T = T-bar): with it the light search settles such pairs inside
+    the lane walk, and only the other pairs come here.
     """
     T, g_c, g_b, lam = lane
     Tbar, h_c, h_b, lam_bar = comp_lane

@@ -4,6 +4,7 @@ import pickle
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from functools import partial
 from math import gcd
 
 import pytest
@@ -25,8 +26,8 @@ from trine.ac23 import (
     verdict_grid,
 )
 from trine.config import Config
-from trine.dynamics import rotate, run_to_mirror, unpack
-from trine.errors import MaxStepsExceeded
+from trine.dynamics import PASSED, rotate, run_to_mirror, unpack
+from trine.errors import IncompatibleTables, MaxStepsExceeded, TrineError
 from trine.graph import complement, weak_computable
 from trine.ipf import check_ipf
 
@@ -494,21 +495,24 @@ class TestRotationReduction:
             assert p in necklaces
             assert p == min(rotate(r ^ full, k, 9) for k in range(9))
 
-    @pytest.mark.parametrize("L,necklaces,starts,checks", [(10, 108, 112, 55),
-                                                           (12, 352, 360, 179)])
+    @pytest.mark.parametrize("L,necklaces,starts,checks,settled", [(10, 108, 112, 38, 17),
+                                                                   (12, 352, 360, 131, 48)])
     def test_two_runs_per_class_and_one_check_per_class(self, monkeypatch, L, necklaces,
-                                                        starts, checks):
+                                                        starts, checks, settled):
         # 56 and 180 complement classes (Gilbert & Riordan), each run as
         # its smaller necklace and that necklace's complement start; the
         # uniform class {all A, all B} is degenerate and never checked.
-        # A light sweep runs lane readouts and checks them with
-        # light_check.
+        # A light sweep settles in bulk each pair whose runs end on the
+        # same step and pass, and checks every other pair's lane readouts
+        # with light_check: one or the other per class.
         counts = Counter()
         step_lanes, light_check = ac23.step_lanes, ac23.light_check
 
         def counted_step_lanes(g, starts, *args):
             counts["starts"] += len(starts)
-            return step_lanes(g, starts, *args)
+            readouts, texts = step_lanes(g, starts, *args)
+            counts["settled"] += readouts.count(PASSED) // 2
+            return readouts, texts
 
         def counted_light_check(*args):
             counts["checks"] += 1
@@ -519,7 +523,8 @@ class TestRotationReduction:
         verdict = classify_mask(Mask(1, 1), quick_config(lmin=L, lmax=L,
                                                          exhaustive_cutoff=L))
         assert verdict.tested[0]["pairs_run"] == necklaces
-        assert counts == {"starts": starts, "checks": checks}
+        assert counts == {"starts": starts, "checks": checks, "settled": settled}
+        assert checks + settled == starts // 2 - 1
 
     def test_necklaces_are_the_smallest_string_rotations(self):
         for L in range(3, 13):
@@ -646,6 +651,43 @@ def exit_at_once(item):
     os._exit(3)
 
 
+class Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.callback = lambda: None
+
+
+def fail_in_a_worker(parent: int, kind: str, item):
+    """Raise in a forked worker only: a MaxStepsExceeded, or an error
+    that does not pickle."""
+    if os.getpid() == parent:
+        return item
+    if kind == "steps":
+        raise MaxStepsExceeded(30, "ABA")
+    raise Unpicklable("no way back")
+
+
+def subclasses(cls) -> list:
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
+
+
+# Constructor arguments of the package errors that take more than a message.
+ERROR_ARGS = {
+    MaxStepsExceeded: [(30, "ABA")],
+    IncompatibleTables: [("0101", "a", "b", "t1"), (None, "a", "b", "t2", "t1")],
+}
+
+
+@pytest.mark.parametrize("cls", subclasses(TrineError), ids=lambda cls: cls.__name__)
+def test_package_errors_survive_pickling(cls):
+    # a pool worker sends the errors it raises pickled
+    for args in ERROR_ARGS.get(cls, [("a message",)]):
+        error = cls(*args)
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is cls
+        assert (back.args, str(back), vars(back)) == (error.args, str(error), vars(error))
+
+
 def reaped(pid: int) -> bool:
     """Whether the child ``pid`` has been waited for already."""
     try:
@@ -726,6 +768,21 @@ class TestForkedPool:
         with pytest.raises(ChildProcessError, match="exited before sending"):
             with ac23._mapper(2) as run_map:
                 list(run_map(exit_at_once, range(4)))
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_a_package_error_raised_in_a_worker_reaches_the_caller(self, forks):
+        with pytest.raises(MaxStepsExceeded) as raised:
+            with ac23._mapper(2) as run_map:
+                list(run_map(partial(fail_in_a_worker, os.getpid(), "steps"), range(4)))
+        assert (raised.value.steps, raised.value.start) == (30, "ABA")
+        assert len(forks) == 2 and all(map(reaped, forks))
+
+    def test_a_worker_error_that_does_not_pickle_is_named(self, forks):
+        with pytest.raises(ChildProcessError,
+                           match="could not send Unpicklable: no way back"):
+            with ac23._mapper(2) as run_map:
+                list(run_map(partial(fail_in_a_worker, os.getpid(), "unpicklable"),
+                             range(4)))
         assert len(forks) == 2 and all(map(reaped, forks))
 
     def test_without_fork_the_builtin_map_runs(self, monkeypatch):

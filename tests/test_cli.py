@@ -63,6 +63,19 @@ class TestGoldenOutputs:
                        "--budget", "3000", "--json", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_check_mask_1_3_budget.json").read_bytes()
 
+    @pytest.mark.parametrize("golden,code,argv", [
+        ("1_3_raw", 2, ("--n", "1", "--m", "3", "--lmax", "10", "--cutoff", "10",
+                        "--cond1", "raw")),
+        ("3_9_steps30", 3, ("--n", "3", "--m", "9", "--lmax", "11", "--cutoff", "10",
+                            "--samples", "200", "--max-steps", "30")),
+    ])
+    def test_light_check_mask_json_with_raw_cond1_and_cut_runs(self, tmp_path, capsys,
+                                                               golden, code, argv):
+        # the raw reading of [1], and runs left unresolved at 30 steps
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", *argv, "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_{golden}.json").read_bytes()
+
     def test_full_level_check_mask_json_at_time_origin_0(self, tmp_path, capsys):
         out = tmp_path / "verdict.json"
         assert run_cli("check-mask", "--n", "1", "--m", "3", "--level", "full",

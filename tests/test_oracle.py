@@ -16,7 +16,8 @@ of the ``trine.ipf`` module docstring, evaluated on the naive runs,
 both on one-lane runs and on pairs recorded in one lane batch.  The
 light sweep's lane readouts and ``light_check`` are compared with the
 naive runs and the same transcription, with the complement's readout
-also taken from a rotated run on circle graphs.  At the full level,
+also taken from a rotated run on circle graphs, and the pairs a light
+walk settles in bulk are compared with ``light_check``, pair by pair.  At the full level,
 the search's outcome of every pair is compared with ``check_ipf`` on
 the pair's lanes, which reads every cell of a mirrored pair too, so the
 search's mirrored shortcut is checked against code it does not share;
@@ -26,6 +27,7 @@ compared with those of its filled rows.  ``extract_rows``, fed by
 and slot of every pair that ``check_ipf`` passes.
 """
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -36,8 +38,8 @@ from hypothesis import strategies as st
 from extraction import lanes_of, pair_codes
 from graphgen import random_mixed_graph
 from trine import dynamics
-from trine.ac23 import (Mask, build_graph, degenerate_at, iter_pairs, pair_starts,
-                        settle_pair)
+from trine.ac23 import (Mask, build_graph, connection_set, degenerate_at, iter_pairs,
+                        pair_starts, settle_pair)
 from trine.config import Config
 from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes, unpack
 from trine.errors import DegenerateRun, UnverifiedRuns
@@ -590,6 +592,131 @@ def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
         None if run is None else (run.period, *run.final, run.lambda_value)
         for run in run_lanes(g, starts, max_steps)
     ]
+
+
+# -- light pairs settled in bulk ------------------------------------------------
+
+
+def assert_bulk_settle_matches_light_check(g: MixedGraph, pairs: list[int],
+                                           max_steps: int = 10**6) -> int:
+    """step_lanes with each cond1 reading against light_check, pair by
+    pair, each start of ``pairs`` beside its complement: a pair is
+    PASSED in both lanes exactly when its runs end on the same step and
+    light_check passes them in that reading; any other pair keeps the
+    readouts of the walk without a reading.  Returns the pairs settled
+    in bulk, over both readings."""
+    n = g.node_count
+    starts = [x for bits in pairs for x in (bits, bits ^ ((1 << n) - 1))]
+    plain = step_lanes(g, starts, max_steps)[0]
+    settled = 0
+    for cond1 in COND1_INTERPRETATIONS:
+        bulk = step_lanes(g, starts, max_steps, False, cond1)[0]
+        for i, bits in zip(range(0, len(starts), 2), pairs):
+            readout, comp_readout = plain[i:i + 2]
+            if (readout is not None and comp_readout is not None
+                    and readout[0] == comp_readout[0] > 2
+                    and not light_check(readout, comp_readout, n, cond1)[2]):
+                assert bulk[i:i + 2] == [dynamics.PASSED] * 2, (bits, cond1)
+                settled += 1
+            else:
+                assert bulk[i:i + 2] == plain[i:i + 2], (bits, cond1)
+    return settled
+
+
+def odd_mask_circles(lmax: int):
+    """(mask, circle graph) for each distinct connection set of the odd
+    masks up to 31 at each size 3..lmax."""
+    for L in range(3, lmax + 1):
+        seen = set()
+        for n, m in product(range(1, 32, 2), repeat=2):
+            S = connection_set(Mask(n, m), L)
+            if S not in seen:
+                seen.add(S)
+                yield Mask(n, m), build_graph(Mask(n, m), L)
+
+
+@pytest.mark.parametrize("lmax,max_steps", [(12, 10**6), (10, 6), (10, 12)])
+def test_bulk_settle_matches_light_check_on_every_necklace_pair(lmax, max_steps):
+    # every pair the exhaustive plan runs, a few hundred to a walk as
+    # iter_pairs runs them; at 6 and 12 steps some runs are unresolved
+    config = Config(exhaustive_cutoff=lmax)
+    settled = pairs = 0
+    for mask, g in odd_mask_circles(lmax):
+        plan = [bits for _, bits, _ in pair_starts(mask, g.node_count, config)]
+        for i in range(0, len(plan), 256):
+            settled += assert_bulk_settle_matches_light_check(g, plan[i:i + 256], max_steps)
+        pairs += len(plan)
+    assert 0 < settled < 2 * pairs
+
+
+def test_bulk_settle_matches_light_check_on_samples():
+    config = Config(exhaustive_cutoff=12, samples_per_L=64)
+    settled = 0
+    for n, m in ((1, 1), (1, 3), (3, 3), (1, 5), (3, 9)):
+        for L in range(13, 21):
+            plan = [bits for _, bits, _ in pair_starts(Mask(n, m), L, config)]
+            settled += assert_bulk_settle_matches_light_check(build_graph(Mask(n, m), L), plan)
+    assert settled
+
+
+@st.composite
+def circulant_pairs(draw):
+    """A random circulant graph and a batch of starts, as B bits, each to
+    run beside its complement."""
+    L = draw(st.integers(3, 12))
+    steps = draw(st.sets(st.integers(1, L - 1), min_size=1))
+    pairs = draw(st.lists(st.integers(0, 2**L - 1), min_size=1, max_size=40))
+    return MixedGraph.circulant(L, frozenset(steps)), pairs
+
+
+# Both runs end on step 64 with every node's C count 21 = 64 // 3 and
+# pass [1] complemented: only 3 not dividing 64 keeps them from passing.
+ENDS_OFF_DIV3 = (MixedGraph.circulant(12, frozenset({2, 3, 4, 9})), [2693])
+
+
+@given(circulant_pairs(), st.sampled_from([6, 12, 10**6]))
+@example(ENDS_OFF_DIV3, 10**6)
+@settings(deadline=None)
+def test_bulk_settle_matches_light_check_on_circulants(case, max_steps):
+    assert_bulk_settle_matches_light_check(*case, max_steps)
+
+
+# Both runs end on step 15 and their final B lanes pass [1] complemented,
+# and the run has lambda 0, but the complement ends with C on node 3.
+COMPLEMENT_ENDS_ON_C = (MixedGraph(5, [(0, 2), (0, 4), (2, 4), (3, 0), (3, 4), (4, 1)],
+                                   [(0, 1), (1, 2)]), [27])
+
+
+@given(mixed_graph_batches(), st.sampled_from([6, 12, 10**6]))
+@example(COMPLEMENT_ENDS_ON_C, 10**6)
+@settings(deadline=None)
+def test_bulk_settle_matches_light_check_on_mixed_graphs(case, max_steps):
+    assert_bulk_settle_matches_light_check(*case, max_steps)
+
+
+def test_lane_counts_with_more_counter_planes_than_lane_bits():
+    # no run on a small circle counts that many C's, so the lanes are
+    # made up: lambda's readout against a lane by lane one
+    rng = random.Random(7)
+    width, lanes = 3, 40
+    lane = (1 << width) - 1
+    top = sum(1 << (j * width + width - 1) for j in range(lanes))
+    low = (1 << lanes * width) - 1 ^ top
+    for _ in range(50):
+        values = [[rng.choice((0, lane, rng.randrange(lane + 1))) for _ in range(8)]
+                  for _ in range(lanes)]  # per lane: final C, then 7 planes
+        c, *planes = (sum(v[k] << j * width for j, v in enumerate(values)) for k in range(8))
+        done = sum(1 << (j * width + width - 1) for j in range(lanes) if rng.random() < 0.7)
+        uneven, counts = dynamics._lane_counts(done, c, planes, width, top, low)
+        for j, (final_c, *lane_planes) in enumerate(values):
+            if not done >> (j * width + width - 1) & 1:
+                continue
+            even = all(x in (0, lane) for x in (final_c, *lane_planes))
+            assert (uneven >> (j * width + width - 1) & 1) == (not even)
+            if even:
+                n_c = sum(1 << k for k, x in enumerate(lane_planes) if x)
+                assert sum((count >> j * width & lane) << i * width
+                           for i, count in enumerate(counts)) == n_c
 
 
 # -- full-level pairs settled from the lane texts ------------------------------
