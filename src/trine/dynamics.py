@@ -426,10 +426,8 @@ def step_lanes(
         # repack the pairs with a running lane into a narrower integer
         kept = _live_pairs(active, len(ids), width)
         ids = [ids[j] for j in kept]
-        c, b, active = (_pack_lanes([x >> j * width & lane for j in kept], width)
-                        for x in (c, b, active))
-        planes = [_pack_lanes([x >> j * width & lane for j in kept], width)
-                  for x in planes]
+        c, b, active, *planes = (_pack_lanes([x >> j * width & lane for j in kept], width)
+                                 for x in (c, b, active, *planes))
     if cond1 is not None:
         for j in _active_lanes(active, len(ids), width):
             readouts[ids[j]] = None
