@@ -448,20 +448,20 @@ def _lane_counts(done: int, c: int, planes: list[int], width: int, top: int,
 
     Per node lambda is T - 3 N_C + [C at T], so it is uniform exactly
     when the final C bits and every counter plane are each empty or full
-    in the lane (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)).
-    Each is compared with its node 0 bit spread over the lane, and one
-    zero-lane test finds the lanes where any differs.  Node 0's bits of
-    the planes are N_C.
+    in the lane (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)):
+    when each bit equals the one above it, which one zero-lane test
+    checks for all of them.  Node 0's bits of the planes are N_C.
     """
-    lane = (1 << width) - 1
     ones = done >> (width - 1)  # bit 0 of every finished lane
-    uneven = c ^ (c & ones) * lane
-    counts = [0] * -(-len(planes) // width)
-    for k, plane in enumerate(planes):
-        bit = plane & ones
-        uneven |= plane ^ bit * lane
-        counts[k // width] |= bit << k % width
-    uneven &= ones * lane
+    uneven = c ^ c >> 1
+    counts = []
+    for i in range(0, len(planes), width):
+        word = 0
+        for k, plane in enumerate(planes[i:i + width]):
+            uneven |= plane ^ plane >> 1
+            word |= (plane & ones) << k
+        counts.append(word)
+    uneven &= ones * ((1 << width - 1) - 1)  # each node but the last, in each lane
     return ((uneven & low) + low | uneven) & top, counts
 
 
