@@ -50,10 +50,10 @@ a narrower int, ``active`` bits and all, which keeps pairs aligned.
 A finished lane yields one readout, what the light check needs:
 (period, final C bits, final B bits, lambda) as plain ints.  Lambda is
 read at once for all the lanes that finish on a step
-(``_lane_counts``): the final C bits and each counter plane are
-compared with their node 0 bit spread over the lane, one zero-lane test
-finds the lanes where any differs, whose lambda is undefined, and node
-0's bits are N_C.
+(``_lane_counts``): in the final C bits and each counter plane every
+node's bit is compared with the next node's, one zero-lane test finds
+the lanes where any differs, whose lambda is undefined, and node 0's
+bits are N_C.
 
 The light search walks a run in lane 2i beside its complement in lane
 2i + 1 and passes its cond1 reading.  Where both lanes of a pair finish
