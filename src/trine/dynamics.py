@@ -65,6 +65,7 @@ that passes is ``PASSED`` and never read out; every other pair is read
 out as without a reading.  Such pairs are common because the dynamics
 is reversible: a pair whose complement run is its run reversed reaches
 both mirror states on the same step.
+
 On a circulant graph, rotating a start rotates its run: its period and
 lambda stay, and its final state and skeletons rotate.  So one run
 stands for every rotation of its start.
