@@ -31,3 +31,21 @@ def object_counts(monkeypatch) -> Counter:
     count(RunRecord, "records")
     count(IpfReport, "reports")
     return counts
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` returns a list that gets the
+    arguments of each later call of ``module.name``."""
+    def count(module, name: str) -> list:
+        calls = []
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return count

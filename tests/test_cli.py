@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import trine
-from trine import bundle, rt
+from trine import ac23, bundle, dynamics, rt
 from trine.ac23 import GRID_CSV_COLUMNS
 from trine.cli import main
 from trine.graph import MixedGraph
@@ -118,6 +118,16 @@ class TestGoldenOutputs:
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "7", *GOLDEN_CONFIG, "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_7.csv").read_bytes()
+
+    def test_grid_31_csv(self, tmp_path, capsys, count_calls):
+        # 256 cells, 26 of them Incorrect; of its walks some repack and
+        # some end first (see dynamics._REPACK_BIT_STEPS)
+        walks = count_calls(ac23, "step_lanes")
+        repacks = count_calls(dynamics, "_live_pairs")
+        out = tmp_path / "grid.csv"
+        assert run_cli("grid", "--max", "31", "--lmax", "11", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA / "golden_grid_31.csv").read_bytes()
+        assert 0 < len(repacks) < len(walks)
 
     # the benchmark grid; a grid whose sizes hold witnesses and
     # unresolved runs, which cells scan for their own connection sets;

@@ -13,6 +13,8 @@ from graphgen import (
     random_two_color,
     random_weak_graph,
 )
+from trine import ac23, dynamics
+from trine.config import Config
 from trine.dynamics import (
     full_cycle,
     pack,
@@ -24,9 +26,10 @@ from trine.dynamics import (
     step_lanes,
     unpack,
 )
-from trine.ac23 import Mask, build_graph
+from trine.ac23 import Mask, build_graph, connection_set, mask_weak_computable, pair_starts
 from trine.errors import MaxStepsExceeded
 from trine.graph import transliterate
+from trine.ipf import COND1_INTERPRETATIONS
 
 
 def all_colorings(n):
@@ -291,3 +294,73 @@ class TestLanes:
 
     def test_empty_batch(self, ring3):
         assert run_lanes(ring3, []) == []
+
+
+def pair_lanes(mask: Mask, L: int, config: Config) -> list[int]:
+    """The starts of every pair of the start plan of size L, each beside
+    its complement, as the pair walk lays them out."""
+    full = (1 << L) - 1
+    return [x for _, bits, _ in pair_starts(mask, L, config) for x in (bits, bits ^ full)]
+
+
+class TestRepackSchedule:
+    """When ``step_lanes`` repacks, read from call counts: the schedule
+    depends on ``_REPACK_BIT_STEPS``, and no readout or text does."""
+
+    def test_benchmark_grid_walks_pack_once_and_never_repack(self, monkeypatch,
+                                                             count_calls):
+        # every necklace pair of every connection set the benchmark grid
+        # scans (odd masks up to 15, weak computable sizes 3..8), one walk
+        # per set and size; repacking at the three-quarters point, as
+        # _REPACK_BIT_STEPS = 0 does, repacks some of the same walks
+        config = Config(lmin=3, lmax=8)
+        walks = []
+        for L in range(config.lmin, config.lmax + 1):
+            seen = set()
+            for mask in itertools.starmap(Mask, itertools.product(range(1, 16, 2), repeat=2)):
+                S = connection_set(mask, L)
+                if S not in seen and mask_weak_computable(mask, L, S):
+                    seen.add(S)
+                    walks.append((build_graph(mask, L), pair_lanes(mask, L, config)))
+        counts = {}
+        for bit_steps in (dynamics._REPACK_BIT_STEPS, 0):
+            monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", bit_steps)
+            packs = count_calls(dynamics, "_pack_lanes")
+            repacks = count_calls(dynamics, "_live_pairs")
+            for g, starts in walks:
+                step_lanes(g, starts, config.max_steps, False, config.cond1_interpretation)
+            counts[bit_steps] = len(packs), len(repacks)
+            monkeypatch.undo()
+        default, eager = counts.values()
+        assert default == (len(walks), 0)
+        assert eager[1] > 0
+
+    @pytest.mark.parametrize("max_steps", [6, 12, dynamics.DEFAULT_MAX_STEPS])
+    @pytest.mark.parametrize("nm", [(1, 1), (1, 3), (3, 5)])
+    def test_schedules_give_the_same_readouts_and_texts(self, monkeypatch, count_calls, nm,
+                                                        max_steps):
+        # every necklace pair at L 9..12, walked under the default
+        # schedule, repacking at the three-quarters point (0) and never
+        # repacking (10**9); at max_steps 6 and 12 lanes are still
+        # running when a walk that never repacked ends
+        default = dynamics._REPACK_BIT_STEPS
+        repacks = count_calls(dynamics, "_live_pairs")
+        made = dict.fromkeys((default, 0, 10**9), 0)
+        unresolved = False
+        for L in range(9, 13):
+            g = build_graph(Mask(*nm), L)
+            starts = pair_lanes(Mask(*nm), L, Config())
+            for record, cond1 in itertools.product((False, True),
+                                                   (None, *COND1_INTERPRETATIONS)):
+                walks = []
+                for bit_steps in made:
+                    monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", bit_steps)
+                    repacks.clear()
+                    walks.append(step_lanes(g, starts, max_steps, record, cond1))
+                    made[bit_steps] += len(repacks)
+                assert walks[1] == walks[0] == walks[2], (L, record, cond1)
+                unresolved |= None in walks[2][0]
+        # in no walk do three quarters of the lanes finish within 6 steps
+        assert made[10**9] == 0 and made[0] >= made[default]
+        assert (made[0] > 0) == (max_steps > 6)
+        assert unresolved == (max_steps < dynamics.DEFAULT_MAX_STEPS)

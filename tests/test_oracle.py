@@ -198,14 +198,16 @@ def test_lanes_match_oracle_on_every_small_graph():
         assert_lanes_match_oracle(g, list(range(2**g.node_count)))
 
 
-def test_lanes_match_oracle_through_repacks():
-    # every start of (1,3) at L=9: when three quarters of the lanes have
-    # finished some are still running, so the survivors are repacked
+def test_lanes_match_oracle_through_repacks(count_calls):
+    # every start of (1,3) at L=9: three quarters of the lanes finish by
+    # t = 9 and the last at t = 66, long enough for a repack to pay, so
+    # the survivors are repacked
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
+    repacks = count_calls(dynamics, "_live_pairs")
     runs = run_lanes(g, starts)
     periods = sorted(run.period for run in runs)
-    assert periods[len(periods) * 3 // 4] < periods[-1]
+    assert periods[len(periods) * 3 // 4] < periods[-1] and repacks
     for bits, run in zip(starts, runs):
         assert_run_matches_oracle(run, g, unpack(9, 0, bits))
 
@@ -281,14 +283,15 @@ def test_slot_rows_from_skeletons_match_oracle_on_mixed_graphs(case):
 
 @pytest.mark.parametrize("record_bits,first_flush", [
     (1, 1), (3 * 9 * 512, 3), (dynamics._RECORD_BITS, None)])
-def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
-                                                       first_flush):
+def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, count_calls,
+                                                       record_bits, first_flush):
     # every start of (1,3) at L=9 has long-tailed periods, so the batch
     # repacks; a small record size also flushes inside segments, down to
     # before every step
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
     alone = [run_lanes(g, [bits])[0].skeletons for bits in starts]
+    repacks = count_calls(dynamics, "_live_pairs")
     monkeypatch.setattr(dynamics, "_RECORD_BITS", record_bits)
     flushes = []
     flush = dynamics._flush
@@ -300,7 +303,7 @@ def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, record_bits,
     monkeypatch.setattr(dynamics, "_flush", counted_flush)
     runs = run_lanes(g, starts)
     periods = sorted(run.period for run in runs)
-    assert periods[len(periods) * 3 // 4] < periods[-1] and len(flushes) >= 2
+    assert periods[len(periods) * 3 // 4] < periods[-1] and len(flushes) >= 2 and repacks
     if first_flush is not None:  # steps of 512 lanes that fill the record
         assert flushes[0] == first_flush
     if record_bits == 1:
