@@ -19,16 +19,17 @@ import hashlib
 import os
 import pickle
 import signal
+from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, partial
 from itertools import islice
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import Config
-from .dynamics import PASSED, rotate, step_lanes, unpack
+from .dynamics import PASSED, pack_pairs, rotate, step_lanes, unpack
 from .graph import MixedGraph
 from .ipf import PairLanes, check_ipf, light_check, mirrored
 
@@ -162,14 +163,15 @@ def _samples(seed: int, n: int, m: int, L: int, indices: Iterable[int]) -> Itera
 
 
 @lru_cache(maxsize=None)
-def _necklaces(L: int) -> tuple[int, ...]:
-    """Every L-bit start that is its own smallest rotation, increasing.
-    FKM algorithm (Fredricksen & Maiorana 1978; Ruskey, Savage & Wang
-    1992), bit L-1 being the first letter: the next prenecklace repeats
-    the prefix up to its last 0, that 0 set to 1, and is a necklace when
-    the prefix length p divides L.  Cached per L."""
+def _necklaces(L: int) -> array:
+    """Every L-bit start that is its own smallest rotation, increasing,
+    as an ``array('Q')``.  FKM algorithm (Fredricksen & Maiorana 1978;
+    Ruskey, Savage & Wang 1992), bit L-1 being the first letter: the
+    next prenecklace repeats the prefix up to its last 0, that 0 set to
+    1, and is a necklace when the prefix length p divides L.  Cached per
+    L."""
     full = (1 << L) - 1
-    found = [0]
+    found = array("Q", [0])
     bits = 0
     while bits != full:
         ones = (bits ^ (bits + 1)).bit_length() - 1  # trailing 1 bits
@@ -179,7 +181,7 @@ def _necklaces(L: int) -> tuple[int, ...]:
         bits = repeated >> (p * copies - L)
         if L % p == 0:
             found.append(bits)
-    return tuple(found)
+    return found
 
 
 def _complement_partner(bits: int, L: int) -> int:
@@ -196,22 +198,56 @@ def _complement_partner(bits: int, L: int) -> int:
     return p
 
 
+# Pairs run together in one lane integer, two starts each.  Slicing
+# a finished lane out costs time in proportion to the integer's size, so
+# a few hundred lanes balance that against the per-step interpreter cost.
+_PAIRS_PER_LANE_RUN = 256
+
+# A batch of the pair walk: (indices, starts, partners, packed) for up
+# to _PAIRS_PER_LANE_RUN pairs, see ``pair_starts``.
+PairBatch = tuple[Sequence[int], Sequence[int], Optional[Sequence[int]], int]
+
+
+@lru_cache(maxsize=None)
+def _start_plan(L: int, k: int, workers: int) -> tuple[array, array, tuple[int, ...]]:
+    """The k-th of ``workers`` shares of the start plan of exhaustive
+    size L (see ``pair_starts``), built on first use and kept for the
+    process, so each necklace searches its partner once: (the planned
+    necklaces r, increasing, their complement partners p, and the lane
+    integer of each run of ``_PAIRS_PER_LANE_RUN`` of them, packed by
+    ``dynamics.pack_pairs``), in ``array('Q')``s and a tuple."""
+    reps, partners = array("Q"), array("Q")
+    for r in islice(_necklaces(L), k, None, workers):
+        p = _complement_partner(r, L)
+        if p >= r:
+            reps.append(r)
+            partners.append(p)
+    batches = tuple(pack_pairs(reps[i:i + _PAIRS_PER_LANE_RUN], L)
+                    for i in range(0, len(reps), _PAIRS_PER_LANE_RUN))
+    return reps, partners, batches
+
+
 def pair_starts(
     mask: Mask, L: int, config: Config, total: Optional[int] = None, k: int = 0,
-    workers: int = 1, find_partner=_complement_partner,
-) -> Iterator[tuple[int, int, Optional[int]]]:
-    """The start plan of size L: (index, bits, partner) for each pair to
-    check, the start ``bits`` to run beside its complement start, over
-    the k-th of ``workers`` round-robin shares of the indices below
-    ``total`` (the whole size when None), increasing.
+    workers: int = 1,
+) -> Iterator[PairBatch]:
+    """The start plan of size L over the k-th of ``workers`` round-robin
+    shares of the indices below ``total`` (the whole size when None), in
+    batches of up to ``_PAIRS_PER_LANE_RUN`` pairs, increasing: each
+    batch is (indices, starts, partners, packed), the start ``starts[i]``
+    to run beside its complement start for the pair of index
+    ``indices[i]``, and ``packed`` the lane integer of the batch, start i
+    in lane 2i and its complement in lane 2i+1 (``dynamics.pack_pairs``).
 
     Up to the exhaustive cutoff the indices are the necklaces r, one
     per rotation orbit, and the share takes every ``workers``-th of
-    them; of those, only r with r <= p, p = ``find_partner(r, L)`` (see
-    ``_complement_partner``), yields, as r itself, with ``partner`` p
-    when p is a second necklace, else None.  Past the cutoff an index
-    selects a seeded sample of the ``config.samples_per_L``, with no
-    partner.
+    them; of those, only r with r <= p, p = ``_complement_partner(r,
+    L)``, is planned, as r itself, with ``partners[i]`` p (p == r when
+    the class is one necklace).  Those shares are built once per process
+    (``_start_plan``), packed batches and all; a ``total`` that cuts a
+    batch keeps its prefix of lanes.  Past the cutoff an index selects a
+    seeded sample of the ``config.samples_per_L``, with no partners
+    (None), packed as it is drawn.
 
     Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
@@ -223,50 +259,47 @@ def pair_starts(
     symmetric; given c2, so is c3 (swapped, it reads T - T-bar =
     lambda-bar = -lambda); c4 and c5 are symmetric, and c4 and c5
     together imply c6 and c7; c8 reads phases mod 2, so the +2 offset of
-    slots the other run fills drops out.  So the class {r, p} yields
+    slots the other run fills drops out.  So the class {r, p} is run
     once, at its smaller member r, with the outcome of both."""
+    size = _PAIRS_PER_LANE_RUN
     if L > config.exhaustive_cutoff:
         total = config.samples_per_L if total is None else total
         indices = range(k, total, workers)
-        for index, bits in zip(indices, _samples(config.seed, mask.n, mask.m, L, indices)):
-            yield index, bits, None
+        samples = _samples(config.seed, mask.n, mask.m, L, indices)
+        for i in range(0, len(indices), size):
+            starts = list(islice(samples, size))
+            yield indices[i:i + size], starts, None, pack_pairs(starts, L)
         return
-    total = 2**L if total is None else total
-    for r in islice(_necklaces(L), k, None, workers):
-        if r >= total:
-            return
-        p = find_partner(r, L)
-        if p >= r:
-            yield r, r, None if p == r else p
-
-
-# Pairs run together in one lane integer, two starts each.  Slicing
-# a finished lane out costs time in proportion to the integer's size, so
-# a few hundred lanes balance that against the per-step interpreter cost.
-_PAIRS_PER_LANE_RUN = 256
+    reps, partners, batches = _start_plan(L, k, workers)
+    end = len(reps) if total is None else bisect_left(reps, total)
+    for i, packed in zip(range(0, end, size), batches):
+        starts = reps[i:min(i + size, end)]
+        if len(starts) < size:  # a short last batch, or one the total cuts
+            packed &= (1 << 2 * L * len(starts)) - 1
+        yield starts, starts, partners[i:i + len(starts)], packed
 
 
 def iter_pairs(
-    g: MixedGraph, pairs: Iterable[tuple[int, int, Optional[int]]], max_steps: int,
-    record: bool, cond1: Optional[str] = None,
+    g: MixedGraph, batches: Iterable[PairBatch], max_steps: int, record: bool,
+    cond1: Optional[str] = None,
 ) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
-    """Run each start of ``pairs`` (as ``pair_starts`` yields them) on
-    the circle graph ``g`` beside its complement start (every bit
-    flipped): the one pair walk, for the search at either check level
-    and for rt extraction.
+    """Run each batch of ``batches`` (as ``pair_starts`` yields them) on
+    the circle graph ``g``, each start beside its complement start
+    (every bit flipped): the one pair walk, for the search at either
+    check level and for rt extraction.
 
     Yields (index, bits, partner, lanes) per pair, in order, ``bits``
-    being the start's B bits (bit v set: node v starts as B): ``lanes`` is
-    None when either run hit ``max_steps`` (unresolved), else the pair's
+    being the start's B bits (bit v set: node v starts as B) and
+    ``partner`` the class's second necklace, or None: ``lanes`` is None
+    when either run hit ``max_steps`` (unresolved), else the pair's
     ``ipf.PairLanes``, from the runs of ``bits`` and of its complement,
     the skeleton texts recorded when ``record`` is set, else None.
 
-    The starts of a few hundred pairs run at a time through
-    ``dynamics.step_lanes``, each start in lane 2i and its complement in
-    lane 2i+1, whose readouts are read back by position.  A start that
-    comes twice runs twice: at exhaustive sizes none does (a necklace's
-    complement is never another yielded necklace), and a repeated seeded
-    sample costs one more pair.  ``step_lanes`` records skeletons when
+    Each batch's packed lanes run at once through ``dynamics.step_lanes``,
+    whose readouts are read back by position.  A start that comes twice
+    runs twice: at exhaustive sizes none does (a necklace's complement
+    is never another planned necklace), and a repeated seeded sample
+    costs one more pair.  ``step_lanes`` records skeletons when
     ``record`` is set: the search records at the full level only, rt
     extraction at both.  No run object is built: ``ipf`` reads the
     lanes as they are.
@@ -276,20 +309,19 @@ def iter_pairs(
     same step and pass the light check in that reading, and such a
     pair is not yielded: only the pairs that need a look reach Python.
     """
-    full = (1 << g.node_count) - 1
-    pairs = iter(pairs)
-    while chunk := list(islice(pairs, _PAIRS_PER_LANE_RUN)):
-        starts = [x for _, bits, _ in chunk for x in (bits, bits ^ full)]
-        readouts, texts = step_lanes(g, starts, max_steps, record, cond1)
-        for lane, (index, bits, partner) in zip(range(0, len(starts), 2), chunk):
-            readout, comp_readout = readouts[lane], readouts[lane + 1]
+    for indices, starts, partners, packed in batches:
+        readouts, texts = step_lanes(g, packed, 2 * len(starts), max_steps, record, cond1)
+        for i, readout in enumerate(readouts[::2]):
             if readout is PASSED:
                 continue
+            bits = starts[i]
+            partner = None if partners is None or partners[i] == bits else partners[i]
+            comp_readout = readouts[2 * i + 1]
             if readout is None or comp_readout is None:
-                yield index, bits, partner, None
+                yield indices[i], bits, partner, None
             else:
-                yield index, bits, partner, (readout, comp_readout, texts[lane],
-                                             texts[lane + 1])
+                yield indices[i], bits, partner, (readout, comp_readout, texts[2 * i],
+                                                  texts[2 * i + 1])
 
 
 def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Optional[str]:
@@ -318,8 +350,7 @@ def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Op
 
 
 def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: int,
-                k: int, find_partner=_complement_partner
-                ) -> tuple[Optional[tuple[int, int, str]], list]:
+                k: int) -> tuple[Optional[tuple[int, int, str]], list]:
     """Run the k-th of ``workers`` shares of the start plan below
     ``total`` (``pair_starts``) through ``iter_pairs``, up to the first
     failing pair (see ``settle_pair``).  Returns (failure, notes): the
@@ -331,7 +362,7 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     bulk never reach ``settle_pair``.  Picklable, so batches can run in
     worker processes."""
     notes = []
-    pairs = pair_starts(mask, g.node_count, config, total, k, workers, find_partner)
+    pairs = pair_starts(mask, g.node_count, config, total, k, workers)
     record = config.check_level == "full"  # the full level reads the skeletons
     cond1 = None if record else config.cond1_interpretation  # light: settle in bulk
     for index, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, record,
@@ -347,8 +378,7 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     return None, notes
 
 
-def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
-               find_partner=_complement_partner) -> dict:
+def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -> dict:
     """Count the starts with index 0..total-1 on the mask's circle graph
     ``g`` of size L, up to and including the first failing one.
 
@@ -364,12 +394,12 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map,
     necklaces up to the limit, one per rotation orbit (the samples at
     sampled sizes), though a class of two orbits is checked once, at
     its smaller necklace beside its complement start; no count depends
-    on the batches.  ``find_partner`` is as in ``pair_starts``.
+    on the batches.
     """
     L = g.node_count
     workers = config.threads
-    blocks = list(run_map(partial(_scan_block, mask, g, config, total, workers,
-                                  find_partner=find_partner), range(workers)))
+    blocks = list(run_map(partial(_scan_block, mask, g, config, total, workers),
+                          range(workers)))
     failure = min((found for found, _ in blocks if found is not None), default=None)
     limit = total - 1 if failure is None else failure[0]
     exhaustive = L <= config.exhaustive_cutoff
@@ -572,11 +602,9 @@ def classify_mask(
     (block, witness): the envelope block but for ``degenerate_L``, which
     the mask alone decides, and the scan's witness, or None.  A
     size the memo holds was weak computable, so it costs a cell one
-    connection set, one lookup and one copy of the block.  A memo that
-    is given, at one thread, also maps "partners" to a cache of
-    ``_complement_partner`` for the later cells' scans, made once: a
-    call's own memo would not read it again, and the batches on forked
-    workers would each fill only their own copy.
+    connection set, one lookup and one copy of the block.  The start
+    plans the scans walk are kept per process, not in the memo (see
+    ``pair_starts``).
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -584,11 +612,6 @@ def classify_mask(
     witness = None
     budget_left = budget
     budget_exhausted = False
-    find_partner = _complement_partner
-    if memo is not None and config.threads <= 1:
-        if "partners" not in memo:
-            memo["partners"] = cache(_complement_partner)
-        find_partner = memo["partners"]
     memo = {} if memo is None else memo
     with _mapper(config.threads) as run_map:
         for L in range(config.lmin, config.lmax + 1):
@@ -615,8 +638,7 @@ def classify_mask(
                 class_key = (L, _multiplier_class(S, L)) if whole else None
                 stored = memo.get(class_key)
                 if stored is None or stored[1] is not None or stored[0]["unresolved"]:
-                    scan = _scan_size(mask, build_graph(mask, L), config, total, run_map,
-                                      find_partner)
+                    scan = _scan_size(mask, build_graph(mask, L), config, total, run_map)
                     found = scan.pop("witness", None)
                     stored = ({"L": L, "mode": mode, "planned": total, **scan}, found)
                 if whole:
@@ -720,9 +742,10 @@ def verdict_grid(
     one multiplier class share an exhaustive size's scan when it found
     no failing start and no unresolved run.  Any other exhaustive size
     is scanned once per connection set, and a sampled size once per
-    mask, since the mask seeds the samples.  Each necklace of an
-    exhaustive size finds its complement partner once for all the
-    scans.  Reflection (-S) is the multiplier -1, so a cell shares its
+    mask, since the mask seeds the samples.  Each exhaustive size's
+    start plan, complement partners and packed batches, is built once
+    per process and walked by all the scans (see ``pair_starts``).
+    Reflection (-S) is the multiplier -1, so a cell shares its
     mirror's scan at such sizes; the grid's reflection symmetry stays a
     checked fact only at sizes with a witness or an unresolved run.  The
     shared work lives for this call only.

@@ -30,9 +30,11 @@ out-neighbor of v), P is the OR over the offsets d in use of C rotated
 down by d, masked to M_d.  A circulant graph has every M_d full.
 
 ``step_lanes`` is the one stepper.  It walks many starts at once
-(multi-spin coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981).  Start
-j owns lane j, bits j*L .. j*L+L-1 of one Python int, with node v at bit
-j*L+v.  The rotation within each lane is two shifts: C at v + d reaches
+(multi-spin coding: Jacobs & Rebbi, J. Comput. Phys. 41, 1981), handed
+to it as one packed batch: lane j, bits j*L .. j*L+L-1 of one Python
+int, holds start j's B bits, node v at bit j*L+v (``_pack_lanes`` packs
+a list, ``pack_pairs`` a list of starts each beside its complement).
+The rotation within each lane is two shifts: C at v + d reaches
 node v by a shift down by d when v + d < L, and by a shift up by L - d
 when it wraps, each masked to the copies of M_d on those nodes.  The
 rule and the counter planes act bit by bit and need no lane logic.  A
@@ -97,7 +99,7 @@ from __future__ import annotations
 
 import csv
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import MaxStepsExceeded
 from .graph import MixedGraph, transliterate, validate_coloring
@@ -336,21 +338,24 @@ def run_lanes(
     """A recording ``step_lanes`` batch with each lane wrapped: one
     RunRecord per start, in order, or None for a start whose run is
     unresolved after ``max_steps`` steps."""
-    readouts, texts = step_lanes(g, starts, max_steps, record=True)
+    readouts, texts = step_lanes(g, _pack_lanes(starts, g.node_count), len(starts), max_steps,
+                                 record=True)
     return [None if readout is None else RunRecord(g, bits, readout, text)
             for bits, readout, text in zip(starts, readouts, texts)]
 
 
 def step_lanes(
     g: MixedGraph,
-    starts: list[int],
+    packed: int,
+    lanes: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     record: bool = False,
     cond1: Optional[str] = None,
 ) -> tuple[list, list[Optional[str]]]:
-    """The one lane stepper: walk every {A,B} start (given by its B
-    bits) to its mirror state at once, one lane per start.  Returns, in
-    start order, each lane's readout (None for a lane still running
+    """The one lane stepper: walk the ``lanes`` {A,B} starts of the
+    packed batch ``packed`` (lane j holds start j's B bits, which are its
+    C bits at t = 1) to their mirror states at once.  Returns, in lane
+    order, each lane's readout (None for a lane still running
     after ``max_steps`` steps), lambda read in bulk at the step the lane
     finishes (see the module docstring), and, when ``record`` is set,
     each finished lane's skeleton text (see
@@ -365,10 +370,10 @@ def step_lanes(
     width = g.node_count
     lane = (1 << width) - 1
     # with cond1 a lane is PASSED unless it is read out or left unresolved
-    readouts: list = [None if cond1 is None else PASSED] * len(starts)
-    texts: list = [None] * len(starts)
-    ids = list(range(len(starts)))  # lane position -> start index
-    c = _pack_lanes(starts, width)  # t = 1: each start's B turned to C
+    readouts: list = [None if cond1 is None else PASSED] * lanes
+    texts: list = [None] * lanes
+    ids = list(range(lanes))  # lane position -> start index
+    c = packed  # t = 1: each start's B turned to C
     b = 0
     active = -1  # every lane, cut to the lane top bits below
     planes: list[int] = []
@@ -580,12 +585,20 @@ def _flush(steps: list[int], width: int, ids: list[int], active: int,
         columns[ids[j]] = cut(j, len(text))
 
 
-def _pack_lanes(values: list[int], width: int) -> int:
+def _pack_lanes(values: Sequence[int], width: int) -> int:
     """Lane j of the result holds values[j] (each below 2**width)."""
     packed = 0
     for value in reversed(values):
         packed = packed << width | value
     return packed
+
+
+def pack_pairs(starts: Sequence[int], width: int) -> int:
+    """The lane integer of a pair walk: lane 2i holds starts[i] and lane
+    2i + 1 its complement, starts[i] ^ (2**width - 1)."""
+    runs = _pack_lanes(starts, 2 * width)
+    halves = ((1 << 2 * width * len(starts)) - 1) // ((1 << 2 * width) - 1) * ((1 << width) - 1)
+    return runs | (runs ^ halves) << width
 
 
 def full_cycle(

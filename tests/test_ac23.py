@@ -2,6 +2,7 @@ import hashlib
 import os
 import pickle
 import random
+from array import array
 from collections import Counter
 from dataclasses import fields, replace
 from functools import partial
@@ -508,9 +509,9 @@ class TestRotationReduction:
         counts = Counter()
         step_lanes, light_check = ac23.step_lanes, ac23.light_check
 
-        def counted_step_lanes(g, starts, *args):
-            counts["starts"] += len(starts)
-            readouts, texts = step_lanes(g, starts, *args)
+        def counted_step_lanes(g, packed, lanes, *args):
+            counts["starts"] += lanes
+            readouts, texts = step_lanes(g, packed, lanes, *args)
             counts["settled"] += readouts.count(PASSED) // 2
             return readouts, texts
 
@@ -536,7 +537,7 @@ class TestRotationReduction:
                        for r in rotations) == bits:
                     smallest.append(bits)
             necklaces = ac23._necklaces(L)
-            assert necklaces == tuple(smallest)
+            assert necklaces == array("Q", smallest)
             # their rotations cover every start exactly once
             covered = Counter(x for r in necklaces
                               for x in {rotate(r, k, L) for k in range(L)})
@@ -599,11 +600,19 @@ def burnside_classes(L: int) -> int:
     return sum(phi(2 * d) * 2 ** (L // d) for d in range(1, L + 1) if L % d == 0) // (2 * L)
 
 
+def plan_pairs(*args) -> list:
+    """(index, bits, partner or None) for each pair of ``pair_starts``
+    with these arguments, in order."""
+    return [(index, bits, None if partners is None or partners[i] == bits else partners[i])
+            for indices, starts, partners, _ in ac23.pair_starts(*args)
+            for i, (index, bits) in enumerate(zip(indices, starts))]
+
+
 def test_pair_starts_yield_one_start_per_rotation_and_complement_class():
     config = quick_config(lmax=16, exhaustive_cutoff=16)
     counts = []
     for L in range(3, 17):
-        starts = [r for r, *_ in ac23.pair_starts(Mask(1, 1), L, config)]
+        starts = [r for r, *_ in plan_pairs(Mask(1, 1), L, config)]
         assert len(set(starts)) == len(starts)
         counts.append(len(starts))
     assert counts == [burnside_classes(L) for L in range(3, 17)] == [
@@ -623,15 +632,67 @@ def test_pair_starts_shares_partition_the_plan(L, total):
     else:
         indices = list(range(total or config.samples_per_L))
         kept = dict.fromkeys(indices)
-    plan = list(ac23.pair_starts(Mask(1, 3), L, config, total))
+    plan = plan_pairs(Mask(1, 3), L, config, total)
     assert [(index, partner) for index, _, partner in plan] == list(kept.items())
     for workers in range(1, 5):
-        shares = [list(ac23.pair_starts(Mask(1, 3), L, config, total, k, workers))
+        shares = [plan_pairs(Mask(1, 3), L, config, total, k, workers)
                   for k in range(workers)]
         for k, share in enumerate(shares):
             assert [index for index, *_ in share] == [
                 r for r in indices[k::workers] if r in kept]
         assert sorted(pair for share in shares for pair in share) == plan
+
+
+def unpack_batch(packed: int, L: int, pairs: int) -> list[int]:
+    """The lanes of a packed batch of ``pairs`` pairs, lane by lane."""
+    assert packed >> 2 * pairs * L == 0
+    return [packed >> j * L & ((1 << L) - 1) for j in range(2 * pairs)]
+
+
+@pytest.mark.parametrize("L", range(3, 17))
+def test_start_plan_shares_hold_each_class_once_packed_beside_its_complement(L):
+    # the kept plan against the necklaces and a partner search of its own:
+    # the shares together hold every r <= p with its partner p, and each
+    # batch of 256 pairs (the last may be shorter) unpacks lane by lane
+    # to r, r ^ full
+    full = (1 << L) - 1
+    want = {r: p for r in ac23._necklaces(L)
+            if r <= (p := min(rotate(r ^ full, k, L) for k in range(L)))}
+    assert len(want) == burnside_classes(L)
+    for workers in (1, 2, 3):
+        held = {}
+        for k in range(workers):
+            reps, partners, batches = ac23._start_plan(L, k, workers)
+            assert reps.typecode == partners.typecode == "Q"
+            assert list(reps) == [r for r in ac23._necklaces(L)[k::workers] if r in want]
+            held.update(zip(reps, partners))
+            assert len(batches) == -(-len(reps) // 256)
+            lanes = [lane for i, batch in enumerate(batches)
+                     for lane in unpack_batch(batch, L, min(256, len(reps) - 256 * i))]
+            assert lanes[::2] == list(reps) and lanes[1::2] == [r ^ full for r in reps]
+        assert held == want
+
+
+@pytest.mark.parametrize("L,workers", [(13, 1), (14, 1), (14, 2), (15, 3)])
+def test_a_budget_cut_plans_the_classes_below_it(L, workers):
+    # totals that cut a share before, at and after a batch boundary: the
+    # plan keeps exactly the necklaces below the total, each batch
+    # packed as the prefix of the kept one
+    config = quick_config(lmax=L, exhaustive_cutoff=L)
+    full = (1 << L) - 1
+    for k in range(workers):
+        reps = ac23._start_plan(L, k, workers)[0]
+        assert len(reps) > 256
+        for total in (reps[0] + 1, reps[255], reps[255] + 1, reps[256], reps[256] + 1,
+                      reps[-1], reps[-1] + 1, 2**L):
+            below = [r for r in reps if r < total]
+            batches = list(ac23.pair_starts(Mask(1, 3), L, config, total, k, workers))
+            assert [bits for _, starts, _, _ in batches for bits in starts] == below
+            for indices, starts, partners, packed in batches:
+                assert list(indices) == list(starts) and len(partners) == len(starts)
+                assert 0 < len(starts) <= 256
+                assert unpack_batch(packed, L, len(starts)) == [
+                    x for bits in starts for x in (bits, bits ^ full)]
 
 
 def test_samples_follow_the_seeded_digest_formula():
@@ -967,9 +1028,11 @@ class TestVerdictGrid:
             assert len(calls) == len(scanned) < len(sets)
             assert len(calls) <= 41
 
-    def test_one_partner_search_per_necklace_and_call(self, monkeypatch):
-        # the benchmark grid, twice: each necklace of a scanned size finds
-        # its complement partner once in a call, and no table outlives it
+    def test_one_partner_search_per_necklace_and_process(self, monkeypatch):
+        # the benchmark grid, twice, with no start plan built before:
+        # each necklace of a scanned size finds its complement partner
+        # once, in the first call; the plans it builds outlive the call,
+        # kept in arrays, and the second call reads them
         found = []
         complement_partner = ac23._complement_partner
 
@@ -978,14 +1041,17 @@ class TestVerdictGrid:
             return complement_partner(r, L)
 
         monkeypatch.setattr(ac23, "_complement_partner", counting)
-        counts = []
-        for _ in range(2):
-            found.clear()
-            verdict_grid(15, 15, quick_config(lmax=8))
-            assert len(set(found)) == len(found)
-            counts.append(len(found))
+        ac23._start_plan.cache_clear()
+        verdict_grid(15, 15, quick_config(lmax=8))
         necklaces = sum(len(ac23._necklaces(L)) for L in range(3, 9))
-        assert counts[0] == counts[1] <= necklaces == 88
+        assert len(set(found)) == len(found) == necklaces == 88
+        assert {L for _, L in found} == set(range(3, 9))
+        first = len(found)
+        verdict_grid(15, 15, quick_config(lmax=8))
+        assert len(found) == first
+        for L in range(3, 9):
+            reps, partners, _ = ac23._start_plan(L, 0, 1)
+            assert reps.typecode == partners.typecode == "Q"
 
     def test_sizes_read_whole_from_the_memo_and_pairs_in_two_lanes(self, monkeypatch):
         # the benchmark grid: each size is tested for weak computability
@@ -1006,14 +1072,14 @@ class TestVerdictGrid:
             seen["class"].append((L, S))
             return class_key(S, L)
 
-        def recording_lanes(g, starts, *args):
-            batches.append((g.node_count, starts))
-            return step_lanes(g, starts, *args)
+        def recording_lanes(g, packed, lanes, *args):
+            batches.append((g.node_count, packed, lanes))
+            return step_lanes(g, packed, lanes, *args)
 
         def recording_starts(*args, **kwargs):
-            for pair in pair_starts(*args, **kwargs):
-                pulled.append(pair)
-                yield pair
+            for batch in pair_starts(*args, **kwargs):
+                pulled.extend(batch[1])
+                yield batch
 
         monkeypatch.setattr(ac23, "mask_weak_computable", counting_weak)
         monkeypatch.setattr(ac23, "_multiplier_class", counting_class)
@@ -1026,11 +1092,12 @@ class TestVerdictGrid:
         for name, calls in seen.items():
             assert calls and max(Counter(calls).values()) == 1, name
         walked = []
-        for L, starts in batches:
-            assert 0 < len(starts) <= 2 * ac23._PAIRS_PER_LANE_RUN
+        for L, packed, lanes in batches:
+            assert 0 < lanes <= 2 * ac23._PAIRS_PER_LANE_RUN and packed >> lanes * L == 0
+            starts = [packed >> j * L & ((1 << L) - 1) for j in range(lanes)]
             assert starts[1::2] == [bits ^ ((1 << L) - 1) for bits in starts[::2]]
             walked += starts[::2]
-        assert walked == [bits for _, bits, _ in pulled]
+        assert walked == pulled
 
     def test_sampled_sizes_scan_once_per_mask(self, monkeypatch):
         # (1,1) and (2049,1) share S = {1, 12} at L = 13
@@ -1057,10 +1124,9 @@ class TestVerdictGrid:
         assert classify_mask(Mask(5, 3), cfg, budget=300, memo=memo).budget_exhausted
         sizes = set()
         for key in memo:
-            if key != "partners":
-                assert len(key) == 2 and key[0] <= cfg.exhaustive_cutoff, key
-                assert isinstance(key[1], (frozenset, tuple))
-                sizes.add(key[0])
+            assert len(key) == 2 and key[0] <= cfg.exhaustive_cutoff, key
+            assert isinstance(key[1], (frozenset, tuple))
+            sizes.add(key[0])
         assert sizes == set(range(3, 11))
 
     def test_resume_rows_short_circuit(self):

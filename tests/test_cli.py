@@ -76,6 +76,24 @@ class TestGoldenOutputs:
         assert run_cli("check-mask", *argv, "--json", str(out)) == code
         assert out.read_bytes() == (DATA / f"golden_check_mask_{golden}.json").read_bytes()
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("golden,code,argv", [
+        ("1_3_two_batches", 0, ("--n", "1", "--m", "3", "--lmin", "13", "--lmax", "14",
+                                "--cutoff", "14")),
+        ("5_19_second_batch", 2, ("--n", "5", "--m", "19", "--lmin", "13", "--lmax", "14",
+                                  "--cutoff", "14")),
+        ("1_3_cut_in_batch", 0, ("--n", "1", "--m", "3", "--lmin", "13", "--lmax", "13",
+                                 "--cutoff", "13", "--budget", "5000")),
+    ])
+    def test_check_mask_json_over_several_pair_batches(self, tmp_path, capsys, golden, code,
+                                                       argv, threads):
+        # exhaustive sizes of more than one 256-pair batch: L = 13 and 14
+        # whole, the witness of (5,19) at L = 14 in the second batch, and
+        # a budget that ends L = 13 inside its second batch
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", *argv, "--threads", str(threads), "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_{golden}.json").read_bytes()
+
     def test_full_level_check_mask_json_at_time_origin_0(self, tmp_path, capsys):
         out = tmp_path / "verdict.json"
         assert run_cli("check-mask", "--n", "1", "--m", "3", "--level", "full",

@@ -283,7 +283,8 @@ class TestLanes:
         bits = data.draw(st.integers(0, 2**L - 1), label="bits")
         k = data.draw(st.integers(0, L - 1), label="k")
         moved = rotate(bits, k, L)
-        [readout, moved_readout], [text, moved_text] = step_lanes(g, [bits, moved], record=True)
+        [readout, moved_readout], [text, moved_text] = step_lanes(g, bits | moved << L, 2,
+                                                                  record=True)
         period, final_c, final_b, lam = readout
         assert (period, rotate(final_c, k, L), rotate(final_b, k, L), lam) == moved_readout
         # node v of the moved run has node v - k's skeleton
@@ -296,23 +297,23 @@ class TestLanes:
         assert run_lanes(ring3, []) == []
 
 
-def pair_lanes(mask: Mask, L: int, config: Config) -> list[int]:
-    """The starts of every pair of the start plan of size L, each beside
-    its complement, as the pair walk lays them out."""
-    full = (1 << L) - 1
-    return [x for _, bits, _ in pair_starts(mask, L, config) for x in (bits, bits ^ full)]
+def pair_batches(mask: Mask, L: int, config: Config) -> list[tuple[int, int]]:
+    """(packed lanes, lane count) of each batch of the start plan of
+    size L, each start beside its complement, as the pair walk lays
+    them out."""
+    return [(packed, 2 * len(starts)) for _, starts, _, packed in pair_starts(mask, L, config)]
 
 
 class TestRepackSchedule:
     """When ``step_lanes`` repacks, read from call counts: the schedule
     depends on ``_REPACK_BIT_STEPS``, and no readout or text does."""
 
-    def test_benchmark_grid_walks_pack_once_and_never_repack(self, monkeypatch,
-                                                             count_calls):
+    def test_benchmark_grid_walks_never_pack_or_repack(self, monkeypatch, count_calls):
         # every necklace pair of every connection set the benchmark grid
         # scans (odd masks up to 15, weak computable sizes 3..8), one walk
-        # per set and size; repacking at the three-quarters point, as
-        # _REPACK_BIT_STEPS = 0 does, repacks some of the same walks
+        # per set and size, each handed its batch packed; repacking at the
+        # three-quarters point, as _REPACK_BIT_STEPS = 0 does, repacks
+        # some of the same walks
         config = Config(lmin=3, lmax=8)
         walks = []
         for L in range(config.lmin, config.lmax + 1):
@@ -321,18 +322,19 @@ class TestRepackSchedule:
                 S = connection_set(mask, L)
                 if S not in seen and mask_weak_computable(mask, L, S):
                     seen.add(S)
-                    walks.append((build_graph(mask, L), pair_lanes(mask, L, config)))
+                    [batch] = pair_batches(mask, L, config)
+                    walks.append((build_graph(mask, L), batch))
         counts = {}
         for bit_steps in (dynamics._REPACK_BIT_STEPS, 0):
             monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", bit_steps)
             packs = count_calls(dynamics, "_pack_lanes")
             repacks = count_calls(dynamics, "_live_pairs")
-            for g, starts in walks:
-                step_lanes(g, starts, config.max_steps, False, config.cond1_interpretation)
+            for g, batch in walks:
+                step_lanes(g, *batch, config.max_steps, False, config.cond1_interpretation)
             counts[bit_steps] = len(packs), len(repacks)
             monkeypatch.undo()
         default, eager = counts.values()
-        assert default == (len(walks), 0)
+        assert default == (0, 0)
         assert eager[1] > 0
 
     @pytest.mark.parametrize("max_steps", [6, 12, dynamics.DEFAULT_MAX_STEPS])
@@ -349,14 +351,14 @@ class TestRepackSchedule:
         unresolved = False
         for L in range(9, 13):
             g = build_graph(Mask(*nm), L)
-            starts = pair_lanes(Mask(*nm), L, Config())
+            [batch] = pair_batches(Mask(*nm), L, Config())
             for record, cond1 in itertools.product((False, True),
                                                    (None, *COND1_INTERPRETATIONS)):
                 walks = []
                 for bit_steps in made:
                     monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", bit_steps)
                     repacks.clear()
-                    walks.append(step_lanes(g, starts, max_steps, record, cond1))
+                    walks.append(step_lanes(g, *batch, max_steps, record, cond1))
                     made[bit_steps] += len(repacks)
                 assert walks[1] == walks[0] == walks[2], (L, record, cond1)
                 unresolved |= None in walks[2][0]

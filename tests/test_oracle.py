@@ -41,7 +41,8 @@ from trine import dynamics
 from trine.ac23 import (Mask, build_graph, connection_set, degenerate_at, iter_pairs,
                         pair_starts, settle_pair)
 from trine.config import Config
-from trine.dynamics import pack, rotate, run_lanes, run_to_mirror, step, step_lanes, unpack
+from trine.dynamics import (_pack_lanes, pack, rotate, run_lanes, run_to_mirror, step,
+                            step_lanes, unpack)
 from trine.errors import DegenerateRun, UnverifiedRuns
 from trine.graph import MixedGraph, complement, weak_computable
 from trine.ipf import (CHECK_LEVELS, COND1_INTERPRETATIONS, LIGHT_CONDITIONS, check_ipf,
@@ -533,6 +534,11 @@ def test_swapping_run_and_complement_keeps_the_outcome_on_weak_graphs(case):
 # -- the light level from lane readouts ------------------------------------
 
 
+def walk(g: MixedGraph, starts: list[int], *args) -> tuple[list, list]:
+    """``step_lanes`` on a list of starts, packed into one batch."""
+    return step_lanes(g, _pack_lanes(starts, g.node_count), len(starts), *args)
+
+
 def naive_readout(states: list[str]) -> tuple:
     """(period, final C bits, final B bits, lambda) of a naive run."""
     return (len(states), *pack(states[-1]), naive_lambda(states))
@@ -552,7 +558,7 @@ def assert_light_check_matches_oracle(g: MixedGraph, start: str, rotations: bool
     comp = bits ^ ((1 << n) - 1)
     turns = range(1, n) if rotations else ()
     starts = [bits, comp] + [rotate(comp, n - k, n) for k in turns]
-    lanes = step_lanes(g, starts)[0]
+    lanes = walk(g, starts)[0]
     assert lanes == [(run.period, *run.final, run.lambda_value) for run in run_lanes(g, starts)]
     states, bar_states = naive_run(g, start), naive_run(g, complement(start))
     assert lanes[:2] == [naive_readout(states), naive_readout(bar_states)]
@@ -591,7 +597,7 @@ def test_light_check_matches_oracle_on_weak_graphs(case):
 @settings(deadline=None)
 def test_light_lanes_leave_the_same_runs_unresolved(case, max_steps):
     g, starts = case
-    assert step_lanes(g, starts, max_steps)[0] == [
+    assert walk(g, starts, max_steps)[0] == [
         None if run is None else (run.period, *run.final, run.lambda_value)
         for run in run_lanes(g, starts, max_steps)
     ]
@@ -610,10 +616,10 @@ def assert_bulk_settle_matches_light_check(g: MixedGraph, pairs: list[int],
     in bulk, over both readings."""
     n = g.node_count
     starts = [x for bits in pairs for x in (bits, bits ^ ((1 << n) - 1))]
-    plain = step_lanes(g, starts, max_steps)[0]
+    plain = walk(g, starts, max_steps)[0]
     settled = 0
     for cond1 in COND1_INTERPRETATIONS:
-        bulk = step_lanes(g, starts, max_steps, False, cond1)[0]
+        bulk = walk(g, starts, max_steps, False, cond1)[0]
         for i, bits in zip(range(0, len(starts), 2), pairs):
             readout, comp_readout = plain[i:i + 2]
             if (readout is not None and comp_readout is not None
@@ -640,15 +646,14 @@ def odd_mask_circles(lmax: int):
 
 @pytest.mark.parametrize("lmax,max_steps", [(12, 10**6), (10, 6), (10, 12)])
 def test_bulk_settle_matches_light_check_on_every_necklace_pair(lmax, max_steps):
-    # every pair the exhaustive plan runs, a few hundred to a walk as
-    # iter_pairs runs them; at 6 and 12 steps some runs are unresolved
+    # every pair the exhaustive plan runs, in the batches iter_pairs
+    # walks; at 6 and 12 steps some runs are unresolved
     config = Config(exhaustive_cutoff=lmax)
     settled = pairs = 0
     for mask, g in odd_mask_circles(lmax):
-        plan = [bits for _, bits, _ in pair_starts(mask, g.node_count, config)]
-        for i in range(0, len(plan), 256):
-            settled += assert_bulk_settle_matches_light_check(g, plan[i:i + 256], max_steps)
-        pairs += len(plan)
+        for _, starts, _, _ in pair_starts(mask, g.node_count, config):
+            settled += assert_bulk_settle_matches_light_check(g, list(starts), max_steps)
+            pairs += len(starts)
     assert 0 < settled < 2 * pairs
 
 
@@ -657,7 +662,7 @@ def test_bulk_settle_matches_light_check_on_samples():
     settled = 0
     for n, m in ((1, 1), (1, 3), (3, 3), (1, 5), (3, 9)):
         for L in range(13, 21):
-            plan = [bits for _, bits, _ in pair_starts(Mask(n, m), L, config)]
+            [(_, plan, _, _)] = pair_starts(Mask(n, m), L, config)
             settled += assert_bulk_settle_matches_light_check(build_graph(Mask(n, m), L), plan)
     assert settled
 
