@@ -203,28 +203,22 @@ def _complement_partner(bits: int, L: int) -> int:
 # a few hundred lanes balance that against the per-step interpreter cost.
 _PAIRS_PER_LANE_RUN = 256
 
-# A batch of the pair walk: (indices, starts, partners, packed) for up
-# to _PAIRS_PER_LANE_RUN pairs, see ``pair_starts``.
-PairBatch = tuple[Sequence[int], Sequence[int], Optional[Sequence[int]], int]
+# A batch of the pair walk: (indices, starts, packed) for up to
+# _PAIRS_PER_LANE_RUN pairs, see ``pair_starts``.
+PairBatch = tuple[Sequence[int], Sequence[int], int]
 
 
 @lru_cache(maxsize=None)
-def _start_plan(L: int, k: int, workers: int) -> tuple[array, array, tuple[int, ...]]:
-    """The k-th of ``workers`` shares of the start plan of exhaustive
-    size L (see ``pair_starts``), built on first use and kept for the
-    process, so each necklace searches its partner once: (the planned
-    necklaces r, increasing, their complement partners p, and the lane
-    integer of each run of ``_PAIRS_PER_LANE_RUN`` of them, packed by
-    ``dynamics.pack_pairs``), in ``array('Q')``s and a tuple."""
-    reps, partners = array("Q"), array("Q")
-    for r in islice(_necklaces(L), k, None, workers):
-        p = _complement_partner(r, L)
-        if p >= r:
-            reps.append(r)
-            partners.append(p)
+def _start_plan(L: int, k: int, workers: int) -> tuple[array, tuple[int, ...]]:
+    """The k-th of ``workers`` shares of exhaustive size L's start plan
+    (see ``pair_starts``), kept for the process once built: the planned
+    necklaces r, increasing, in an ``array('Q')``, and the lane integer
+    of each run of ``_PAIRS_PER_LANE_RUN`` of them (``pack_pairs``)."""
+    reps = array("Q", (r for r in islice(_necklaces(L), k, None, workers)
+                       if _complement_partner(r, L) >= r))
     batches = tuple(pack_pairs(reps[i:i + _PAIRS_PER_LANE_RUN], L)
                     for i in range(0, len(reps), _PAIRS_PER_LANE_RUN))
-    return reps, partners, batches
+    return reps, batches
 
 
 def pair_starts(
@@ -234,20 +228,20 @@ def pair_starts(
     """The start plan of size L over the k-th of ``workers`` round-robin
     shares of the indices below ``total`` (the whole size when None), in
     batches of up to ``_PAIRS_PER_LANE_RUN`` pairs, increasing: each
-    batch is (indices, starts, partners, packed), the start ``starts[i]``
-    to run beside its complement start for the pair of index
-    ``indices[i]``, and ``packed`` the lane integer of the batch, start i
-    in lane 2i and its complement in lane 2i+1 (``dynamics.pack_pairs``).
+    batch is (indices, starts, packed), the start ``starts[i]`` to run
+    beside its complement start for the pair of index ``indices[i]``,
+    and ``packed`` the lane integer of the batch, start i in lane 2i and
+    its complement in lane 2i+1 (``dynamics.pack_pairs``).
 
     Up to the exhaustive cutoff the indices are the necklaces r, one
     per rotation orbit, and the share takes every ``workers``-th of
     them; of those, only r with r <= p, p = ``_complement_partner(r,
-    L)``, is planned, as r itself, with ``partners[i]`` p (p == r when
-    the class is one necklace).  Those shares are built once per process
-    (``_start_plan``), packed batches and all; a ``total`` that cuts a
-    batch keeps its prefix of lanes.  Past the cutoff an index selects a
-    seeded sample of the ``config.samples_per_L``, with no partners
-    (None), packed as it is drawn.
+    L)``, is planned, as r itself, for its class: the rotations of r and
+    of r ^ full (one orbit when p == r).  Those shares are built once
+    per process (``_start_plan``), packed batches and all; a ``total``
+    that cuts a batch keeps its prefix of lanes.  Past the cutoff an
+    index selects a seeded sample of the ``config.samples_per_L``,
+    packed as it is drawn.
 
     Rotating bit v to bit v+1 mod L relabels node x as x+1, an
     automorphism of the circulant circle graph, which carries the runs
@@ -268,29 +262,28 @@ def pair_starts(
         samples = _samples(config.seed, mask.n, mask.m, L, indices)
         for i in range(0, len(indices), size):
             starts = list(islice(samples, size))
-            yield indices[i:i + size], starts, None, pack_pairs(starts, L)
+            yield indices[i:i + size], starts, pack_pairs(starts, L)
         return
-    reps, partners, batches = _start_plan(L, k, workers)
+    reps, batches = _start_plan(L, k, workers)
     end = len(reps) if total is None else bisect_left(reps, total)
     for i, packed in zip(range(0, end, size), batches):
         starts = reps[i:min(i + size, end)]
         if len(starts) < size:  # a short last batch, or one the total cuts
             packed &= (1 << 2 * L * len(starts)) - 1
-        yield starts, starts, partners[i:i + len(starts)], packed
+        yield starts, starts, packed
 
 
 def iter_pairs(
     g: MixedGraph, batches: Iterable[PairBatch], max_steps: int, record: bool,
     cond1: Optional[str] = None,
-) -> Iterator[tuple[int, int, Optional[int], Optional[PairLanes]]]:
+) -> Iterator[tuple[int, int, Optional[PairLanes]]]:
     """Run each batch of ``batches`` (as ``pair_starts`` yields them) on
     the circle graph ``g``, each start beside its complement start
     (every bit flipped): the one pair walk, for the search at either
     check level and for rt extraction.
 
-    Yields (index, bits, partner, lanes) per pair, in order, ``bits``
-    being the start's B bits (bit v set: node v starts as B) and
-    ``partner`` the class's second necklace, or None: ``lanes`` is None
+    Yields (index, bits, lanes) per pair, in order, ``bits`` being the
+    start's B bits (bit v set: node v starts as B): ``lanes`` is None
     when either run hit ``max_steps`` (unresolved), else the pair's
     ``ipf.PairLanes``, from the runs of ``bits`` and of its complement,
     the skeleton texts recorded when ``record`` is set, else None.
@@ -309,19 +302,17 @@ def iter_pairs(
     same step and pass the light check in that reading, and such a
     pair is not yielded: only the pairs that need a look reach Python.
     """
-    for indices, starts, partners, packed in batches:
+    for indices, starts, packed in batches:
         readouts, texts = step_lanes(g, packed, 2 * len(starts), max_steps, record, cond1)
         for i, readout in enumerate(readouts[::2]):
             if readout is PASSED:
                 continue
-            bits = starts[i]
-            partner = None if partners is None or partners[i] == bits else partners[i]
             comp_readout = readouts[2 * i + 1]
             if readout is None or comp_readout is None:
-                yield indices[i], bits, partner, None
+                yield indices[i], starts[i], None
             else:
-                yield indices[i], bits, partner, (readout, comp_readout, texts[2 * i],
-                                                  texts[2 * i + 1])
+                yield indices[i], starts[i], (readout, comp_readout, texts[2 * i],
+                                              texts[2 * i + 1])
 
 
 def settle_pair(g: MixedGraph, config: Config, lanes: Optional[PairLanes]) -> Optional[str]:
@@ -356,8 +347,8 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     failing pair (see ``settle_pair``).  Returns (failure, notes): the
     failure is (index, start bits, first failed condition) or None, and
     notes lists (index, start bits, "unresolved" or "degenerate") for
-    each member of a class (see ``pair_starts``) that did not pass.  A
-    passing pair leaves no trace.  At the light level the walk gets the
+    each pair that did not pass, one per class (see ``pair_starts``).
+    A passing pair leaves no trace.  At the light level the walk gets the
     configured cond1 reading, so the pairs ``step_lanes`` settles in
     bulk never reach ``settle_pair``.  Picklable, so batches can run in
     worker processes."""
@@ -365,16 +356,13 @@ def _scan_block(mask: Mask, g: MixedGraph, config: Config, total: int, workers: 
     pairs = pair_starts(mask, g.node_count, config, total, k, workers)
     record = config.check_level == "full"  # the full level reads the skeletons
     cond1 = None if record else config.cond1_interpretation  # light: settle in bulk
-    for index, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, record,
-                                                  cond1):
+    for index, bits, lanes in iter_pairs(g, pairs, config.max_steps, record, cond1):
         outcome = settle_pair(g, config, lanes)
         if outcome is None:
             continue
         if outcome not in ("unresolved", "degenerate"):
             return (index, bits, outcome), notes
         notes.append((index, bits, outcome))
-        if partner is not None:
-            notes.append((partner, partner, outcome))
     return None, notes
 
 
@@ -388,13 +376,15 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     smaller member, so each batch gets at least as far as the smallest
     failure of all (the limit, else total-1), and every class with a
     member up to the limit has been checked.  The counts go by
-    exception: each noted member up to the limit counts once per
-    distinct rotation up to the limit (once at sampled sizes), and every
-    other start up to the limit is tested.  ``pairs_run`` counts the
-    necklaces up to the limit, one per rotation orbit (the samples at
-    sampled sizes), though a class of two orbits is checked once, at
-    its smaller necklace beside its complement start; no count depends
-    on the batches.
+    exception: a noted class counts each distinct rotation of r and of
+    r ^ full up to the limit (its one sample at sampled sizes), and
+    every other start up to the limit is tested.  No rotation of r ^
+    full lies below its necklace p, so none counts when p is past the
+    limit, and the first unresolved start is the smallest noted r, as
+    r <= p.  ``pairs_run`` counts the necklaces up to the limit, one
+    per rotation orbit (the samples at sampled sizes), though a class
+    of two orbits is checked once, at its smaller necklace beside its
+    complement start; no count depends on the batches.
     """
     L = g.node_count
     workers = config.threads
@@ -408,7 +398,8 @@ def _scan_size(mask: Mask, g: MixedGraph, config: Config, total: int, run_map) -
     for index, bits, outcome in sorted(note for _, notes in blocks for note in notes):
         if index > limit:
             break
-        orbit = {rotate(index, k, L) for k in range(L)} if exhaustive else (index,)
+        orbit = ({rotate(x, k, L) for x in (index, index ^ (1 << L) - 1) for k in range(L)}
+                 if exhaustive else (index,))
         starts = sum(x <= limit for x in orbit)
         scan["unresolved" if outcome == "unresolved" else "degenerate_skips"] += starts
         scan["tested"] -= starts
@@ -743,8 +734,9 @@ def verdict_grid(
     no failing start and no unresolved run.  Any other exhaustive size
     is scanned once per connection set, and a sampled size once per
     mask, since the mask seeds the samples.  Each exhaustive size's
-    start plan, complement partners and packed batches, is built once
-    per process and walked by all the scans (see ``pair_starts``).
+    start plan, its class representatives and their packed batches, is
+    built once per process and walked by all the scans (see
+    ``pair_starts``).
     Reflection (-S) is the multiplier -1, so a cell shares its
     mirror's scan at such sizes; the grid's reflection symmetry stays a
     checked fact only at sizes with a witness or an unresolved run.  The

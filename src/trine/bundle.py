@@ -45,13 +45,13 @@ def parse_trace_spec(text: str) -> tuple[Mask, int, str]:
     return mask, L, start
 
 
-def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
+def trace_pair(g: MixedGraph, start: str, cfg: Config
                ) -> tuple[RunRecord, Optional[RunRecord], Optional[IpfReport]]:
     """Run a two-color start and its complement as two recorded lanes
-    of one batch, and check at ``level`` the pair of their readouts and
-    skeleton texts unless the start's run is degenerate: (run,
-    complement run or None, report or None).  Raises MaxStepsExceeded
-    when a run the check needs is unresolved."""
+    of one batch, and check at ``cfg.check_level`` the pair of their
+    readouts and skeleton texts unless the start's run is degenerate:
+    (run, complement run or None, report or None).  Raises
+    MaxStepsExceeded when a run the check needs is unresolved."""
     bits = start_bits(g, start)
     run, comp_run = run_lanes(g, [bits, bits ^ ((1 << g.node_count) - 1)], cfg.max_steps)
     if run is None:
@@ -61,7 +61,7 @@ def trace_pair(g: MixedGraph, start: str, cfg: Config, level: str
     if comp_run is None:
         raise MaxStepsExceeded(cfg.max_steps, complement(start))
     pair = (run.readout, comp_run.readout, run.skeleton_text, comp_run.skeleton_text)
-    report = check_ipf(pair, g.node_count, level=level,
+    report = check_ipf(pair, g.node_count, level=cfg.check_level,
                        cond1_interpretation=cfg.cond1_interpretation,
                        time_origin=cfg.time_origin)
     return run, comp_run, report
@@ -78,7 +78,7 @@ def build_bundle(outdir: Path, cfg: Config, grid_max: int, rt_masks: list[Mask],
     tables = [rt.extract_rows(mask, rt.extraction_run_pairs(mask, extract_cfg))
               for mask in rt_masks]
     traces = [(f"traces/trace_{mask.n}_{mask.m}_L{L}_{start}",
-               trace_pair(ac23.build_graph(mask, L), start, cfg, "full"))
+               trace_pair(ac23.build_graph(mask, L), start, extract_cfg))
               for mask, L, start in trace_specs]
     grid = ac23.verdict_grid(grid_max, grid_max, cfg)
 

@@ -96,9 +96,8 @@ def cmd_trace(args) -> int:
         print("need --mask n,m --L <size> or --graph file", file=sys.stderr)
         return EXIT_ERROR
 
-    start = args.start
-    run, comp_run, report = trace_pair(g, start, cfg, cfg.check_level)
-    print(f"start {start}: T={run.period}" + (" (degenerate)" if run.degenerate else ""))
+    run, comp_run, report = trace_pair(g, args.start, cfg)
+    print(f"start {args.start}: T={run.period}" + (" (degenerate)" if run.degenerate else ""))
     if run.degenerate:
         print("degenerate trajectory (period <= 2); no invariant check")
     else:
@@ -179,7 +178,8 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
 def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
     """Finished cells of an interrupted grid CSV of the odd masks up to
     ``grid_max``, which must be the first cells in grid order; a row
-    outside that grid, a second row for a cell, or a row out of order is
+    outside that grid, a second row for a cell, a row out of order, or
+    one that differs from the row its verdict writes (``csv_row``) is
     refused.  A last line without its newline was cut off mid-write: it
     is dropped.  Returns (cells, the byte length of the complete rows,
     where appending continues)."""
@@ -189,14 +189,21 @@ def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
     odd = range(1, grid_max + 1, 2)
     grid_order = [(n, m) for n in odd for m in odd]
     rows = {}
-    reader = csv.DictReader(complete.decode("utf-8").splitlines())
-    if reader.fieldnames != GRID_CSV_COLUMNS:
-        raise TrineError(f"{path}: not a grid CSV (columns {reader.fieldnames})")
-    for record in reader:
-        if record["status"] not in ac23.STATUSES:
-            raise TrineError(f"{path}: bad status in row {record}")
-        mask = Mask(int(record["n"]), int(record["m"]))
-        where = f"{path} line {reader.line_num}: row {mask}"
+    reader = csv.reader(complete.decode("utf-8").splitlines())
+    if (header := next(reader, None)) != GRID_CSV_COLUMNS:
+        raise TrineError(f"{path}: not a grid CSV (columns {header})")
+    for row in reader:
+        where = f"{path} line {reader.line_num}"
+        try:
+            n, m, _, status, witness_L, start, condition = row
+            mask = Mask(int(n), int(m))
+            witness = ({"L": int(witness_L), "start": start, "condition": condition}
+                       if status == ac23.INCORRECT else None)
+        except ValueError as exc:
+            raise TrineError(f"{where}: not a grid row {row}: {exc}") from None
+        if status not in ac23.STATUSES:
+            raise TrineError(f"{where}: bad status in row {row}")
+        where += f": row {mask}"
         if mask.n % 2 == 0 or mask.m % 2 == 0 or max(mask.n, mask.m) > grid_max:
             raise TrineError(f"{where} is not a cell of the odd grid up to {grid_max}")
         if (mask.n, mask.m) in rows:
@@ -205,14 +212,11 @@ def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
         if mask != expected:
             raise TrineError(
                 f"{where} is out of grid order: cell {expected} is expected there")
-        witness = None
-        if record["status"] == ac23.INCORRECT:
-            witness = {
-                "L": int(record["witnessL"]),
-                "start": record["witnessStart"],
-                "condition": record["conditionFailed"],
-            }
-        rows[(mask.n, mask.m)] = MaskVerdict(mask, record["status"], witness)
+        verdict = MaskVerdict(mask, status, witness)
+        written = [str(field) for field in verdict.csv_row()]
+        if row != written:
+            raise TrineError(f"{where} reads {row}, not {written} as the grid writes it")
+        rows[(mask.n, mask.m)] = verdict
     return rows, len(complete)
 
 

@@ -140,8 +140,8 @@ class MixedGraph:
     # -- adjacency ---------------------------------------------------
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        """Targets of directed edges from v plus undirected partners of v,
-        in ascending node order."""
+        """Targets of directed edges from v plus the other ends of
+        undirected edges at v, in ascending node order."""
         mask = self.out_masks[v]
         return tuple(u for u in range(self.node_count) if mask >> u & 1)
 

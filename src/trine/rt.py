@@ -582,10 +582,13 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
     ``pair_starts``): ``extract_rows`` reads every node, so a rotated
     start would only repeat the same rows, and the class's other
     necklace gives the pair swapped up to rotation, whose rows
-    ``extract_rows`` adds when ``swapped`` is set (the two necklaces
-    differ).  Sampled sizes yield every passing sample with ``swapped``
-    unset.  A walk that yields no pair raises UnverifiedRuns: a table
-    needs evidence."""
+    ``extract_rows`` adds: every exhaustive pair has ``swapped`` set.
+    That adds nothing to a class of one necklace r: if ~r = rot_j(r),
+    then r = rot_j(~r), so the swapped pair is the pair rotated by j
+    nodes, and its rows, the pair's with every bar flipped, are the
+    pair's own.  Sampled sizes yield every passing sample with
+    ``swapped`` unset.  A walk that yields no pair raises
+    UnverifiedRuns: a table needs evidence."""
     passed = 0
     node_codes: dict[tuple[str, int], list] = {}
     for L in range(config.lmin, config.lmax + 1):
@@ -594,7 +597,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
             continue
         g = build_graph(mask, L)
         pairs = iter_pairs(g, pair_starts(mask, L, config), config.max_steps, True)
-        for _, _, partner, lanes in pairs:
+        for _, _, lanes in pairs:
             if settle_pair(g, config, lanes) is not None:
                 continue
             passed += 1
@@ -610,7 +613,7 @@ def extraction_run_pairs(mask: Mask, config: Config) -> Iterable[PairCodes]:
                     codes += node_codes[skeleton, K]
             else:
                 codes = slot_codes(filled_rows(lanes))
-            yield codes, L, partner is not None
+            yield codes, L, L <= config.exhaustive_cutoff
     if not passed:
         raise UnverifiedRuns(
             f"mask {mask}: no pair passes the {config.check_level} check at "

@@ -482,11 +482,11 @@ class TestRotationReduction:
 
     def test_scan_block_notes_only_unpassed_class_members(self):
         # L = 10 in one batch: only the uniform class {all A, all B} does
-        # not pass, as two degenerate runs
+        # not pass, as two degenerate runs, noted once, at all A
         cfg = quick_config(lmin=10, lmax=10, exhaustive_cutoff=10)
         g = build_graph(Mask(1, 1), 10)
         assert ac23._scan_block(Mask(1, 1), g, cfg, 2**10, 1, 0) == (
-            None, [(0, 0, "degenerate"), (1023, 1023, "degenerate")])
+            None, [(0, 0, "degenerate")])
 
     def test_complement_partner(self):
         full = 2**9 - 1
@@ -601,18 +601,17 @@ def burnside_classes(L: int) -> int:
 
 
 def plan_pairs(*args) -> list:
-    """(index, bits, partner or None) for each pair of ``pair_starts``
-    with these arguments, in order."""
-    return [(index, bits, None if partners is None or partners[i] == bits else partners[i])
-            for indices, starts, partners, _ in ac23.pair_starts(*args)
-            for i, (index, bits) in enumerate(zip(indices, starts))]
+    """(index, bits) for each pair of ``pair_starts`` with these
+    arguments, in order."""
+    return [pair for indices, starts, _ in ac23.pair_starts(*args)
+            for pair in zip(indices, starts)]
 
 
 def test_pair_starts_yield_one_start_per_rotation_and_complement_class():
     config = quick_config(lmax=16, exhaustive_cutoff=16)
     counts = []
     for L in range(3, 17):
-        starts = [r for r, *_ in plan_pairs(Mask(1, 1), L, config)]
+        starts = [r for r, _ in plan_pairs(Mask(1, 1), L, config)]
         assert len(set(starts)) == len(starts)
         counts.append(len(starts))
     assert counts == [burnside_classes(L) for L in range(3, 17)] == [
@@ -627,18 +626,17 @@ def test_pair_starts_shares_partition_the_plan(L, total):
     config = quick_config(lmax=12, exhaustive_cutoff=10, samples_per_L=30)
     if L <= config.exhaustive_cutoff:
         indices = [r for r in ac23._necklaces(L) if r < (total or 2**L)]
-        partners = {r: ac23._complement_partner(r, L) for r in indices}
-        kept = {r: None if p == r else p for r, p in partners.items() if p >= r}
+        kept = [r for r in indices if ac23._complement_partner(r, L) >= r]
+        assert len(kept) < len(indices)
     else:
-        indices = list(range(total or config.samples_per_L))
-        kept = dict.fromkeys(indices)
+        indices = kept = list(range(total or config.samples_per_L))
     plan = plan_pairs(Mask(1, 3), L, config, total)
-    assert [(index, partner) for index, _, partner in plan] == list(kept.items())
+    assert [index for index, _ in plan] == kept
     for workers in range(1, 5):
         shares = [plan_pairs(Mask(1, 3), L, config, total, k, workers)
                   for k in range(workers)]
         for k, share in enumerate(shares):
-            assert [index for index, *_ in share] == [
+            assert [index for index, _ in share] == [
                 r for r in indices[k::workers] if r in kept]
         assert sorted(pair for share in shares for pair in share) == plan
 
@@ -651,21 +649,21 @@ def unpack_batch(packed: int, L: int, pairs: int) -> list[int]:
 
 @pytest.mark.parametrize("L", range(3, 17))
 def test_start_plan_shares_hold_each_class_once_packed_beside_its_complement(L):
-    # the kept plan against the necklaces and a partner search of its own:
-    # the shares together hold every r <= p with its partner p, and each
-    # batch of 256 pairs (the last may be shorter) unpacks lane by lane
-    # to r, r ^ full
+    # the kept plan against the necklaces and a complement search of its
+    # own: the shares together hold every r <= p, p the necklace of r's
+    # complement, and each batch of 256 pairs (the last may be shorter)
+    # unpacks lane by lane to r, r ^ full
     full = (1 << L) - 1
-    want = {r: p for r in ac23._necklaces(L)
-            if r <= (p := min(rotate(r ^ full, k, L) for k in range(L)))}
+    want = {r for r in ac23._necklaces(L)
+            if r <= min(rotate(r ^ full, k, L) for k in range(L))}
     assert len(want) == burnside_classes(L)
     for workers in (1, 2, 3):
-        held = {}
+        held = set()
         for k in range(workers):
-            reps, partners, batches = ac23._start_plan(L, k, workers)
-            assert reps.typecode == partners.typecode == "Q"
+            reps, batches = ac23._start_plan(L, k, workers)
+            assert reps.typecode == "Q"
             assert list(reps) == [r for r in ac23._necklaces(L)[k::workers] if r in want]
-            held.update(zip(reps, partners))
+            held.update(reps)
             assert len(batches) == -(-len(reps) // 256)
             lanes = [lane for i, batch in enumerate(batches)
                      for lane in unpack_batch(batch, L, min(256, len(reps) - 256 * i))]
@@ -687,9 +685,9 @@ def test_a_budget_cut_plans_the_classes_below_it(L, workers):
                       reps[-1], reps[-1] + 1, 2**L):
             below = [r for r in reps if r < total]
             batches = list(ac23.pair_starts(Mask(1, 3), L, config, total, k, workers))
-            assert [bits for _, starts, _, _ in batches for bits in starts] == below
-            for indices, starts, partners, packed in batches:
-                assert list(indices) == list(starts) and len(partners) == len(starts)
+            assert [bits for _, starts, _ in batches for bits in starts] == below
+            for indices, starts, packed in batches:
+                assert list(indices) == list(starts)
                 assert 0 < len(starts) <= 256
                 assert unpack_batch(packed, L, len(starts)) == [
                     x for bits in starts for x in (bits, bits ^ full)]
@@ -1050,8 +1048,8 @@ class TestVerdictGrid:
         verdict_grid(15, 15, quick_config(lmax=8))
         assert len(found) == first
         for L in range(3, 9):
-            reps, partners, _ = ac23._start_plan(L, 0, 1)
-            assert reps.typecode == partners.typecode == "Q"
+            reps, _ = ac23._start_plan(L, 0, 1)
+            assert reps.typecode == "Q"
 
     def test_sizes_read_whole_from_the_memo_and_pairs_in_two_lanes(self, monkeypatch):
         # the benchmark grid: each size is tested for weak computability

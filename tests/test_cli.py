@@ -112,12 +112,13 @@ class TestGoldenOutputs:
         for table in sorted((golden / "rt").iterdir()):
             assert (out / "rt" / table.name).read_bytes() == table.read_bytes(), table.name
 
-    @pytest.mark.parametrize("n,m", [(1, 3), (1, 5), (3, 3)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (1, 5), (3, 3), (3, 5)])
     @pytest.mark.parametrize("level", ["light", "full"])
     def test_rt_extract(self, tmp_path, capsys, n, m, level):
         # (1,5) holds a pair at L=10 that passes light but is not mirrored
         # (its complement skeletons are not the run's swapped), so its
-        # filled rows hold empty slots; at the full level it fails c4
+        # filled rows hold empty slots; at the full level it fails c4.
+        # (1,1) and (3,5) read C_R 32 and 392 at both levels.
         out = tmp_path / "t.rt"
         assert run_cli("rt", "extract", "--n", str(n), "--m", str(m), "--level", level,
                        "--lmax", "10", "--out", str(out)) == 0
@@ -451,6 +452,29 @@ class TestGrid:
         assert f"line 3: row ({n},{m}) {problem}" in err
         assert out.read_text() == text
 
+    @pytest.mark.parametrize("row,problem", [
+        ("1,1,4,CorrectSoFar,,,", "row (1,1) reads"),  # wrong N
+        ("1,1,3,CorrectSoFar,7,ABA,c1", "row (1,1) reads"),  # a witness on a pass
+        ("01,1,3,CorrectSoFar,,,", "row (1,1) reads"),
+        ("1,1,3,CorrectSoFar", "not a grid row"),  # too few fields
+        ("1,1,3,CorrectSoFar,,,,extra", "not a grid row"),  # too many fields
+        ("x,1,3,CorrectSoFar,,,", "not a grid row"),
+        ("1,1,3,Incorrect,,,", "not a grid row"),  # no witness size
+    ])
+    def test_resume_refuses_rows_the_grid_never_writes(self, tmp_path, capsys, row, problem):
+        # each row parses to a verdict whose own row differs, or to none:
+        # resumed, it would stay in a CSV that no fresh run writes
+        out = tmp_path / "grid.csv"
+        flags = ["grid", "--max", "3", "--lmax", "5", "--out", str(out)]
+        assert run_cli(*flags) == 0
+        text = out.read_text().splitlines(keepends=True)[0] + row + "\n"
+        out.write_text(text)
+        capsys.readouterr()
+        assert run_cli(*flags, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out} line 2: ") and problem in err
+        assert out.read_text() == text
+
     def test_resume_refuses_rows_out_of_grid_order(self, tmp_path, capsys):
         # the cells done must be the first ones in grid order: after a
         # lone 3,3 row a resume would append 1,1 / 1,3 / 3,1 after it
@@ -755,7 +779,8 @@ class TestBundle:
 
         logged(bundle, "run_lanes", "batch")
         logged(dynamics, "_walk", "walk")
-        run, comp, report = trace_pair(build_graph(Mask(1, 3), 9), "ABAABBBAA", Config(), level)
+        run, comp, report = trace_pair(build_graph(Mask(1, 3), 9), "ABAABBBAA",
+                                       Config(check_level=level))
         assert calls == ["batch"]
         assert comp.start_ab == "BABBAAABB" and report.level == level and report.passed
         run.states  # only the states re-walk

@@ -301,7 +301,7 @@ def pair_batches(mask: Mask, L: int, config: Config) -> list[tuple[int, int]]:
     """(packed lanes, lane count) of each batch of the start plan of
     size L, each start beside its complement, as the pair walk lays
     them out."""
-    return [(packed, 2 * len(starts)) for _, starts, _, packed in pair_starts(mask, L, config)]
+    return [(packed, 2 * len(starts)) for _, starts, packed in pair_starts(mask, L, config)]
 
 
 class TestRepackSchedule:

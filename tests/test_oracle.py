@@ -651,7 +651,7 @@ def test_bulk_settle_matches_light_check_on_every_necklace_pair(lmax, max_steps)
     config = Config(exhaustive_cutoff=lmax)
     settled = pairs = 0
     for mask, g in odd_mask_circles(lmax):
-        for _, starts, _, _ in pair_starts(mask, g.node_count, config):
+        for _, starts, _ in pair_starts(mask, g.node_count, config):
             settled += assert_bulk_settle_matches_light_check(g, list(starts), max_steps)
             pairs += len(starts)
     assert 0 < settled < 2 * pairs
@@ -662,7 +662,7 @@ def test_bulk_settle_matches_light_check_on_samples():
     settled = 0
     for n, m in ((1, 1), (1, 3), (3, 3), (1, 5), (3, 9)):
         for L in range(13, 21):
-            [(_, plan, _, _)] = pair_starts(Mask(n, m), L, config)
+            [(_, plan, _)] = pair_starts(Mask(n, m), L, config)
             settled += assert_bulk_settle_matches_light_check(build_graph(Mask(n, m), L), plan)
     assert settled
 
@@ -738,13 +738,14 @@ FULL_LEVEL_WALKS = [((1, 1), 10, 10, 10**6), ((1, 3), 10, 10, 10**6),
 
 def full_level_pairs(mask: Mask, config: Config):
     """(g, bits, swapped, lanes) for every pair of ``iter_pairs`` at
-    every size ``extraction_run_pairs`` walks."""
+    every size ``extraction_run_pairs`` walks, ``swapped`` set at the
+    exhaustive sizes."""
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         if not degenerate_at(mask, L) and weak_computable(g):
             pairs = pair_starts(mask, L, config)
-            for _, bits, partner, lanes in iter_pairs(g, pairs, config.max_steps, True):
-                yield g, bits, partner is not None, lanes
+            for _, bits, lanes in iter_pairs(g, pairs, config.max_steps, True):
+                yield g, bits, L <= config.exhaustive_cutoff, lanes
 
 
 def two_skeleton_codes(lanes) -> list:
@@ -829,21 +830,22 @@ def naive_extract_rows(mask: Mask, checked_pairs: list) -> ResolutionTable:
 def checked_pairs(mask: Mask, config: Config) -> list:
     """(lanes, report, swapped) for every pair of the walk
     ``extraction_run_pairs`` takes that ``check_ipf`` passes at the
-    configured level, every pair recorded and checked."""
+    configured level, every pair recorded and checked, ``swapped`` set
+    at the exhaustive sizes."""
     pairs = []
     for L in range(config.lmin, config.lmax + 1):
         g = build_graph(mask, L)
         if degenerate_at(mask, L) or not weak_computable(g):
             continue
-        for _, _, partner, lanes in iter_pairs(g, pair_starts(mask, L, config),
-                                               config.max_steps, True):
+        for _, _, lanes in iter_pairs(g, pair_starts(mask, L, config), config.max_steps,
+                                      True):
             if lanes is None or lanes[0][0] <= 2 or lanes[1][0] <= 2:
                 continue
             report = check_ipf(lanes, L, level=config.check_level,
                                cond1_interpretation=config.cond1_interpretation,
                                time_origin=config.time_origin)
             if report.passed:
-                pairs.append((lanes, report, partner is not None))
+                pairs.append((lanes, report, L <= config.exhaustive_cutoff))
     return pairs
 
 

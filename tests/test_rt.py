@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extraction import lanes_of, pair_codes
-from trine.ac23 import Mask, _samples, build_graph, degenerate_at
+from trine.ac23 import (Mask, _complement_partner, _samples, build_graph, degenerate_at,
+                        iter_pairs, mask_weak_computable, pair_starts, settle_pair)
 from trine.config import Config
 from trine.dynamics import run_to_mirror, unpack
 from trine.errors import (
@@ -18,7 +19,7 @@ from trine.errors import (
     UnverifiedRuns,
 )
 from trine.graph import complement
-from trine.ipf import check_ipf
+from trine.ipf import CHECK_LEVELS, check_ipf, filled_rows
 from trine import rt
 from trine.rt import (
     ALL_COMBOS_STEP_TABLE,
@@ -529,6 +530,33 @@ class TestExtraction:
         assert not any(swapped for _, _, swapped in sampled)
         assert (format_table(extract_rows(mask, reduced))
                 == format_table(extract_rows(mask, own_pairs(mask, cfg))))
+
+    @pytest.mark.parametrize("level", CHECK_LEVELS)
+    def test_self_complementary_pairs_hold_their_flipped_rows(self, level):
+        # extraction sets ``swapped`` on every exhaustive pair: when the
+        # complement of necklace r is a rotation of r, the swapped pair is
+        # the pair rotated, so the pair's rows are closed under the bar
+        # flip and the flipped rows add none
+        cfg = Config(lmax=10, exhaustive_cutoff=10, check_level=level)
+        closed = 0
+        for n in range(1, 16, 2):
+            for m in range(1, 16, 2):
+                mask = Mask(n, m)
+                for L in range(4, 11, 2):  # odd sizes hold no such class
+                    if degenerate_at(mask, L) or not mask_weak_computable(mask, L):
+                        continue
+                    g = build_graph(mask, L)
+                    pairs = iter_pairs(g, pair_starts(mask, L, cfg), cfg.max_steps, True)
+                    for _, bits, lanes in pairs:
+                        if (_complement_partner(bits, L) != bits
+                                or settle_pair(g, cfg, lanes) is not None):
+                            continue
+                        codes = rt.slot_codes(filled_rows(lanes))
+                        rows = set(extract_rows(mask, [(codes, L, False)]).rows)
+                        flipped = {tuple((v + 3) % 6 for v in row) for row in rows}
+                        assert rows and rows == flipped
+                        closed += 1
+        assert closed > 0
 
     def test_search_driver_skips_bad_pairs(self):
         cfg = Config(lmin=5, lmax=7, exhaustive_cutoff=7, samples_per_L=0,
