@@ -33,7 +33,7 @@ from .bundle import build_bundle, parse_trace_spec, trace_pair, write_csv, write
 from .config import Config
 from .errors import IncompatibleTables, TrineError
 from .graph import MixedGraph
-from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS
+from .ipf import CHECK_LEVELS, COND1_INTERPRETATIONS, CONDITIONS
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -175,14 +175,14 @@ def _check_resume_config(sidecar: Path, cfg: Config, grid_max: int) -> None:
                          "not resuming")
 
 
-def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
+def _load_resume_rows(path: Path, grid_max: int, config: Config) -> tuple[dict, int]:
     """Finished cells of an interrupted grid CSV of the odd masks up to
-    ``grid_max``, which must be the first cells in grid order; a row
-    outside that grid, a second row for a cell, a row out of order, or
-    one that differs from the row its verdict writes (``csv_row``) is
-    refused.  A last line without its newline was cut off mid-write: it
-    is dropped.  Returns (cells, the byte length of the complete rows,
-    where appending continues)."""
+    ``grid_max``, which must be the first cells in grid order.  A row
+    outside that grid, a repeated or out-of-order cell, a witness other
+    than L letters A and B failing a condition at an L of ``config``, or
+    a row other than its verdict's (``csv_row``) is refused; a last line
+    cut off mid-write, without its newline, is dropped.  Returns (cells,
+    the byte length of the complete rows, where appending continues)."""
     with open(path, "rb") as fh:
         data = fh.read()
     complete = data[: data.rfind(b"\n") + 1]
@@ -212,6 +212,9 @@ def _load_resume_rows(path: Path, grid_max: int) -> tuple[dict, int]:
         if mask != expected:
             raise TrineError(
                 f"{where} is out of grid order: cell {expected} is expected there")
+        if witness and not (config.lmin <= len(start) == witness["L"] <= config.lmax
+                            and set(start) <= {"A", "B"} and condition in CONDITIONS):
+            raise TrineError(f"{where}: bad witness for a grid of L {config.lmin}..{config.lmax}")
         verdict = MaskVerdict(mask, status, witness)
         written = [str(field) for field in verdict.csv_row()]
         if row != written:
@@ -241,7 +244,7 @@ def cmd_grid(args) -> int:
     resume_rows = None
     if args.resume and out.exists():
         _check_resume_config(sidecar, cfg, args.max)
-        resume_rows, complete = _load_resume_rows(out, args.max)
+        resume_rows, complete = _load_resume_rows(out, args.max, cfg)
         if resume_rows and args.json:
             raise TrineError(f"--json needs each cell's tested envelope, which the "
                              f"{len(resume_rows)} cells resumed from {out} do not keep; "
@@ -277,10 +280,6 @@ def cmd_grid(args) -> int:
 
 
 # -- resolution tables -------------------------------------------------------
-
-
-def _load_tables(paths) -> list:
-    return [rt.load_table(p) for p in paths]
 
 
 def cmd_rt_extract(args) -> int:
@@ -326,7 +325,7 @@ def _write_or_print_csv(path, header: list, rows: list) -> None:
 
 
 def cmd_rt_scounts(args) -> int:
-    tables = _load_tables(args.tables)
+    tables = [rt.load_table(p) for p in args.tables]
     _write_or_print_csv(args.csv, rt.SCOUNTS_CSV_COLUMNS,
                         [rt.scounts_csv_row(t) for t in tables])
     return EXIT_OK
@@ -346,7 +345,7 @@ def _binary_setop(args, op) -> int:
 
 
 def cmd_rt_integral(args) -> int:
-    tables = _load_tables(args.tables)
+    tables = [rt.load_table(p) for p in args.tables]
     try:
         integral = rt.compatibility(tables)
     except IncompatibleTables as exc:
@@ -362,7 +361,7 @@ def cmd_rt_integral(args) -> int:
 
 
 def cmd_rt_coincide(args) -> int:
-    tables = _load_tables(args.tables)
+    tables = [rt.load_table(p) for p in args.tables]
     _write_or_print_csv(args.csv, rt.COINCIDENCE_CSV_COLUMNS,
                         rt.coincidence_matrix(tables).csv_rows())
     return EXIT_OK

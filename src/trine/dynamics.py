@@ -44,23 +44,22 @@ the top bit of every lane and LOW the other bits,
 lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
 section 6-1): adding LOW carries into the top bit from any set low bit
 and never past it.  A finished lane leaves the ``active`` mask and is
-read out at that step; its bits keep stepping unread.  Periods are
-long-tailed, so a walk narrows its int once three quarters of the lanes
-have finished: each pair of lanes 2i and 2i + 1 with a lane still
-running is repacked, ``active`` bits and all, which keeps pairs aligned.
-A repack costs as much as thousands of lane bits stepped once, so at
-that point the walk fixes the step at which the repack will have paid
-for itself, ``_REPACK_BIT_STEPS`` bit-steps of the lanes it drops, and
-repacks only then.  A walk whose lanes all finish before then, as short
-walks do, ends with no repack.
+read out at that step (``_finish``); its bits keep stepping unread.
+Periods are long-tailed, so a walk narrows its int once three quarters
+of the lanes have finished: each pair of lanes 2i and 2i + 1 with a lane
+still running is repacked (``_repack``), ``active`` bits and all, which
+keeps pairs aligned.  A repack costs as much as thousands of lane bits
+stepped once, so at that point the walk fixes the step at which the
+repack will have paid for itself, ``_REPACK_BIT_STEPS`` bit-steps of the
+lanes it drops, and repacks only then.  A walk whose lanes all finish
+before then, as short walks do, ends with no repack.
 
 A finished lane yields one readout, what the light check needs:
 (period, final C bits, final B bits, lambda) as plain ints.  Lambda is
-read at once for all the lanes that finish on a step
-(``_lane_counts``): in the final C bits and each counter plane every
-node's bit is compared with the next node's, one zero-lane test finds
-the lanes where any differs, whose lambda is undefined, and node 0's
-bits are N_C.
+read at once for all the lanes that finish on a step: in the final C
+bits and each counter plane every node's bit is compared with the next
+node's, one zero-lane test finds the lanes where any differs, whose
+lambda is undefined, and node 0's bits are N_C.
 
 The light search walks a run in lane 2i beside its complement in lane
 2i + 1 and passes its cond1 reading.  Where both lanes of a pair finish
@@ -355,11 +354,12 @@ def step_lanes(
     """The one lane stepper: walk the ``lanes`` {A,B} starts of the
     packed batch ``packed`` (lane j holds start j's B bits, which are its
     C bits at t = 1) to their mirror states at once.  Returns, in lane
-    order, each lane's readout (None for a lane still running
-    after ``max_steps`` steps), lambda read in bulk at the step the lane
-    finishes (see the module docstring), and, when ``record`` is set,
-    each finished lane's skeleton text (see
-    ``RunRecord.skeleton_text``), else None each.
+    order, each lane's readout (None for a lane still running after
+    ``max_steps`` steps) and, when ``record`` is set, each finished
+    lane's skeleton text (see ``RunRecord.skeleton_text``), else None
+    each.  The stepping loop holds only the step: ``_finish`` reads out
+    the lanes that finish on a step, lambda in bulk, and ``_repack``
+    narrows the walk on the schedule of the module docstring.
 
     With a ``cond1`` reading ("raw" or "complemented"), the starts come
     in pairs, a run in lane 2i and its complement in lane 2i + 1, and a
@@ -368,7 +368,6 @@ def step_lanes(
     (``_same_step_passed``): both its readouts are ``PASSED``.  Every
     other pair is read out as without it."""
     width = g.node_count
-    lane = (1 << width) - 1
     # with cond1 a lane is PASSED unless it is read out or left unresolved
     readouts: list = [None if cond1 is None else PASSED] * lanes
     texts: list = [None] * lanes
@@ -384,12 +383,12 @@ def step_lanes(
         full, top, low, rotations = _lane_masks(g, len(ids))
         active &= top
         pairs = None if cond1 is None else _pair_masks(len(ids), width, cond1)
-        live = active.bit_count()
+        stop = max_steps + 1  # the segment ends before this step
         due = None  # the step to repack at, set once most lanes have finished
         steps: list[int] = []  # the C bits of each step since the last flush
         finished: list[tuple[int, int]] = []  # (lane position, steps) of done lanes
         room = max(1, _RECORD_BITS // (len(ids) * width))
-        while t <= max_steps:
+        while t < stop:
             if record:
                 if len(steps) >= room:
                     _flush(steps, width, ids, active, finished, columns, texts)
@@ -412,41 +411,21 @@ def step_lanes(
             done = active & ~(((d & low) + low | d) & top)
             if done:
                 active ^= done
-                if pairs is not None and t % 3 == 0:
-                    passed = _same_step_passed(t, done, c, b, planes, width, pairs)
-                    done ^= passed | passed >> width
-                if done:
-                    uneven, counts = _lane_counts(done, c, planes, width, top, low)
-                while done:  # read out the highest finished lane
-                    shift = done.bit_length() - width
-                    done ^= 1 << (shift + width - 1)
-                    j = shift // width
-                    final_c = c >> shift & lane
-                    n_c = 0
-                    for i, count in enumerate(counts):
-                        n_c |= (count >> shift & lane) << i * width
-                    readouts[ids[j]] = (t, final_c, b >> shift & lane,
-                                        None if uneven >> shift & lane
-                                        else t - 3 * n_c + (final_c & 1))
-                    if record:
-                        finished.append((j, len(steps)))
+                _finish(t, done, c, b, planes, width, top, low, pairs, ids, readouts,
+                        finished, len(steps))
                 live = active.bit_count()
+                if not live:
+                    stop = t + 1
+                elif due is None and 4 * live <= len(ids):  # drops >= len(ids) - 2 * live lanes
+                    due = t + 1 + _REPACK_BIT_STEPS // ((len(ids) - 2 * live) * width)
+                    stop = min(stop, due)
             c, b = new_c, c
             t += 1
-            if 4 * live <= len(ids):
-                if due is None:  # at least len(ids) - 2 * live lanes to drop
-                    due = t + _REPACK_BIT_STEPS // ((len(ids) - 2 * live) * width)
-                if not live or t >= due:
-                    break
         if record:
             _flush(steps, width, ids, active, finished, columns, texts)
         if not live or t > max_steps:
             break
-        # repack the pairs with a running lane into a narrower integer
-        kept = _live_pairs(active, len(ids), width)
-        ids = [ids[j] for j in kept]
-        c, b, active, *planes = (_pack_lanes([x >> j * width & lane for j in kept], width)
-                                 for x in (c, b, active, *planes))
+        ids, active, c, b, *planes = _repack(ids, active, width, c, b, *planes)
     if cond1 is not None and live:
         for j in _active_lanes(active, len(ids), width):
             readouts[ids[j]] = None
@@ -457,23 +436,28 @@ def step_lanes(
 PASSED = "passed"
 
 
-def _lane_counts(done: int, c: int, planes: list[int], width: int, top: int,
-                 low: int) -> tuple[int, list[int]]:
-    """What lambda needs of the lanes with their top bit set in
-    ``done``, read at once from the final C bits ``c`` and the C counter
-    planes ``planes``: (the top bits of the lanes whose lambda is
-    undefined, N_C in the lane bits of the ints of a list, ``width``
-    planes per int).
+def _finish(t: int, done: int, c: int, b: int, planes: list[int], width: int, top: int,
+            low: int, pairs: Optional[tuple], ids: list[int], readouts: list,
+            finished: list, recorded: int) -> None:
+    """Read out the lanes with their top bit set in ``done``, which
+    reached their mirror states at step ``t`` in the packed state (c, b)
+    with C counter planes ``planes``, into ``readouts`` at their start
+    indices (``ids``), noting each as (position, ``recorded``) in
+    ``finished`` for the recorder.  With ``pairs`` (``_pair_masks``), a
+    pair that passes in bulk (``_same_step_passed``) keeps ``PASSED``.
 
-    Per node lambda is T - 3 N_C + [C at T], so it is uniform exactly
-    when the final C bits and every counter plane are each empty or full
-    in the lane (a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)):
-    when each bit equals the one above it, which one zero-lane test
-    checks for all of them.  Node 0's bits of the planes are N_C.
-    """
+    Lambda = T - 3 N_C + [C at T] per node is uniform exactly when the
+    final C bits and every counter plane are each empty or full in the
+    lane, as a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)."""
+    if pairs is not None and t % 3 == 0:
+        passed = _same_step_passed(t, done, c, b, planes, width, pairs)
+        done ^= passed | passed >> width
+        if not done:
+            return
+    lane = (1 << width) - 1
     ones = done >> (width - 1)  # bit 0 of every finished lane
     uneven = c ^ c >> 1
-    counts = []
+    counts = []  # N_C, width planes per int
     for i in range(0, len(planes), width):
         word = 0
         for k, plane in enumerate(planes[i:i + width]):
@@ -481,7 +465,18 @@ def _lane_counts(done: int, c: int, planes: list[int], width: int, top: int,
             word |= (plane & ones) << k
         counts.append(word)
     uneven &= ones * ((1 << width - 1) - 1)  # each node but the last, in each lane
-    return ((uneven & low) + low | uneven) & top, counts
+    uneven = ((uneven & low) + low | uneven) & top
+    while done:  # read out the highest finished lane
+        shift = done.bit_length() - width
+        done ^= 1 << (shift + width - 1)
+        final_c = c >> shift & lane
+        n_c = 0
+        for i, count in enumerate(counts):
+            n_c |= (count >> shift & lane) << i * width
+        readouts[ids[shift // width]] = (t, final_c, b >> shift & lane,
+                                         None if uneven >> shift & lane
+                                         else t - 3 * n_c + (final_c & 1))
+        finished.append((shift // width, recorded))
 
 
 def _pair_masks(lanes: int, width: int, cond1: str) -> tuple[int, int, int, int, int]:
@@ -546,12 +541,17 @@ def _active_lanes(active: int, lanes: int, width: int) -> list[int]:
     return [j for j in range(lanes) if active >> (j * width + width - 1) & 1]
 
 
-def _live_pairs(active: int, lanes: int, width: int) -> list[int]:
-    """The positions of the lanes of each pair, lanes 2i and 2i + 1, with
-    a top bit set in ``active``: repacking them keeps pairs aligned."""
+def _repack(ids: list[int], active: int, width: int, *ints: int) -> tuple:
+    """Narrow a walk to each pair of lanes 2i and 2i + 1 with a top bit
+    set in ``active``, which keeps pairs aligned: returns the kept lanes'
+    start indices (from ``ids``), then ``active`` and each of ``ints``
+    packed with only the kept lanes, in order."""
+    lane = (1 << width) - 1
     both = 1 << (width - 1) | 1 << (2 * width - 1)
-    return [j for i in range(0, lanes, 2) if active >> i * width & both
-            for j in range(i, min(i + 2, lanes))]
+    kept = [j for i in range(0, len(ids), 2) if active >> i * width & both
+            for j in range(i, min(i + 2, len(ids)))]
+    return ([ids[j] for j in kept],
+            *(_pack_lanes([x >> j * width & lane for j in kept], width) for x in (active, *ints)))
 
 
 def _flush(steps: list[int], width: int, ids: list[int], active: int,

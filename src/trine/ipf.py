@@ -157,7 +157,8 @@ def mirrored_filled(skeleton: str, slot_count: int) -> FilledRow:
     return tuple(row) + (None,) * (slot_count - len(row))
 
 
-LIGHT_CONDITIONS = ("div3", "c1", "c2", "c3")
+CONDITIONS = ("div3", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+LIGHT_CONDITIONS = CONDITIONS[:4]
 
 
 def light_check(
@@ -244,7 +245,7 @@ class IpfReport:
 
     @property
     def first_failed_condition(self) -> Optional[str]:
-        for name in ("div3", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"):
+        for name in CONDITIONS:
             if getattr(self, name) is False:
                 return name
         return None

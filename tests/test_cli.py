@@ -142,7 +142,7 @@ class TestGoldenOutputs:
         # 256 cells, 26 of them Incorrect; of its walks some repack and
         # some end first (see dynamics._REPACK_BIT_STEPS)
         walks = count_calls(ac23, "step_lanes")
-        repacks = count_calls(dynamics, "_live_pairs")
+        repacks = count_calls(dynamics, "_repack")
         out = tmp_path / "grid.csv"
         assert run_cli("grid", "--max", "31", "--lmax", "11", "--out", str(out)) == 0
         assert out.read_bytes() == (DATA / "golden_grid_31.csv").read_bytes()
@@ -460,6 +460,11 @@ class TestGrid:
         ("1,1,3,CorrectSoFar,,,,extra", "not a grid row"),  # too many fields
         ("x,1,3,CorrectSoFar,,,", "not a grid row"),
         ("1,1,3,Incorrect,,,", "not a grid row"),  # no witness size
+        ("1,1,3,Incorrect,5,XYZ,c9", "row (1,1): bad witness for a grid of L 3..5"),
+        ("1,1,3,Incorrect,99,AAAAA,c2", "row (1,1): bad witness for a grid of L 3..5"),
+        ("1,1,3,Incorrect,5,ABAB,c2", "bad witness"),  # start of the wrong length
+        ("1,1,3,Incorrect,5,ABACA,c2", "bad witness"),  # a C in the start
+        ("1,1,3,Incorrect,5,ABABA,slots", "bad witness"),  # no condition of the check
     ])
     def test_resume_refuses_rows_the_grid_never_writes(self, tmp_path, capsys, row, problem):
         # each row parses to a verdict whose own row differs, or to none:

@@ -328,7 +328,7 @@ class TestRepackSchedule:
         for bit_steps in (dynamics._REPACK_BIT_STEPS, 0):
             monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", bit_steps)
             packs = count_calls(dynamics, "_pack_lanes")
-            repacks = count_calls(dynamics, "_live_pairs")
+            repacks = count_calls(dynamics, "_repack")
             for g, batch in walks:
                 step_lanes(g, *batch, config.max_steps, False, config.cond1_interpretation)
             counts[bit_steps] = len(packs), len(repacks)
@@ -346,7 +346,7 @@ class TestRepackSchedule:
         # repacking (10**9); at max_steps 6 and 12 lanes are still
         # running when a walk that never repacked ends
         default = dynamics._REPACK_BIT_STEPS
-        repacks = count_calls(dynamics, "_live_pairs")
+        repacks = count_calls(dynamics, "_repack")
         made = dict.fromkeys((default, 0, 10**9), 0)
         unresolved = False
         for L in range(9, 13):

@@ -205,7 +205,7 @@ def test_lanes_match_oracle_through_repacks(count_calls):
     # the survivors are repacked
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
-    repacks = count_calls(dynamics, "_live_pairs")
+    repacks = count_calls(dynamics, "_repack")
     runs = run_lanes(g, starts)
     periods = sorted(run.period for run in runs)
     assert periods[len(periods) * 3 // 4] < periods[-1] and repacks
@@ -292,7 +292,7 @@ def test_skeletons_recorded_across_repacks_and_flushes(monkeypatch, count_calls,
     g = build_graph(Mask(1, 3), 9)
     starts = list(range(2**9))
     alone = [run_lanes(g, [bits])[0].skeletons for bits in starts]
-    repacks = count_calls(dynamics, "_live_pairs")
+    repacks = count_calls(dynamics, "_repack")
     monkeypatch.setattr(dynamics, "_RECORD_BITS", record_bits)
     flushes = []
     flush = dynamics._flush
@@ -702,7 +702,7 @@ def test_bulk_settle_matches_light_check_on_mixed_graphs(case, max_steps):
     assert_bulk_settle_matches_light_check(*case, max_steps)
 
 
-def test_lane_counts_with_more_counter_planes_than_lane_bits():
+def test_finish_with_more_counter_planes_than_lane_bits():
     # no run on a small circle counts that many C's, so the lanes are
     # made up: lambda's readout against a lane by lane one
     rng = random.Random(7)
@@ -711,20 +711,45 @@ def test_lane_counts_with_more_counter_planes_than_lane_bits():
     top = sum(1 << (j * width + width - 1) for j in range(lanes))
     low = (1 << lanes * width) - 1 ^ top
     for _ in range(50):
-        values = [[rng.choice((0, lane, rng.randrange(lane + 1))) for _ in range(8)]
-                  for _ in range(lanes)]  # per lane: final C, then 7 planes
-        c, *planes = (sum(v[k] << j * width for j, v in enumerate(values)) for k in range(8))
+        values = [[rng.choice((0, lane, rng.randrange(lane + 1))) for _ in range(9)]
+                  for _ in range(lanes)]  # per lane: final C, final B, then 7 planes
+        c, b, *planes = (sum(v[k] << j * width for j, v in enumerate(values)) for k in range(9))
         done = sum(1 << (j * width + width - 1) for j in range(lanes) if rng.random() < 0.7)
-        uneven, counts = dynamics._lane_counts(done, c, planes, width, top, low)
-        for j, (final_c, *lane_planes) in enumerate(values):
+        t = rng.randrange(1, 10**4)
+        readouts, finished = [None] * lanes, []
+        dynamics._finish(t, done, c, b, planes, width, top, low, None, list(range(lanes)),
+                         readouts, finished, 5)
+        for j, (final_c, final_b, *lane_planes) in enumerate(values):
             if not done >> (j * width + width - 1) & 1:
+                assert readouts[j] is None and (j, 5) not in finished
                 continue
             even = all(x in (0, lane) for x in (final_c, *lane_planes))
-            assert (uneven >> (j * width + width - 1) & 1) == (not even)
-            if even:
-                n_c = sum(1 << k for k, x in enumerate(lane_planes) if x)
-                assert sum((count >> j * width & lane) << i * width
-                           for i, count in enumerate(counts)) == n_c
+            n_c = sum(1 << k for k, x in enumerate(lane_planes) if x)
+            assert readouts[j] == (t, final_c, final_b,
+                                   t - 3 * n_c + (final_c & 1) if even else None)
+            assert (j, 5) in finished
+
+
+def test_repack_keeps_each_pair_with_a_running_lane():
+    # pairs (0,1) and (4,5) each have one lane running, pair (2,3) none,
+    # and lane 6 has no partner: the kept lanes move down in order,
+    # with their active and plane bits
+    width, ids = 4, [10, 11, 12, 13, 14, 15, 16]
+    rng = random.Random(3)
+    running = {1, 4, 6}
+    active = sum(1 << (j * width + width - 1) for j in running)
+    ints = [rng.getrandbits(len(ids) * width) for _ in range(3)]
+    new_ids, new_active, *new_ints = dynamics._repack(ids, active, width, *ints)
+    kept = [0, 1, 4, 5, 6]
+    assert new_ids == [ids[j] for j in kept]
+
+    def lanes(x, positions):
+        return [x >> j * width & (1 << width) - 1 for j in positions]
+
+    assert lanes(new_active, range(5)) == lanes(active, kept)
+    for x, new in zip(ints, new_ints):
+        assert lanes(new, range(5)) == lanes(x, kept) and new >> 5 * width == 0
+    assert dynamics._repack(ids, 0, width, *ints) == ([], 0, 0, 0, 0)
 
 
 # -- full-level pairs settled from the lane texts ------------------------------
