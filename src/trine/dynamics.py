@@ -7,22 +7,24 @@ whether any of its out-neighbors is colored C.
     rule I  (P false):  A->A, B->C, C->B
     rule II (P true):   A->C, B->A, C->B
 
-The dynamics is reversible: transliterate, step once, transliterate
-again walks the trajectory backwards.
-
-A trajectory starts from a two-color {A,B} state.  The first step turns
-it into an {A,C} state (rule I applies everywhere), time t = 1.  The
-walk continues until the state whose successor equals its own
-transliteration; that time is the period T and the successor is the
-mirror state.  Because both rules send C to B, the successor always
-keeps new-B = old-C, so the mirror test reduces to "new C bits == old
-B bits" on packed states.
+The dynamics is reversible (``predecessor``).  A trajectory starts from
+a two-color {A,B} state.  The first step turns it into an {A,C} state
+(rule I applies everywhere), time t = 1.  The walk continues until the
+state whose successor equals its own transliteration; that time is the
+period T and the successor is the mirror state.  Both rules send C to
+B, so the successor keeps new-B = old-C, and the mirror test reduces to
+"new C bits == old B bits".
 
 States are packed as a pair of ints ``(c_bits, b_bits)``: bit v of
 ``c_bits`` is set iff node v is colored C, likewise for B; A is the
-remainder.  Per-node C occurrence counts are accumulated during the
-run with ripple-carry counter planes, so lambda needs no second pass
-over the trajectory.
+remainder.  No node is both, so the new C bits are b ^ d, d = P and not
+C (``_rule``), and the mirror test is d == 0.  Per-node C counts build
+up in ripple-carry counter planes, so lambda needs no second pass.  B
+at t is C at t - 1, so c | b is C at t plus C at t - 1: the planes take
+it on odd steps only (B is empty at t = 1).  After an even step t they
+lack C at t, unseen by readouts and the bulk settle: a final C on some
+nodes makes lambda undefined and fails the settle anyway, and only the
+all-B start, orbit (0, all), (all, 0), ends with C everywhere, at t = 1.
 
 P has one formula on every graph.  With M_d the offset mask of d
 (``MixedGraph.offset_masks``: bit v set iff v + d mod n is an
@@ -38,8 +40,8 @@ The rotation within each lane is two shifts: C at v + d reaches
 node v by a shift down by d when v + d < L, and by a shift up by L - d
 when it wraps, each masked to the copies of M_d on those nodes.  The
 rule and the counter planes act bit by bit and need no lane logic.  A
-lane reached its mirror when its lane of d = new_c ^ b is zero.  With H
-the top bit of every lane and LOW the other bits,
+lane reached its mirror when its lane of d is zero.  With H the top bit
+of every lane and LOW the other bits,
 ``(((d & LOW) + LOW) | d) & H`` sets the top bit of exactly the nonzero
 lanes (the SWAR zero-lane test; Warren, Hacker's Delight, 2nd ed.,
 section 6-1): adding LOW carries into the top bit from any set low bit
@@ -294,40 +296,39 @@ def run_to_mirror(
 
 
 def _lane_masks(g: MixedGraph, lanes: int):
-    """Masks over ``lanes`` lanes of ``g.node_count`` bits: (all bits,
-    the top bit of every lane, the other bits, rotations), where
-    rotations holds per pair (d, M_d) of ``g.offset_masks`` (d,
-    node_count - d, the lane bits of M_d at nodes v < node_count - d,
-    which read C at v + d by a shift down by d, the other lane bits of
-    M_d, which read it at v + d - node_count by a shift up by
-    node_count - d)."""
+    """Masks over ``lanes`` lanes of ``g.node_count`` bits: (the top bit
+    of every lane, the other bits, rotations), where rotations holds per
+    pair (d, M_d) of ``g.offset_masks`` (d, node_count - d, the lane
+    bits of M_d at nodes v < node_count - d, which read C at v + d by a
+    shift down by d, the other lane bits of M_d, which read it at
+    v + d - node_count by a shift up by node_count - d).  The rule as
+    d = P and not C (``_rule``) needs no mask of all bits."""
     width = g.node_count
     lane = (1 << width) - 1
     rep = ((1 << lanes * width) - 1) // lane  # bit 0 of every lane
-    full = rep * lane
-    top = rep << (width - 1)
     rotations = []
     for d, mask in g.offset_masks:
         down = mask & ((1 << (width - d)) - 1)
         rotations.append((d, width - d, rep * down, rep * (mask ^ down)))
-    return full, top, full ^ top, rotations
+    return rep << (width - 1), rep * (lane >> 1), rotations
 
 
-def _rule(c: int, b: int, full: int, rotations) -> int:
+def _rule(c: int, b: int, rotations) -> int:
     """The C bits after the packed state (c, b), P formed from
-    ``_lane_masks``' rotations; the B bits after it are c.
-    ``step_lanes`` inlines it."""
+    ``_lane_masks``' rotations; the B bits after it are c.  No node is
+    both C and B: C turns to B, B to C off P and A to C on P, so the new
+    C is b ^ d, d = P and not C.  ``step_lanes`` inlines it."""
     p = 0
     for down, up, down_mask, up_mask in rotations:
         p |= (c >> down) & down_mask | (c << up) & up_mask
-    return b & ~p | (full ^ (c | b)) & p
+    return b ^ p & ~c
 
 
 def _walk(g: MixedGraph, c: int, b: int) -> Iterator[tuple[int, int]]:
     """The packed states after (c, b), one after another, in one lane."""
-    full, _, _, rotations = _lane_masks(g, 1)
+    _, _, rotations = _lane_masks(g, 1)
     while True:
-        c, b = _rule(c, b, full, rotations), c
+        c, b = _rule(c, b, rotations), c
         yield c, b
 
 
@@ -372,15 +373,13 @@ def step_lanes(
     readouts: list = [None if cond1 is None else PASSED] * lanes
     texts: list = [None] * lanes
     ids = list(range(lanes))  # lane position -> start index
-    c = packed  # t = 1: each start's B turned to C
-    b = 0
+    c, b = packed, 0  # t = 1: each start's B turned to C
     active = -1  # every lane, cut to the lane top bits below
     planes: list[int] = []
     columns: dict[int, list[str]] = {}  # start index -> its C columns so far
-    t = 1
-    live = len(ids)
+    t, live = 1, lanes
     while ids and t <= max_steps:
-        full, top, low, rotations = _lane_masks(g, len(ids))
+        top, low, rotations = _lane_masks(g, len(ids))
         active &= top
         pairs = None if cond1 is None else _pair_masks(len(ids), width, cond1)
         stop = max_steps + 1  # the segment ends before this step
@@ -394,21 +393,21 @@ def step_lanes(
                     _flush(steps, width, ids, active, finished, columns, texts)
                     steps, finished = [], []
                 steps.append(c)
-            carry = c  # add c into the counter planes, ripple-carry
-            for k, plane in enumerate(planes):
-                planes[k] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            else:
-                planes.append(carry)
+            if t & 1:  # add C at t and t - 1, c | b, into the counter planes
+                carry = c | b
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
             p = 0  # P, as in _rule
             for down, up, down_mask, up_mask in rotations:
                 p |= (c >> down) & down_mask | (c << up) & up_mask
-            new_c = b & ~p | (full ^ (c | b)) & p
-            d = new_c ^ b
-            # top bit of a lane set iff the lane of d is nonzero
-            done = active & ~(((d & low) + low | d) & top)
+            d = p & ~c  # the new C XOR b
+            # a lane's top bit is set iff its d is nonzero; active holds top bits only
+            done = active & ~((d & low) + low | d)
             if done:
                 active ^= done
                 _finish(t, done, c, b, planes, width, top, low, pairs, ids, readouts,
@@ -419,7 +418,7 @@ def step_lanes(
                 elif due is None and 4 * live <= len(ids):  # drops >= len(ids) - 2 * live lanes
                     due = t + 1 + _REPACK_BIT_STEPS // ((len(ids) - 2 * live) * width)
                     stop = min(stop, due)
-            c, b = new_c, c
+            c, b = b ^ d, c
             t += 1
         if record:
             _flush(steps, width, ids, active, finished, columns, texts)
@@ -448,7 +447,8 @@ def _finish(t: int, done: int, c: int, b: int, planes: list[int], width: int, to
 
     Lambda = T - 3 N_C + [C at T] per node is uniform exactly when the
     final C bits and every counter plane are each empty or full in the
-    lane, as a partial final C would need 3 N_C(v) - 1 = 3 N_C(w)."""
+    lane, as a partial final C would need 3 N_C(v) - 1 = 3 N_C(w).  The
+    planes may lack C at an even t, unseen here (see the module docstring)."""
     if pairs is not None and t % 3 == 0:
         passed = _same_step_passed(t, done, c, b, planes, width, pairs)
         done ^= passed | passed >> width

@@ -22,7 +22,9 @@ class Mutant(NamedTuple):
     reason: str
 
 
+AC23 = "src/trine/ac23.py"
 DYNAMICS = "src/trine/dynamics.py"
+RT = "src/trine/rt.py"
 
 MUTANTS = [
     Mutant(DYNAMICS, "    K = t // 3\n", "    K = t // 3 + 1\n", "bulk-settle-K-plus-one",
@@ -73,4 +75,35 @@ MUTANTS = [
            "finish-records-a-lane-one-step-late",
            "a recorded skeleton then holds one step past the mirror state, so "
            "skeletons, full-level verdicts and rt rows change"),
+    Mutant(DYNAMICS,
+           "            if t & 1:  # add C at t and t - 1, c | b, into the counter planes\n",
+           "            if True:  # add C at t and t - 1, c | b, into the counter planes\n",
+           "counter-planes-count-every-c-twice",
+           "c | b then enters the planes on every step, so each C is counted at its "
+           "step and again as the next step's B: N_C and lambda read wrong"),
+    Mutant(DYNAMICS, "            d = p & ~c  # the new C XOR b\n",
+           "            d = p  # the new C XOR b\n",
+           "rule-turns-c-to-c-where-p",
+           "a C node with a C out-neighbor then stays C instead of turning to B, so "
+           "runs, periods and readouts change"),
+    Mutant(AC23, "    end = len(reps) if total is None else bisect_left(reps, total)\n",
+           "    end = (len(reps) if total is None else bisect_left(reps, total)) - 1\n",
+           "share-drops-its-last-pair",
+           "each share's last planned class then goes unrun, so pairs_run and the "
+           "tested counts drop, and a failure in that class goes unseen"),
+    Mutant(AC23, "    end = len(reps) if total is None else bisect_left(reps, total)\n",
+           "    end = len(reps) if total is None else bisect_left(reps, total) + 1\n",
+           "budget-cut-one-representative-late",
+           "a budget that cuts a size then runs one class past it, so a failure "
+           "there is reported beyond the budget"),
+    Mutant(RT, "            yield codes, L, L <= config.exhaustive_cutoff\n",
+           "            yield codes, L, True\n",
+           "extraction-swapped-at-every-size",
+           "a sampled pair then adds its flipped rows too, though its swapped pair "
+           "was never planned or checked, so the extracted table gains rows"),
+    Mutant(AC23, "for x in (index, index ^ (1 << L) - 1) for k in range(L)}",
+           "for x in (index,) for k in range(L)}",
+           "noted-class-counted-from-r-alone",
+           "a degenerate or unresolved class then loses its complement orbit from "
+           "the skip counts, and those starts count as tested"),
 ]

@@ -94,6 +94,20 @@ class TestGoldenOutputs:
         assert run_cli("check-mask", *argv, "--threads", str(threads), "--json", str(out)) == code
         assert out.read_bytes() == (DATA / f"golden_check_mask_{golden}.json").read_bytes()
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("golden,code,argv", [
+        ("1_3_long_walks", 0, ("--n", "1", "--m", "3", "--lmin", "20", "--lmax", "24",
+                               "--samples", "60")),
+        ("5_11_c3_at_17", 2, ("--n", "5", "--m", "11", "--lmin", "16", "--lmax", "17")),
+    ])
+    def test_check_mask_json_over_long_walks(self, tmp_path, capsys, golden, code, argv,
+                                             threads):
+        # sampled sizes up to L = 24: periods in the thousands, repacks and
+        # 11 counter planes, and a c3 witness at L = 17 read from lambda
+        out = tmp_path / "verdict.json"
+        assert run_cli("check-mask", *argv, "--threads", str(threads), "--json", str(out)) == code
+        assert out.read_bytes() == (DATA / f"golden_check_mask_{golden}.json").read_bytes()
+
     def test_full_level_check_mask_json_at_time_origin_0(self, tmp_path, capsys):
         out = tmp_path / "verdict.json"
         assert run_cli("check-mask", "--n", "1", "--m", "3", "--level", "full",

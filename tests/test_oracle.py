@@ -11,6 +11,9 @@ The lane engine's runs are compared with the same naive runs, lane by
 lane, on circle graphs and on random mixed graphs, and so are the
 skeletons a recording batch cuts out of its lanes and the filled rows
 ``filled_rows`` builds from the skeletons of a run and its complement.
+The lanes count C two steps at a time, so their readouts are also
+compared with a walk that counts each node's colors at every step, at
+odd and even final steps and cuts, through repacks and bulk settles.
 ``check_ipf`` is compared with a transcription of the nine statements
 of the ``trine.ipf`` module docstring, evaluated on the naive runs,
 both on one-lane runs and on pairs recorded in one lane batch.  The
@@ -750,6 +753,96 @@ def test_repack_keeps_each_pair_with_a_running_lane():
     for x, new in zip(ints, new_ints):
         assert lanes(new, range(5)) == lanes(x, kept) and new >> 5 * width == 0
     assert dynamics._repack(ids, 0, width, *ints) == ([], 0, 0, 0, 0)
+
+
+# -- C counted two steps at a time -------------------------------------------
+
+
+def naive_counted_readout(g: MixedGraph, bits: int, max_steps: int):
+    """(period, final C bits, final B bits, lambda) of the start with B
+    bits ``bits``, by a walk that counts each node's A and C at every
+    step, or None when the run is still going after ``max_steps``
+    steps."""
+    n = g.node_count
+    state = naive_step(g, unpack(n, 0, bits))
+    n_a, n_c = [0] * n, [0] * n
+    for t in range(1, max_steps + 1):
+        for v, color in enumerate(state):
+            n_a[v] += color == "A"
+            n_c[v] += color == "C"
+        after = naive_step(g, state)
+        if after == state.translate(SWAP_BC):
+            surplus = {a - c for a, c in zip(n_a, n_c)}
+            return (t, *pack(state), surplus.pop() if len(surplus) == 1 else None)
+        state = after
+    return None
+
+
+def assert_lanes_match_counting_walk(g: MixedGraph, pairs: list[int], max_steps: int,
+                                     cond1) -> list:
+    """``step_lanes`` on each start of ``pairs`` beside its complement
+    against ``naive_counted_readout``, lane by lane; with a ``cond1``
+    reading a pair is PASSED in both lanes exactly when its runs end on
+    the same step and ``light_check`` passes them.  Returns the naive
+    readouts."""
+    n = g.node_count
+    starts = [x for bits in pairs for x in (bits, bits ^ ((1 << n) - 1))]
+    want = [naive_counted_readout(g, bits, max_steps) for bits in starts]
+    got = walk(g, starts, max_steps, False, cond1)[0]
+    for i in range(0, len(starts), 2):
+        run, comp = want[i:i + 2]
+        if (cond1 is not None and run is not None and comp is not None
+                and run[0] == comp[0] > 2 and not light_check(run, comp, n, cond1)[2]):
+            assert got[i:i + 2] == [dynamics.PASSED] * 2, (starts[i], cond1)
+        else:
+            assert got[i:i + 2] == want[i:i + 2], (starts[i], cond1)
+    return want
+
+
+@given(st.one_of(circulant_pairs(), mixed_graph_batches()),
+       st.one_of(st.integers(1, 40), st.just(10**6)), st.sampled_from([1, 64, None]),
+       st.sampled_from([None, *COND1_INTERPRETATIONS]))
+@example(ENDS_OFF_DIV3, 10**6, 1, "complemented")
+@example(COMPLEMENT_ENDS_ON_C, 10**6, 1, "raw")
+@settings(deadline=None)
+def test_lane_readouts_match_a_walk_that_counts_every_step(case, max_steps, repack_bits,
+                                                           cond1):
+    # the planes take C on odd steps only, as C at t and t - 1 together;
+    # a small _REPACK_BIT_STEPS repacks as soon as most lanes are done
+    with pytest.MonkeyPatch.context() as patch:
+        if repack_bits is not None:
+            patch.setattr(dynamics, "_REPACK_BIT_STEPS", repack_bits)
+        assert_lanes_match_counting_walk(*case, max_steps, cond1)
+
+
+@pytest.mark.parametrize("max_steps", [26, 65, 10**6])
+@pytest.mark.parametrize("cond1", [None, *COND1_INTERPRETATIONS])
+def test_lane_readouts_match_a_counting_walk_at_both_parities_through_repacks(
+        monkeypatch, count_calls, max_steps, cond1):
+    # every pair of (1,3) at L = 9 and of (1,1) at L = 8: lanes finish at
+    # odd and at even steps, walks repack, and the longest runs (66
+    # steps) are cut at an even and at an odd max_steps
+    monkeypatch.setattr(dynamics, "_REPACK_BIT_STEPS", 1)
+    repacks = count_calls(dynamics, "_repack")
+    readouts = []
+    for mask, L in (((1, 3), 9), ((1, 1), 8)):
+        readouts += assert_lanes_match_counting_walk(build_graph(Mask(*mask), L),
+                                                     list(range(2**(L - 1))), max_steps, cond1)
+    periods = {readout[0] for readout in readouts if readout is not None}
+    assert repacks and {T % 2 for T in periods} == {0, 1}
+    assert (None in readouts) == (max_steps < 66)
+
+
+@given(st.one_of(mixed_graphs(), circulant_pairs().map(lambda case: case[0])))
+@settings(deadline=None)
+def test_a_final_c_lane_is_full_only_for_the_all_b_start_at_step_1(g):
+    # why the planes may lack C at an even final step: no run ends there
+    # with C on every node
+    n = g.node_count
+    full = (1 << n) - 1
+    readouts = walk(g, list(range(2**n)))[0]
+    assert [bits for bits, readout in enumerate(readouts) if readout[1] == full] == [full]
+    assert readouts[full] == (1, full, 0, 1 - 3 + 1)
 
 
 # -- full-level pairs settled from the lane texts ------------------------------
